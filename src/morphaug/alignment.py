@@ -5,6 +5,10 @@ characters of length >= min_run (default 3) under a minimum-edit-cost
 alignment. Among minimum-cost alignments we take the one with the most matched
 characters, with a fixed backtrace preference (match > substitution >
 deletion > insertion) so results are deterministic.
+
+The distance alone (`levenshtein`) uses the bit-parallel algorithm of
+Myers (1999) in the formulation of Hyyrö (2003) on Python ints, which is
+exact for strings of any length.
 """
 
 from __future__ import annotations
@@ -17,16 +21,38 @@ GAP = None
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance."""
+    """Unit-cost edit distance, by the Myers/Hyyrö bit-parallel algorithm.
+
+    Bit i of the vertical delta vectors vp/vn is +1/-1 between rows i and
+    i+1 of the current DP column, with the shorter string along the rows;
+    each character of the longer string advances one column in a constant
+    number of int operations."""
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}
+    bit = 1
+    for c in b:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    vp, vn, dist = mask, 0, len(b)
+    for c in a:
+        eq = peq.get(c, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        if hp & last:
+            dist += 1
+        elif hn & last:
+            dist -= 1
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(xv | hp)) & mask
+        vn = hp & xv
+    return dist
 
 
 @dataclass(frozen=True)
@@ -100,30 +126,36 @@ def align(lemma: str, form: str) -> CharAlignment:
     if not lemma or not form:
         raise EmptyInput("align requires non-empty strings")
     n, m = len(lemma), len(form)
-    # cost, best match count at equal cost, and the op that achieved it
-    cost = [[0] * (m + 1) for _ in range(n + 1)]
-    matches = [[0] * (m + 1) for _ in range(n + 1)]
-    op = [[-1] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        cost[i][0], op[i][0] = i, _DEL
-    for j in range(1, m + 1):
-        cost[0][j], op[0][j] = j, _INS
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            eq = lemma[i - 1] == form[j - 1]
-            cands = [
-                (cost[i - 1][j - 1] + (0 if eq else 1),
-                 matches[i - 1][j - 1] + (1 if eq else 0),
-                 _MATCH if eq else _SUB),
-                (cost[i - 1][j] + 1, matches[i - 1][j], _DEL),
-                (cost[i][j - 1] + 1, matches[i][j - 1], _INS),
-            ]
-            best = min(cands, key=lambda c: (c[0], -c[1], c[2]))
-            cost[i][j], matches[i][j], op[i][j] = best
+    # One int per cell orders paths by (cost, -matches): key = cost*w - matches
+    # with w > any match count, so a step costs +w and a match -1. Candidates
+    # are tried in op order and replaced only by a strictly smaller key.
+    w = min(n, m) + 1
+    prev = list(range(0, (m + 1) * w, w))
+    ops = [[_INS] * (m + 1)]
+    for i, a in enumerate(lemma, start=1):
+        left = i * w
+        row = [left]
+        op_row = [_DEL]
+        for b, diag, up in zip(form, prev, prev[1:]):
+            if a == b:
+                best, o = diag - 1, _MATCH
+            else:
+                best, o = diag + w, _SUB
+            up += w
+            if up < best:
+                best, o = up, _DEL
+            left += w
+            if left < best:
+                best, o = left, _INS
+            left = best
+            row.append(best)
+            op_row.append(o)
+        ops.append(op_row)
+        prev = row
     pairs = []
     i, j = n, m
     while i > 0 or j > 0:
-        o = op[i][j]
+        o = ops[i][j]
         if o in (_MATCH, _SUB):
             pairs.append((i - 1, j - 1))
             i, j = i - 1, j - 1
@@ -134,7 +166,7 @@ def align(lemma: str, form: str) -> CharAlignment:
             pairs.append((GAP, j - 1))
             j -= 1
     pairs.reverse()
-    return CharAlignment(lemma=lemma, form=form, pairs=tuple(pairs), cost=cost[n][m])
+    return CharAlignment(lemma=lemma, form=form, pairs=tuple(pairs), cost=-(-prev[m] // w))
 
 
 def extract_stem(a: CharAlignment, min_run: int = 3) -> Segmentation:

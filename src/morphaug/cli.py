@@ -80,6 +80,8 @@ def cmd_augment(args) -> None:
 
 
 def cmd_score(args) -> None:
+    if not (args.external or args.gold):
+        raise UsageError("score needs --gold (built-in scorer) or --external")
     pool = corruption.read_pool_jsonl(_read(args.pool))
     if args.external:
         scores = scoring.load_external_scores(_read(args.external), pool)
@@ -101,6 +103,8 @@ def _load_scored_pool(pool_path: str, scores_path: str | None):
 
 
 def cmd_select(args) -> None:
+    if args.merged_out and not args.gold:
+        raise UsageError("--merged-out needs --gold")
     pool = _load_scored_pool(args.pool, args.scores)
     alpha = args.alpha
     if alpha is None:

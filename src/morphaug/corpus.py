@@ -30,7 +30,8 @@ class InflectionTriple:
         if not self.msd:
             raise ValueError(f"triple {self.id!r}: msd must have at least one feature")
         for tok in self.msd:
-            if not tok or ";" in tok or any(c.isspace() for c in tok):
+            # str.split() splits exactly at the characters str.isspace() accepts
+            if not tok or ";" in tok or tok.split() != [tok]:
                 raise ValueError(f"triple {self.id!r}: bad msd token {tok!r}")
 
     @property
@@ -73,21 +74,25 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Sorted, duplicate-free character inventory."""
+    """Sorted, duplicate-free character inventory; index maps each character
+    to its position in chars."""
 
     chars: tuple[str, ...]
+    index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.chars:
             raise ValueError("alphabet must be non-empty")
-        if len(set(self.chars)) != len(self.chars):
+        index = {c: i for i, c in enumerate(self.chars)}
+        if len(index) != len(self.chars):
             raise ValueError("alphabet contains duplicates")
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.chars)
 
     def __contains__(self, c: str) -> bool:
-        return c in set(self.chars)
+        return c in self.index
 
     def __iter__(self):
         return iter(self.chars)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .alignment import Segmentation, align, extract_stem, levenshtein
 from .corpus import Alphabet, Dataset, InflectionTriple
@@ -52,7 +52,9 @@ class SyntheticExample:
         return self.triple.msd_string
 
     def with_score(self, nll: float) -> "SyntheticExample":
-        return replace(self, score=nll)
+        # the constructor directly: dataclasses.replace costs several times more
+        return SyntheticExample(self.triple, self.source_id, self.substituted_lemma_positions,
+                                self.substituted_form_positions, self.lev_to_gold_target, nll)
 
 
 def corrupt(
@@ -66,17 +68,25 @@ def corrupt(
     """Corrupt one triple using the supplied segmentation and RNG state."""
     if cfg.exclude_original and len(alphabet) < 2:
         raise AlphabetTooSmall("need >= 2 characters to exclude the original")
+    chars = alphabet.chars
+    n_chars = len(chars)
+    # with the original excluded, draw among the other n-1 characters and
+    # step over the original's index: the same draw as indexing the list of
+    # all characters but the original
+    index = alphabet.index if cfg.exclude_original else {}
+    draw, randrange, theta = rng.random, rng.randrange, cfg.theta
     lemma = list(t.lemma)
     form = list(t.form)
     sub_lemma: list[int] = []
     sub_form: list[int] = []
     for li, fi in seg.stem_pairs:
-        if rng.random() < cfg.theta:
-            if cfg.exclude_original:
-                choices = [c for c in alphabet.chars if c != t.lemma[li]]
+        if draw() < theta:
+            k = index.get(t.lemma[li])
+            if k is None:
+                c = chars[randrange(n_chars)]
             else:
-                choices = list(alphabet.chars)
-            c = choices[rng.randrange(len(choices))]
+                r = randrange(n_chars - 1)
+                c = chars[r + (r >= k)]
             lemma[li] = c
             form[fi] = c
             sub_lemma.append(li)

@@ -67,7 +67,9 @@ class NGramScorer:
 
     Unseen contexts fall back to the uniform distribution over the prediction
     vocabulary (the add-k estimate with zero counts). Out-of-vocabulary
-    symbols map to UNK; the mapping rate is logged.
+    symbols map to UNK; the mapping rate is logged. logprobs reads a log
+    table per context, built on first use from prob, so its values equal
+    math.log(prob(ctx, tok)) bit for bit.
     """
 
     def __init__(self, order: int = 3, k: float = 0.1):
@@ -82,26 +84,19 @@ class NGramScorer:
         self.vocab: set[str] = {SEP, EOS, UNK}
         self.unk_hits = 0
         self.token_hits = 0
-
-    def _tokens(self, lemma, msd, form) -> list[str]:
-        return list(lemma) + [SEP] + list(msd) + [SEP] + list(form) + [EOS]
-
-    def _map(self, tok: str) -> str:
-        self.token_hits += 1
-        if tok in self.vocab:
-            return tok
-        self.unk_hits += 1
-        return UNK
+        # ctx -> ({tok: log prob} for the tokens seen after ctx, log prob of any other)
+        self._log_tables: dict[tuple, tuple[dict[str, float], float]] = {}
 
     def train(self, gold: Dataset) -> None:
         if len(gold) == 0:
             raise EmptyDataset("cannot train a scorer on an empty dataset")
+        self._log_tables.clear()
         for t in gold:
             self.vocab.update(t.lemma)
             self.vocab.update(t.form)
             self.vocab.update(t.msd)
         for t in gold:
-            seq = [BOS] * (self.order - 1) + self._tokens(t.lemma, t.msd, t.form)
+            seq = [BOS] * (self.order - 1) + [*t.lemma, SEP, *t.msd, SEP, *t.form, EOS]
             for i in range(self.order - 1, len(seq)):
                 ctx = tuple(seq[i - self.order + 1 : i])
                 self.counts[ctx][seq[i]] += 1
@@ -113,14 +108,31 @@ class NGramScorer:
         total = self.context_totals.get(ctx, 0)
         return (count + self.k) / (total + self.k * len(self.vocab))
 
+    def _new_log_table(self, ctx: tuple) -> tuple[dict[str, float], float]:
+        # the expression of prob, with count 0 for the unseen tokens
+        denom = self.context_totals.get(ctx, 0) + self.k * len(self.vocab)
+        seen = self.counts.get(ctx, {})
+        table = self._log_tables[ctx] = (
+            {tok: math.log((count + self.k) / denom) for tok, count in seen.items()},
+            math.log(self.k / denom),
+        )
+        return table
+
     def logprobs(self, lemma, msd, form):
-        toks = [self._map(c) for c in self._tokens(lemma, msd, form)]
-        seq = [BOS] * (self.order - 1) + toks
-        start = len(seq) - (len(form) + 1)  # first form token position
+        vocab = self.vocab
+        toks = [*lemma, SEP, *msd, SEP, *form, EOS]
+        mapped = [tok if tok in vocab else UNK for tok in toks]
+        self.token_hits += len(toks)
+        if mapped != toks:
+            self.unk_hits += sum(tok not in vocab for tok in toks)
+        order = self.order
+        seq = [BOS] * (order - 1) + mapped
+        tables = self._log_tables
         out = []
-        for i in range(start, len(seq)):
-            ctx = tuple(seq[i - self.order + 1 : i])
-            out.append(math.log(self.prob(ctx, seq[i])))
+        for i in range(len(seq) - (len(form) + 1), len(seq)):  # form tokens and EOS
+            ctx = tuple(seq[i - order + 1 : i])
+            logp, unseen = tables.get(ctx) or self._new_log_table(ctx)
+            out.append(logp.get(seq[i], unseen))
         return out
 
     @property

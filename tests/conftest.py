@@ -1,9 +1,14 @@
+import math
 import random
 from functools import lru_cache
 
 import pytest
 
+from morphaug.alignment import GAP, CharAlignment
 from morphaug.corpus import Dataset, InflectionTriple, parse_unimorph
+from morphaug.corruption import SyntheticExample
+from morphaug.errors import AlphabetTooSmall, EmptyInput
+from morphaug.scoring import BOS, EOS, SEP, UNK
 
 
 def oracle_levenshtein(a: str, b: str) -> int:
@@ -22,6 +27,93 @@ def oracle_levenshtein(a: str, b: str) -> int:
         )
 
     return d(len(a), len(b))
+
+
+def oracle_align(lemma: str, form: str) -> CharAlignment:
+    """Full-table alignment DP: every cell takes the min over its three
+    candidates keyed by (cost, -matches, op), then a backtrace."""
+    if not lemma or not form:
+        raise EmptyInput("align requires non-empty strings")
+    MATCH, SUB, DEL, INS = 0, 1, 2, 3
+    n, m = len(lemma), len(form)
+    cost = [[0] * (m + 1) for _ in range(n + 1)]
+    matches = [[0] * (m + 1) for _ in range(n + 1)]
+    op = [[-1] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        cost[i][0], op[i][0] = i, DEL
+    for j in range(1, m + 1):
+        cost[0][j], op[0][j] = j, INS
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            eq = lemma[i - 1] == form[j - 1]
+            cands = [
+                (cost[i - 1][j - 1] + (0 if eq else 1),
+                 matches[i - 1][j - 1] + (1 if eq else 0),
+                 MATCH if eq else SUB),
+                (cost[i - 1][j] + 1, matches[i - 1][j], DEL),
+                (cost[i][j - 1] + 1, matches[i][j - 1], INS),
+            ]
+            cost[i][j], matches[i][j], op[i][j] = min(cands, key=lambda c: (c[0], -c[1], c[2]))
+    pairs = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        o = op[i][j]
+        if o in (MATCH, SUB):
+            pairs.append((i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif o == DEL:
+            pairs.append((i - 1, GAP))
+            i -= 1
+        else:
+            pairs.append((GAP, j - 1))
+            j -= 1
+    pairs.reverse()
+    return CharAlignment(lemma=lemma, form=form, pairs=tuple(pairs), cost=cost[n][m])
+
+
+def oracle_corrupt(t, seg, alphabet, cfg, rng, new_id=None) -> SyntheticExample:
+    """Corruption that builds the list of allowed replacement characters at
+    every substituted position and indexes it with one randrange draw."""
+    if cfg.exclude_original and len(alphabet) < 2:
+        raise AlphabetTooSmall("need >= 2 characters to exclude the original")
+    lemma = list(t.lemma)
+    form = list(t.form)
+    sub_lemma, sub_form = [], []
+    for li, fi in seg.stem_pairs:
+        if rng.random() < cfg.theta:
+            if cfg.exclude_original:
+                choices = [c for c in alphabet.chars if c != t.lemma[li]]
+            else:
+                choices = list(alphabet.chars)
+            c = choices[rng.randrange(len(choices))]
+            lemma[li] = c
+            form[fi] = c
+            sub_lemma.append(li)
+            sub_form.append(fi)
+    corrupted = InflectionTriple(
+        id=new_id if new_id is not None else f"{t.id}~syn",
+        lemma="".join(lemma), form="".join(form), msd=t.msd,
+    )
+    return SyntheticExample(
+        triple=corrupted,
+        source_id=t.id,
+        substituted_lemma_positions=tuple(sub_lemma),
+        substituted_form_positions=tuple(sub_form),
+        lev_to_gold_target=oracle_levenshtein(corrupted.form, t.form),
+    )
+
+
+def oracle_logprobs(scorer, lemma, msd, form):
+    """(log-probs, token hits, UNK hits) of one logprobs call, computed as
+    math.log(scorer.prob(ctx, tok)) at every form position and EOS."""
+    toks = list(lemma) + [SEP] + list(msd) + [SEP] + list(form) + [EOS]
+    unk = sum(tok not in scorer.vocab for tok in toks)
+    seq = [BOS] * (scorer.order - 1) + [tok if tok in scorer.vocab else UNK for tok in toks]
+    out = []
+    for i in range(len(seq) - (len(form) + 1), len(seq)):
+        ctx = tuple(seq[i - scorer.order + 1 : i])
+        out.append(math.log(scorer.prob(ctx, seq[i])))
+    return out, len(toks), unk
 
 
 def oracle_matched_runs(alignment, min_run):

@@ -156,6 +156,11 @@ def test_levenshtein_random_vs_oracle():
         a = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 10)))
         b = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 10)))
         assert levenshtein(a, b) == oracle_levenshtein(a, b)
+    # longer than one 64-bit word, with an NFD combining mark
+    for _ in range(20):
+        a = "".join(rng.choice("abcd\u0301") for _ in range(rng.randint(60, 200)))
+        b = "".join(rng.choice("abcd\u0301") for _ in range(rng.randint(60, 200)))
+        assert levenshtein(a, b) == oracle_levenshtein(a, b)
 
 
 def test_segmentation_from_boundary():

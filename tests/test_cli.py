@@ -42,6 +42,24 @@ def test_usage_error_exit_code_1(capsys):
     assert main([]) == 1
 
 
+def test_missing_argument_dependencies_are_usage_errors(gold_file, tmp_path, capsys):
+    pool = str(tmp_path / "pool.jsonl")
+    assert main(["augment", "--gold", gold_file, "--n", "5", "--out", pool, "--quiet"]) == 0
+    capsys.readouterr()
+    scores = tmp_path / "scores.tsv"
+    assert main(["score", "--pool", pool, "--out", str(scores), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--gold" in err and "Traceback" not in err
+    assert not scores.exists()
+
+    sel, merged = tmp_path / "sel.json", tmp_path / "merged.tsv"
+    assert main(["select", "--pool", pool, "--strategy", "random", "--k", "2",
+                 "--merged-out", str(merged), "--out", str(sel), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--merged-out" in err and "Traceback" not in err
+    assert not sel.exists() and not merged.exists()
+
+
 def test_missing_file_exit_code_2(tmp_path, capsys):
     out = str(tmp_path / "out.jsonl")
     assert main(["parse", "--in", str(tmp_path / "nope.tsv"), "--out", out]) == 2

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from morphaug.corpus import (
     Alphabet,
+    InflectionTriple,
     MsdHistogram,
     extract_alphabet,
     msd_histogram,
@@ -133,3 +134,16 @@ def test_msd_order_preserved():
 def test_multiword_lemma_accepted():
     d = parse_unimorph("give up\tgave up\tV;PST")
     assert d[0].lemma == "give up"
+
+
+@pytest.mark.parametrize("tok", ["N PL", "N\tPL", "N\u00a0", "\u2003N", "\u3000", "N;PL", ""])
+def test_bad_msd_token_rejected(tok):
+    with pytest.raises(ValueError, match="bad msd token"):
+        InflectionTriple(id="1", lemma="a", form="b", msd=("V", tok))
+
+
+def test_alphabet_membership():
+    a = Alphabet(chars=tuple("abc\u0301"))
+    assert "b" in a and "\u0301" in a
+    assert "d" not in a and "ab" not in a
+    assert a.index == {"a": 0, "b": 1, "c": 2, "\u0301": 3}
