@@ -16,7 +16,7 @@ import logging
 import sys
 
 from . import corpus, corruption, milab, report, scoring, selection, splitgen
-from .errors import MorphaugError
+from .errors import EmptySelection, MorphaugError
 from .util import atomic_write, config_hash, derive_seed
 
 log = logging.getLogger("morphaug")
@@ -135,52 +135,54 @@ def cmd_split(args) -> None:
     log.info("lemma split: %d of %d triples kept for test", len(split.test), len(full))
 
 
+def _syn_sizes(text: str) -> list[int]:
+    try:
+        sizes = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise UsageError(f"--syn-sizes must be comma-separated integers, got {text!r}") from None
+    if any(s < 0 for s in sizes):
+        raise UsageError(f"--syn-sizes must be >= 0, got {text!r}")
+    return sizes
+
+
 def cmd_milab(args) -> None:
+    syn_sizes = _syn_sizes(args.syn_sizes)
     grammar = milab.make_toy_grammar(
         n_stems=args.stems, n_msds=args.msds,
         seed=derive_seed(args.seed, "grammar"),
         harmony=args.harmony == "on",
         coupled=not args.uncoupled,
     )
-    syn_sizes = [int(s) for s in args.syn_sizes.split(",")]
     curve = milab.mi_decay_curve(
         grammar, args.gold, syn_sizes, theta=args.theta,
         seed=derive_seed(args.seed, "milab"), resamples=args.resamples,
     )
-    gold = milab.generate_gold(grammar, args.gold,
-                               seed=derive_seed(derive_seed(args.seed, "milab"), "gold"))
-    records = []
-    for point in curve:
-        rec = point.to_dict()
-        syn = milab.corrupt_toy(
-            gold, grammar, point.syn_size, args.theta,
-            seed=derive_seed(derive_seed(args.seed, "milab"), f"syn-{point.syn_size}"),
-        ) if point.syn_size else []
-        try:
-            gap = milab.factorization_gap(gold + syn)
-            rec["factorization_gap"] = {
-                "tv_distance": gap.tv_distance,
-                "cells_used": gap.cells_used,
-                "skip_rate": gap.skip_rate,
-            }
-        except ValueError:
-            rec["factorization_gap"] = None
-        records.append(rec)
+    records = [point.to_dict() for point in curve]
     _write_json(args.out, {"curve": records}, "milab", vars(args))
     log.info("wrote %d curve points to %s", len(records), args.out)
 
 
 def _read_harmony_tsv(path: str) -> report.HarmonyConfig:
     classes = {}
-    for line in _read(path).splitlines():
+    for line_no, line in enumerate(_read(path).splitlines(), 1):
         if not line.strip():
             continue
-        char, cls = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise MorphaugError(f"{path} line {line_no}: expected char<TAB>class, got {line!r}")
+        char, cls = fields
         classes[char] = cls
     return report.HarmonyConfig(vowel_classes=classes)
 
 
 def cmd_report(args) -> None:
+    # the small inputs first, so a bad one fails before the pool is read
+    if args.selection:
+        counts = json.loads(_read(args.selection))["per_msd_counts"]
+        if not counts:
+            raise EmptySelection(f"{args.selection}: the selection is empty")
+    if args.harmony:
+        cfg = _read_harmony_tsv(args.harmony)
     pool = _load_scored_pool(args.pool, args.scores)
     gold = corpus.parse_unimorph(_read(args.gold), name=args.gold)
     segs = {tid: s for tid, s in corruption.segment_dataset(gold).items() if s is not None}
@@ -193,13 +195,10 @@ def cmd_report(args) -> None:
         "n": corr.n,
     }
     if args.selection:
-        sel_raw = json.loads(_read(args.selection))
-        counts = sel_raw["per_msd_counts"]
         hist = corpus.MsdHistogram(counts=counts, total=sum(counts.values()))
         msd, count = hist.mode()
         blocks["msd_mode"] = {"msd": msd, "count": count}
     if args.harmony:
-        cfg = _read_harmony_tsv(args.harmony)
         stats = report.harmony_violation_stats(
             pool, cfg, segs, resamples=args.resamples,
             seed=derive_seed(args.seed, "report"),

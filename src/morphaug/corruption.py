@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .alignment import Segmentation, align, extract_stem, levenshtein
 from .corpus import Alphabet, Dataset, InflectionTriple
-from .errors import AlphabetTooSmall, NoAlignableTriples, NoStem
+from .errors import AlphabetTooSmall, MissingKey, NoAlignableTriples, NoStem
 
 log = logging.getLogger(__name__)
 
@@ -164,20 +164,23 @@ def write_pool_jsonl(pool: list[SyntheticExample]) -> str:
 
 def read_pool_jsonl(text: str) -> list[SyntheticExample]:
     pool = []
-    for line in text.splitlines():
+    for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         d = json.loads(line)
-        pool.append(SyntheticExample(
-            triple=InflectionTriple(
-                id=d["id"], lemma=d["lemma"], form=d["form"], msd=tuple(d["msd"])
-            ),
-            source_id=d["source_id"],
-            substituted_lemma_positions=tuple(d["substituted_lemma_positions"]),
-            substituted_form_positions=tuple(d["substituted_form_positions"]),
-            lev_to_gold_target=d["lev_to_gold_target"],
-            score=d.get("score"),
-        ))
+        try:
+            pool.append(SyntheticExample(
+                triple=InflectionTriple(
+                    id=d["id"], lemma=d["lemma"], form=d["form"], msd=tuple(d["msd"])
+                ),
+                source_id=d["source_id"],
+                substituted_lemma_positions=tuple(d["substituted_lemma_positions"]),
+                substituted_form_positions=tuple(d["substituted_form_positions"]),
+                lev_to_gold_target=d["lev_to_gold_target"],
+                score=d.get("score"),
+            ))
+        except KeyError as e:
+            raise MissingKey(line_no, e.args[0]) from None
     return pool
 
 

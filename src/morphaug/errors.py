@@ -64,6 +64,11 @@ class UnknownId(MorphaugError):
         super().__init__(f"line {line_no}: id {example_id!r} not in pool")
 
 
+class MissingKey(MorphaugError):
+    def __init__(self, line_no, key):
+        super().__init__(f"line {line_no}: missing key {key!r}")
+
+
 class NonNumericScore(MorphaugError):
     def __init__(self, line_no, value):
         super().__init__(f"line {line_no}: non-numeric score {value!r}")

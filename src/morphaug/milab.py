@@ -322,12 +322,18 @@ class CurvePoint:
     gold_only: dict
     syn_only: dict | None
     convexity_ok: dict
+    gap: FactorizationGap | None  # None when no (X, T) cell has enough support
 
     def to_dict(self) -> dict:
         def d(est):
             return {"bits": est.bits, "n": est.n_samples,
                     "ci": [est.ci_low, est.ci_high]}
         return {
+            "factorization_gap": None if self.gap is None else {
+                "tv_distance": self.gap.tv_distance,
+                "cells_used": self.gap.cells_used,
+                "skip_rate": self.gap.skip_rate,
+            },
             "syn_size": self.syn_size,
             "lambda": self.lam,
             "mixture": {"/".join(p): d(e) for p, e in self.mixture.items()},
@@ -353,7 +359,8 @@ def mi_decay_curve(
     epsilon: float = 0.02,
 ) -> list[CurvePoint]:
     """MI of the gold/synthetic mixture for each synthetic size, for all four
-    variable pairs, with bootstrap CIs and per-point convexity verdicts."""
+    variable pairs, with bootstrap CIs, per-point convexity verdicts and the
+    mixture's factorization gap."""
     gold = generate_gold(g, gold_n, seed=derive_seed(seed, "gold"))
     points = []
     for s in syn_sizes:
@@ -373,9 +380,13 @@ def mi_decay_curve(
             convex[pair] = convexity_bound_check(
                 gold_est[pair].bits, i_a, lam, mix_est[pair].bits, epsilon
             )
+        try:
+            gap = factorization_gap(mixture)
+        except ValueError:
+            gap = None
         points.append(CurvePoint(
             syn_size=s, lam=lam, mixture=mix_est, gold_only=gold_est,
-            syn_only=syn_est or None, convexity_ok=convex,
+            syn_only=syn_est or None, convexity_ok=convex, gap=gap,
         ))
     return points
 

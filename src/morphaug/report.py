@@ -116,6 +116,29 @@ class BootstrapCI:
             raise ValueError("percentile CI must contain the point estimate")
 
 
+# Indices drawn per block of bootstrap rows: 2**21 int64 indices (16 MiB),
+# plus as many gathered floats, whatever the resample count and sample size.
+BOOTSTRAP_BLOCK_ELEMENTS = 2 ** 21
+
+
+def resample_blocks(rng: np.random.Generator, n: int, resamples: int):
+    """The rows of rng.integers(0, n, size=(resamples, n)) as (first row,
+    block) pairs, each block at most BOOTSTRAP_BLOCK_ELEMENTS indices (at
+    least one row). The blocks consume the generator exactly as the one full
+    draw would."""
+    rows = max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)
+    for start in range(0, resamples, rows):
+        yield start, rng.integers(0, n, size=(min(rows, resamples - start), n))
+
+
+def bootstrap_means(rng: np.random.Generator, x: np.ndarray, resamples: int) -> np.ndarray:
+    """Mean of each of `resamples` with-replacement resamples of x."""
+    means = np.empty(resamples)
+    for start, idx in resample_blocks(rng, len(x), resamples):
+        means[start:start + len(idx)] = x[idx].mean(axis=1)
+    return means
+
+
 def bootstrap_percentile(
     samples: Sequence[float],
     statistic: Callable[[Sequence[float]], float] = None,
@@ -132,12 +155,11 @@ def bootstrap_percentile(
         statistic = lambda xs: float(np.mean(xs))
     point = float(statistic(samples))
     rng = np.random.default_rng(seed)
-    n = len(samples)
     arr = np.asarray(samples, dtype=float)
     dist = np.empty(resamples)
-    idx = rng.integers(0, n, size=(resamples, n))
-    for i in range(resamples):
-        dist[i] = statistic(arr[idx[i]])
+    for start, idx in resample_blocks(rng, len(arr), resamples):
+        for i, row in enumerate(idx, start):
+            dist[i] = statistic(arr[row])
     alpha = (1 - level) / 2
     lower, upper = np.percentile(dist, [100 * alpha, 100 * (1 - alpha)])
     lower = min(float(lower), point)
@@ -192,10 +214,8 @@ def harmony_violation_stats(
     rng = np.random.default_rng(seed)
     v = np.asarray(violating)
     a = np.asarray(adhering)
-    diffs = (
-        v[rng.integers(0, len(v), size=(resamples, len(v)))].mean(axis=1)
-        - a[rng.integers(0, len(a), size=(resamples, len(a)))].mean(axis=1)
-    )
+    # all of v's resamples first, then all of a's: the generator's order
+    diffs = bootstrap_means(rng, v, resamples) - bootstrap_means(rng, a, resamples)
     # one-sided: P(difference <= 0) under the bootstrap distribution
     p = float(np.mean(diffs <= 0))
     return HarmonyStats(

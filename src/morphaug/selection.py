@@ -14,7 +14,8 @@ import json
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from typing import Callable, Sequence
 
 from .corpus import MsdHistogram
 from .corruption import SyntheticExample
@@ -94,18 +95,31 @@ def _msd_weights(pool: Sequence[SyntheticExample], alpha: float) -> dict[str, fl
     return {m: (c / total) ** alpha for m, c in counts.items()}
 
 
-def _draw_msd(rng: random.Random, weights: dict[str, float],
-              remaining: dict[str, list[SyntheticExample]]) -> str:
-    live = sorted(m for m, cands in remaining.items() if cands)
-    w = [weights[m] for m in live]
-    return rng.choices(live, weights=w, k=1)[0]
-
-
 def _group_by_msd(pool: Sequence[SyntheticExample]) -> dict[str, list[SyntheticExample]]:
     groups: dict[str, list[SyntheticExample]] = defaultdict(list)
     for e in sorted(pool, key=lambda e: e.id):
         groups[e.msd_string].append(e)
     return groups
+
+
+def _draw_by_msd(groups: dict[str, list[SyntheticExample]], weights: dict[str, float],
+                 k: int, rng: random.Random,
+                 take: Callable[[list[SyntheticExample]], SyntheticExample],
+                 ) -> list[SyntheticExample]:
+    """Repeat k times: draw an MSD by weight among those that still have
+    candidates, then remove take(candidates) from its group. The sorted live
+    MSDs and their cumulative weights are rebuilt only when a group empties;
+    choices() with cum_weights makes the same draw as with the weights."""
+    live = sorted(groups)
+    cum = list(accumulate(weights[m] for m in live))
+    selected = []
+    for _ in range(k):
+        cands = groups[rng.choices(live, cum_weights=cum, k=1)[0]]
+        selected.append(take(cands))
+        if not cands:
+            live = [m for m in live if groups[m]]
+            cum = list(accumulate(weights[m] for m in live))
+    return selected
 
 
 def select_templatic(pool: Sequence[SyntheticExample], k: int, alpha: float,
@@ -114,13 +128,8 @@ def select_templatic(pool: Sequence[SyntheticExample], k: int, alpha: float,
     with that MSD; remove it."""
     _check_k(k, len(pool))
     rng = random.Random(seed)
-    weights = _msd_weights(pool, alpha)
-    remaining = _group_by_msd(pool)
-    selected: list[SyntheticExample] = []
-    for _ in range(k):
-        msd = _draw_msd(rng, weights, remaining)
-        cands = remaining[msd]
-        selected.append(cands.pop(rng.randrange(len(cands))))
+    selected = _draw_by_msd(_group_by_msd(pool), _msd_weights(pool, alpha), k, rng,
+                            lambda cands: cands.pop(rng.randrange(len(cands))))
     kind = "umt" if alpha == 0 else "ume"
     return _result(selected, SelectionStrategy(kind=kind, k=k, alpha=alpha, seed=seed))
 
@@ -147,16 +156,12 @@ def select_hybrid(pool: Sequence[SyntheticExample], k: int, alpha: float,
     remaining candidate (ties by lowest id); remove it."""
     pool = require_scored(pool)
     _check_k(k, len(pool))
-    rng = random.Random(seed)
-    weights = _msd_weights(pool, alpha)
-    remaining = _group_by_msd(pool)
-    # most uncertain first, ties by lowest id
-    for cands in remaining.values():
+    groups = _group_by_msd(pool)
+    # most uncertain last (ties by lowest id), so pop() takes it
+    for cands in groups.values():
         cands.sort(key=lambda e: (-e.score, e.id))
-    selected: list[SyntheticExample] = []
-    for _ in range(k):
-        msd = _draw_msd(rng, weights, remaining)
-        selected.append(remaining[msd].pop(0))
+        cands.reverse()
+    selected = _draw_by_msd(groups, _msd_weights(pool, alpha), k, random.Random(seed), list.pop)
     kind = "umt-loss" if alpha == 0 else "ume-loss"
     return _result(selected, SelectionStrategy(kind=kind, k=k, alpha=alpha, seed=seed))
 

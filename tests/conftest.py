@@ -1,13 +1,16 @@
 import math
 import random
+from collections import defaultdict
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from morphaug.alignment import GAP, CharAlignment
 from morphaug.corpus import Dataset, InflectionTriple, parse_unimorph
 from morphaug.corruption import SyntheticExample
-from morphaug.errors import AlphabetTooSmall, EmptyInput
+from morphaug.errors import AlphabetTooSmall, EmptyInput, TooFewSamples
+from morphaug.report import BootstrapCI
 from morphaug.scoring import BOS, EOS, SEP, UNK
 
 
@@ -114,6 +117,81 @@ def oracle_logprobs(scorer, lemma, msd, form):
         ctx = tuple(seq[i - scorer.order + 1 : i])
         out.append(math.log(scorer.prob(ctx, seq[i])))
     return out, len(toks), unk
+
+
+def oracle_harmony_bootstrap(v, a, resamples, rng):
+    """The report's bootstrap as one full (resamples, n) index matrix per
+    group, v's before a's: (row means of v, row means of a, one-sided p)."""
+    v_means = v[rng.integers(0, len(v), size=(resamples, len(v)))].mean(axis=1)
+    a_means = a[rng.integers(0, len(a), size=(resamples, len(a)))].mean(axis=1)
+    return v_means, a_means, float(np.mean(v_means - a_means <= 0))
+
+
+def oracle_bootstrap_percentile(samples, statistic=None, resamples=10000, level=0.95,
+                                seed=0, name="statistic"):
+    """Percentile CI from one full (resamples, n) index matrix."""
+    samples = list(samples)
+    if len(samples) < 2:
+        raise TooFewSamples("bootstrap needs >= 2 samples")
+    if statistic is None:
+        statistic = lambda xs: float(np.mean(xs))
+    point = float(statistic(samples))
+    rng = np.random.default_rng(seed)
+    n = len(samples)
+    arr = np.asarray(samples, dtype=float)
+    dist = np.empty(resamples)
+    idx = rng.integers(0, n, size=(resamples, n))
+    for i in range(resamples):
+        dist[i] = statistic(arr[idx[i]])
+    alpha = (1 - level) / 2
+    lower, upper = np.percentile(dist, [100 * alpha, 100 * (1 - alpha)])
+    lower = min(float(lower), point)
+    upper = max(float(upper), point)
+    return BootstrapCI(statistic=name, point=point, lower=lower, upper=upper,
+                       resamples=resamples, level=level)
+
+
+def _oracle_msd_groups(pool, alpha):
+    counts = defaultdict(int)
+    for e in pool:
+        counts[e.msd_string] += 1
+    weights = {m: (c / len(pool)) ** alpha for m, c in counts.items()}
+    remaining = defaultdict(list)
+    for e in sorted(pool, key=lambda e: e.id):
+        remaining[e.msd_string].append(e)
+    return weights, remaining
+
+
+def _oracle_draw_msd(rng, weights, remaining):
+    live = sorted(m for m, cands in remaining.items() if cands)
+    w = [weights[m] for m in live]
+    return rng.choices(live, weights=w, k=1)[0]
+
+
+def oracle_select_templatic(pool, k, alpha, rng):
+    """Selected ids of the MSD-templatic draw that re-sorts the live MSDs and
+    re-accumulates their weights on every draw."""
+    weights, remaining = _oracle_msd_groups(pool, alpha)
+    selected = []
+    for _ in range(k):
+        msd = _oracle_draw_msd(rng, weights, remaining)
+        cands = remaining[msd]
+        selected.append(cands.pop(rng.randrange(len(cands))))
+    return [e.id for e in selected]
+
+
+def oracle_select_hybrid(pool, k, alpha, rng):
+    """Selected ids of the hybrid draw: as oracle_select_templatic, but takes
+    the most uncertain candidate with pop(0)."""
+    weights, remaining = _oracle_msd_groups(pool, alpha)
+    # most uncertain first, ties by lowest id
+    for cands in remaining.values():
+        cands.sort(key=lambda e: (-e.score, e.id))
+    selected = []
+    for _ in range(k):
+        msd = _oracle_draw_msd(rng, weights, remaining)
+        selected.append(remaining[msd].pop(0))
+    return [e.id for e in selected]
 
 
 def oracle_matched_runs(alignment, min_run):

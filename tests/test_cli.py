@@ -186,3 +186,89 @@ def test_pipeline_runs_and_validates_config(gold_file, tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["pipeline", "--config", str(cfg_path),
                  "--out-dir", str(out_dir), "--quiet"]) == 2
+
+
+@pytest.fixture
+def scored_pool(gold_file, tmp_path):
+    pool = str(tmp_path / "pool.jsonl")
+    scores = str(tmp_path / "scores.tsv")
+    assert main(["augment", "--gold", gold_file, "--n", "60", "--out", pool, "--quiet"]) == 0
+    assert main(["score", "--pool", pool, "--gold", gold_file, "--out", scores,
+                 "--quiet"]) == 0
+    return pool, scores
+
+
+def _assert_data_error(capsys, out, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert all(n in err for n in needles), err
+    assert not out.exists()
+
+
+def test_report_on_empty_selection_is_a_data_error(gold_file, scored_pool, tmp_path, capsys):
+    pool, scores = scored_pool
+    sel, out = str(tmp_path / "sel.json"), tmp_path / "report.json"
+    assert main(["select", "--pool", pool, "--scores", scores, "--strategy", "umt",
+                 "--k", "0", "--out", sel, "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["report", "--pool", pool, "--scores", scores, "--gold", gold_file,
+                 "--selection", sel, "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, "selection is empty")
+
+
+@pytest.mark.parametrize("text", ["a\tback\ne back\n", "a\tback\n\ne\tfront\tx\n"])
+def test_report_malformed_harmony_line_is_a_data_error(gold_file, scored_pool, tmp_path,
+                                                        capsys, text):
+    pool, scores = scored_pool
+    vowels, out = tmp_path / "vowels.tsv", tmp_path / "report.json"
+    vowels.write_text(text)
+    capsys.readouterr()
+    assert main(["report", "--pool", pool, "--scores", scores, "--gold", gold_file,
+                 "--harmony", str(vowels), "--out", str(out), "--quiet"]) == 2
+    line = len(text.splitlines())
+    _assert_data_error(capsys, out, f"line {line}:", "char<TAB>class")
+
+
+def test_pool_line_missing_a_key_is_a_data_error(gold_file, tmp_path, capsys):
+    pool = tmp_path / "pool.jsonl"
+    assert main(["augment", "--gold", gold_file, "--n", "5", "--out", str(pool),
+                 "--quiet"]) == 0
+    lines = pool.read_text().splitlines()
+    broken = json.loads(lines[2])
+    del broken["source_id"]
+    lines[2] = json.dumps(broken)
+    pool.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "sel.json"
+    capsys.readouterr()
+    assert main(["select", "--pool", str(pool), "--strategy", "random", "--k", "2",
+                 "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, "line 3:", "'source_id'")
+
+
+@pytest.mark.parametrize("sizes", ["0,-5", "-5", "0,5x", "500,", "1.5"])
+def test_milab_bad_syn_sizes_are_usage_errors(tmp_path, capsys, sizes):
+    out = tmp_path / "curve.json"
+    assert main(["milab", "--syn-sizes", sizes, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--syn-sizes" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_milab_corrupts_each_synthetic_size_once(tmp_path, monkeypatch):
+    from morphaug import milab
+
+    calls = []
+    real = milab.corrupt_toy
+
+    def counted(gold, g, n, theta, seed=0):
+        calls.append(n)
+        return real(gold, g, n, theta, seed)
+
+    monkeypatch.setattr(milab, "corrupt_toy", counted)
+    out = tmp_path / "curve.json"
+    assert main(["milab", "--stems", "10", "--msds", "3", "--gold", "100",
+                 "--syn-sizes", "0,100,300", "--resamples", "5",
+                 "--out", str(out), "--quiet"]) == 0
+    assert calls == [100, 300]
+    gaps = [p["factorization_gap"] for p in json.loads(out.read_text())["curve"]]
+    assert all(0.0 <= gap["tv_distance"] <= 1.0 for gap in gaps)

@@ -1,18 +1,27 @@
 """Each fast path against the simple oracle it replaced (tests/conftest.py):
-the same results, and for corruption the same random draws."""
+the same results, and for corruption, the report bootstrap and the
+MSD-templatic selections the same random draws."""
 
 import random
+from contextlib import contextmanager
+from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
+from morphaug import report, selection
 from morphaug.alignment import align, extract_stem, levenshtein, segmentation_from_boundary
 from morphaug.corpus import Alphabet, InflectionTriple
-from morphaug.corruption import CorruptionConfig, corrupt
+from morphaug.corruption import (CorruptionConfig, SyntheticExample, corrupt, generate_pool,
+                                 segment_dataset)
 from morphaug.errors import AlphabetTooSmall, NoStem
 from morphaug.scoring import NGramScorer
 
-from conftest import make_dataset, oracle_align, oracle_corrupt, oracle_levenshtein, oracle_logprobs
+from conftest import (make_dataset, oracle_align, oracle_bootstrap_percentile, oracle_corrupt,
+                      oracle_harmony_bootstrap, oracle_levenshtein, oracle_logprobs,
+                      oracle_select_hybrid, oracle_select_templatic)
 
 # plain letters plus combining marks (NFD acute, diaeresis), one code point each
 SMALL = st.sampled_from(["a", "b", "c", "e", "\u0301", "\u0308"])
@@ -126,3 +135,139 @@ def test_logprobs_bit_identical_to_log_prob(rows, queries, order, k):
             assert (scorer.token_hits, scorer.unk_hits) == (hits, unk)
         # retraining changes counts and vocabulary; cached tables must follow
         scorer.train(make_dataset([(f, l, "ADJ;NEW") for l, f, _ in queries]))
+
+
+# ------------------------------------------------------- report bootstrap
+
+def _block(elements):
+    """Bootstrap row blocks of at most `elements` indices (at least one row)."""
+    return mock.patch.object(report, "BOOTSTRAP_BLOCK_ELEMENTS", elements)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 400), st.integers(1, 300),
+       st.integers(0, 2**32))
+@example(7, 13, 1001, 64, 0)
+@example(1, 5, 50, 7, 1)
+@example(5, 1, 50, 7, 2)
+@example(60, 40, 300, 37, 3)  # both groups larger than a block: one row per block
+@example(3000, 2000, 301, 2**21, 4)
+def test_bootstrap_blocks_match_full_draw(n_v, n_a, resamples, block, seed):
+    data = np.random.default_rng(seed ^ 0x5EED)
+    v, a = data.normal(1.0, 0.5, n_v), data.normal(1.1, 0.5, n_a)
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with _block(block):
+        mv = report.bootstrap_means(fast_rng, v, resamples)
+        ma = report.bootstrap_means(fast_rng, a, resamples)
+    sv, sa, p = oracle_harmony_bootstrap(v, a, resamples, slow_rng)
+    assert mv.tobytes() == sv.tobytes() and ma.tobytes() == sa.tobytes()
+    assert float(np.mean(mv - ma <= 0)) == p
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def _harmony_pool(n, seed):
+    stems = ["dalo", "dela", "loda", "ledi", "dilo", "odal", "elid", "alod"]
+    gold = make_dataset([(s, s + suffix, "N;PL") for s in stems for suffix in ("lar", "ler")])
+    pool = generate_pool(gold, n, Alphabet(chars=tuple("adeilo")),
+                         CorruptionConfig(theta=0.7, seed=seed))
+    rng = random.Random(seed)
+    return [e.with_score(rng.gauss(1.0, 0.3)) for e in pool], segment_dataset(gold)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, 2**21])
+def test_harmony_violation_stats_p_matches_full_draw(block):
+    cfg = report.HarmonyConfig(
+        vowel_classes={"a": "back", "o": "back", "e": "front", "i": "front"})
+    pool, segs = _harmony_pool(120, seed=9)
+    with _block(block):
+        stats = report.harmony_violation_stats(pool, cfg, segs, resamples=333, seed=4)
+    violating, adhering = [], []
+    for e in pool:
+        seg, form = segs[e.source_id], e.triple.form
+        stem = "".join(form[i] for i in sorted(seg.form_stem_positions))
+        affix = "".join(c for i, c in enumerate(form) if i not in seg.form_stem_positions)
+        (violating if cfg.violates(stem, affix) else adhering).append(e.score)
+    assert violating and adhering
+    *_, p = oracle_harmony_bootstrap(np.asarray(violating), np.asarray(adhering), 333,
+                                     np.random.default_rng(4))
+    assert stats.bootstrap_p == p
+    assert (stats.n_violating, stats.n_adhering) == (len(violating), len(adhering))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=2, max_size=40),
+       st.integers(1, 300), st.integers(1, 100), st.sampled_from([None, np.median, max]),
+       st.integers(0, 2**32))
+def test_bootstrap_percentile_blocks_match_full_draw(samples, resamples, block, statistic,
+                                                     seed):
+    with _block(block):
+        fast = report.bootstrap_percentile(samples, statistic, resamples, seed=seed)
+    assert fast == oracle_bootstrap_percentile(samples, statistic, resamples, seed=seed)
+
+
+# -------------------------------------------------- MSD-templatic selection
+
+@contextmanager
+def _selection_rngs():
+    """Record the random.Random instances the selection module creates."""
+    made = []
+
+    def make(seed):
+        made.append(random.Random(seed))
+        return made[-1]
+
+    with mock.patch.object(selection, "random", SimpleNamespace(Random=make)):
+        yield made
+
+
+def _example(example_id, msd, score):
+    return SyntheticExample(
+        triple=InflectionTriple(id=example_id, lemma="ab", form="abc", msd=tuple(msd.split(";"))),
+        source_id="g1", substituted_lemma_positions=(), substituted_form_positions=(),
+        lev_to_gold_target=0, score=score)
+
+
+@st.composite
+def msd_pools(draw):
+    n_msds = draw(st.integers(1, 60))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, n_msds - 1), st.sampled_from([0.5, 1.0, 1.25, 3.0])),
+        min_size=1, max_size=150))
+    # pool order differs from id order; scores repeat, so ties are common
+    ids = draw(st.permutations(range(len(rows))))
+    pool = [_example(f"x{i:04d}", f"V;M{m}", score) for i, (m, score) in zip(ids, rows)]
+    k = draw(st.one_of(st.just(len(pool)), st.integers(0, len(pool))))
+    return pool, k
+
+
+def _check_selection(fast_select, oracle, pool, k, alpha, seed):
+    with _selection_rngs() as made:
+        fast = fast_select(pool, k, alpha, seed)
+    slow_rng = random.Random(seed)
+    assert list(fast.selected_ids) == oracle(pool, k, alpha, slow_rng)
+    assert made[0].getstate() == slow_rng.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(msd_pools(), st.sampled_from([0.0, 1.0, 0.5]), st.integers(0, 2**32))
+def test_select_templatic_matches_oracle_draw_for_draw(case, alpha, seed):
+    pool, k = case
+    _check_selection(selection.select_templatic, oracle_select_templatic, pool, k, alpha, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(msd_pools(), st.sampled_from([0.0, 1.0, 0.5]), st.integers(0, 2**32))
+def test_select_hybrid_matches_oracle_draw_for_draw(case, alpha, seed):
+    pool, k = case
+    _check_selection(selection.select_hybrid, oracle_select_hybrid, pool, k, alpha, seed)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_msd_selections_match_oracle_on_500_msds(alpha):
+    rng = random.Random(11)
+    pool = [_example(f"y{i:05d}", f"N;T{rng.randrange(500)}", rng.choice([1.0, 2.0, 2.5]))
+            for i in range(1500)]
+    for fast, oracle in ((selection.select_templatic, oracle_select_templatic),
+                         (selection.select_hybrid, oracle_select_hybrid)):
+        for k in (700, len(pool)):
+            _check_selection(fast, oracle, pool, k, alpha, seed=3)
