@@ -99,21 +99,31 @@ class Segmentation:
 
     @property
     def x_stem(self) -> str:
-        return "".join(self.lemma[s:e] for s, e in self.lemma_stem_spans)
+        return _cut(self.lemma, self.lemma_stem_spans)[0]
 
     @property
     def x_affix(self) -> str:
-        keep = self.lemma_stem_positions
-        return "".join(c for i, c in enumerate(self.lemma) if i not in keep)
+        return _cut(self.lemma, self.lemma_stem_spans)[1]
 
     @property
     def y_stem(self) -> str:
-        return "".join(self.form[s:e] for s, e in self.form_stem_spans)
+        return self.split_form(self.form)[0]
 
     @property
     def y_affix(self) -> str:
-        keep = self.form_stem_positions
-        return "".join(c for i, c in enumerate(self.form) if i not in keep)
+        return self.split_form(self.form)[1]
+
+    def split_form(self, form: str) -> tuple[str, str]:
+        """(stem, affix) of the gold form, or of any corruption of it (which
+        keeps its length), cut at form_stem_spans."""
+        return _cut(form, self.form_stem_spans)
+
+
+def _cut(text: str, spans: tuple[tuple[int, int], ...]) -> tuple[str, str]:
+    """The characters of text inside the sorted, disjoint spans, and the rest."""
+    bounds = [0, *(i for span in spans for i in span), len(text)]
+    pieces = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+    return "".join(pieces[1::2]), "".join(pieces[::2])
 
 
 # backtrace ops, in preference order for equal (cost, -matches)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
+from dataclasses import asdict
 
 from . import corpus, corruption, milab, report, scoring, selection, splitgen
 from .errors import EmptySelection, MorphaugError
@@ -55,84 +57,102 @@ def _read(path: str) -> str:
         return f.read()
 
 
+def _parse(path: str) -> corpus.Dataset:
+    return corpus.parse_unimorph(_read(path), name=path)
+
+
+def _apply_external(pool, scores_path: str) -> list:
+    """The pool with the scores of an external id<TAB>nll file."""
+    return scoring.apply_scores(pool, scoring.load_external_scores(_read(scores_path), pool))
+
+
+def _load_scored_pool(pool_path: str, scores_path: str | None):
+    pool = corruption.read_pool_jsonl(_read(pool_path))
+    return _apply_external(pool, scores_path) if scores_path else pool
+
+
+# --------------------------------------------------------------------- stages
+# One function per stage, called by its subcommand and by `pipeline`; the
+# callers differ only in the provenance params and the selection seed label.
+
+def _augment(gold, n: int, cfg: corruption.CorruptionConfig, out: str, params: dict) -> list:
+    pool = corruption.generate_pool(gold, n, corpus.extract_alphabet(gold), cfg)
+    _write_with_meta(out, corruption.write_pool_jsonl(pool), "augment", params)
+    log.info("wrote %d synthetic examples to %s", len(pool), out)
+    return pool
+
+
+def _score(pool, gold, order: int, k_smooth: float, external: str | None,
+           out: str, params: dict) -> list:
+    """Scores from the external id<TAB>nll file if given, else from an n-gram trained on gold."""
+    if external:
+        scored = _apply_external(pool, external)
+    else:
+        scored = scoring.score_pool(scoring.train_ngram(gold, order=order, k=k_smooth), pool)
+    _write_with_meta(out, scoring.write_scores_tsv(scored), "score", params)
+    log.info("scored %d examples to %s", len(scored), out)
+    return scored
+
+
+def _select(pool, strategy: selection.SelectionStrategy, out: str, params: dict):
+    result = selection.select(pool, strategy)
+    _write_json(out, json.loads(result.to_json()), "select", params)
+    log.info("selected %d / %d examples (%s)", len(result), len(pool), strategy.kind)
+    return result
+
+
+def _split(full, train, out: str, params: dict) -> None:
+    split = splitgen.lemma_split(full, train)
+    _write_with_meta(out, corpus.serialize(split.test), "split", params)
+    log.info("lemma split: %d of %d triples kept for test", len(split.test), len(full))
+
+
 # ---------------------------------------------------------------- subcommands
 
 def cmd_parse(args) -> None:
-    d = corpus.parse_unimorph(_read(args.infile), name=args.infile)
+    d = _parse(args.infile)
     _write_with_meta(args.out, corpus.to_jsonl(d), "parse", vars(args))
     log.info("parsed %d triples from %s", len(d), args.infile)
 
 
 def cmd_augment(args) -> None:
-    gold = corpus.parse_unimorph(_read(args.gold), name=args.gold)
-    alphabet = corpus.extract_alphabet(gold)
     cfg = corruption.CorruptionConfig(
         theta=args.theta,
         exclude_original=not args.allow_original_char,
         min_run=args.min_run,
         seed=derive_seed(args.seed, "augment"),
     )
-    pool = corruption.generate_pool(gold, args.n, alphabet, cfg)
-    _write_with_meta(args.out, corruption.write_pool_jsonl(pool), "augment", vars(args))
+    pool = _augment(_parse(args.gold), args.n, cfg, args.out, vars(args))
     if args.tsv_out:
         _write_with_meta(args.tsv_out, corruption.pool_to_tsv(pool), "augment", vars(args))
-    log.info("wrote %d synthetic examples to %s", len(pool), args.out)
 
 
 def cmd_score(args) -> None:
     if not (args.external or args.gold):
         raise UsageError("score needs --gold (built-in scorer) or --external")
     pool = corruption.read_pool_jsonl(_read(args.pool))
-    if args.external:
-        scores = scoring.load_external_scores(_read(args.external), pool)
-        scored = scoring.apply_scores(pool, scores)
-    else:
-        gold = corpus.parse_unimorph(_read(args.gold), name=args.gold)
-        scorer = scoring.train_ngram(gold, order=args.order, k=args.k_smooth)
-        scored = scoring.score_pool(scorer, pool)
-    _write_with_meta(args.out, scoring.write_scores_tsv(scored), "score", vars(args))
-    log.info("scored %d examples to %s", len(scored), args.out)
-
-
-def _load_scored_pool(pool_path: str, scores_path: str | None):
-    pool = corruption.read_pool_jsonl(_read(pool_path))
-    if scores_path:
-        scores = scoring.load_external_scores(_read(scores_path), pool)
-        pool = scoring.apply_scores(pool, scores)
-    return pool
+    gold = None if args.external else _parse(args.gold)
+    _score(pool, gold, args.order, args.k_smooth, args.external, args.out, vars(args))
 
 
 def cmd_select(args) -> None:
     if args.merged_out and not args.gold:
         raise UsageError("--merged-out needs --gold")
     pool = _load_scored_pool(args.pool, args.scores)
-    alpha = args.alpha
-    if alpha is None:
-        alpha = 1.0 if args.strategy in ("ume", "ume-loss") else 0.0
-    strategy = selection.SelectionStrategy(
-        kind=args.strategy, k=args.k, alpha=alpha,
-        seed=derive_seed(args.seed, "select"),
-    )
-    result = selection.select(pool, strategy)
-    payload = json.loads(result.to_json())
-    _write_json(args.out, payload, "select", vars(args))
+    strategy = selection.SelectionStrategy(kind=args.strategy, k=args.k,
+                                           seed=derive_seed(args.seed, "select"))
+    result = _select(pool, strategy, args.out, vars(args))
     if args.merged_out:
-        gold = corpus.parse_unimorph(_read(args.gold), name=args.gold)
         by_id = {e.id: e for e in pool}
-        merged = corpus.serialize(gold) + "".join(
+        merged = corpus.serialize(_parse(args.gold)) + "".join(
             f"{by_id[i].triple.lemma}\t{by_id[i].triple.form}\t{by_id[i].triple.msd_string}\n"
             for i in result.selected_ids
         )
         _write_with_meta(args.merged_out, merged, "select", vars(args))
-    log.info("selected %d / %d examples (%s)", len(result), len(pool), args.strategy)
 
 
 def cmd_split(args) -> None:
-    full = corpus.parse_unimorph(_read(args.full), name=args.full)
-    train = corpus.parse_unimorph(_read(args.train), name=args.train)
-    split = splitgen.lemma_split(full, train)
-    _write_with_meta(args.out, corpus.serialize(split.test), "split", vars(args))
-    log.info("lemma split: %d of %d triples kept for test", len(split.test), len(full))
+    _split(_parse(args.full), _parse(args.train), args.out, vars(args))
 
 
 def _syn_sizes(text: str) -> list[int]:
@@ -162,7 +182,7 @@ def cmd_milab(args) -> None:
     log.info("wrote %d curve points to %s", len(records), args.out)
 
 
-def _read_harmony_tsv(path: str) -> report.HarmonyConfig:
+def _read_harmony_tsv(path: str) -> milab.HarmonyRule:
     classes = {}
     for line_no, line in enumerate(_read(path).splitlines(), 1):
         if not line.strip():
@@ -172,45 +192,36 @@ def _read_harmony_tsv(path: str) -> report.HarmonyConfig:
             raise MorphaugError(f"{path} line {line_no}: expected char<TAB>class, got {line!r}")
         char, cls = fields
         classes[char] = cls
-    return report.HarmonyConfig(vowel_classes=classes)
+    return milab.HarmonyRule(vowel_classes=classes)
 
 
 def cmd_report(args) -> None:
+    if args.resamples < 1:
+        raise UsageError(f"--resamples must be >= 1, got {args.resamples}")
     # the small inputs first, so a bad one fails before the pool is read
     if args.selection:
-        counts = json.loads(_read(args.selection))["per_msd_counts"]
+        blob = json.loads(_read(args.selection))
+        counts = blob.get("per_msd_counts") if isinstance(blob, dict) else None
+        if not isinstance(counts, dict):
+            raise MorphaugError(f"{args.selection}: expected a selection JSON with a "
+                                "'per_msd_counts' object")
         if not counts:
             raise EmptySelection(f"{args.selection}: the selection is empty")
     if args.harmony:
         cfg = _read_harmony_tsv(args.harmony)
     pool = _load_scored_pool(args.pool, args.scores)
-    gold = corpus.parse_unimorph(_read(args.gold), name=args.gold)
+    gold = _parse(args.gold)
     segs = {tid: s for tid, s in corruption.segment_dataset(gold).items() if s is not None}
-    blocks: dict = {}
-    corr = report.correlations(pool, segs)
-    blocks["correlations"] = {
-        "pearson_nll_levenshtein": corr.pearson_nll_levenshtein,
-        "pearson_nll_stem_length": corr.pearson_nll_stem_length,
-        "pearson_nll_target_length": corr.pearson_nll_target_length,
-        "n": corr.n,
-    }
+    blocks = {"correlations": asdict(report.correlations(pool, segs))}
     if args.selection:
         hist = corpus.MsdHistogram(counts=counts, total=sum(counts.values()))
         msd, count = hist.mode()
         blocks["msd_mode"] = {"msd": msd, "count": count}
     if args.harmony:
-        stats = report.harmony_violation_stats(
+        blocks["harmony"] = asdict(report.harmony_violation_stats(
             pool, cfg, segs, resamples=args.resamples,
             seed=derive_seed(args.seed, "report"),
-        )
-        blocks["harmony"] = {
-            "violation_rate": stats.violation_rate,
-            "mean_nll_violating": stats.mean_nll_violating,
-            "mean_nll_adhering": stats.mean_nll_adhering,
-            "bootstrap_p": stats.bootstrap_p,
-            "n_violating": stats.n_violating,
-            "n_adhering": stats.n_adhering,
-        }
+        ))
     _write_json(args.out, blocks, "report", vars(args))
     log.info("wrote report to %s", args.out)
 
@@ -224,36 +235,35 @@ def cmd_pipeline(args) -> None:
     missing = [k for k in required if k not in cfg]
     if missing:
         raise MorphaugError(f"pipeline config missing keys: {', '.join(missing)}")
-    out = args.out_dir.rstrip("/")
-    import os
-    os.makedirs(out, exist_ok=True)
-    seed = cfg["seed"]
-
-    gold = corpus.parse_unimorph(_read(cfg["gold"]), name=cfg["gold"])
-    alphabet = corpus.extract_alphabet(gold)
-    ccfg = corruption.CorruptionConfig(theta=cfg["theta"], seed=derive_seed(seed, "augment"))
-    pool = corruption.generate_pool(gold, cfg["n_pool"], alphabet, ccfg)
-    _write_with_meta(f"{out}/pool.jsonl", corruption.write_pool_jsonl(pool), "augment", cfg)
-
-    scorer = scoring.train_ngram(gold, order=cfg["order"], k=cfg["k_smooth"])
-    scored = scoring.score_pool(scorer, pool)
-    _write_with_meta(f"{out}/scores.tsv", scoring.write_scores_tsv(scored), "score", cfg)
-
+    # every stage's parameters are built, and so checked, before the corpora
+    # are read or any file is written
+    seed, n_pool = cfg["seed"], cfg["n_pool"]
     sizes = SWEEP_SIZES if cfg.get("sweep") else [cfg.get("k", 128)]
-    for kind in cfg["strategies"]:
+    if not isinstance(cfg["strategies"], list):
+        raise MorphaugError(f"{args.config}: 'strategies' must be a list of strategy names")
+    if not all(type(k) is int for k in sizes):
+        raise MorphaugError(f"{args.config}: 'k' must be an integer")
+    try:
+        ccfg = corruption.CorruptionConfig(theta=cfg["theta"], seed=derive_seed(seed, "augment"))
+        scoring.NGramScorer(order=cfg["order"], k=cfg["k_smooth"])
+        strategies = [selection.SelectionStrategy(kind=kind, k=k,
+                                                  seed=derive_seed(seed, f"select-{kind}-{k}"))
+                      for kind in cfg["strategies"] for k in sizes]
         for k in sizes:
-            strategy = selection.SelectionStrategy(
-                kind=kind, k=k, alpha=1.0 if kind in ("ume", "ume-loss") else 0.0,
-                seed=derive_seed(seed, f"select-{kind}-{k}"),
-            )
-            result = selection.select(scored, strategy)
-            _write_json(f"{out}/select-{kind}-{k}.json",
-                        json.loads(result.to_json()), "select", cfg)
+            selection.check_k(k, n_pool)
+    except TypeError as e:
+        raise MorphaugError(f"{args.config}: {e}") from None
 
-    if "full" in cfg:
-        full = corpus.parse_unimorph(_read(cfg["full"]), name=cfg["full"])
-        split = splitgen.lemma_split(full, gold)
-        _write_with_meta(f"{out}/test.tsv", corpus.serialize(split.test), "split", cfg)
+    gold = _parse(cfg["gold"])
+    full = _parse(cfg["full"]) if "full" in cfg else None
+    out = args.out_dir.rstrip("/")
+    os.makedirs(out, exist_ok=True)
+    pool = _augment(gold, n_pool, ccfg, f"{out}/pool.jsonl", cfg)
+    scored = _score(pool, gold, cfg["order"], cfg["k_smooth"], None, f"{out}/scores.tsv", cfg)
+    for strategy in strategies:
+        _select(scored, strategy, f"{out}/select-{strategy.kind}-{strategy.k}.json", cfg)
+    if full is not None:
+        _split(full, gold, f"{out}/test.tsv", cfg)
     log.info("pipeline artifacts written to %s", out)
 
 
@@ -298,7 +308,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--scores", default=None)
     sp.add_argument("--strategy", required=True, choices=selection.STRATEGIES)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--gold", default=None)
     sp.add_argument("--merged-out", default=None,
                     help="also write gold + selection as one training TSV")

@@ -27,7 +27,7 @@ import numpy as np
 from .alignment import align, extract_stem, segmentation_from_boundary
 from .corpus import Alphabet, Dataset, InflectionTriple
 from .corruption import CorruptionConfig, corrupt
-from .errors import NoStem
+from .errors import NoStem, NoVowelsConfigured
 from .util import derive_seed
 
 MI_PAIRS = (
@@ -40,36 +40,39 @@ MI_PAIRS = (
 
 @dataclass(frozen=True)
 class HarmonyRule:
-    """Front/back vowel harmony: affix vowels take the class of the last stem
-    vowel. `pairs` maps each vowel to its counterpart in the other class."""
+    """Vowel harmony: affix vowels take the class of the last stem vowel.
+
+    `vowel_classes` maps each vowel to a class label; consonants are
+    unmapped. A vowel labelled "neutral" never sets the stem's class, is
+    never harmonized and never counts as a violation. `pairs` maps each
+    vowel to its counterpart in the other class; only harmonize reads it."""
 
     vowel_classes: dict
-    pairs: dict
+    pairs: dict | None = None
+
+    def __post_init__(self):
+        if not self.vowel_classes:
+            raise NoVowelsConfigured("vowel class map is empty")
 
     def stem_class(self, stem: str) -> str | None:
         for c in reversed(stem):
-            if c in self.vowel_classes:
-                return self.vowel_classes[c]
+            cls = self.vowel_classes.get(c)
+            if cls is not None and cls != "neutral":
+                return cls
         return None
+
+    def _clashes(self, c: str, cls: str) -> bool:
+        own = self.vowel_classes.get(c)
+        return own is not None and own != "neutral" and own != cls
 
     def harmonize(self, affix: str, cls: str | None) -> str:
         if cls is None:
             return affix
-        out = []
-        for c in affix:
-            if c in self.vowel_classes and self.vowel_classes[c] != cls:
-                out.append(self.pairs[c])
-            else:
-                out.append(c)
-        return "".join(out)
+        return "".join(self.pairs[c] if self._clashes(c, cls) else c for c in affix)
 
     def violates(self, stem: str, affix: str) -> bool:
         cls = self.stem_class(stem)
-        if cls is None:
-            return False
-        return any(
-            c in self.vowel_classes and self.vowel_classes[c] != cls for c in affix
-        )
+        return cls is not None and any(self._clashes(c, cls) for c in affix)
 
 
 def default_harmony() -> HarmonyRule:

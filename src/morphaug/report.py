@@ -11,7 +11,8 @@ import numpy as np
 
 from .alignment import Segmentation
 from .corruption import SyntheticExample
-from .errors import EmptySelection, NoVowelsConfigured, TooFewSamples, ZeroVariance
+from .errors import EmptySelection, TooFewSamples, ZeroVariance
+from .milab import HarmonyRule
 from .scoring import require_scored
 from .selection import SelectionResult
 
@@ -71,35 +72,6 @@ def msd_mode_frequency(sel: SelectionResult) -> tuple[str, int]:
     if len(sel) == 0:
         raise EmptySelection("selection is empty")
     return sel.per_msd_counts.mode()
-
-
-@dataclass(frozen=True)
-class HarmonyConfig:
-    """Maps each vowel to a class label. The label "neutral" never triggers
-    violations. Consonants are simply unmapped."""
-
-    vowel_classes: dict
-
-    def __post_init__(self):
-        if not self.vowel_classes:
-            raise NoVowelsConfigured("vowel class map is empty")
-
-    def last_stem_class(self, stem: str) -> str | None:
-        for c in reversed(stem):
-            cls = self.vowel_classes.get(c)
-            if cls is not None and cls != "neutral":
-                return cls
-        return None
-
-    def violates(self, stem: str, affix: str) -> bool:
-        cls = self.last_stem_class(stem)
-        if cls is None:
-            return False
-        for c in affix:
-            a = self.vowel_classes.get(c)
-            if a is not None and a != "neutral" and a != cls:
-                return True
-        return False
 
 
 @dataclass(frozen=True)
@@ -180,7 +152,7 @@ class HarmonyStats:
 
 def harmony_violation_stats(
     pool: Sequence[SyntheticExample],
-    cfg: HarmonyConfig,
+    cfg: HarmonyRule,
     segmentations: dict[str, Segmentation],
     resamples: int = 10000,
     seed: int = 0,
@@ -195,11 +167,7 @@ def harmony_violation_stats(
     violating: list[float] = []
     adhering: list[float] = []
     for e in pool:
-        seg = segmentations[e.source_id]
-        form = e.triple.form
-        stem = "".join(form[s:t] for s, t in seg.form_stem_spans)
-        keep = seg.form_stem_positions
-        affix = "".join(c for i, c in enumerate(form) if i not in keep)
+        stem, affix = segmentations[e.source_id].split_form(e.triple.form)
         (violating if cfg.violates(stem, affix) else adhering).append(e.score)
     rate = len(violating) / len(pool)
     if not violating or not adhering:

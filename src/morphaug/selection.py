@@ -27,14 +27,21 @@ STRATEGIES = ("random", "umt", "ume", "highloss", "lowloss", "umt-loss", "ume-lo
 
 @dataclass(frozen=True)
 class SelectionStrategy:
+    """A strategy, the subset size k and the seed."""
+
     kind: str
     k: int
-    alpha: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.kind!r}")
+
+    @property
+    def alpha(self) -> float:
+        """q_alpha's exponent, fixed by the kind: 1 (the empirical MSD
+        distribution) for ume and ume-loss, 0 (uniform over MSDs) otherwise."""
+        return 1.0 if self.kind in ("ume", "ume-loss") else 0.0
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,7 @@ class SelectionResult:
         }, ensure_ascii=False, indent=2)
 
 
-def _check_k(k: int, pool_size: int) -> None:
+def check_k(k: int, pool_size: int) -> None:
     if k > pool_size:
         raise KTooLarge(k, pool_size)
     if k < 0:
@@ -78,7 +85,7 @@ def _result(selected: list[SyntheticExample], strategy: SelectionStrategy) -> Se
 
 
 def select_random(pool: Sequence[SyntheticExample], k: int, seed: int = 0) -> SelectionResult:
-    _check_k(k, len(pool))
+    check_k(k, len(pool))
     rng = random.Random(seed)
     selected = rng.sample(list(pool), k)
     return _result(selected, SelectionStrategy(kind="random", k=k, seed=seed))
@@ -125,13 +132,14 @@ def _draw_by_msd(groups: dict[str, list[SyntheticExample]], weights: dict[str, f
 def select_templatic(pool: Sequence[SyntheticExample], k: int, alpha: float,
                      seed: int = 0) -> SelectionResult:
     """Repeat k times: draw an MSD from q_alpha, then a uniform candidate
-    with that MSD; remove it."""
-    _check_k(k, len(pool))
+    with that MSD; remove it. The result is labelled umt if alpha is 0, else
+    ume (whose strategy reports alpha 1)."""
+    check_k(k, len(pool))
     rng = random.Random(seed)
     selected = _draw_by_msd(_group_by_msd(pool), _msd_weights(pool, alpha), k, rng,
                             lambda cands: cands.pop(rng.randrange(len(cands))))
     kind = "umt" if alpha == 0 else "ume"
-    return _result(selected, SelectionStrategy(kind=kind, k=k, alpha=alpha, seed=seed))
+    return _result(selected, SelectionStrategy(kind=kind, k=k, seed=seed))
 
 
 def select_by_loss(pool: Sequence[SyntheticExample], k: int,
@@ -140,7 +148,7 @@ def select_by_loss(pool: Sequence[SyntheticExample], k: int,
     if direction not in ("highest", "lowest"):
         raise ValueError(f"direction must be 'highest' or 'lowest', got {direction!r}")
     pool = require_scored(pool)
-    _check_k(k, len(pool))
+    check_k(k, len(pool))
     if direction == "highest":
         ranked = sorted(pool, key=lambda e: (-e.score, e.id))
         kind = "highloss"
@@ -153,9 +161,10 @@ def select_by_loss(pool: Sequence[SyntheticExample], k: int,
 def select_hybrid(pool: Sequence[SyntheticExample], k: int, alpha: float,
                   seed: int = 0) -> SelectionResult:
     """Repeat k times: draw an MSD from q_alpha, take its most uncertain
-    remaining candidate (ties by lowest id); remove it."""
+    remaining candidate (ties by lowest id); remove it. Labelled as
+    select_templatic, with the -loss suffix."""
     pool = require_scored(pool)
-    _check_k(k, len(pool))
+    check_k(k, len(pool))
     groups = _group_by_msd(pool)
     # most uncertain last (ties by lowest id), so pop() takes it
     for cands in groups.values():
@@ -163,7 +172,7 @@ def select_hybrid(pool: Sequence[SyntheticExample], k: int, alpha: float,
         cands.reverse()
     selected = _draw_by_msd(groups, _msd_weights(pool, alpha), k, random.Random(seed), list.pop)
     kind = "umt-loss" if alpha == 0 else "ume-loss"
-    return _result(selected, SelectionStrategy(kind=kind, k=k, alpha=alpha, seed=seed))
+    return _result(selected, SelectionStrategy(kind=kind, k=k, seed=seed))
 
 
 def select(pool: Sequence[SyntheticExample], strategy: SelectionStrategy) -> SelectionResult:
@@ -171,11 +180,11 @@ def select(pool: Sequence[SyntheticExample], strategy: SelectionStrategy) -> Sel
     if kind == "random":
         return select_random(pool, k, seed)
     if kind in ("umt", "ume"):
-        return select_templatic(pool, k, 0.0 if kind == "umt" else 1.0, seed)
+        return select_templatic(pool, k, alpha, seed)
     if kind == "highloss":
         return select_by_loss(pool, k, "highest")
     if kind == "lowloss":
         return select_by_loss(pool, k, "lowest")
     if kind in ("umt-loss", "ume-loss"):
-        return select_hybrid(pool, k, 0.0 if kind == "umt-loss" else 1.0, seed)
+        return select_hybrid(pool, k, alpha, seed)
     raise ValueError(f"unknown strategy {kind!r}")

@@ -40,6 +40,11 @@ def test_usage_error_exit_code_1(capsys):
     assert "usage error" in capsys.readouterr().err
     assert main(["select", "--strategy", "nonsense"]) == 1
     assert main([]) == 1
+    capsys.readouterr()
+    # select has no --alpha: every strategy's alpha is fixed by its kind
+    assert main(["select", "--pool", "p", "--strategy", "umt", "--k", "1", "--out", "o",
+                 "--alpha", "0.5"]) == 1
+    assert "--alpha" in capsys.readouterr().err
 
 
 def test_missing_argument_dependencies_are_usage_errors(gold_file, tmp_path, capsys):
@@ -188,6 +193,68 @@ def test_pipeline_runs_and_validates_config(gold_file, tmp_path):
                  "--out-dir", str(out_dir), "--quiet"]) == 2
 
 
+def test_pipeline_equals_the_chained_subcommands(tmp_path, monkeypatch):
+    import test_golden as golden
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gold.tsv").write_text(golden.GOLD, encoding="utf-8")
+    (tmp_path / "full.tsv").write_text(golden.FULL, encoding="utf-8")
+    cfg = golden.PIPELINE_CONFIG
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["pipeline", "--config", "cfg.json", "--out-dir", "run", "--quiet"]) == 0
+
+    common = ["--seed", str(cfg["seed"]), "--quiet"]
+    assert main(["augment", "--gold", "gold.tsv", "--n", str(cfg["n_pool"]),
+                 "--theta", str(cfg["theta"]), "--out", "pool.jsonl", *common]) == 0
+    assert main(["score", "--pool", "pool.jsonl", "--gold", "gold.tsv",
+                 "--order", str(cfg["order"]), "--k-smooth", str(cfg["k_smooth"]),
+                 "--out", "scores.tsv", *common]) == 0
+    assert main(["split", "--full", "full.tsv", "--train", "gold.tsv",
+                 "--out", "test.tsv", *common]) == 0
+    for name in ("pool.jsonl", "scores.tsv", "test.tsv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+    # the seeded strategies differ only by the select seed label
+    for kind in ("highloss", "lowloss"):
+        name = f"select-{kind}-{cfg['k']}.json"
+        assert main(["select", "--pool", "pool.jsonl", "--scores", "scores.tsv",
+                     "--strategy", kind, "--k", str(cfg["k"]), "--out", name, *common]) == 0
+        chained, piped = (json.loads(p.read_text(encoding="utf-8"))
+                          for p in (tmp_path / name, tmp_path / "run" / name))
+        del chained["provenance"], piped["provenance"]
+        assert chained == piped
+
+
+@pytest.mark.parametrize("change, needle", [
+    ({"strategies": ["random", "bogus"]}, "'bogus'"),
+    ({"strategies": "random"}, "'strategies' must be a list"),
+    ({"k": 81}, "k=81"),
+    ({"sweep": True}, "k=128"),
+    ({"k": 2.5}, "'k' must be an integer"),
+    ({"order": 0}, "order"),
+    ({"k_smooth": 0}, "k must be > 0"),
+    ({"theta": 1.5}, "theta"),
+    ({"order": "3"}, "cfg.json"),
+])
+def test_invalid_pipeline_config_writes_nothing(gold_file, tmp_path, capsys, change, needle):
+    cfg = {"gold": gold_file, "full": gold_file, "n_pool": 80, "theta": 0.5, "order": 3,
+           "k_smooth": 0.1, "strategies": ["random", "highloss"], "seed": 3, "k": 16}
+    cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps({**cfg, **change}))
+    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                 "--quiet"]) == 2
+    _assert_data_error(capsys, out_dir, needle)
+
+
+def test_report_resamples_below_one_is_a_usage_error(tmp_path, capsys):
+    # the inputs do not exist: the check comes before any of them is read
+    missing, out = str(tmp_path / "missing"), tmp_path / "report.json"
+    assert main(["report", "--pool", missing, "--gold", missing, "--harmony", missing,
+                 "--resamples", "0", "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--resamples" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.fixture
 def scored_pool(gold_file, tmp_path):
     pool = str(tmp_path / "pool.jsonl")
@@ -214,6 +281,18 @@ def test_report_on_empty_selection_is_a_data_error(gold_file, scored_pool, tmp_p
     assert main(["report", "--pool", pool, "--scores", scores, "--gold", gold_file,
                  "--selection", sel, "--out", str(out), "--quiet"]) == 2
     _assert_data_error(capsys, out, "selection is empty")
+
+
+@pytest.mark.parametrize("blob", [{"selected_ids": []}, [], {"per_msd_counts": 3}])
+def test_report_selection_without_counts_is_a_data_error(gold_file, scored_pool, tmp_path,
+                                                         capsys, blob):
+    pool, scores = scored_pool
+    sel, out = tmp_path / "sel.json", tmp_path / "report.json"
+    sel.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["report", "--pool", pool, "--scores", scores, "--gold", gold_file,
+                 "--selection", str(sel), "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, str(sel), "'per_msd_counts'")
 
 
 @pytest.mark.parametrize("text", ["a\tback\ne back\n", "a\tback\n\ne\tfront\tx\n"])

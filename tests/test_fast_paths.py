@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
-from morphaug import report, selection
+from morphaug import milab, report, selection
 from morphaug.alignment import align, extract_stem, levenshtein, segmentation_from_boundary
 from morphaug.corpus import Alphabet, InflectionTriple
 from morphaug.corruption import (CorruptionConfig, SyntheticExample, corrupt, generate_pool,
@@ -176,7 +176,7 @@ def _harmony_pool(n, seed):
 
 @pytest.mark.parametrize("block", [1, 5, 64, 2**21])
 def test_harmony_violation_stats_p_matches_full_draw(block):
-    cfg = report.HarmonyConfig(
+    cfg = milab.HarmonyRule(
         vowel_classes={"a": "back", "o": "back", "e": "front", "i": "front"})
     pool, segs = _harmony_pool(120, seed=9)
     with _block(block):

@@ -91,6 +91,15 @@ def test_harmony_agrees_with_last_stem_vowel():
     # consonant-only strings are neutral
     assert h.stem_class("dll") is None
     assert not h.violates("dll", "lar")
+    # a "neutral" vowel never sets the stem's class, is never harmonized and
+    # never violates, as in the report's harmony TSV
+    n = HarmonyRule(vowel_classes={"a": "back", "e": "front", "i": "neutral"},
+                    pairs={"a": "e", "e": "a"})
+    assert n.stem_class("deli") == "front"
+    assert n.stem_class("di") is None
+    assert n.harmonize("lari", "front") == "leri"
+    assert not n.violates("deli", "lir")
+    assert n.violates("deli", "lar")
 
 
 def test_grammar_harmony_end_to_end():

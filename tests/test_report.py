@@ -13,13 +13,13 @@ from morphaug.errors import (
 )
 from morphaug.report import (
     BootstrapCI,
-    HarmonyConfig,
     bootstrap_percentile,
     correlations,
     harmony_violation_stats,
     msd_mode_frequency,
     pearson,
 )
+from morphaug.milab import HarmonyRule
 from morphaug.scoring import train_ngram, score_pool
 from morphaug.selection import select_random
 
@@ -122,7 +122,7 @@ def test_msd_mode_empty_selection():
 
 # -------------------------------------------------------------- harmony
 
-VOWELS = HarmonyConfig(vowel_classes={
+VOWELS = HarmonyRule(vowel_classes={
     "a": "back", "o": "back", "e": "front", "i": "front",
 })
 
@@ -136,16 +136,16 @@ def test_harmony_config_basics():
 
 
 def test_harmony_neutral_class_never_violates():
-    cfg = HarmonyConfig(vowel_classes={"a": "back", "e": "front", "i": "neutral"})
+    cfg = HarmonyRule(vowel_classes={"a": "back", "e": "front", "i": "neutral"})
     assert not cfg.violates("dal", "lir")
     # neutral stem vowels are skipped when finding the governing class
-    assert cfg.last_stem_class("dali") == "back"
+    assert cfg.stem_class("dali") == "back"
     assert cfg.violates("dali", "ler")
 
 
 def test_harmony_empty_config_rejected():
     with pytest.raises(NoVowelsConfigured):
-        HarmonyConfig(vowel_classes={})
+        HarmonyRule(vowel_classes={})
 
 
 def _toy_pool(theta=1.0, n=400, seed=5):
@@ -155,7 +155,7 @@ def _toy_pool(theta=1.0, n=400, seed=5):
         s = "".join(rng.choice("dlaoei") for _ in range(4))
         if any(c in "aoei" for c in s) and s not in stems:
             stems.append(s)
-    rows = [(s, s + ("lar" if VOWELS.last_stem_class(s) == "back" else "ler"),
+    rows = [(s, s + ("lar" if VOWELS.stem_class(s) == "back" else "ler"),
              "N;PL") for s in stems]
     gold = make_dataset(rows)
     pool = generate_pool(gold, n, Alphabet(chars=tuple("adeilo")),

@@ -44,6 +44,18 @@ def test_unknown_strategy_rejected():
         SelectionStrategy(kind="fancy", k=1)
 
 
+def test_alpha_is_fixed_by_the_kind():
+    # alpha is not an input, so a result's label always matches its request
+    with pytest.raises(TypeError):
+        SelectionStrategy(kind="umt", k=5, alpha=0.5)
+    pool = _pool_nine_vs_one(scored=True)
+    for kind in STRATEGIES:
+        strategy = SelectionStrategy(kind=kind, k=5, seed=2)
+        assert strategy.alpha == (1.0 if kind in ("ume", "ume-loss") else 0.0)
+        res = select(pool, strategy)
+        assert (res.strategy.kind, res.strategy.alpha) == (kind, strategy.alpha)
+
+
 def test_k_equals_pool_size_selects_everything():
     pool = _pool_nine_vs_one(scored=True)
     for kind in STRATEGIES:
