@@ -17,7 +17,9 @@ import os
 import sys
 from dataclasses import asdict
 
-from . import corpus, corruption, milab, report, scoring, selection, splitgen
+# milab and report load numpy; they are imported by the commands that use
+# them, so the other commands start without it
+from . import corpus, corruption, scoring, selection, splitgen
 from .errors import EmptySelection, MorphaugError
 from .util import atomic_write, config_hash, derive_seed
 
@@ -166,6 +168,8 @@ def _syn_sizes(text: str) -> list[int]:
 
 
 def cmd_milab(args) -> None:
+    from . import milab
+
     syn_sizes = _syn_sizes(args.syn_sizes)
     grammar = milab.make_toy_grammar(
         n_stems=args.stems, n_msds=args.msds,
@@ -182,7 +186,10 @@ def cmd_milab(args) -> None:
     log.info("wrote %d curve points to %s", len(records), args.out)
 
 
-def _read_harmony_tsv(path: str) -> milab.HarmonyRule:
+def _read_harmony_tsv(path: str):
+    """The milab.HarmonyRule of a char<TAB>class vowel file."""
+    from . import milab
+
     classes = {}
     for line_no, line in enumerate(_read(path).splitlines(), 1):
         if not line.strip():
@@ -196,6 +203,8 @@ def _read_harmony_tsv(path: str) -> milab.HarmonyRule:
 
 
 def cmd_report(args) -> None:
+    from . import report
+
     if args.resamples < 1:
         raise UsageError(f"--resamples must be >= 1, got {args.resamples}")
     # the small inputs first, so a bad one fails before the pool is read

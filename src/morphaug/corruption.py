@@ -57,15 +57,16 @@ class SyntheticExample:
                                 self.substituted_form_positions, self.lev_to_gold_target, nll)
 
 
-def corrupt(
+def substitute(
     t: InflectionTriple,
     seg: Segmentation,
     alphabet: Alphabet,
     cfg: CorruptionConfig,
     rng: random.Random,
-    new_id: str | None = None,
-) -> SyntheticExample:
-    """Corrupt one triple using the supplied segmentation and RNG state."""
+) -> tuple[str, str, list[int], list[int]]:
+    """The stem draws of one corruption: (lemma, form, substituted lemma
+    positions, substituted form positions). Each stem pair flips one
+    Bernoulli(theta); on success both sides get the same replacement."""
     if cfg.exclude_original and len(alphabet) < 2:
         raise AlphabetTooSmall("need >= 2 characters to exclude the original")
     chars = alphabet.chars
@@ -91,18 +92,35 @@ def corrupt(
             form[fi] = c
             sub_lemma.append(li)
             sub_form.append(fi)
-    corrupted = InflectionTriple(
-        id=new_id if new_id is not None else f"{t.id}~syn",
-        lemma="".join(lemma),
-        form="".join(form),
-        msd=t.msd,
-    )
+    return "".join(lemma), "".join(form), sub_lemma, sub_form
+
+
+def corrupt(
+    t: InflectionTriple,
+    seg: Segmentation,
+    alphabet: Alphabet,
+    cfg: CorruptionConfig,
+    rng: random.Random,
+    new_id: str | None = None,
+) -> SyntheticExample:
+    """Corrupt one triple using the supplied segmentation and RNG state."""
+    lemma, form, sub_lemma, sub_form = substitute(t, seg, alphabet, cfg, rng)
+    # the two forms agree outside the substituted window, and an equal prefix
+    # and suffix leave the edit distance unchanged
+    if sub_form:
+        lo, hi = min(sub_form), max(sub_form) + 1
+        distance = levenshtein(form[lo:hi], t.form[lo:hi])
+    else:
+        distance = 0
     return SyntheticExample(
-        triple=corrupted,
+        triple=InflectionTriple(
+            id=new_id if new_id is not None else f"{t.id}~syn",
+            lemma=lemma, form=form, msd=t.msd,
+        ),
         source_id=t.id,
         substituted_lemma_positions=tuple(sub_lemma),
         substituted_form_positions=tuple(sub_form),
-        lev_to_gold_target=levenshtein(corrupted.form, t.form),
+        lev_to_gold_target=distance,
     )
 
 

@@ -38,6 +38,12 @@ class NoAlignableTriples(MorphaugError):
     pass
 
 
+class MissingSegmentation(MorphaugError):
+    def __init__(self, source_id):
+        self.source_id = source_id
+        super().__init__(f"source id {source_id!r} of the pool has no segmented gold triple")
+
+
 class KTooLarge(MorphaugError):
     def __init__(self, k, pool_size):
         super().__init__(f"requested k={k} exceeds pool size {pool_size}")

@@ -21,12 +21,13 @@ from __future__ import annotations
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .alignment import align, extract_stem, segmentation_from_boundary
 from .corpus import Alphabet, Dataset, InflectionTriple
-from .corruption import CorruptionConfig, corrupt
+from .corruption import CorruptionConfig, substitute
 from .errors import NoStem, NoVowelsConfigured
 from .util import derive_seed
 
@@ -36,6 +37,11 @@ MI_PAIRS = (
     ("y_affix", "y_stem"),
     ("y_affix", "x_stem"),
 )
+
+# the ToyExample attribute that holds each MI variable (lemma and form share
+# the prefix stem, so x_stem and y_stem are both the stem)
+_VARIABLE_ATTR = {"t": "msd", "x_stem": "stem", "x_affix": "x_affix",
+                  "y_stem": "stem", "y_affix": "y_affix"}
 
 
 @dataclass(frozen=True)
@@ -144,15 +150,6 @@ class ToyExample:
     def y_stem(self) -> str:
         return self.stem
 
-    def variables(self) -> dict:
-        return {
-            "t": self.msd,
-            "x_stem": self.x_stem,
-            "x_affix": self.x_affix,
-            "y_stem": self.y_stem,
-            "y_affix": self.y_affix,
-        }
-
     def to_triple(self) -> InflectionTriple:
         return InflectionTriple(id=self.id, lemma=self.lemma, form=self.form, msd=(self.msd,))
 
@@ -229,20 +226,28 @@ def corrupt_toy(
     gold: list[ToyExample], g: ToyGrammar, n: int, theta: float, seed: int = 0
 ) -> list[ToyExample]:
     """n stem-corrupted examples from uniformly resampled gold sources, using
-    the grammar's known stem boundary."""
+    the grammar's known stem boundary. The draws are those of
+    corruption.corrupt; no distance to the gold form is computed."""
     cfg = CorruptionConfig(theta=theta, seed=seed)
     rng = random.Random(seed)
+    alphabet = g.alphabet
+    # gold index -> (triple, segmentation), built on the source's first draw
+    sources: dict[int, tuple] = {}
     out = []
     for i in range(n):
-        src = gold[rng.randrange(len(gold))]
-        seg = segmentation_from_boundary(src.lemma, src.form, len(src.stem))
-        syn = corrupt(src.to_triple(), seg, g.alphabet, cfg, rng, new_id=f"s{i:06d}")
+        k = rng.randrange(len(gold))
+        src = gold[k]
+        source = sources.get(k)
+        if source is None:
+            source = sources[k] = (src.to_triple(), segmentation_from_boundary(
+                src.lemma, src.form, len(src.stem)))
+        lemma, form, _, _ = substitute(*source, alphabet, cfg, rng)
         out.append(ToyExample(
-            id=syn.id,
-            stem=syn.triple.form[: len(src.stem)],
+            id=f"s{i:06d}",
+            stem=form[: len(src.stem)],
             msd=src.msd,
-            lemma=syn.triple.lemma,
-            form=syn.triple.form,
+            lemma=lemma,
+            form=form,
             x_affix=src.x_affix,
             y_affix=src.y_affix,
             synthetic=True,
@@ -265,10 +270,11 @@ class MIEstimate:
 
 
 def _joint_counts(samples: list[tuple]) -> np.ndarray:
-    a_levels = {a: i for i, a in enumerate(sorted({a for a, _ in samples}))}
-    b_levels = {b: i for i, b in enumerate(sorted({b for _, b in samples}))}
+    joint = Counter(samples)
+    a_levels = {a: i for i, a in enumerate(sorted({a for a, _ in joint}))}
+    b_levels = {b: i for i, b in enumerate(sorted({b for _, b in joint}))}
     counts = np.zeros((len(a_levels), len(b_levels)))
-    for (a, b), c in Counter(samples).items():
+    for (a, b), c in joint.items():
         counts[a_levels[a], b_levels[b]] = c
     return counts
 
@@ -348,8 +354,7 @@ class CurvePoint:
 
 
 def _pair_samples(examples: list[ToyExample], pair: tuple[str, str]) -> list[tuple]:
-    a, b = pair
-    return [(v[a], v[b]) for v in (e.variables() for e in examples)]
+    return list(map(attrgetter(*(_VARIABLE_ATTR[v] for v in pair)), examples))
 
 
 def mi_decay_curve(
@@ -421,6 +426,8 @@ def factorization_gap(examples: list[ToyExample], min_cell: int = 5) -> Factoriz
         cells[(e.lemma, e.msd)].append(e)
         aff_cond[(e.x_affix, e.msd)][e.y_affix] += 1
         stem_cond[e.x_stem][e.y_stem] += 1
+    aff_total = {key: sum(c.values()) for key, c in aff_cond.items()}
+    stem_total = {key: sum(c.values()) for key, c in stem_cond.items()}
     tvs = []
     skipped = 0
     for (_, msd), members in cells.items():
@@ -435,9 +442,9 @@ def factorization_gap(examples: list[ToyExample], min_cell: int = 5) -> Factoriz
         abs_diff = 0.0
         for form, c in p.items():
             e = decomp[form]
-            ac = aff_cond[(e.x_affix, msd)]
-            sc = stem_cond[e.x_stem]
-            q = (ac[e.y_affix] / sum(ac.values())) * (sc[e.y_stem] / sum(sc.values()))
+            aff_key = (e.x_affix, msd)
+            q = ((aff_cond[aff_key][e.y_affix] / aff_total[aff_key])
+                 * (stem_cond[e.x_stem][e.y_stem] / stem_total[e.x_stem]))
             q_obs += q
             abs_diff += abs(c / n - q)
         tvs.append(max(0.0, 0.5 * (abs_diff + (1.0 - q_obs))))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .alignment import Segmentation
 from .corruption import SyntheticExample
-from .errors import EmptySelection, TooFewSamples, ZeroVariance
+from .errors import EmptySelection, MissingSegmentation, TooFewSamples, ZeroVariance
 from .milab import HarmonyRule
 from .scoring import require_scored
 from .selection import SelectionResult
@@ -45,7 +45,10 @@ def correlations(
         raise TooFewSamples("need >= 3 scored examples")
     nll = [e.score for e in pool]
     lev = [e.lev_to_gold_target for e in pool]
-    stem_len = [len(segmentations[e.source_id].y_stem) for e in pool]
+    try:
+        stem_len = [len(segmentations[e.source_id].y_stem) for e in pool]
+    except KeyError as err:
+        raise MissingSegmentation(err.args[0]) from None
     target_len = [len(e.triple.form) for e in pool]
     try:
         r_lev = pearson(nll, lev)
@@ -120,6 +123,8 @@ def bootstrap_percentile(
     name: str = "statistic",
 ) -> BootstrapCI:
     """Percentile CI of a statistic over with-replacement resamples."""
+    if resamples < 1:
+        raise ValueError(f"resamples must be >= 1, got {resamples}")
     samples = list(samples)
     if len(samples) < 2:
         raise TooFewSamples("bootstrap needs >= 2 samples")
@@ -163,11 +168,17 @@ def harmony_violation_stats(
     An example violates iff any affix vowel's class differs from the last
     corrupted-stem vowel's class. Stems and affixes come from the gold
     segmentation applied to the corrupted strings."""
+    if resamples < 1:
+        raise ValueError(f"resamples must be >= 1, got {resamples}")
     pool = require_scored(pool)
     violating: list[float] = []
     adhering: list[float] = []
     for e in pool:
-        stem, affix = segmentations[e.source_id].split_form(e.triple.form)
+        try:
+            seg = segmentations[e.source_id]
+        except KeyError:
+            raise MissingSegmentation(e.source_id) from None
+        stem, affix = seg.split_form(e.triple.form)
         (violating if cfg.violates(stem, affix) else adhering).append(e.score)
     rate = len(violating) / len(pool)
     if not violating or not adhering:

@@ -1,15 +1,16 @@
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from morphaug.alignment import GAP, CharAlignment
+from morphaug.alignment import GAP, CharAlignment, segmentation_from_boundary
 from morphaug.corpus import Dataset, InflectionTriple, parse_unimorph
-from morphaug.corruption import SyntheticExample
+from morphaug.corruption import CorruptionConfig, SyntheticExample
 from morphaug.errors import AlphabetTooSmall, EmptyInput, TooFewSamples
+from morphaug.milab import FactorizationGap, ToyExample
 from morphaug.report import BootstrapCI
 from morphaug.scoring import BOS, EOS, SEP, UNK
 
@@ -104,6 +105,74 @@ def oracle_corrupt(t, seg, alphabet, cfg, rng, new_id=None) -> SyntheticExample:
         substituted_form_positions=tuple(sub_form),
         lev_to_gold_target=oracle_levenshtein(corrupted.form, t.form),
     )
+
+
+def oracle_corrupt_toy(gold, g, n, theta, seed=0):
+    """Toy corruption through a whole oracle_corrupt call per draw: a fresh
+    triple and segmentation each time, and a distance that is dropped."""
+    cfg = CorruptionConfig(theta=theta, seed=seed)
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        src = gold[rng.randrange(len(gold))]
+        seg = segmentation_from_boundary(src.lemma, src.form, len(src.stem))
+        syn = oracle_corrupt(src.to_triple(), seg, g.alphabet, cfg, rng, new_id=f"s{i:06d}")
+        out.append(ToyExample(
+            id=syn.id, stem=syn.triple.form[: len(src.stem)], msd=src.msd,
+            lemma=syn.triple.lemma, form=syn.triple.form,
+            x_affix=src.x_affix, y_affix=src.y_affix, synthetic=True,
+        ))
+    return out
+
+
+def oracle_pair_samples(examples, pair):
+    """MI samples of a variable pair, read from one dict of all five
+    variables per example."""
+    a, b = pair
+    rows = ({"t": e.msd, "x_stem": e.x_stem, "x_affix": e.x_affix,
+             "y_stem": e.y_stem, "y_affix": e.y_affix} for e in examples)
+    return [(v[a], v[b]) for v in rows]
+
+
+def oracle_joint_counts(samples):
+    """Joint count table with levels taken from the samples themselves."""
+    a_levels = {a: i for i, a in enumerate(sorted({a for a, _ in samples}))}
+    b_levels = {b: i for i, b in enumerate(sorted({b for _, b in samples}))}
+    counts = np.zeros((len(a_levels), len(b_levels)))
+    for a, b in samples:
+        counts[a_levels[a], b_levels[b]] += 1
+    return counts
+
+
+def oracle_factorization_gap(examples, min_cell=5):
+    """The factorization gap with every conditional's total summed again for
+    each observed form."""
+    cells = defaultdict(list)
+    aff_cond = defaultdict(Counter)
+    stem_cond = defaultdict(Counter)
+    for e in examples:
+        cells[(e.lemma, e.msd)].append(e)
+        aff_cond[(e.x_affix, e.msd)][e.y_affix] += 1
+        stem_cond[e.x_stem][e.y_stem] += 1
+    tvs, skipped = [], 0
+    for (_, msd), members in cells.items():
+        if len(members) < min_cell:
+            skipped += 1
+            continue
+        p = Counter(e.form for e in members)
+        decomp = {e.form: e for e in members}
+        q_obs = abs_diff = 0.0
+        for form, c in p.items():
+            e = decomp[form]
+            ac, sc = aff_cond[(e.x_affix, msd)], stem_cond[e.x_stem]
+            q = (ac[e.y_affix] / sum(ac.values())) * (sc[e.y_stem] / sum(sc.values()))
+            q_obs += q
+            abs_diff += abs(c / len(members) - q)
+        tvs.append(max(0.0, 0.5 * (abs_diff + (1.0 - q_obs))))
+    if not tvs:
+        raise ValueError("no (X, T) cell reaches the minimum support")
+    return FactorizationGap(tv_distance=float(np.mean(tvs)), cells_used=len(tvs),
+                            cells_skipped=skipped)
 
 
 def oracle_logprobs(scorer, lemma, msd, form):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -308,6 +311,21 @@ def test_report_malformed_harmony_line_is_a_data_error(gold_file, scored_pool, t
     _assert_data_error(capsys, out, f"line {line}:", "char<TAB>class")
 
 
+def test_report_with_another_gold_file_is_a_data_error(gold_file, scored_pool, tmp_path,
+                                                      capsys):
+    # the pool draws from 20 gold triples; this gold file has only the first 2
+    pool, scores = scored_pool
+    other, out = tmp_path / "other.tsv", tmp_path / "report.json"
+    other.write_text("".join(GOLD.splitlines(keepends=True)[:2]))
+    with open(pool, encoding="utf-8") as f:
+        sources = [json.loads(line)["source_id"] for line in f]
+    first_missing = next(sid for sid in sources if sid not in ("1", "2"))
+    capsys.readouterr()
+    assert main(["report", "--pool", pool, "--scores", scores, "--gold", str(other),
+                 "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, f"source id {first_missing!r}")
+
+
 def test_pool_line_missing_a_key_is_a_data_error(gold_file, tmp_path, capsys):
     pool = tmp_path / "pool.jsonl"
     assert main(["augment", "--gold", gold_file, "--n", "5", "--out", str(pool),
@@ -351,3 +369,13 @@ def test_milab_corrupts_each_synthetic_size_once(tmp_path, monkeypatch):
     assert calls == [100, 300]
     gaps = [p["factorization_gap"] for p in json.loads(out.read_text())["curve"]]
     assert all(0.0 <= gap["tv_distance"] <= 1.0 for gap in gaps)
+
+
+def test_cli_import_does_not_load_numpy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, morphaug.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"

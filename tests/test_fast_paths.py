@@ -1,6 +1,6 @@
 """Each fast path against the simple oracle it replaced (tests/conftest.py):
-the same results, and for corruption, the report bootstrap and the
-MSD-templatic selections the same random draws."""
+the same results, and for corruption, toy corruption, the report bootstrap
+and the MSD-templatic selections the same random draws."""
 
 import random
 from contextlib import contextmanager
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
-from morphaug import milab, report, selection
+from morphaug import corruption, milab, report, selection
 from morphaug.alignment import align, extract_stem, levenshtein, segmentation_from_boundary
 from morphaug.corpus import Alphabet, InflectionTriple
 from morphaug.corruption import (CorruptionConfig, SyntheticExample, corrupt, generate_pool,
@@ -20,8 +20,9 @@ from morphaug.errors import AlphabetTooSmall, NoStem
 from morphaug.scoring import NGramScorer
 
 from conftest import (make_dataset, oracle_align, oracle_bootstrap_percentile, oracle_corrupt,
-                      oracle_harmony_bootstrap, oracle_levenshtein, oracle_logprobs,
-                      oracle_select_hybrid, oracle_select_templatic)
+                      oracle_corrupt_toy, oracle_factorization_gap, oracle_harmony_bootstrap,
+                      oracle_joint_counts, oracle_levenshtein, oracle_logprobs,
+                      oracle_pair_samples, oracle_select_hybrid, oracle_select_templatic)
 
 # plain letters plus combining marks (NFD acute, diaeresis), one code point each
 SMALL = st.sampled_from(["a", "b", "c", "e", "\u0301", "\u0308"])
@@ -93,6 +94,32 @@ def test_corrupt_matches_oracle_draw_for_draw(case):
         slow = oracle_corrupt(t, seg, alphabet, cfg, slow_rng, new_id=f"s{n}")
         assert fast == slow
         assert fast_rng.getstate() == slow_rng.getstate()
+
+
+@pytest.mark.parametrize("exclude_original", [True, False])
+@settings(max_examples=200, deadline=None)
+@given(case=corruption_cases())
+def test_corrupt_measures_only_the_substituted_window(case, exclude_original):
+    t, seg, alphabet, cfg, seed = case
+    cfg = CorruptionConfig(theta=cfg.theta, exclude_original=exclude_original)
+    if exclude_original and len(alphabet) < 2:
+        return
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return levenshtein(a, b)
+
+    with mock.patch.object(corruption, "levenshtein", counted):
+        fast = corrupt(t, seg, alphabet, cfg, random.Random(seed))
+    slow = oracle_corrupt(t, seg, alphabet, cfg, random.Random(seed))
+    assert fast == slow
+    sub = fast.substituted_form_positions
+    if not sub:
+        assert calls == [] and fast.lev_to_gold_target == 0
+        return
+    lo, hi = min(sub), max(sub) + 1
+    assert calls == [(fast.triple.form[lo:hi], t.form[lo:hi])]
 
 
 def test_corrupt_original_outside_alphabet_draws_from_all():
@@ -271,3 +298,48 @@ def test_msd_selections_match_oracle_on_500_msds(alpha):
                          (selection.select_hybrid, oracle_select_hybrid)):
         for k in (700, len(pool)):
             _check_selection(fast, oracle, pool, k, alpha, seed=3)
+
+
+# ------------------------------------------------------------ toy MI lab
+
+@st.composite
+def toy_grammars(draw):
+    n_msds = draw(st.integers(1, 4))
+    coupled = draw(st.booleans())
+    # a coupled grammar needs a stem for every MSD's group
+    n_stems = draw(st.integers(n_msds if coupled else 1, 10))
+    return milab.make_toy_grammar(n_stems, n_msds, seed=draw(st.integers(0, 2**16)),
+                                  harmony=draw(st.booleans()), coupled=coupled)
+
+
+THETAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(toy_grammars(), st.integers(1, 30), st.integers(0, 80), THETAS, st.integers(0, 2**32))
+def test_corrupt_toy_matches_oracle_field_for_field(g, gold_n, n, theta, seed):
+    gold = milab.generate_gold(g, gold_n, seed=seed ^ 0x90D)
+    fast = milab.corrupt_toy(gold, g, n, theta, seed=seed)
+    slow = oracle_corrupt_toy(gold, g, n, theta, seed=seed)
+    assert len(fast) == n
+    assert fast == slow
+    for pair in milab.MI_PAIRS:
+        assert milab._pair_samples(gold + fast, pair) == oracle_pair_samples(gold + slow, pair)
+
+
+@settings(max_examples=30, deadline=None)
+@given(toy_grammars(), st.integers(5, 40),
+       st.lists(st.integers(0, 60), min_size=1, max_size=3), THETAS,
+       st.integers(1, 20), st.integers(0, 2**32))
+def test_mi_decay_curve_matches_oracle_path(g, gold_n, syn_sizes, theta, resamples, seed):
+    def curve():
+        return [p.to_dict() for p in milab.mi_decay_curve(
+            g, gold_n, syn_sizes, theta=theta, seed=seed, resamples=resamples)]
+
+    fast = curve()
+    with mock.patch.multiple(milab, corrupt_toy=oracle_corrupt_toy,
+                             _pair_samples=oracle_pair_samples,
+                             _joint_counts=oracle_joint_counts,
+                             factorization_gap=oracle_factorization_gap):
+        slow = curve()
+    assert fast == slow

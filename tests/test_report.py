@@ -7,6 +7,7 @@ from morphaug.corpus import Alphabet, InflectionTriple
 from morphaug.corruption import CorruptionConfig, SyntheticExample, generate_pool, segment_dataset
 from morphaug.errors import (
     EmptySelection,
+    MissingSegmentation,
     NoVowelsConfigured,
     TooFewSamples,
     ZeroVariance,
@@ -92,6 +93,17 @@ def test_correlations_too_few():
     gold, pool = _scored_pool(n=2)
     with pytest.raises(TooFewSamples):
         correlations(pool, segment_dataset(gold))
+
+
+def test_pool_source_without_segmentation_is_named():
+    gold, pool = _scored_pool(n=50)
+    segs = segment_dataset(gold)
+    missing = pool[7].source_id
+    del segs[missing]
+    with pytest.raises(MissingSegmentation, match=repr(missing)):
+        correlations(pool, segs)
+    with pytest.raises(MissingSegmentation, match=repr(missing)):
+        harmony_violation_stats(pool, VOWELS, segs, resamples=10)
 
 
 # ------------------------------------------------------- msd mode frequency
@@ -258,6 +270,15 @@ def test_bootstrap_width_shrinks_like_sqrt_n():
     # quadrupling n should roughly halve the width
     assert 1.4 < widths[0] / widths[1] < 2.9
     assert 1.4 < widths[1] / widths[2] < 2.9
+
+
+@pytest.mark.parametrize("resamples", [0, -1])
+def test_bootstrap_resamples_below_one_rejected(resamples):
+    pool, segs = _toy_pool(n=50)
+    with pytest.raises(ValueError, match="resamples"):
+        harmony_violation_stats(pool, VOWELS, segs, resamples=resamples)
+    with pytest.raises(ValueError, match="resamples"):
+        bootstrap_percentile([1.0, 2.0, 3.0], resamples=resamples)
 
 
 def test_bootstrap_too_few_samples():
