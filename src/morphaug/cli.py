@@ -171,12 +171,16 @@ def cmd_milab(args) -> None:
     from . import milab
 
     syn_sizes = _syn_sizes(args.syn_sizes)
-    grammar = milab.make_toy_grammar(
-        n_stems=args.stems, n_msds=args.msds,
-        seed=derive_seed(args.seed, "grammar"),
-        harmony=args.harmony == "on",
-        coupled=not args.uncoupled,
-    )
+    try:
+        # its ValueErrors are all bad sizes, raised before any other work
+        grammar = milab.make_toy_grammar(
+            n_stems=args.stems, n_msds=args.msds,
+            seed=derive_seed(args.seed, "grammar"),
+            harmony=args.harmony == "on",
+            coupled=not args.uncoupled,
+        )
+    except ValueError as e:
+        raise UsageError(f"--stems/--msds: {e}") from None
     curve = milab.mi_decay_curve(
         grammar, args.gold, syn_sizes, theta=args.theta,
         seed=derive_seed(args.seed, "milab"), resamples=args.resamples,
@@ -220,6 +224,7 @@ def cmd_report(args) -> None:
         cfg = _read_harmony_tsv(args.harmony)
     pool = _load_scored_pool(args.pool, args.scores)
     gold = _parse(args.gold)
+    corruption.check_sources(pool, gold)
     segs = {tid: s for tid, s in corruption.segment_dataset(gold).items() if s is not None}
     blocks = {"correlations": asdict(report.correlations(pool, segs))}
     if args.selection:

@@ -15,9 +15,11 @@ from typing import Iterable, Iterator
 from .errors import EmptyDataset, EmptyField, MalformedLine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InflectionTriple:
-    """One gold example: lemma, inflected form, morphosyntactic description."""
+    """One gold example: lemma, inflected form, morphosyntactic description.
+
+    The constructor validates; derived_triple builds one without the check."""
 
     id: str
     lemma: str
@@ -37,6 +39,25 @@ class InflectionTriple:
     @property
     def msd_string(self) -> str:
         return ";".join(self.msd)
+
+
+_new = object.__new__
+# the slots' own setters: like a frozen dataclass's __init__, they go past
+# the frozen __setattr__
+_set_id, _set_lemma, _set_form, _set_msd = (
+    InflectionTriple.__dict__[f].__set__ for f in ("id", "lemma", "form", "msd"))
+
+
+def derived_triple(id: str, lemma: str, form: str, msd: tuple[str, ...]) -> InflectionTriple:
+    """An InflectionTriple built without __post_init__'s check, for a triple
+    derived from a validated one: the same MSD tuple, and a lemma and form
+    of the validated triple's (non-zero) lengths."""
+    t = _new(InflectionTriple)
+    _set_id(t, id)
+    _set_lemma(t, lemma)
+    _set_form(t, form)
+    _set_msd(t, msd)
+    return t
 
 
 @dataclass(frozen=True)

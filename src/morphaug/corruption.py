@@ -12,10 +12,12 @@ import json
 import logging
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 from .alignment import Segmentation, align, extract_stem, levenshtein
-from .corpus import Alphabet, Dataset, InflectionTriple
-from .errors import AlphabetTooSmall, MissingKey, NoAlignableTriples, NoStem
+from .corpus import Alphabet, Dataset, InflectionTriple, derived_triple
+from .errors import (AlphabetTooSmall, MissingKey, MissingSegmentation, NoAlignableTriples,
+                     NoStem, NotAnObject, SourceMismatch)
 
 log = logging.getLogger(__name__)
 
@@ -32,7 +34,7 @@ class CorruptionConfig:
             raise ValueError(f"theta must be in [0,1], got {self.theta}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyntheticExample:
     """A corrupted triple with provenance back to its gold source."""
 
@@ -70,23 +72,32 @@ def substitute(
     if cfg.exclude_original and len(alphabet) < 2:
         raise AlphabetTooSmall("need >= 2 characters to exclude the original")
     chars = alphabet.chars
-    n_chars = len(chars)
+    n_all = len(chars)
+    n_other = n_all - 1
     # with the original excluded, draw among the other n-1 characters and
     # step over the original's index: the same draw as indexing the list of
-    # all characters but the original
+    # all characters but the original. Each draw is randrange(n) inlined:
+    # getrandbits(n.bit_length()) until the result is below n.
+    bits_all, bits_other = n_all.bit_length(), n_other.bit_length()
     index = alphabet.index if cfg.exclude_original else {}
-    draw, randrange, theta = rng.random, rng.randrange, cfg.theta
-    lemma = list(t.lemma)
+    draw, getrandbits, theta = rng.random, rng.getrandbits, cfg.theta
+    source = t.lemma
+    lemma = list(source)
     form = list(t.form)
     sub_lemma: list[int] = []
     sub_form: list[int] = []
     for li, fi in seg.stem_pairs:
         if draw() < theta:
-            k = index.get(t.lemma[li])
+            k = index.get(source[li])
             if k is None:
-                c = chars[randrange(n_chars)]
+                r = getrandbits(bits_all)
+                while r >= n_all:
+                    r = getrandbits(bits_all)
+                c = chars[r]
             else:
-                r = randrange(n_chars - 1)
+                r = getrandbits(bits_other)
+                while r >= n_other:
+                    r = getrandbits(bits_other)
                 c = chars[r + (r >= k)]
             lemma[li] = c
             form[fi] = c
@@ -112,15 +123,10 @@ def corrupt(
         distance = levenshtein(form[lo:hi], t.form[lo:hi])
     else:
         distance = 0
+    # t is validated, and the corrupted triple keeps its MSD and its lengths
     return SyntheticExample(
-        triple=InflectionTriple(
-            id=new_id if new_id is not None else f"{t.id}~syn",
-            lemma=lemma, form=form, msd=t.msd,
-        ),
-        source_id=t.id,
-        substituted_lemma_positions=tuple(sub_lemma),
-        substituted_form_positions=tuple(sub_form),
-        lev_to_gold_target=distance,
+        derived_triple(new_id if new_id is not None else f"{t.id}~syn", lemma, form, t.msd),
+        t.id, tuple(sub_lemma), tuple(sub_form), distance,
     )
 
 
@@ -149,9 +155,16 @@ def generate_pool(
     if skipped:
         log.info("skipping %d unalignable gold triples: %s", len(skipped), sorted(skipped))
     rng = random.Random(cfg.seed)
+    getrandbits = rng.getrandbits
+    triples = gold.triples
+    n_gold = len(triples)
+    bits = n_gold.bit_length()
     pool: list[SyntheticExample] = []
     while len(pool) < n:
-        t = gold[rng.randrange(len(gold))]
+        r = getrandbits(bits)  # randrange(n_gold), inlined as in substitute
+        while r >= n_gold:
+            r = getrandbits(bits)
+        t = triples[r]
         seg = segs[t.id]
         if seg is None:
             continue
@@ -159,25 +172,28 @@ def generate_pool(
     return pool
 
 
-def pool_to_dataset(pool: list[SyntheticExample], name: str = "syn-pool") -> Dataset:
-    return Dataset(triples=tuple(e.triple for e in pool), name=name)
-
-
 def write_pool_jsonl(pool: list[SyntheticExample]) -> str:
+    """One line per example: the bytes of json.dumps(..., ensure_ascii=False)
+    of its dict, written from a template. Strings go through json's own
+    string encoder, the int positions and distance through str, and each
+    distinct MSD is encoded once."""
+    enc = encode_basestring
+    msds: dict[tuple[str, ...], str] = {}
     lines = []
     for e in pool:
-        lines.append(json.dumps({
-            "id": e.id,
-            "source_id": e.source_id,
-            "lemma": e.triple.lemma,
-            "form": e.triple.form,
-            "msd": list(e.triple.msd),
-            "substituted_lemma_positions": list(e.substituted_lemma_positions),
-            "substituted_form_positions": list(e.substituted_form_positions),
-            "lev_to_gold_target": e.lev_to_gold_target,
-            "score": e.score,
-        }, ensure_ascii=False))
-    return "".join(ln + "\n" for ln in lines)
+        t = e.triple
+        msd = msds.get(t.msd)
+        if msd is None:
+            msd = msds[t.msd] = "[" + ", ".join(map(enc, t.msd)) + "]"
+        lemma_pos = ", ".join(map(str, e.substituted_lemma_positions))
+        form_pos = ", ".join(map(str, e.substituted_form_positions))
+        score = "null" if e.score is None else json.dumps(e.score)
+        lines.append(
+            f'{{"id": {enc(t.id)}, "source_id": {enc(e.source_id)}, "lemma": {enc(t.lemma)}, '
+            f'"form": {enc(t.form)}, "msd": {msd}, "substituted_lemma_positions": [{lemma_pos}], '
+            f'"substituted_form_positions": [{form_pos}], '
+            f'"lev_to_gold_target": {e.lev_to_gold_target}, "score": {score}}}\n')
+    return "".join(lines)
 
 
 def read_pool_jsonl(text: str) -> list[SyntheticExample]:
@@ -186,6 +202,8 @@ def read_pool_jsonl(text: str) -> list[SyntheticExample]:
         if not line.strip():
             continue
         d = json.loads(line)
+        if not isinstance(d, dict):
+            raise NotAnObject(line_no, type(d).__name__)
         try:
             pool.append(SyntheticExample(
                 triple=InflectionTriple(
@@ -200,6 +218,34 @@ def read_pool_jsonl(text: str) -> list[SyntheticExample]:
         except KeyError as e:
             raise MissingKey(line_no, e.args[0]) from None
     return pool
+
+
+def check_sources(pool: list[SyntheticExample], gold: Dataset) -> None:
+    """Check that every example is a stem corruption of the gold triple its
+    source_id names: the same MSD, and a lemma and form that equal the gold
+    ones once the gold characters are put back at the substituted positions
+    (each in range), since corruption never touches affixes or the MSD."""
+    for e in pool:
+        try:
+            src = gold.by_id(e.source_id)
+        except KeyError:
+            raise MissingSegmentation(e.source_id) from None
+        t = e.triple
+        if not (t.msd == src.msd
+                and _restores(t.lemma, src.lemma, e.substituted_lemma_positions)
+                and _restores(t.form, src.form, e.substituted_form_positions)):
+            raise SourceMismatch(e.id, e.source_id)
+
+
+def _restores(got: str, want: str, positions: tuple[int, ...]) -> bool:
+    if len(got) != len(want):
+        return False
+    chars = list(got)
+    for i in positions:
+        if type(i) is not int or not 0 <= i < len(chars):
+            return False
+        chars[i] = want[i]
+    return "".join(chars) == want
 
 
 def pool_to_tsv(pool: list[SyntheticExample]) -> str:

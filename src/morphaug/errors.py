@@ -44,6 +44,12 @@ class MissingSegmentation(MorphaugError):
         super().__init__(f"source id {source_id!r} of the pool has no segmented gold triple")
 
 
+class SourceMismatch(MorphaugError):
+    def __init__(self, example_id, source_id):
+        super().__init__(f"pool example {example_id!r} is not a stem corruption of gold "
+                         f"triple {source_id!r}; is --gold the file the pool was made from?")
+
+
 class KTooLarge(MorphaugError):
     def __init__(self, k, pool_size):
         super().__init__(f"requested k={k} exceeds pool size {pool_size}")
@@ -73,6 +79,11 @@ class UnknownId(MorphaugError):
 class MissingKey(MorphaugError):
     def __init__(self, line_no, key):
         super().__init__(f"line {line_no}: missing key {key!r}")
+
+
+class NotAnObject(MorphaugError):
+    def __init__(self, line_no, kind):
+        super().__init__(f"line {line_no}: expected a JSON object, got {kind}")
 
 
 class NonNumericScore(MorphaugError):

@@ -156,6 +156,9 @@ class ToyExample:
 
 _CONSONANTS = ("d", "l")
 _VOWELS = ("a", "e", "o", "i")
+# distinct CV / CVC suffixes in back-vowel citation shape, one per MSD
+_SUFFIXES = tuple([c + v for c in _CONSONANTS for v in ("a", "o")]
+                  + [c + v + c2 for c in _CONSONANTS for v in ("a", "o") for c2 in _CONSONANTS])
 
 
 def make_toy_grammar(
@@ -168,21 +171,27 @@ def make_toy_grammar(
     harmonize_lemma: bool = True,
     stem_len: int = 3,
 ) -> ToyGrammar:
-    """Random grammar over a 6-character alphabet (2 consonants, 4 vowels)."""
-    rng = random.Random(seed)
+    """Random grammar over a 6-character alphabet (2 consonants, 4 vowels).
+    A coupled grammar gives every MSD its own stems, so it needs at least
+    as many stems as MSDs."""
     chars = _CONSONANTS + _VOWELS
+    # the distinct stems: strings of stem_len with at least one vowel
+    n_possible = len(chars) ** stem_len - len(_CONSONANTS) ** stem_len
+    if not 1 <= n_msds <= len(_SUFFIXES):
+        raise ValueError(f"n_msds must be in 1..{len(_SUFFIXES)}, got {n_msds}")
+    if not 1 <= n_stems <= n_possible:
+        raise ValueError(f"n_stems must be in 1..{n_possible} for stems of length {stem_len}, "
+                         f"got {n_stems}")
+    if coupled and n_stems < n_msds:
+        raise ValueError(f"a coupled grammar needs n_stems >= n_msds, got {n_stems} < {n_msds}")
+    rng = random.Random(seed)
     stems: set[str] = set()
     while len(stems) < n_stems:
         s = "".join(rng.choice(chars) for _ in range(stem_len))
         if any(c in _VOWELS for c in s):
             stems.add(s)
     stem_tuple = tuple(sorted(stems))
-    # distinct CV / CVC suffixes in back-vowel citation shape
-    candidates = [c + v for c in _CONSONANTS for v in ("a", "o")]
-    candidates += [c + v + c2 for c in _CONSONANTS for v in ("a", "o") for c2 in _CONSONANTS]
-    if n_msds > len(candidates):
-        raise ValueError(f"at most {len(candidates)} MSDs supported")
-    affix_map = {f"M{i}": candidates[i] for i in range(n_msds)}
+    affix_map = {f"M{i}": _SUFFIXES[i] for i in range(n_msds)}
     stem_groups = None
     if coupled:
         groups: dict[str, list[str]] = {m: [] for m in affix_map}
@@ -229,13 +238,20 @@ def corrupt_toy(
     the grammar's known stem boundary. The draws are those of
     corruption.corrupt; no distance to the gold form is computed."""
     cfg = CorruptionConfig(theta=theta, seed=seed)
+    if n > 0 and not gold:
+        raise ValueError("corrupt_toy needs at least one gold example")
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
+    n_gold = len(gold)
+    bits = n_gold.bit_length()
     alphabet = g.alphabet
     # gold index -> (triple, segmentation), built on the source's first draw
     sources: dict[int, tuple] = {}
     out = []
     for i in range(n):
-        k = rng.randrange(len(gold))
+        k = getrandbits(bits)  # randrange(n_gold), inlined as in corruption.substitute
+        while k >= n_gold:
+            k = getrandbits(bits)
         src = gold[k]
         source = sources.get(k)
         if source is None:

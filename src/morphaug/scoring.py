@@ -14,6 +14,7 @@ import logging
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Protocol
 
 from .corpus import Dataset
@@ -121,18 +122,24 @@ class NGramScorer:
     def logprobs(self, lemma, msd, form):
         vocab = self.vocab
         toks = [*lemma, SEP, *msd, SEP, *form, EOS]
-        mapped = [tok if tok in vocab else UNK for tok in toks]
         self.token_hits += len(toks)
-        if mapped != toks:
+        if not vocab.issuperset(toks):
             self.unk_hits += sum(tok not in vocab for tok in toks)
+            toks = [tok if tok in vocab else UNK for tok in toks]
         order = self.order
-        seq = [BOS] * (order - 1) + mapped
+        seq = [BOS] * (order - 1) + toks
+        # the form tokens and EOS are scored; the context of seq[i] is
+        # seq[i-order+1:i], built for those positions only by zipping order-1
+        # shifted slices (at order 1 every context is ())
+        n = len(form) + 1
+        start, end = len(seq) - n, len(seq)
+        ctxs = (zip(*(seq[start - j : end - j] for j in range(order - 1, 0, -1)))
+                if order > 1 else repeat((), n))
         tables = self._log_tables
         out = []
-        for i in range(len(seq) - (len(form) + 1), len(seq)):  # form tokens and EOS
-            ctx = tuple(seq[i - order + 1 : i])
+        for ctx, tok in zip(ctxs, seq[start:]):
             logp, unseen = tables.get(ctx) or self._new_log_table(ctx)
-            out.append(logp.get(seq[i], unseen))
+            out.append(logp.get(tok, unseen))
         return out
 
     @property

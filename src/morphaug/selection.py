@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .corpus import MsdHistogram
@@ -73,14 +74,18 @@ def check_k(k: int, pool_size: int) -> None:
         raise ValueError("k must be >= 0")
 
 
+def _msd_strings(examples: Sequence[SyntheticExample]) -> list[str]:
+    """Each example's MSD string, joining each distinct MSD once."""
+    joined = {msd: ";".join(msd) for msd in {e.triple.msd for e in examples}}
+    return [joined[e.triple.msd] for e in examples]
+
+
 def _result(selected: list[SyntheticExample], strategy: SelectionStrategy) -> SelectionResult:
-    counts: dict[str, int] = defaultdict(int)
-    for e in selected:
-        counts[e.msd_string] += 1
     return SelectionResult(
-        selected_ids=tuple(e.id for e in selected),
+        selected_ids=tuple(e.triple.id for e in selected),
         strategy=strategy,
-        per_msd_counts=MsdHistogram(counts=dict(counts), total=len(selected)),
+        per_msd_counts=MsdHistogram(counts=dict(Counter(_msd_strings(selected))),
+                                    total=len(selected)),
     )
 
 
@@ -95,17 +100,16 @@ def _msd_weights(pool: Sequence[SyntheticExample], alpha: float) -> dict[str, fl
     # q_alpha is defined from the full pool's empirical p(T); the candidate
     # pool shrinks during selection but the weights stay fixed and are
     # renormalized over MSDs that still have candidates.
-    counts: dict[str, int] = defaultdict(int)
-    for e in pool:
-        counts[e.msd_string] += 1
+    counts = Counter(_msd_strings(pool))
     total = len(pool)
     return {m: (c / total) ** alpha for m, c in counts.items()}
 
 
 def _group_by_msd(pool: Sequence[SyntheticExample]) -> dict[str, list[SyntheticExample]]:
     groups: dict[str, list[SyntheticExample]] = defaultdict(list)
-    for e in sorted(pool, key=lambda e: e.id):
-        groups[e.msd_string].append(e)
+    ordered = sorted(pool, key=attrgetter("triple.id"))
+    for e, msd in zip(ordered, _msd_strings(ordered)):
+        groups[msd].append(e)
     return groups
 
 

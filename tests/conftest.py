@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter, defaultdict
@@ -8,7 +9,7 @@ import pytest
 
 from morphaug.alignment import GAP, CharAlignment, segmentation_from_boundary
 from morphaug.corpus import Dataset, InflectionTriple, parse_unimorph
-from morphaug.corruption import CorruptionConfig, SyntheticExample
+from morphaug.corruption import CorruptionConfig, SyntheticExample, segment_dataset
 from morphaug.errors import AlphabetTooSmall, EmptyInput, TooFewSamples
 from morphaug.milab import FactorizationGap, ToyExample
 from morphaug.report import BootstrapCI
@@ -107,11 +108,41 @@ def oracle_corrupt(t, seg, alphabet, cfg, rng, new_id=None) -> SyntheticExample:
     )
 
 
-def oracle_corrupt_toy(gold, g, n, theta, seed=0):
+def oracle_generate_pool(gold, n, alphabet, cfg, rng=None):
+    """Pool generation with a randrange draw of the gold triple and a whole
+    oracle_corrupt call per example; rng defaults to Random(cfg.seed)."""
+    segs = segment_dataset(gold, min_run=cfg.min_run)
+    rng = rng or random.Random(cfg.seed)
+    pool = []
+    while len(pool) < n:
+        t = gold[rng.randrange(len(gold))]
+        if segs[t.id] is not None:
+            pool.append(oracle_corrupt(t, segs[t.id], alphabet, cfg, rng,
+                                       new_id=f"syn{len(pool):06d}"))
+    return pool
+
+
+def oracle_write_pool_jsonl(pool):
+    """The pool JSONL as json.dumps of one dict per example."""
+    return "".join(json.dumps({
+        "id": e.id,
+        "source_id": e.source_id,
+        "lemma": e.triple.lemma,
+        "form": e.triple.form,
+        "msd": list(e.triple.msd),
+        "substituted_lemma_positions": list(e.substituted_lemma_positions),
+        "substituted_form_positions": list(e.substituted_form_positions),
+        "lev_to_gold_target": e.lev_to_gold_target,
+        "score": e.score,
+    }, ensure_ascii=False) + "\n" for e in pool)
+
+
+def oracle_corrupt_toy(gold, g, n, theta, seed=0, rng=None):
     """Toy corruption through a whole oracle_corrupt call per draw: a fresh
-    triple and segmentation each time, and a distance that is dropped."""
+    triple and segmentation each time, and a distance that is dropped; rng
+    defaults to Random(seed)."""
     cfg = CorruptionConfig(theta=theta, seed=seed)
-    rng = random.Random(seed)
+    rng = rng or random.Random(seed)
     out = []
     for i in range(n):
         src = gold[rng.randrange(len(gold))]

@@ -326,6 +326,58 @@ def test_report_with_another_gold_file_is_a_data_error(gold_file, scored_pool, t
     _assert_data_error(capsys, out, f"source id {first_missing!r}")
 
 
+def test_report_with_a_wrong_gold_of_the_same_size_is_a_data_error(tmp_path, capsys):
+    # every source id of the pool is a line of the other gold file, but its
+    # words are not the ones the pool was corrupted from
+    gold, other = tmp_path / "gold.tsv", tmp_path / "other.tsv"
+    gold.write_text("walk\twalked\tV;PST\ntalk\ttalked\tV;PST\n"
+                    "jump\tjumped\tV;PST\ndream\tdreamed\tV;PST\n")
+    other.write_text("oxoxo\toxoxos\tV;PST\nbat\tbats\tV;PST\n"
+                     "catty\tcattys\tV;PST\ndog\tdogs\tV;PST\n")
+    pool, scores = str(tmp_path / "pool.jsonl"), str(tmp_path / "scores.tsv")
+    assert main(["augment", "--gold", str(gold), "--n", "40", "--out", pool, "--quiet"]) == 0
+    assert main(["score", "--pool", pool, "--gold", str(gold), "--out", scores,
+                 "--quiet"]) == 0
+    out = tmp_path / "report.json"
+    assert main(["report", "--pool", pool, "--scores", scores, "--gold", str(gold),
+                 "--out", str(out), "--quiet"]) == 0
+    out.unlink()
+    capsys.readouterr()
+    assert main(["report", "--pool", pool, "--scores", scores, "--gold", str(other),
+                 "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, "pool example 'syn000000'", "--gold")
+
+
+@pytest.mark.parametrize("bad", ['[1, 2]', '"syn000002"', '7', 'null'])
+def test_pool_line_that_is_not_an_object_is_a_data_error(gold_file, tmp_path, capsys, bad):
+    pool = tmp_path / "pool.jsonl"
+    assert main(["augment", "--gold", gold_file, "--n", "5", "--out", str(pool),
+                 "--quiet"]) == 0
+    lines = pool.read_text().splitlines()
+    lines[2] = bad
+    pool.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "sel.json"
+    capsys.readouterr()
+    assert main(["select", "--pool", str(pool), "--strategy", "random", "--k", "2",
+                 "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, "line 3:", "expected a JSON object")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--stems", "209"], "--stems"),
+    (["--stems", "0"], "--stems"),
+    (["--msds", "0"], "--msds"),
+    (["--msds", "13"], "--msds"),
+    (["--stems", "3", "--msds", "4"], "--stems"),
+])
+def test_milab_sizes_out_of_range_are_usage_errors(tmp_path, capsys, argv, flag):
+    out = tmp_path / "curve.json"
+    assert main(["milab", *argv, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_pool_line_missing_a_key_is_a_data_error(gold_file, tmp_path, capsys):
     pool = tmp_path / "pool.jsonl"
     assert main(["augment", "--gold", gold_file, "--n", "5", "--out", str(pool),

@@ -7,13 +7,16 @@ from morphaug.alignment import align, extract_stem
 from morphaug.corpus import Alphabet, InflectionTriple
 from morphaug.corruption import (
     CorruptionConfig,
+    SyntheticExample,
+    check_sources,
     corrupt,
     generate_pool,
     pool_to_tsv,
     read_pool_jsonl,
     write_pool_jsonl,
 )
-from morphaug.errors import AlphabetTooSmall, NoAlignableTriples
+from morphaug.errors import (AlphabetTooSmall, MissingSegmentation, NoAlignableTriples,
+                             SourceMismatch)
 
 from conftest import make_dataset
 
@@ -154,3 +157,37 @@ def test_pool_tsv_export():
 def test_invalid_theta_rejected():
     with pytest.raises(ValueError):
         CorruptionConfig(theta=1.5)
+
+
+def _from_source(lemma, form, lemma_pos, form_pos, msd=("V", "PST"), source="1"):
+    return SyntheticExample(InflectionTriple(id="s1", lemma=lemma, form=form, msd=msd),
+                            source, lemma_pos, form_pos, 0)
+
+
+def test_check_sources_accepts_the_pool_of_its_gold():
+    gold = make_dataset([("walk", "walked", "V;PST"), ("talk", "talked", "V;PST")])
+    pool = generate_pool(gold, 30, ALPHABET, CorruptionConfig(theta=0.7, seed=2))
+    check_sources(pool, gold)
+    check_sources([_from_source("wxlk", "wxlked", (1,), (1,))], gold)
+
+
+@pytest.mark.parametrize("example", [
+    _from_source("wxlk", "wxlked", (1,), (1,), msd=("V", "PRS")),  # another MSD
+    _from_source("wxlk", "wxlkedd", (1,), (1,)),  # another form length
+    _from_source("wxl", "wxlked", (1,), (1,)),  # another lemma length
+    _from_source("wxlk", "wxlkex", (1,), (1,)),  # an affix character changed
+    _from_source("wxlx", "wxlked", (1,), (1,)),  # a lemma character outside the positions
+    _from_source("walk", "walked", (4,), ()),  # a position past the end
+    _from_source("walk", "walked", (), (-1,)),  # a negative position
+    _from_source("walk", "walked", (True,), ()),  # a position that is not an int
+])
+def test_check_sources_rejects_a_mismatch(example):
+    gold = make_dataset([("walk", "walked", "V;PST")])
+    with pytest.raises(SourceMismatch, match="'s1'"):
+        check_sources([example], gold)
+
+
+def test_check_sources_names_a_missing_source():
+    gold = make_dataset([("walk", "walked", "V;PST")])
+    with pytest.raises(MissingSegmentation, match="'2'"):
+        check_sources([_from_source("walk", "walked", (), (), source="2")], gold)

@@ -2,6 +2,7 @@
 the same results, and for corruption, toy corruption, the report bootstrap
 and the MSD-templatic selections the same random draws."""
 
+import json
 import random
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -13,16 +14,17 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 from morphaug import corruption, milab, report, selection
 from morphaug.alignment import align, extract_stem, levenshtein, segmentation_from_boundary
-from morphaug.corpus import Alphabet, InflectionTriple
+from morphaug.corpus import Alphabet, InflectionTriple, parse_unimorph
 from morphaug.corruption import (CorruptionConfig, SyntheticExample, corrupt, generate_pool,
-                                 segment_dataset)
+                                 read_pool_jsonl, segment_dataset, write_pool_jsonl)
 from morphaug.errors import AlphabetTooSmall, NoStem
 from morphaug.scoring import NGramScorer
 
 from conftest import (make_dataset, oracle_align, oracle_bootstrap_percentile, oracle_corrupt,
-                      oracle_corrupt_toy, oracle_factorization_gap, oracle_harmony_bootstrap,
-                      oracle_joint_counts, oracle_levenshtein, oracle_logprobs,
-                      oracle_pair_samples, oracle_select_hybrid, oracle_select_templatic)
+                      oracle_corrupt_toy, oracle_factorization_gap, oracle_generate_pool,
+                      oracle_harmony_bootstrap, oracle_joint_counts, oracle_levenshtein,
+                      oracle_logprobs, oracle_pair_samples, oracle_select_hybrid,
+                      oracle_select_templatic, oracle_write_pool_jsonl, random_word)
 
 # plain letters plus combining marks (NFD acute, diaeresis), one code point each
 SMALL = st.sampled_from(["a", "b", "c", "e", "\u0301", "\u0308"])
@@ -135,21 +137,176 @@ def test_corrupt_original_outside_alphabet_draws_from_all():
             assert fast_rng.getstate() == slow_rng.getstate()
 
 
+@contextmanager
+def _recorded_rngs(module):
+    """Record the random.Random instances the module creates."""
+    made = []
+
+    def make(seed):
+        made.append(random.Random(seed))
+        return made[-1]
+
+    with mock.patch.object(module, "random", SimpleNamespace(Random=make)):
+        yield made
+
+
+# ------------------------------------------------ randrange(n), inlined
+# substitute, generate_pool and corrupt_toy draw getrandbits(n.bit_length())
+# until the result is below n, which is randrange(n)'s own loop: the same
+# values, and the same generator state after, for every n (n = 1 included,
+# which still spends one getrandbits(1) per draw).
+
+DRAW_SIZES = range(1, 302)
+
+
+def test_substitute_draws_match_randrange_for_every_alphabet_size():
+    # the lemma's c is outside alphabets of fewer than 3 characters, where the
+    # draw is among all n; otherwise the original is excluded and it is among
+    # n - 1 (so 2 characters draw with randrange(1))
+    t = InflectionTriple(id="g1", lemma="abcab", form="abcabs", msd=("N",))
+    seg = segmentation_from_boundary(t.lemma, t.form, 5)
+    for n in DRAW_SIZES:
+        alphabet = Alphabet(chars=tuple(chr(ord("a") + i) for i in range(n)))
+        for exclude in (False, True) if n > 1 else (False,):
+            cfg = CorruptionConfig(theta=1.0, exclude_original=exclude)
+            fast_rng, slow_rng = random.Random(n), random.Random(n)
+            for _ in range(4):
+                assert corrupt(t, seg, alphabet, cfg, fast_rng) == oracle_corrupt(
+                    t, seg, alphabet, cfg, slow_rng)
+                assert fast_rng.getstate() == slow_rng.getstate()
+
+
+def test_generate_pool_draws_match_randrange_for_every_gold_size():
+    rng = random.Random(5)
+    # every seventh triple after the first has no stem, so some draws are skipped
+    rows = [(w, w + "s", "V;PST") if i % 7 or i == 0 else ("ab", "xy", "N")
+            for i, w in enumerate(random_word(rng, "abcdef", 3, 6) for _ in range(max(DRAW_SIZES)))]
+    alphabet = Alphabet(chars=tuple("abcdefsxy"))
+    for n in DRAW_SIZES:
+        gold = make_dataset(rows[:n])
+        cfg = CorruptionConfig(theta=0.5, seed=n)
+        with _recorded_rngs(corruption) as made:
+            fast = generate_pool(gold, 4, alphabet, cfg)
+        slow_rng = random.Random(cfg.seed)
+        assert fast == oracle_generate_pool(gold, 4, alphabet, cfg, slow_rng)
+        assert made[0].getstate() == slow_rng.getstate()
+
+
+def test_corrupt_toy_draws_match_randrange_for_every_gold_size():
+    g = milab.make_toy_grammar(20, 3, seed=1)
+    gold = milab.generate_gold(g, max(DRAW_SIZES), seed=2)
+    for n in DRAW_SIZES:
+        with _recorded_rngs(milab) as made:
+            fast = milab.corrupt_toy(gold[:n], g, 4, 0.5, seed=n)
+        slow_rng = random.Random(n)
+        assert fast == oracle_corrupt_toy(gold[:n], g, 4, 0.5, seed=n, rng=slow_rng)
+        assert made[0].getstate() == slow_rng.getstate()
+    with pytest.raises(ValueError):
+        milab.corrupt_toy([], g, 1, 0.5)
+    assert milab.corrupt_toy([], g, 0, 0.5) == []
+
+
+# --------------------------------------------------- validate-once triples
+
+@settings(max_examples=200, deadline=None)
+@given(corruption_cases())
+def test_derived_triples_equal_validated_ones(case):
+    t, seg, alphabet, cfg, seed = case
+    if cfg.exclude_original and len(alphabet) < 2:
+        return
+    derived = corrupt(t, seg, alphabet, cfg, random.Random(seed), new_id="s1").triple
+    # the oracle builds its triple with the validating constructor
+    built = oracle_corrupt(t, seg, alphabet, cfg, random.Random(seed), new_id="s1").triple
+    assert type(derived) is InflectionTriple
+    assert derived == built and hash(derived) == hash(built) and repr(derived) == repr(built)
+    assert derived.msd is t.msd and derived.msd_string == t.msd_string
+
+
+@pytest.mark.parametrize("tok", ["", " ", "P ST", "P\u00a0ST", "PST\n"])
+def test_every_boundary_still_validates_msd_tokens(tok):
+    with pytest.raises(ValueError, match="bad msd token"):
+        InflectionTriple(id="1", lemma="walk", form="walked", msd=("V", tok))
+    if "\n" not in tok:
+        with pytest.raises(ValueError, match="bad msd token"):
+            parse_unimorph(f"walk\twalked\tV;{tok}\n")
+    line = json.dumps({"id": "s1", "source_id": "1", "lemma": "walk", "form": "walked",
+                       "msd": ["V", tok], "substituted_lemma_positions": [],
+                       "substituted_form_positions": [], "lev_to_gold_target": 0})
+    with pytest.raises(ValueError, match="bad msd token"):
+        read_pool_jsonl(line + "\n")
+
+
+# ------------------------------------------------------- pool JSONL writer
+
+# json.dumps escapes quotes, backslashes and C0 controls, and passes DEL, line
+# separators, non-BMP characters and lone surrogates through as they are
+JSON_CHARS = st.one_of(st.characters(), st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\udfff", "\U0001f600"]))
+JSON_TEXT = st.text(JSON_CHARS, max_size=6)
+MSD_TOKENS = st.text(JSON_CHARS, min_size=1, max_size=4).filter(
+    lambda tok: ";" not in tok and tok.split() == [tok])
+POSITIONS = st.lists(st.integers(0, 10**6), max_size=4).map(tuple)
+SCORES = st.one_of(st.none(), st.floats(), st.integers(0, 10))
+
+
+@st.composite
+def jsonl_pools(draw):
+    # a few MSDs shared by the examples, so the writer's per-MSD cache is hit
+    msds = draw(st.lists(st.lists(MSD_TOKENS, min_size=1, max_size=3).map(tuple),
+                         min_size=1, max_size=3))
+    pool = []
+    for _ in range(draw(st.integers(0, 6))):
+        t = InflectionTriple(id=draw(JSON_TEXT), lemma=draw(JSON_TEXT.filter(bool)),
+                             form=draw(JSON_TEXT.filter(bool)), msd=draw(st.sampled_from(msds)))
+        pool.append(SyntheticExample(t, draw(JSON_TEXT), draw(POSITIONS), draw(POSITIONS),
+                                     draw(st.integers(0, 10**9)), draw(SCORES)))
+    return pool
+
+
+def _pool_of(lemma, score):
+    t = InflectionTriple(id="s\"1", lemma=lemma, form=lemma + "\\s", msd=("N\ud800", "PL"))
+    return [SyntheticExample(t, "1", (), (0, 2), 3, score)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(jsonl_pools())
+@example(_pool_of("\ud800\x00\U0001f600", float("nan")))
+@example(_pool_of("a\u2028b", None))
+@example(_pool_of("\x7f", 0.1 + 0.2))
+@example(_pool_of("x", float("-inf")))
+def test_write_pool_jsonl_matches_json_dumps(pool):
+    assert write_pool_jsonl(pool) == oracle_write_pool_jsonl(pool)
+
+
 WORDS = st.text(st.sampled_from("abcd\u0301"), min_size=1, max_size=8)
 
 
+LOGPROB_ROWS = st.lists(st.tuples(WORDS, WORDS, st.sampled_from(["V;PST", "N;PL", "V;PRS;3"])),
+                        min_size=1, max_size=8)
+# z, the diaeresis and NEW are never in the training vocabulary: UNK tokens
+LOGPROB_QUERIES = st.lists(
+    st.tuples(st.text(st.sampled_from("abcdz"), min_size=1, max_size=8),
+              st.text(st.sampled_from("abcdz\u0308"), min_size=1, max_size=8),
+              st.sampled_from([("V", "PST"), ("ADJ",), ("N", "PL", "NEW")])),
+    min_size=1, max_size=6)
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.tuples(WORDS, WORDS, st.sampled_from(["V;PST", "N;PL", "V;PRS;3"])),
-             min_size=1, max_size=8),
-    st.lists(st.tuples(st.text(st.sampled_from("abcdz"), min_size=1, max_size=8),
-                       st.text(st.sampled_from("abcdz\u0308"), min_size=1, max_size=8),
-                       st.sampled_from([("V", "PST"), ("ADJ",), ("N", "PL", "NEW")])),
-             min_size=1, max_size=6),
-    st.integers(1, 4),
-    st.sampled_from([0.1, 0.5, 1, 2.0]),
-)
+@given(LOGPROB_ROWS, LOGPROB_QUERIES, st.integers(1, 4), st.sampled_from([0.1, 0.5, 1, 2.0]))
 def test_logprobs_bit_identical_to_log_prob(rows, queries, order, k):
+    _check_logprobs(rows, queries, order, k)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+@settings(max_examples=60, deadline=None)
+@given(rows=LOGPROB_ROWS, queries=LOGPROB_QUERIES, k=st.sampled_from([0.1, 1, 2.0]))
+def test_logprobs_matches_oracle_at_orders_1_2_3_5(order, rows, queries, k):
+    # order 1 has no context tokens to zip, and order 5 reaches into the BOS
+    # padding for a one-character lemma
+    _check_logprobs(rows, queries, order, k)
+
+
+def _check_logprobs(rows, queries, order, k):
     scorer = NGramScorer(order=order, k=k)
     scorer.train(make_dataset(rows))
     hits = unk = 0
@@ -234,19 +391,6 @@ def test_bootstrap_percentile_blocks_match_full_draw(samples, resamples, block, 
 
 # -------------------------------------------------- MSD-templatic selection
 
-@contextmanager
-def _selection_rngs():
-    """Record the random.Random instances the selection module creates."""
-    made = []
-
-    def make(seed):
-        made.append(random.Random(seed))
-        return made[-1]
-
-    with mock.patch.object(selection, "random", SimpleNamespace(Random=make)):
-        yield made
-
-
 def _example(example_id, msd, score):
     return SyntheticExample(
         triple=InflectionTriple(id=example_id, lemma="ab", form="abc", msd=tuple(msd.split(";"))),
@@ -268,7 +412,7 @@ def msd_pools(draw):
 
 
 def _check_selection(fast_select, oracle, pool, k, alpha, seed):
-    with _selection_rngs() as made:
+    with _recorded_rngs(selection) as made:
         fast = fast_select(pool, k, alpha, seed)
     slow_rng = random.Random(seed)
     assert list(fast.selected_ids) == oracle(pool, k, alpha, slow_rng)

@@ -250,3 +250,14 @@ def test_toy_dataset_conversion():
     d = toy_dataset(gold)
     assert len(d) == 10
     assert d[0].lemma == gold[0].lemma
+
+
+def test_toy_grammar_sizes_are_bounded():
+    # 6**3 - 2**3 = 208 length-3 stems over d, l, a, e, o, i have a vowel
+    g = make_toy_grammar(208, 12, seed=0)
+    assert len(set(g.stems)) == 208 and len(g.msds) == 12
+    for n_stems, n_msds, coupled in ((209, 5, False), (0, 5, False), (50, 0, False),
+                                     (50, 13, False), (3, 4, True)):
+        with pytest.raises(ValueError):
+            make_toy_grammar(n_stems, n_msds, coupled=coupled)
+    assert len(make_toy_grammar(3, 4).stems) == 3
