@@ -23,6 +23,7 @@ from .scoring import (
     train_ngram,
 )
 from .selection import (
+    PoolIndex,
     SelectionResult,
     SelectionStrategy,
     select,

@@ -96,10 +96,11 @@ def _score(pool, gold, order: int, k_smooth: float, external: str | None,
     return scored
 
 
-def _select(pool, strategy: selection.SelectionStrategy, out: str, params: dict):
-    result = selection.select(pool, strategy)
-    _write_json(out, json.loads(result.to_json()), "select", params)
-    log.info("selected %d / %d examples (%s)", len(result), len(pool), strategy.kind)
+def _select(index: selection.PoolIndex, strategy: selection.SelectionStrategy, out: str,
+            params: dict):
+    result = selection.select(index, strategy)
+    _write_json(out, result.to_dict(), "select", params)
+    log.info("selected %d / %d examples (%s)", len(result), len(index), strategy.kind)
     return result
 
 
@@ -143,7 +144,7 @@ def cmd_select(args) -> None:
     pool = _load_scored_pool(args.pool, args.scores)
     strategy = selection.SelectionStrategy(kind=args.strategy, k=args.k,
                                            seed=derive_seed(args.seed, "select"))
-    result = _select(pool, strategy, args.out, vars(args))
+    result = _select(selection.PoolIndex(pool), strategy, args.out, vars(args))
     if args.merged_out:
         by_id = {e.id: e for e in pool}
         merged = corpus.serialize(_parse(args.gold)) + "".join(
@@ -274,8 +275,9 @@ def cmd_pipeline(args) -> None:
     os.makedirs(out, exist_ok=True)
     pool = _augment(gold, n_pool, ccfg, f"{out}/pool.jsonl", cfg)
     scored = _score(pool, gold, cfg["order"], cfg["k_smooth"], None, f"{out}/scores.tsv", cfg)
+    index = selection.PoolIndex(scored)  # grouped, ordered and ranked once for the sweep
     for strategy in strategies:
-        _select(scored, strategy, f"{out}/select-{strategy.kind}-{strategy.k}.json", cfg)
+        _select(index, strategy, f"{out}/select-{strategy.kind}-{strategy.k}.json", cfg)
     if full is not None:
         _split(full, gold, f"{out}/test.tsv", cfg)
     log.info("pipeline artifacts written to %s", out)

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 
 from .alignment import Segmentation, align, extract_stem, levenshtein
 from .corpus import Alphabet, Dataset, InflectionTriple, derived_triple
-from .errors import (AlphabetTooSmall, MissingKey, MissingSegmentation, NoAlignableTriples,
-                     NoStem, NotAnObject, SourceMismatch)
+from .errors import (AlphabetTooSmall, BadValue, MissingKey, MissingSegmentation,
+                     NoAlignableTriples, NoStem, NotAnObject, NotJson, SourceMismatch)
 
 log = logging.getLogger(__name__)
 
@@ -197,27 +198,61 @@ def write_pool_jsonl(pool: list[SyntheticExample]) -> str:
 
 
 def read_pool_jsonl(text: str) -> list[SyntheticExample]:
+    """The pool of a JSONL text. A line that is not a JSON object with every
+    key and a value of the right type for each is a data error naming the
+    line (and the key)."""
     pool = []
     for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        d = json.loads(line)
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise NotJson(line_no, e) from None
         if not isinstance(d, dict):
             raise NotAnObject(line_no, type(d).__name__)
         try:
-            pool.append(SyntheticExample(
-                triple=InflectionTriple(
-                    id=d["id"], lemma=d["lemma"], form=d["form"], msd=tuple(d["msd"])
-                ),
-                source_id=d["source_id"],
-                substituted_lemma_positions=tuple(d["substituted_lemma_positions"]),
-                substituted_form_positions=tuple(d["substituted_form_positions"]),
-                lev_to_gold_target=d["lev_to_gold_target"],
-                score=d.get("score"),
-            ))
+            bad = _bad_value(d)
         except KeyError as e:
             raise MissingKey(line_no, e.args[0]) from None
+        if bad:
+            key, expected = bad
+            raise BadValue(line_no, key, expected, d.get(key))
+        pool.append(SyntheticExample(
+            triple=InflectionTriple(
+                id=d["id"], lemma=d["lemma"], form=d["form"], msd=tuple(d["msd"])
+            ),
+            source_id=d["source_id"],
+            substituted_lemma_positions=tuple(d["substituted_lemma_positions"]),
+            substituted_form_positions=tuple(d["substituted_form_positions"]),
+            lev_to_gold_target=d["lev_to_gold_target"],
+            score=d.get("score"),
+        ))
     return pool
+
+
+def _bad_value(d: dict) -> tuple[str, str] | None:
+    """The first key of a pool line whose value has the wrong type, with the
+    type it needs; None if every value is right. The score, which may be
+    absent, is null or a finite number >= 0, the rule of UncertaintyScore.
+    JSON gives exactly str, int, float, bool, list, dict or None, and a bool
+    is no int here."""
+    for key in ("id", "source_id", "lemma", "form"):
+        if type(d[key]) is not str:
+            return key, "a string"
+    msd = d["msd"]
+    if type(msd) is not list or any(type(tok) is not str for tok in msd):
+        return "msd", "a list of strings"
+    for key in ("substituted_lemma_positions", "substituted_form_positions"):
+        positions = d[key]
+        if type(positions) is not list or any(type(i) is not int for i in positions):
+            return key, "a list of integers"
+    if type(d["lev_to_gold_target"]) is not int:
+        return "lev_to_gold_target", "an integer"
+    score = d.get("score")
+    if score is not None and not (type(score) in (int, float) and 0 <= score < math.inf):
+        return "score", "null or a finite number >= 0"
+    return None
 
 
 def check_sources(pool: list[SyntheticExample], gold: Dataset) -> None:

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import reprlib
+
 
 class MorphaugError(Exception):
     """Base class for all toolkit errors."""
@@ -84,6 +86,16 @@ class MissingKey(MorphaugError):
 class NotAnObject(MorphaugError):
     def __init__(self, line_no, kind):
         super().__init__(f"line {line_no}: expected a JSON object, got {kind}")
+
+
+class NotJson(MorphaugError):
+    def __init__(self, line_no, err):
+        super().__init__(f"line {line_no}: not valid JSON, column {err.colno}: {err.msg}")
+
+
+class BadValue(MorphaugError):
+    def __init__(self, line_no, key, expected, value):
+        super().__init__(f"line {line_no}: {key!r} must be {expected}, got {reprlib.repr(value)}")
 
 
 class NonNumericScore(MorphaugError):

@@ -91,9 +91,10 @@ class BootstrapCI:
             raise ValueError("percentile CI must contain the point estimate")
 
 
-# Indices drawn per block of bootstrap rows: 2**21 int64 indices (16 MiB),
-# plus as many gathered floats, whatever the resample count and sample size.
-BOOTSTRAP_BLOCK_ELEMENTS = 2 ** 21
+# Indices drawn per block of bootstrap rows: 2**16 int64 indices (512 KiB),
+# plus as many gathered floats, whatever the resample count and sample size;
+# a block and its gather stay in cache. The draws do not depend on it.
+BOOTSTRAP_BLOCK_ELEMENTS = 2 ** 16
 
 
 def resample_blocks(rng: np.random.Generator, n: int, resamples: int):

@@ -6,6 +6,10 @@ q_alpha(T) = p(T)^alpha / sum_T p(T)^alpha with alpha=0 (uniform over MSDs,
 by uncertainty ("highloss" / "lowloss"); and the hybrids that sample an MSD
 from q_alpha and then take the most uncertain remaining candidate for it.
 All sampling is without replacement and deterministic given the seed.
+
+A PoolIndex holds what the strategies derive from one pool, each part
+computed once, so a sweep of selections over one pool groups, orders and
+ranks it once.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ import json
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
-from operator import attrgetter
 from typing import Callable, Sequence
 
 from .corpus import MsdHistogram
@@ -24,6 +28,8 @@ from .errors import KTooLarge
 from .scoring import require_scored
 
 STRATEGIES = ("random", "umt", "ume", "highloss", "lowloss", "umt-loss", "ume-loss")
+# the kinds that rank by score, so need a scored pool
+LOSS_KINDS = ("highloss", "lowloss", "umt-loss", "ume-loss")
 
 
 @dataclass(frozen=True)
@@ -54,8 +60,8 @@ class SelectionResult:
     def __len__(self) -> int:
         return len(self.selected_ids)
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "strategy": {
                 "kind": self.strategy.kind,
                 "k": self.strategy.k,
@@ -64,7 +70,10 @@ class SelectionResult:
             },
             "selected_ids": list(self.selected_ids),
             "per_msd_counts": self.per_msd_counts.counts,
-        }, ensure_ascii=False, indent=2)
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
 
 
 def check_k(k: int, pool_size: int) -> None:
@@ -74,63 +83,142 @@ def check_k(k: int, pool_size: int) -> None:
         raise ValueError("k must be >= 0")
 
 
-def _msd_strings(examples: Sequence[SyntheticExample]) -> list[str]:
-    """Each example's MSD string, joining each distinct MSD once."""
-    joined = {msd: ";".join(msd) for msd in {e.triple.msd for e in examples}}
-    return [joined[e.triple.msd] for e in examples]
+class PoolIndex:
+    """What selection derives from one pool, each part computed when a
+    selection first needs it: the ids and MSD strings, the id order, the MSD
+    groups in id order, q_alpha's weights, the two loss orders and the
+    hybrids' groups. Selections work on example positions and pop from
+    copies of the groups, so the index serves any number of selections."""
+
+    def __init__(self, pool: Sequence[SyntheticExample]):
+        self.pool = list(pool)
+        self._weights: dict[float, dict[str, float]] = {}
+
+    def __len__(self) -> int:
+        return len(self.pool)
+
+    @cached_property
+    def ids(self) -> list[str]:
+        return [e.triple.id for e in self.pool]
+
+    @cached_property
+    def msds(self) -> list[str]:
+        """Each example's MSD string, joining each distinct MSD once."""
+        msds = [e.triple.msd for e in self.pool]
+        joined = {msd: ";".join(msd) for msd in set(msds)}
+        return list(map(joined.__getitem__, msds))
+
+    @cached_property
+    def id_order(self) -> list[int]:
+        """Positions sorted by id; equal ids keep their pool order."""
+        return sorted(range(len(self.pool)), key=self.ids.__getitem__)
+
+    @cached_property
+    def groups(self) -> dict[str, list[int]]:
+        """MSD -> the positions of its examples in id order, MSDs sorted."""
+        groups = defaultdict(list)
+        msds = self.msds
+        for p in self.id_order:
+            groups[msds[p]].append(p)
+        return {m: groups[m] for m in sorted(groups)}
+
+    def msd_weights(self, alpha: float) -> dict[str, float]:
+        """p(T)^alpha per MSD, in the order of `groups`. q_alpha is defined
+        from the full pool's empirical p(T); the candidates shrink during
+        selection but the weights stay fixed and are renormalized over the
+        MSDs that still have candidates."""
+        weights = self._weights.get(alpha)
+        if weights is None:
+            n = len(self.pool)
+            weights = self._weights[alpha] = {
+                m: (len(g) / n) ** alpha for m, g in self.groups.items()}
+        return weights
+
+    @cached_property
+    def scores(self) -> list[float]:
+        """Each example's score; UnscoredPool if any is missing."""
+        return [e.score for e in require_scored(self.pool)]
+
+    @cached_property
+    def highest_loss(self) -> list[int]:
+        """Positions by (-score, id): a stable sort of the id order, which
+        reverse=True keeps for equal scores. It equals a sort by the key
+        (-score, id) for every score but NaN, which read_pool_jsonl rejects."""
+        return sorted(self.id_order, key=self.scores.__getitem__, reverse=True)
+
+    @cached_property
+    def lowest_loss(self) -> list[int]:
+        """Positions by (score, id)."""
+        return sorted(self.id_order, key=self.scores.__getitem__)
+
+    @cached_property
+    def hybrid_groups(self) -> dict[str, list[int]]:
+        """Each MSD group by (-score, id), reversed, so pop() takes its most
+        uncertain remaining candidate."""
+        score = self.scores.__getitem__
+        return {m: sorted(g, key=score, reverse=True)[::-1] for m, g in self.groups.items()}
+
+    def _draw_by_msd(self, groups: dict[str, list[int]], alpha: float, k: int,
+                     rng: random.Random, take: Callable[[list[int]], int]) -> list[int]:
+        """Repeat k times: draw an MSD by weight among those that still have
+        candidates, then remove take(candidates) from a copy of its group. The
+        live MSDs and their cumulative weights are rebuilt only when a group
+        empties; choices() with cum_weights makes the same draw as with the
+        weights."""
+        weights = self.msd_weights(alpha)
+        groups = {m: g.copy() for m, g in groups.items()}
+        live = list(groups)
+        cum = list(accumulate(map(weights.__getitem__, live)))
+        choices = rng.choices
+        picked = []
+        for _ in range(k):
+            cands = groups[choices(live, cum_weights=cum)[0]]
+            picked.append(take(cands))
+            if not cands:
+                live = [m for m in live if groups[m]]
+                cum = list(accumulate(map(weights.__getitem__, live)))
+        return picked
+
+    def select(self, strategy: SelectionStrategy, alpha: float | None = None) -> SelectionResult:
+        """The selection of `strategy`. The MSD-drawn kinds use q_alpha with
+        the strategy's own alpha unless `alpha` is given."""
+        kind, k = strategy.kind, strategy.k
+        if kind in LOSS_KINDS:
+            self.scores  # raises UnscoredPool before any other check
+        check_k(k, len(self.pool))
+        if alpha is None:
+            alpha = strategy.alpha
+        if kind == "random":
+            picked = random.Random(strategy.seed).sample(range(len(self.pool)), k)
+        elif kind == "highloss" or kind == "lowloss":
+            ranked = self.highest_loss if kind == "highloss" else self.lowest_loss
+            picked = ranked[:k]
+            # a ranking draws nothing, so its result records seed 0
+            strategy = SelectionStrategy(kind=kind, k=k)
+        elif kind == "umt" or kind == "ume":
+            rng = random.Random(strategy.seed)
+            picked = self._draw_by_msd(self.groups, alpha, k, rng,
+                                       lambda cands: cands.pop(rng.randrange(len(cands))))
+        else:
+            picked = self._draw_by_msd(self.hybrid_groups, alpha, k,
+                                       random.Random(strategy.seed), list.pop)
+        return SelectionResult(
+            selected_ids=tuple(map(self.ids.__getitem__, picked)),
+            strategy=strategy,
+            per_msd_counts=MsdHistogram(counts=dict(Counter(map(self.msds.__getitem__, picked))),
+                                        total=len(picked)),
+        )
 
 
-def _result(selected: list[SyntheticExample], strategy: SelectionStrategy) -> SelectionResult:
-    return SelectionResult(
-        selected_ids=tuple(e.triple.id for e in selected),
-        strategy=strategy,
-        per_msd_counts=MsdHistogram(counts=dict(Counter(_msd_strings(selected))),
-                                    total=len(selected)),
-    )
+def select(pool: Sequence[SyntheticExample] | PoolIndex,
+           strategy: SelectionStrategy) -> SelectionResult:
+    """The selection of `strategy` from a pool, or from the PoolIndex of one."""
+    index = pool if isinstance(pool, PoolIndex) else PoolIndex(pool)
+    return index.select(strategy)
 
 
 def select_random(pool: Sequence[SyntheticExample], k: int, seed: int = 0) -> SelectionResult:
-    check_k(k, len(pool))
-    rng = random.Random(seed)
-    selected = rng.sample(list(pool), k)
-    return _result(selected, SelectionStrategy(kind="random", k=k, seed=seed))
-
-
-def _msd_weights(pool: Sequence[SyntheticExample], alpha: float) -> dict[str, float]:
-    # q_alpha is defined from the full pool's empirical p(T); the candidate
-    # pool shrinks during selection but the weights stay fixed and are
-    # renormalized over MSDs that still have candidates.
-    counts = Counter(_msd_strings(pool))
-    total = len(pool)
-    return {m: (c / total) ** alpha for m, c in counts.items()}
-
-
-def _group_by_msd(pool: Sequence[SyntheticExample]) -> dict[str, list[SyntheticExample]]:
-    groups: dict[str, list[SyntheticExample]] = defaultdict(list)
-    ordered = sorted(pool, key=attrgetter("triple.id"))
-    for e, msd in zip(ordered, _msd_strings(ordered)):
-        groups[msd].append(e)
-    return groups
-
-
-def _draw_by_msd(groups: dict[str, list[SyntheticExample]], weights: dict[str, float],
-                 k: int, rng: random.Random,
-                 take: Callable[[list[SyntheticExample]], SyntheticExample],
-                 ) -> list[SyntheticExample]:
-    """Repeat k times: draw an MSD by weight among those that still have
-    candidates, then remove take(candidates) from its group. The sorted live
-    MSDs and their cumulative weights are rebuilt only when a group empties;
-    choices() with cum_weights makes the same draw as with the weights."""
-    live = sorted(groups)
-    cum = list(accumulate(weights[m] for m in live))
-    selected = []
-    for _ in range(k):
-        cands = groups[rng.choices(live, cum_weights=cum, k=1)[0]]
-        selected.append(take(cands))
-        if not cands:
-            live = [m for m in live if groups[m]]
-            cum = list(accumulate(weights[m] for m in live))
-    return selected
+    return PoolIndex(pool).select(SelectionStrategy(kind="random", k=k, seed=seed))
 
 
 def select_templatic(pool: Sequence[SyntheticExample], k: int, alpha: float,
@@ -138,12 +226,8 @@ def select_templatic(pool: Sequence[SyntheticExample], k: int, alpha: float,
     """Repeat k times: draw an MSD from q_alpha, then a uniform candidate
     with that MSD; remove it. The result is labelled umt if alpha is 0, else
     ume (whose strategy reports alpha 1)."""
-    check_k(k, len(pool))
-    rng = random.Random(seed)
-    selected = _draw_by_msd(_group_by_msd(pool), _msd_weights(pool, alpha), k, rng,
-                            lambda cands: cands.pop(rng.randrange(len(cands))))
     kind = "umt" if alpha == 0 else "ume"
-    return _result(selected, SelectionStrategy(kind=kind, k=k, seed=seed))
+    return PoolIndex(pool).select(SelectionStrategy(kind=kind, k=k, seed=seed), alpha)
 
 
 def select_by_loss(pool: Sequence[SyntheticExample], k: int,
@@ -151,15 +235,8 @@ def select_by_loss(pool: Sequence[SyntheticExample], k: int,
     """Exact top-k (or bottom-k) by nll; ties broken by lowest id."""
     if direction not in ("highest", "lowest"):
         raise ValueError(f"direction must be 'highest' or 'lowest', got {direction!r}")
-    pool = require_scored(pool)
-    check_k(k, len(pool))
-    if direction == "highest":
-        ranked = sorted(pool, key=lambda e: (-e.score, e.id))
-        kind = "highloss"
-    else:
-        ranked = sorted(pool, key=lambda e: (e.score, e.id))
-        kind = "lowloss"
-    return _result(ranked[:k], SelectionStrategy(kind=kind, k=k))
+    kind = "highloss" if direction == "highest" else "lowloss"
+    return PoolIndex(pool).select(SelectionStrategy(kind=kind, k=k))
 
 
 def select_hybrid(pool: Sequence[SyntheticExample], k: int, alpha: float,
@@ -167,28 +244,5 @@ def select_hybrid(pool: Sequence[SyntheticExample], k: int, alpha: float,
     """Repeat k times: draw an MSD from q_alpha, take its most uncertain
     remaining candidate (ties by lowest id); remove it. Labelled as
     select_templatic, with the -loss suffix."""
-    pool = require_scored(pool)
-    check_k(k, len(pool))
-    groups = _group_by_msd(pool)
-    # most uncertain last (ties by lowest id), so pop() takes it
-    for cands in groups.values():
-        cands.sort(key=lambda e: (-e.score, e.id))
-        cands.reverse()
-    selected = _draw_by_msd(groups, _msd_weights(pool, alpha), k, random.Random(seed), list.pop)
     kind = "umt-loss" if alpha == 0 else "ume-loss"
-    return _result(selected, SelectionStrategy(kind=kind, k=k, seed=seed))
-
-
-def select(pool: Sequence[SyntheticExample], strategy: SelectionStrategy) -> SelectionResult:
-    kind, k, alpha, seed = strategy.kind, strategy.k, strategy.alpha, strategy.seed
-    if kind == "random":
-        return select_random(pool, k, seed)
-    if kind in ("umt", "ume"):
-        return select_templatic(pool, k, alpha, seed)
-    if kind == "highloss":
-        return select_by_loss(pool, k, "highest")
-    if kind == "lowloss":
-        return select_by_loss(pool, k, "lowest")
-    if kind in ("umt-loss", "ume-loss"):
-        return select_hybrid(pool, k, alpha, seed)
-    raise ValueError(f"unknown strategy {kind!r}")
+    return PoolIndex(pool).select(SelectionStrategy(kind=kind, k=k, seed=seed), alpha)

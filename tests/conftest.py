@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter, defaultdict
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -251,15 +252,21 @@ def oracle_bootstrap_percentile(samples, statistic=None, resamples=10000, level=
                        resamples=resamples, level=level)
 
 
+def oracle_group_by_msd(pool):
+    """MSD string -> its examples, each group sorted by id (equal ids in pool
+    order)."""
+    groups = defaultdict(list)
+    for e in sorted(pool, key=attrgetter("triple.id")):
+        groups[e.msd_string].append(e)
+    return groups
+
+
 def _oracle_msd_groups(pool, alpha):
     counts = defaultdict(int)
     for e in pool:
         counts[e.msd_string] += 1
     weights = {m: (c / len(pool)) ** alpha for m, c in counts.items()}
-    remaining = defaultdict(list)
-    for e in sorted(pool, key=lambda e: e.id):
-        remaining[e.msd_string].append(e)
-    return weights, remaining
+    return weights, oracle_group_by_msd(pool)
 
 
 def _oracle_draw_msd(rng, weights, remaining):
@@ -268,8 +275,21 @@ def _oracle_draw_msd(rng, weights, remaining):
     return rng.choices(live, weights=w, k=1)[0]
 
 
+def oracle_select_random(pool, k, rng):
+    """The examples of a uniform draw of k from the pool's list."""
+    return rng.sample(list(pool), k)
+
+
+def oracle_select_by_loss(pool, k, direction):
+    """The first k examples of a full sort by (-score, id) for "highest",
+    by (score, id) for "lowest"."""
+    if direction == "highest":
+        return sorted(pool, key=lambda e: (-e.score, e.id))[:k]
+    return sorted(pool, key=lambda e: (e.score, e.id))[:k]
+
+
 def oracle_select_templatic(pool, k, alpha, rng):
-    """Selected ids of the MSD-templatic draw that re-sorts the live MSDs and
+    """The examples of the MSD-templatic draw that re-sorts the live MSDs and
     re-accumulates their weights on every draw."""
     weights, remaining = _oracle_msd_groups(pool, alpha)
     selected = []
@@ -277,11 +297,11 @@ def oracle_select_templatic(pool, k, alpha, rng):
         msd = _oracle_draw_msd(rng, weights, remaining)
         cands = remaining[msd]
         selected.append(cands.pop(rng.randrange(len(cands))))
-    return [e.id for e in selected]
+    return selected
 
 
 def oracle_select_hybrid(pool, k, alpha, rng):
-    """Selected ids of the hybrid draw: as oracle_select_templatic, but takes
+    """The examples of the hybrid draw: as oracle_select_templatic, but takes
     the most uncertain candidate with pop(0)."""
     weights, remaining = _oracle_msd_groups(pool, alpha)
     # most uncertain first, ties by lowest id
@@ -291,7 +311,7 @@ def oracle_select_hybrid(pool, k, alpha, rng):
     for _ in range(k):
         msd = _oracle_draw_msd(rng, weights, remaining)
         selected.append(remaining[msd].pop(0))
-    return [e.id for e in selected]
+    return selected
 
 
 def oracle_matched_runs(alignment, min_run):

@@ -394,6 +394,58 @@ def test_pool_line_missing_a_key_is_a_data_error(gold_file, tmp_path, capsys):
     _assert_data_error(capsys, out, "line 3:", "'source_id'")
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("lemma", 5, "a string"),
+    ("id", None, "a string"),
+    ("source_id", ["1"], "a string"),
+    ("form", True, "a string"),
+    ("msd", 5, "a list of strings"),
+    ("msd", ["V", 5], "a list of strings"),
+    ("msd", "V;PST", "a list of strings"),
+    ("substituted_lemma_positions", 5, "a list of integers"),
+    ("substituted_form_positions", [True], "a list of integers"),
+    ("substituted_form_positions", [1.0], "a list of integers"),
+    ("lev_to_gold_target", "2", "an integer"),
+    ("lev_to_gold_target", False, "an integer"),
+    ("score", float("nan"), "finite number >= 0"),
+    ("score", float("inf"), "finite number >= 0"),
+    ("score", -0.5, "finite number >= 0"),
+    ("score", "1.5", "finite number >= 0"),
+    ("score", True, "finite number >= 0"),
+])
+def test_pool_value_of_the_wrong_type_is_a_data_error(gold_file, tmp_path, capsys,
+                                                      key, value, expected):
+    pool = tmp_path / "pool.jsonl"
+    assert main(["augment", "--gold", gold_file, "--n", "5", "--out", str(pool),
+                 "--quiet"]) == 0
+    lines = pool.read_text().splitlines()
+    broken = json.loads(lines[2])
+    broken[key] = value
+    lines[2] = json.dumps(broken)  # NaN and Infinity as Python's json writes them
+    pool.write_text("\n".join(lines) + "\n")
+    out, merged = tmp_path / "sel.json", tmp_path / "train.tsv"
+    capsys.readouterr()
+    assert main(["select", "--pool", str(pool), "--strategy", "random", "--k", "2",
+                 "--gold", gold_file, "--merged-out", str(merged), "--out", str(out),
+                 "--quiet"]) == 2
+    _assert_data_error(capsys, out, "line 3:", repr(key), expected)
+    assert not merged.exists()
+
+
+def test_truncated_pool_line_is_a_data_error_naming_the_line(gold_file, tmp_path, capsys):
+    pool = tmp_path / "pool.jsonl"
+    assert main(["augment", "--gold", gold_file, "--n", "5", "--out", str(pool),
+                 "--quiet"]) == 0
+    lines = pool.read_text().splitlines()
+    lines[2] = lines[2][:40]
+    pool.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "sel.json"
+    capsys.readouterr()
+    assert main(["select", "--pool", str(pool), "--strategy", "random", "--k", "2",
+                 "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, "line 3:", "not valid JSON")
+
+
 @pytest.mark.parametrize("sizes", ["0,-5", "-5", "0,5x", "500,", "1.5"])
 def test_milab_bad_syn_sizes_are_usage_errors(tmp_path, capsys, sizes):
     out = tmp_path / "curve.json"

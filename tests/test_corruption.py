@@ -147,6 +147,24 @@ def test_pool_jsonl_round_trip():
     assert read_pool_jsonl(write_pool_jsonl(pool)) == pool
 
 
+@pytest.mark.parametrize("score", [None, 0, 0.0, 2, 1.5, 1e300])
+def test_read_pool_jsonl_keeps_every_valid_score(score):
+    gold = make_dataset([("walked", "walkeds", "V;PST")])
+    pool = generate_pool(gold, 2, ALPHABET, CorruptionConfig(theta=0.5, seed=3))
+    pool = [SyntheticExample(e.triple, e.source_id, e.substituted_lemma_positions,
+                             e.substituted_form_positions, e.lev_to_gold_target, score)
+            for e in pool]
+    back = read_pool_jsonl(write_pool_jsonl(pool))
+    assert back == pool and [type(e.score) for e in back] == [type(score)] * 2
+
+
+def test_read_pool_jsonl_may_omit_the_score():
+    line = ('{"id": "s1", "source_id": "1", "lemma": "walked", "form": "walkeds", '
+            '"msd": ["V", "PST"], "substituted_lemma_positions": [], '
+            '"substituted_form_positions": [], "lev_to_gold_target": 0}')
+    assert read_pool_jsonl(line + "\n")[0].score is None
+
+
 def test_pool_tsv_export():
     gold = make_dataset([("walked", "walkeds", "V;PST")])
     pool = generate_pool(gold, 3, ALPHABET, CorruptionConfig(theta=0.0, seed=3))

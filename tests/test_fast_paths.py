@@ -4,6 +4,7 @@ and the MSD-templatic selections the same random draws."""
 
 import json
 import random
+from collections import Counter
 from contextlib import contextmanager
 from types import SimpleNamespace
 from unittest import mock
@@ -23,7 +24,8 @@ from morphaug.scoring import NGramScorer
 from conftest import (make_dataset, oracle_align, oracle_bootstrap_percentile, oracle_corrupt,
                       oracle_corrupt_toy, oracle_factorization_gap, oracle_generate_pool,
                       oracle_harmony_bootstrap, oracle_joint_counts, oracle_levenshtein,
-                      oracle_logprobs, oracle_pair_samples, oracle_select_hybrid,
+                      oracle_group_by_msd, oracle_logprobs, oracle_pair_samples,
+                      oracle_select_by_loss, oracle_select_hybrid, oracle_select_random,
                       oracle_select_templatic, oracle_write_pool_jsonl, random_word)
 
 # plain letters plus combining marks (NFD acute, diaeresis), one code point each
@@ -336,6 +338,7 @@ def _block(elements):
 @example(5, 1, 50, 7, 2)
 @example(60, 40, 300, 37, 3)  # both groups larger than a block: one row per block
 @example(3000, 2000, 301, 2**21, 4)
+@example(1403, 4597, 10000, 2**16, 0)  # the select-report harmony groups, default resamples
 def test_bootstrap_blocks_match_full_draw(n_v, n_a, resamples, block, seed):
     data = np.random.default_rng(seed ^ 0x5EED)
     v, a = data.normal(1.0, 0.5, n_v), data.normal(1.1, 0.5, n_a)
@@ -358,7 +361,7 @@ def _harmony_pool(n, seed):
     return [e.with_score(rng.gauss(1.0, 0.3)) for e in pool], segment_dataset(gold)
 
 
-@pytest.mark.parametrize("block", [1, 5, 64, 2**21])
+@pytest.mark.parametrize("block", [1, 5, 64, 2**16, 2**21])
 def test_harmony_violation_stats_p_matches_full_draw(block):
     cfg = milab.HarmonyRule(
         vowel_classes={"a": "back", "o": "back", "e": "front", "i": "front"})
@@ -415,7 +418,7 @@ def _check_selection(fast_select, oracle, pool, k, alpha, seed):
     with _recorded_rngs(selection) as made:
         fast = fast_select(pool, k, alpha, seed)
     slow_rng = random.Random(seed)
-    assert list(fast.selected_ids) == oracle(pool, k, alpha, slow_rng)
+    assert list(fast.selected_ids) == [e.id for e in oracle(pool, k, alpha, slow_rng)]
     assert made[0].getstate() == slow_rng.getstate()
 
 
@@ -442,6 +445,71 @@ def test_msd_selections_match_oracle_on_500_msds(alpha):
                          (selection.select_hybrid, oracle_select_hybrid)):
         for k in (700, len(pool)):
             _check_selection(fast, oracle, pool, k, alpha, seed=3)
+
+
+# ------------------------------------------------ one index, many selections
+
+@st.composite
+def sweep_cases(draw):
+    """A pool with tied scores, repeated ids and one-member MSDs, and every
+    strategy at k = 0, k = len(pool) and a few k between, in shuffled order."""
+    n_msds = draw(st.integers(1, 8))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, n_msds - 1), st.integers(0, 15),
+                  st.sampled_from([0.0, 0.5, 1.0, 1.25, 3.0])),
+        min_size=1, max_size=50))
+    pool = [_example(f"x{i:02d}", f"V;M{m}", score) for m, i, score in rows]
+    ks = {0, len(pool), *draw(st.lists(st.integers(0, len(pool)), max_size=3))}
+    strategies = [selection.SelectionStrategy(kind=kind, k=k, seed=draw(st.integers(0, 2**16)))
+                  for kind in selection.STRATEGIES for k in ks]
+    return pool, draw(st.permutations(strategies))
+
+
+def _oracle_selection(pool, s):
+    """The examples the oracles select for strategy s."""
+    rng = random.Random(s.seed)
+    if s.kind == "random":
+        return oracle_select_random(pool, s.k, rng)
+    if s.kind in ("highloss", "lowloss"):
+        return oracle_select_by_loss(pool, s.k, "highest" if s.kind == "highloss" else "lowest")
+    if s.kind in ("umt", "ume"):
+        return oracle_select_templatic(pool, s.k, s.alpha, rng)
+    return oracle_select_hybrid(pool, s.k, s.alpha, rng)
+
+
+def _index_state(index):
+    """Every part the index computes, as plain values."""
+    state = {name: getattr(index, name) for name in (
+        "ids", "msds", "id_order", "groups", "scores", "highest_loss", "lowest_loss",
+        "hybrid_groups")}
+    state["weights"] = [index.msd_weights(alpha) for alpha in (0.0, 1.0)]
+    return json.loads(json.dumps(state))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_cases())
+def test_one_index_serves_a_sweep_as_fresh_indexes_and_the_oracles(case):
+    pool, strategies = case
+    index = selection.PoolIndex(pool)
+    for s in strategies:
+        got = selection.select(index, s)
+        assert got == selection.select(pool, s)  # a fresh one-shot index
+        want = _oracle_selection(pool, s)
+        assert list(got.selected_ids) == [e.id for e in want]
+        assert got.per_msd_counts.counts == Counter(e.msd_string for e in want)
+        assert got.per_msd_counts.total == s.k
+    assert _index_state(index) == _index_state(selection.PoolIndex(pool))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_cases())
+def test_index_groups_match_the_oracle_grouping(case):
+    pool, _ = case
+    index = selection.PoolIndex(pool)
+    oracle = oracle_group_by_msd(pool)
+    assert list(index.groups) == sorted(oracle)
+    for msd, positions in index.groups.items():
+        assert [id(pool[p]) for p in positions] == [id(e) for e in oracle[msd]]
 
 
 # ------------------------------------------------------------ toy MI lab

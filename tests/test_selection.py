@@ -8,9 +8,10 @@ from morphaug.corpus import InflectionTriple
 from morphaug.corruption import SyntheticExample
 from morphaug.errors import KTooLarge, UnscoredPool
 from morphaug.selection import (
+    LOSS_KINDS,
     STRATEGIES,
+    PoolIndex,
     SelectionStrategy,
-    _msd_weights,
     select,
     select_by_loss,
     select_hybrid,
@@ -70,6 +71,21 @@ def test_k_zero_selects_nothing():
         assert select(pool, SelectionStrategy(kind=kind, k=0)).selected_ids == ()
 
 
+def test_index_raises_as_the_one_shot_functions():
+    # only the loss kinds need scores, and k is checked after the scores
+    index = PoolIndex(_pool_nine_vs_one())
+    for kind in STRATEGIES:
+        if kind in LOSS_KINDS:
+            with pytest.raises(UnscoredPool):
+                index.select(SelectionStrategy(kind=kind, k=11))
+        else:
+            assert len(index.select(SelectionStrategy(kind=kind, k=10))) == 10
+            with pytest.raises(KTooLarge):
+                index.select(SelectionStrategy(kind=kind, k=11))
+            with pytest.raises(ValueError):
+                index.select(SelectionStrategy(kind=kind, k=-1))
+
+
 def test_k_too_large():
     with pytest.raises(KTooLarge):
         select_random(_pool_nine_vs_one(), 11)
@@ -95,9 +111,9 @@ def test_random_single_draw_frequencies():
 
 
 def test_msd_weights():
-    pool = _pool_nine_vs_one()
-    assert _msd_weights(pool, 1.0) == {"PL;ERG": 0.9, "SG;ERG": 0.1}
-    assert _msd_weights(pool, 0.0) == {"PL;ERG": 1.0, "SG;ERG": 1.0}
+    index = PoolIndex(_pool_nine_vs_one())
+    assert index.msd_weights(1.0) == {"PL;ERG": 0.9, "SG;ERG": 0.1}
+    assert index.msd_weights(0.0) == {"PL;ERG": 1.0, "SG;ERG": 1.0}
 
 
 @pytest.mark.parametrize("alpha,p_minority", [(0.0, 0.5), (1.0, 0.1)])
