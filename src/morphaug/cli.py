@@ -171,7 +171,14 @@ def _syn_sizes(text: str) -> list[int]:
 def cmd_milab(args) -> None:
     from . import milab
 
+    # every flag value is checked before any work; a bad one is a usage error
     syn_sizes = _syn_sizes(args.syn_sizes)
+    if args.gold < 1:
+        raise UsageError(f"--gold must be >= 1, got {args.gold}")
+    if not 0.0 <= args.theta <= 1.0:
+        raise UsageError(f"--theta must be in [0, 1], got {args.theta}")
+    if args.resamples < 0:
+        raise UsageError(f"--resamples must be >= 0, got {args.resamples}")
     try:
         # its ValueErrors are all bad sizes, raised before any other work
         grammar = milab.make_toy_grammar(
@@ -382,7 +389,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (MorphaugError, FileNotFoundError, json.JSONDecodeError, ValueError) as e:
+    except (MorphaugError, OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

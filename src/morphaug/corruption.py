@@ -17,7 +17,7 @@ from json.encoder import encode_basestring
 
 from .alignment import Segmentation, align, extract_stem, levenshtein
 from .corpus import Alphabet, Dataset, InflectionTriple, derived_triple
-from .errors import (AlphabetTooSmall, BadValue, MissingKey, MissingSegmentation,
+from .errors import (AlphabetTooSmall, BadTriple, BadValue, MissingKey, MissingSegmentation,
                      NoAlignableTriples, NoStem, NotAnObject, NotJson, SourceMismatch)
 
 log = logging.getLogger(__name__)
@@ -199,8 +199,8 @@ def write_pool_jsonl(pool: list[SyntheticExample]) -> str:
 
 def read_pool_jsonl(text: str) -> list[SyntheticExample]:
     """The pool of a JSONL text. A line that is not a JSON object with every
-    key and a value of the right type for each is a data error naming the
-    line (and the key)."""
+    key and a value of the right type for each, or whose triple is invalid,
+    is a data error naming the line (and the key)."""
     pool = []
     for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -218,10 +218,13 @@ def read_pool_jsonl(text: str) -> list[SyntheticExample]:
         if bad:
             key, expected = bad
             raise BadValue(line_no, key, expected, d.get(key))
+        try:
+            triple = InflectionTriple(id=d["id"], lemma=d["lemma"], form=d["form"],
+                                      msd=tuple(d["msd"]))
+        except ValueError as e:
+            raise BadTriple(line_no, e) from None
         pool.append(SyntheticExample(
-            triple=InflectionTriple(
-                id=d["id"], lemma=d["lemma"], form=d["form"], msd=tuple(d["msd"])
-            ),
+            triple=triple,
             source_id=d["source_id"],
             substituted_lemma_positions=tuple(d["substituted_lemma_positions"]),
             substituted_form_positions=tuple(d["substituted_form_positions"]),

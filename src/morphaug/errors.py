@@ -98,6 +98,14 @@ class BadValue(MorphaugError):
         super().__init__(f"line {line_no}: {key!r} must be {expected}, got {reprlib.repr(value)}")
 
 
+class BadTriple(MorphaugError, ValueError):
+    """An input line's triple that InflectionTriple rejects; a ValueError,
+    as the constructor's own error is."""
+
+    def __init__(self, line_no, err):
+        super().__init__(f"line {line_no}: {err}")
+
+
 class NonNumericScore(MorphaugError):
     def __init__(self, line_no, value):
         super().__init__(f"line {line_no}: non-numeric score {value!r}")

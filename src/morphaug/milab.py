@@ -10,6 +10,9 @@ stem-corrupted synthetic data at gold fraction lambda, and measures:
   * the total-variation gap between the empirical P(Y|X,T) and the
     factorized product P(Y_affix|X_affix,T) * P(Y_stem|X_stem).
 
+Each example set is counted once (toy_records); every MI table, bootstrap
+and factorization gap of the curve is derived from those counts.
+
 An optional vowel-harmony rule makes affixes agree with the last stem vowel's
 class, which breaks the factorization and is the built-in counterexample.
 Segmentation uses the grammar's known boundaries, not the alignment module;
@@ -26,7 +29,7 @@ from operator import attrgetter
 import numpy as np
 
 from .alignment import align, extract_stem, segmentation_from_boundary
-from .corpus import Alphabet, Dataset, InflectionTriple
+from .corpus import Alphabet, InflectionTriple
 from .corruption import CorruptionConfig, substitute
 from .errors import NoStem, NoVowelsConfigured
 from .util import derive_seed
@@ -38,10 +41,10 @@ MI_PAIRS = (
     ("y_affix", "x_stem"),
 )
 
-# the ToyExample attribute that holds each MI variable (lemma and form share
-# the prefix stem, so x_stem and y_stem are both the stem)
-_VARIABLE_ATTR = {"t": "msd", "x_stem": "stem", "x_affix": "x_affix",
-                  "y_stem": "stem", "y_affix": "y_affix"}
+# the field of a toy record (stem, msd, lemma, form, x_affix, y_affix) that
+# holds each MI variable (lemma and form share the prefix stem, so x_stem and
+# y_stem are both the stem)
+_VARIABLE_FIELD = {"t": 1, "x_stem": 0, "x_affix": 4, "y_stem": 0, "y_affix": 5}
 
 
 @dataclass(frozen=True)
@@ -128,9 +131,10 @@ class ToyGrammar:
         return stem + x_affix, stem + y_affix, x_affix, y_affix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToyExample:
-    """One toy datapoint with its ground-truth decomposition."""
+    """One toy datapoint with its ground-truth decomposition. corrupt_toy
+    builds its examples through the slot setters, without __init__."""
 
     id: str
     stem: str
@@ -152,6 +156,20 @@ class ToyExample:
 
     def to_triple(self) -> InflectionTriple:
         return InflectionTriple(id=self.id, lemma=self.lemma, form=self.form, msd=(self.msd,))
+
+
+_new = object.__new__
+# the slots' own setters: like a frozen dataclass's __init__, they go past
+# the frozen __setattr__
+(_set_id, _set_stem, _set_msd, _set_lemma, _set_form, _set_x_affix, _set_y_affix,
+ _set_synthetic) = (ToyExample.__dict__[f].__set__ for f in ToyExample.__slots__)
+_record = attrgetter("stem", "msd", "lemma", "form", "x_affix", "y_affix")
+
+
+def toy_records(examples: list[ToyExample]) -> Counter:
+    """The count of each (stem, msd, lemma, form, x_affix, y_affix) record of
+    the examples, in first-occurrence order."""
+    return Counter(map(_record, examples))
 
 
 _CONSONANTS = ("d", "l")
@@ -258,16 +276,16 @@ def corrupt_toy(
             source = sources[k] = (src.to_triple(), segmentation_from_boundary(
                 src.lemma, src.form, len(src.stem)))
         lemma, form, _, _ = substitute(*source, alphabet, cfg, rng)
-        out.append(ToyExample(
-            id=f"s{i:06d}",
-            stem=form[: len(src.stem)],
-            msd=src.msd,
-            lemma=lemma,
-            form=form,
-            x_affix=src.x_affix,
-            y_affix=src.y_affix,
-            synthetic=True,
-        ))
+        e = _new(ToyExample)
+        _set_id(e, f"s{i:06d}")
+        _set_stem(e, form[: len(src.stem)])
+        _set_msd(e, src.msd)
+        _set_lemma(e, lemma)
+        _set_form(e, form)
+        _set_x_affix(e, src.x_affix)
+        _set_y_affix(e, src.y_affix)
+        _set_synthetic(e, True)
+        out.append(e)
     return out
 
 
@@ -285,8 +303,8 @@ class MIEstimate:
             raise ValueError("plug-in MI must be nonnegative")
 
 
-def _joint_counts(samples: list[tuple]) -> np.ndarray:
-    joint = Counter(samples)
+def _joint_counts(joint: Counter) -> np.ndarray:
+    """The joint count table of a Counter of pairs, with sorted levels."""
     a_levels = {a: i for i, a in enumerate(sorted({a for a, _ in joint}))}
     b_levels = {b: i for i, b in enumerate(sorted({b for _, b in joint}))}
     counts = np.zeros((len(a_levels), len(b_levels)))
@@ -308,27 +326,29 @@ def _mi_bits(counts: np.ndarray) -> np.ndarray:
 
 
 def estimate_mi(
-    samples: list[tuple],
+    samples: list[tuple] | Counter,
     pair: tuple[str, str] = ("a", "b"),
     lam: float = 1.0,
     resamples: int = 0,
     seed: int = 0,
 ) -> MIEstimate:
-    """Plug-in MI of categorical pairs, with optional bootstrap percentile CI
+    """Plug-in MI of categorical pairs, given as a list or as a Counter of
+    pairs with positive counts, with optional bootstrap percentile CI
     (multinomial resampling of the empirical joint)."""
-    if not samples:
+    joint = samples if isinstance(samples, Counter) else Counter(samples)
+    n = joint.total()
+    if not n:
         raise ValueError("estimate_mi requires at least one sample")
-    counts = _joint_counts(samples)
+    counts = _joint_counts(joint)
     bits = float(_mi_bits(counts))
     ci_low = ci_high = None
     if resamples > 0:
-        n = len(samples)
         flat = counts.ravel() / n
         rng = np.random.default_rng(seed)
         boot = rng.multinomial(n, flat, size=resamples).reshape(resamples, *counts.shape)
         dist = _mi_bits(boot.astype(float))
         ci_low, ci_high = (float(q) for q in np.percentile(dist, [2.5, 97.5]))
-    return MIEstimate(pair=pair, bits=bits, n_samples=len(samples), lam=lam,
+    return MIEstimate(pair=pair, bits=bits, n_samples=n, lam=lam,
                       ci_low=ci_low, ci_high=ci_high)
 
 
@@ -369,8 +389,20 @@ class CurvePoint:
         }
 
 
-def _pair_samples(examples: list[ToyExample], pair: tuple[str, str]) -> list[tuple]:
-    return list(map(attrgetter(*(_VARIABLE_ATTR[v] for v in pair)), examples))
+def _pair_counts(records: Counter) -> dict:
+    """The joint count of each MI pair, projected from a record count; pairs
+    that read the same two fields share one Counter."""
+    by_fields: dict[tuple, Counter] = {}
+    out = {}
+    for pair in MI_PAIRS:
+        i, j = fields = tuple(_VARIABLE_FIELD[v] for v in pair)
+        joint = by_fields.get(fields)
+        if joint is None:
+            joint = by_fields[fields] = Counter()
+            for key, c in records.items():
+                joint[key[i], key[j]] += c
+        out[pair] = joint
+    return out
 
 
 def mi_decay_curve(
@@ -384,26 +416,28 @@ def mi_decay_curve(
 ) -> list[CurvePoint]:
     """MI of the gold/synthetic mixture for each synthetic size, for all four
     variable pairs, with bootstrap CIs, per-point convexity verdicts and the
-    mixture's factorization gap."""
+    mixture's factorization gap. Gold is counted and estimated once, each
+    synthetic set counted once, and the mixture count is their sum."""
     gold = generate_gold(g, gold_n, seed=derive_seed(seed, "gold"))
+    gold_rec = toy_records(gold)
+    gold_est = {pair: estimate_mi(joint, pair, 1.0)
+                for pair, joint in _pair_counts(gold_rec).items()}
     points = []
     for s in syn_sizes:
-        syn = corrupt_toy(gold, g, s, theta, seed=derive_seed(seed, f"syn-{s}")) if s else []
-        mixture = gold + syn
+        syn_rec = toy_records(
+            corrupt_toy(gold, g, s, theta, seed=derive_seed(seed, f"syn-{s}")) if s else ())
+        # Counter addition keeps the first-occurrence order of gold + syn
+        mixture = gold_rec + syn_rec
         lam = gold_n / (gold_n + s)
-        mix_est, gold_est, syn_est, convex = {}, {}, {}, {}
-        for pair in MI_PAIRS:
-            mix_est[pair] = estimate_mi(
-                _pair_samples(mixture, pair), pair, lam,
-                resamples=resamples, seed=derive_seed(seed, f"boot-{s}-{pair}"),
-            )
-            gold_est[pair] = estimate_mi(_pair_samples(gold, pair), pair, 1.0)
-            if syn:
-                syn_est[pair] = estimate_mi(_pair_samples(syn, pair), pair, 0.0)
-            i_a = syn_est[pair].bits if syn else 0.0
-            convex[pair] = convexity_bound_check(
-                gold_est[pair].bits, i_a, lam, mix_est[pair].bits, epsilon
-            )
+        mix_est = {pair: estimate_mi(joint, pair, lam, resamples=resamples,
+                                     seed=derive_seed(seed, f"boot-{s}-{pair}"))
+                   for pair, joint in _pair_counts(mixture).items()}
+        syn_est = {pair: estimate_mi(joint, pair, 0.0)
+                   for pair, joint in _pair_counts(syn_rec).items()} if s else {}
+        convex = {pair: convexity_bound_check(gold_est[pair].bits,
+                                              syn_est[pair].bits if s else 0.0, lam,
+                                              mix_est[pair].bits, epsilon)
+                  for pair in MI_PAIRS}
         try:
             gap = factorization_gap(mixture)
         except ValueError:
@@ -431,36 +465,41 @@ class FactorizationGap:
         return self.cells_skipped / total if total else 0.0
 
 
-def factorization_gap(examples: list[ToyExample], min_cell: int = 5) -> FactorizationGap:
+def factorization_gap(examples: list[ToyExample] | Counter,
+                      min_cell: int = 5) -> FactorizationGap:
     """Mean TV distance, over observed (X, T) cells with >= min_cell samples,
     between the empirical P(Y|X,T) and the factorized product
-    P(Y_affix|X_affix,T) * P(Y_stem|X_stem)."""
-    cells: dict[tuple, list[ToyExample]] = defaultdict(list)
+    P(Y_affix|X_affix,T) * P(Y_stem|X_stem). Takes the examples or their
+    toy_records count. Cells and the forms in a cell are visited in
+    first-occurrence order. A form's decomposition depends only on its
+    lemma and form (harmony keeps the lemma affix's length), so the first
+    record of a form stands for all. Lemma and form share the stem
+    (x_stem = y_stem), so P(Y_stem|X_stem) is 1."""
+    records = examples if isinstance(examples, Counter) else toy_records(examples)
+    # (lemma, msd) -> form -> [count, x_affix, y_affix]
+    cells: dict[tuple, dict] = defaultdict(dict)
     aff_cond: dict[tuple, Counter] = defaultdict(Counter)
-    stem_cond: dict[str, Counter] = defaultdict(Counter)
-    for e in examples:
-        cells[(e.lemma, e.msd)].append(e)
-        aff_cond[(e.x_affix, e.msd)][e.y_affix] += 1
-        stem_cond[e.x_stem][e.y_stem] += 1
-    aff_total = {key: sum(c.values()) for key, c in aff_cond.items()}
-    stem_total = {key: sum(c.values()) for key, c in stem_cond.items()}
+    for (_, msd, lemma, form, x_affix, y_affix), c in records.items():
+        forms = cells[(lemma, msd)]
+        entry = forms.get(form)
+        if entry is None:
+            forms[form] = [c, x_affix, y_affix]
+        else:
+            entry[0] += c
+        aff_cond[(x_affix, msd)][y_affix] += c
+    aff_total = {key: c.total() for key, c in aff_cond.items()}
     tvs = []
     skipped = 0
-    for (_, msd), members in cells.items():
-        if len(members) < min_cell:
+    for (_, msd), forms in cells.items():
+        n = sum(entry[0] for entry in forms.values())
+        if n < min_cell:
             skipped += 1
             continue
-        n = len(members)
-        p = Counter(e.form for e in members)
-        # representative decomposition per observed form
-        decomp = {e.form: e for e in members}
         q_obs = 0.0
         abs_diff = 0.0
-        for form, c in p.items():
-            e = decomp[form]
-            aff_key = (e.x_affix, msd)
-            q = ((aff_cond[aff_key][e.y_affix] / aff_total[aff_key])
-                 * (stem_cond[e.x_stem][e.y_stem] / stem_total[e.x_stem]))
+        for c, x_affix, y_affix in forms.values():
+            aff_key = (x_affix, msd)
+            q = aff_cond[aff_key][y_affix] / aff_total[aff_key]
             q_obs += q
             abs_diff += abs(c / n - q)
         tvs.append(max(0.0, 0.5 * (abs_diff + (1.0 - q_obs))))
@@ -483,7 +522,3 @@ def crosscheck_segmentation(examples: list[ToyExample], min_run: int = 3) -> flo
         except NoStem:
             disagree += 1
     return disagree / len(examples) if examples else 0.0
-
-
-def toy_dataset(examples: list[ToyExample], name: str = "toy") -> Dataset:
-    return Dataset(triples=tuple(e.to_triple() for e in examples), name=name)

@@ -12,9 +12,11 @@ from morphaug.alignment import GAP, CharAlignment, segmentation_from_boundary
 from morphaug.corpus import Dataset, InflectionTriple, parse_unimorph
 from morphaug.corruption import CorruptionConfig, SyntheticExample, segment_dataset
 from morphaug.errors import AlphabetTooSmall, EmptyInput, TooFewSamples
-from morphaug.milab import FactorizationGap, ToyExample
+from morphaug.milab import (MI_PAIRS, CurvePoint, FactorizationGap, MIEstimate, ToyExample,
+                            _mi_bits, convexity_bound_check, generate_gold)
 from morphaug.report import BootstrapCI
 from morphaug.scoring import BOS, EOS, SEP, UNK
+from morphaug.util import derive_seed
 
 
 def oracle_levenshtein(a: str, b: str) -> int:
@@ -166,6 +168,21 @@ def oracle_pair_samples(examples, pair):
     return [(v[a], v[b]) for v in rows]
 
 
+# the ToyExample attribute that holds each MI variable (lemma and form share
+# the prefix stem, so x_stem and y_stem are both the stem)
+VARIABLE_ATTR = {"t": "msd", "x_stem": "stem", "x_affix": "x_affix",
+                 "y_stem": "stem", "y_affix": "y_affix"}
+
+
+def pair_samples(examples, pair):
+    """MI samples of a variable pair as a list, one tuple per example."""
+    return list(map(attrgetter(*(VARIABLE_ATTR[v] for v in pair)), examples))
+
+
+def toy_dataset(examples, name="toy") -> Dataset:
+    return Dataset(triples=tuple(e.to_triple() for e in examples), name=name)
+
+
 def oracle_joint_counts(samples):
     """Joint count table with levels taken from the samples themselves."""
     a_levels = {a: i for i, a in enumerate(sorted({a for a, _ in samples}))}
@@ -205,6 +222,49 @@ def oracle_factorization_gap(examples, min_cell=5):
         raise ValueError("no (X, T) cell reaches the minimum support")
     return FactorizationGap(tv_distance=float(np.mean(tvs)), cells_used=len(tvs),
                             cells_skipped=skipped)
+
+
+def oracle_estimate_mi(samples, pair, lam, resamples=0, seed=0):
+    """Plug-in MI of a list of samples: the joint table counted sample by
+    sample (oracle_joint_counts), n the number of samples."""
+    counts = oracle_joint_counts(samples)
+    n = len(samples)
+    ci = (None, None)
+    if resamples > 0:
+        rng = np.random.default_rng(seed)
+        boot = rng.multinomial(n, counts.ravel() / n, size=resamples)
+        dist = _mi_bits(boot.reshape(resamples, *counts.shape).astype(float))
+        ci = tuple(float(q) for q in np.percentile(dist, [2.5, 97.5]))
+    return MIEstimate(pair, float(_mi_bits(counts)), n, lam, *ci)
+
+
+def oracle_mi_decay_curve(g, gold_n, syn_sizes, theta=1.0, seed=0, resamples=200,
+                          epsilon=0.02):
+    """The decay curve from the mixture list of each point, with the gold-only
+    estimates made again at every point, and every step an oracle."""
+    gold = generate_gold(g, gold_n, seed=derive_seed(seed, "gold"))
+    points = []
+    for s in syn_sizes:
+        syn = oracle_corrupt_toy(gold, g, s, theta, seed=derive_seed(seed, f"syn-{s}")) if s else []
+        mixture = gold + syn
+        lam = gold_n / (gold_n + s)
+        mix_est, gold_est, syn_est, convex = {}, {}, {}, {}
+        for pair in MI_PAIRS:
+            mix_est[pair] = oracle_estimate_mi(oracle_pair_samples(mixture, pair), pair, lam,
+                                               resamples, derive_seed(seed, f"boot-{s}-{pair}"))
+            gold_est[pair] = oracle_estimate_mi(oracle_pair_samples(gold, pair), pair, 1.0)
+            if syn:
+                syn_est[pair] = oracle_estimate_mi(oracle_pair_samples(syn, pair), pair, 0.0)
+            i_a = syn_est[pair].bits if syn else 0.0
+            convex[pair] = convexity_bound_check(gold_est[pair].bits, i_a, lam,
+                                                 mix_est[pair].bits, epsilon)
+        try:
+            gap = oracle_factorization_gap(mixture)
+        except ValueError:
+            gap = None
+        points.append(CurvePoint(syn_size=s, lam=lam, mixture=mix_est, gold_only=gold_est,
+                                 syn_only=syn_est or None, convexity_ok=convex, gap=gap))
+    return points
 
 
 def oracle_logprobs(scorer, lemma, msd, form):

@@ -483,3 +483,87 @@ def test_cli_import_does_not_load_numpy():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("key, value, detail", [
+    ("lemma", "", "lemma and form must be non-empty"),
+    ("form", "", "lemma and form must be non-empty"),
+    ("msd", [], "msd must have at least one feature"),
+    ("msd", ["V;X"], "bad msd token 'V;X'"),
+    ("msd", ["V", "P ST"], "bad msd token 'P ST'"),
+])
+def test_pool_line_with_an_invalid_triple_is_a_data_error_naming_the_line(
+        gold_file, tmp_path, capsys, key, value, detail):
+    pool = tmp_path / "pool.jsonl"
+    assert main(["augment", "--gold", gold_file, "--n", "5", "--out", str(pool),
+                 "--quiet"]) == 0
+    lines = pool.read_text().splitlines()
+    broken = json.loads(lines[2])
+    broken[key] = value
+    lines[2] = json.dumps(broken)
+    pool.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "sel.json"
+    capsys.readouterr()
+    assert main(["select", "--pool", str(pool), "--strategy", "random", "--k", "2",
+                 "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, "line 3:", detail)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("milab did work before its flags were checked")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--resamples", "-3"], "--resamples"),
+    (["--theta", "1.5", "--syn-sizes", "0"], "--theta"),
+    (["--theta", "1.5"], "--theta"),
+    (["--theta", "-0.5"], "--theta"),
+    (["--theta", "nan"], "--theta"),
+    (["--gold", "0"], "--gold"),
+    (["--gold", "-2"], "--gold"),
+])
+def test_milab_bad_flag_values_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                argv, flag):
+    from morphaug import milab
+
+    monkeypatch.setattr(milab, "make_toy_grammar", _no_work)
+    monkeypatch.setattr(milab, "mi_decay_curve", _no_work)
+    out = tmp_path / "curve.json"
+    assert main(["milab", *argv, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("theta", ["0", "1"])
+def test_milab_flag_bounds_are_accepted(tmp_path, theta):
+    out = tmp_path / "curve.json"
+    assert main(["milab", "--stems", "8", "--msds", "2", "--gold", "1", "--syn-sizes", "0,20",
+                 "--theta", theta, "--resamples", "0", "--out", str(out), "--quiet"]) == 0
+    curve = json.loads(out.read_text())["curve"]
+    assert all(est["ci"] == [None, None] for p in curve for est in p["mixture"].values())
+
+
+@pytest.mark.parametrize("case", ["parse --in", "parse --out", "parse --out/", "augment --gold",
+                                  "augment --out", "augment --out/", "milab --out",
+                                  "milab --out/"])
+def test_directory_paths_are_data_errors(gold_file, tmp_path, capsys, case):
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    command, flag = case.split()
+    out = str(tmp_path / "out.json")
+    if flag == "--out":
+        out = str(adir)
+    elif flag == "--out/":
+        out = str(tmp_path / "ro") + "/"
+    inputs = {
+        "parse": ["--in", str(adir) if flag == "--in" else gold_file],
+        "augment": ["--gold", str(adir) if flag == "--gold" else gold_file, "--n", "5"],
+        "milab": ["--stems", "8", "--msds", "2", "--gold", "20", "--syn-sizes", "0,20",
+                  "--resamples", "2"],
+    }[command]
+    before = sorted(os.listdir(tmp_path))
+    assert main([command, *inputs, "--out", out, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before and os.listdir(adir) == []

@@ -2,6 +2,7 @@
 the same results, and for corruption, toy corruption, the report bootstrap
 and the MSD-templatic selections the same random draws."""
 
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -23,8 +24,8 @@ from morphaug.scoring import NGramScorer
 
 from conftest import (make_dataset, oracle_align, oracle_bootstrap_percentile, oracle_corrupt,
                       oracle_corrupt_toy, oracle_factorization_gap, oracle_generate_pool,
-                      oracle_harmony_bootstrap, oracle_joint_counts, oracle_levenshtein,
-                      oracle_group_by_msd, oracle_logprobs, oracle_pair_samples,
+                      oracle_harmony_bootstrap, oracle_levenshtein, oracle_group_by_msd,
+                      oracle_logprobs, oracle_mi_decay_curve, oracle_pair_samples, pair_samples,
                       oracle_select_by_loss, oracle_select_hybrid, oracle_select_random,
                       oracle_select_templatic, oracle_write_pool_jsonl, random_word)
 
@@ -521,10 +522,20 @@ def toy_grammars(draw):
     # a coupled grammar needs a stem for every MSD's group
     n_stems = draw(st.integers(n_msds if coupled else 1, 10))
     return milab.make_toy_grammar(n_stems, n_msds, seed=draw(st.integers(0, 2**16)),
-                                  harmony=draw(st.booleans()), coupled=coupled)
+                                  harmony=draw(st.booleans()), coupled=coupled,
+                                  harmonize_lemma=draw(st.booleans()))
 
 
 THETAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def toy_mixtures(draw):
+    """(gold, syn) of a random grammar: gold, then its corruption."""
+    g = draw(toy_grammars())
+    seed = draw(st.integers(0, 2**32))
+    gold = milab.generate_gold(g, draw(st.integers(1, 30)), seed=seed ^ 0x90D)
+    return gold, milab.corrupt_toy(gold, g, draw(st.integers(0, 80)), draw(THETAS), seed=seed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -535,8 +546,68 @@ def test_corrupt_toy_matches_oracle_field_for_field(g, gold_n, n, theta, seed):
     slow = oracle_corrupt_toy(gold, g, n, theta, seed=seed)
     assert len(fast) == n
     assert fast == slow
+    records = milab.toy_records(gold + fast)
+    for pair, joint in milab._pair_counts(records).items():
+        assert joint == Counter(oracle_pair_samples(gold + slow, pair))
+
+
+@settings(max_examples=100, deadline=None)
+@given(toy_mixtures())
+def test_fast_toy_examples_equal_and_hash_like_constructed_ones(mixture):
+    _, syn = mixture
+    for e in syn:
+        built = dataclasses.replace(e)  # through ToyExample.__init__
+        assert e == built and hash(e) == hash(built) and repr(e) == repr(built)
+        assert e.synthetic and not hasattr(e, "__dict__")
+    assert set(syn) == {dataclasses.replace(e) for e in syn}
+
+
+@settings(max_examples=150, deadline=None)
+@given(toy_mixtures())
+def test_toy_records_count_in_first_occurrence_order(mixture):
+    gold, syn = mixture
+    rows = [(e.stem, e.msd, e.lemma, e.form, e.x_affix, e.y_affix) for e in gold + syn]
+    records = milab.toy_records(gold + syn)
+    assert records == Counter(rows) and list(records) == list(dict.fromkeys(rows))
+    # the mixture count of the curve: gold's count plus syn's, in the same order
+    summed = milab.toy_records(gold) + milab.toy_records(syn)
+    assert summed == records and list(summed) == list(records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(toy_mixtures(), st.integers(1, 6))
+def test_factorization_gap_of_records_matches_oracle(mixture, min_cell):
+    examples = mixture[0] + mixture[1]
+    try:
+        slow = oracle_factorization_gap(examples, min_cell)
+    except ValueError:
+        slow = None
+    for given_as in (examples, milab.toy_records(examples)):
+        try:
+            fast = milab.factorization_gap(given_as, min_cell)
+        except ValueError:
+            fast = None
+        assert fast == slow
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("wxyz")), min_size=1,
+                max_size=60), st.integers(0, 30), st.integers(0, 2**32))
+def test_estimate_mi_of_a_counter_equals_the_list(samples, resamples, seed):
+    from_list = milab.estimate_mi(samples, ("a", "b"), 0.5, resamples=resamples, seed=seed)
+    from_counter = milab.estimate_mi(Counter(samples), ("a", "b"), 0.5, resamples=resamples,
+                                     seed=seed)
+    assert from_counter == from_list and from_list.n_samples == len(samples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(toy_mixtures())
+def test_estimate_mi_of_projected_records_equals_the_sample_list(mixture):
+    examples = mixture[0] + mixture[1]
+    joints = milab._pair_counts(milab.toy_records(examples))
     for pair in milab.MI_PAIRS:
-        assert milab._pair_samples(gold + fast, pair) == oracle_pair_samples(gold + slow, pair)
+        assert (milab.estimate_mi(joints[pair], pair, resamples=5, seed=3)
+                == milab.estimate_mi(pair_samples(examples, pair), pair, resamples=5, seed=3))
 
 
 @settings(max_examples=30, deadline=None)
@@ -544,14 +615,8 @@ def test_corrupt_toy_matches_oracle_field_for_field(g, gold_n, n, theta, seed):
        st.lists(st.integers(0, 60), min_size=1, max_size=3), THETAS,
        st.integers(1, 20), st.integers(0, 2**32))
 def test_mi_decay_curve_matches_oracle_path(g, gold_n, syn_sizes, theta, resamples, seed):
-    def curve():
-        return [p.to_dict() for p in milab.mi_decay_curve(
-            g, gold_n, syn_sizes, theta=theta, seed=seed, resamples=resamples)]
-
-    fast = curve()
-    with mock.patch.multiple(milab, corrupt_toy=oracle_corrupt_toy,
-                             _pair_samples=oracle_pair_samples,
-                             _joint_counts=oracle_joint_counts,
-                             factorization_gap=oracle_factorization_gap):
-        slow = curve()
-    assert fast == slow
+    fast = milab.mi_decay_curve(g, gold_n, syn_sizes, theta=theta, seed=seed,
+                                resamples=resamples)
+    slow = oracle_mi_decay_curve(g, gold_n, syn_sizes, theta=theta, seed=seed,
+                                 resamples=resamples)
+    assert [p.to_dict() for p in fast] == [p.to_dict() for p in slow]

@@ -17,8 +17,9 @@ from morphaug.milab import (
     generate_gold,
     make_toy_grammar,
     mi_decay_curve,
-    toy_dataset,
 )
+
+from conftest import toy_dataset
 
 
 # ---------------------------------------------------------------- MI estimator
