@@ -11,8 +11,11 @@ stage can be reproduced in isolation. Exit codes: 0 ok, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -33,6 +36,21 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _require(ok: bool, flag: str, rule: str, value) -> None:
+    """A flag value that breaks its rule is a usage error naming the flag."""
+    if not ok:
+        raise UsageError(f"{flag} must be {rule}, got {value}")
+
+
+def _check_out(path: str) -> None:
+    """Fail before any work if path cannot be an output file: it is a
+    directory, or the directory it names is missing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _provenance(stage: str, params: dict) -> dict:
@@ -119,6 +137,9 @@ def cmd_parse(args) -> None:
 
 
 def cmd_augment(args) -> None:
+    _require(args.n >= 1, "--n", ">= 1", args.n)
+    _require(0.0 <= args.theta <= 1.0, "--theta", "in [0, 1]", args.theta)
+    _require(args.min_run >= 1, "--min-run", ">= 1", args.min_run)
     cfg = corruption.CorruptionConfig(
         theta=args.theta,
         exclude_original=not args.allow_original_char,
@@ -133,6 +154,8 @@ def cmd_augment(args) -> None:
 def cmd_score(args) -> None:
     if not (args.external or args.gold):
         raise UsageError("score needs --gold (built-in scorer) or --external")
+    _require(args.order >= 1, "--order", ">= 1", args.order)
+    _require(0 < args.k_smooth < math.inf, "--k-smooth", "finite and > 0", args.k_smooth)
     pool = corruption.read_pool_jsonl(_read(args.pool))
     gold = None if args.external else _parse(args.gold)
     _score(pool, gold, args.order, args.k_smooth, args.external, args.out, vars(args))
@@ -173,12 +196,10 @@ def cmd_milab(args) -> None:
 
     # every flag value is checked before any work; a bad one is a usage error
     syn_sizes = _syn_sizes(args.syn_sizes)
-    if args.gold < 1:
-        raise UsageError(f"--gold must be >= 1, got {args.gold}")
-    if not 0.0 <= args.theta <= 1.0:
-        raise UsageError(f"--theta must be in [0, 1], got {args.theta}")
-    if args.resamples < 0:
-        raise UsageError(f"--resamples must be >= 0, got {args.resamples}")
+    _require(args.gold >= 1, "--gold", ">= 1", args.gold)
+    _require(0.0 <= args.theta <= 1.0, "--theta", "in [0, 1]", args.theta)
+    _require(args.resamples >= 0, "--resamples", ">= 0", args.resamples)
+    _check_out(args.out)
     try:
         # its ValueErrors are all bad sizes, raised before any other work
         grammar = milab.make_toy_grammar(
@@ -217,8 +238,7 @@ def _read_harmony_tsv(path: str):
 def cmd_report(args) -> None:
     from . import report
 
-    if args.resamples < 1:
-        raise UsageError(f"--resamples must be >= 1, got {args.resamples}")
+    _require(args.resamples >= 1, "--resamples", ">= 1", args.resamples)
     # the small inputs first, so a bad one fails before the pool is read
     if args.selection:
         blob = json.loads(_read(args.selection))
@@ -265,6 +285,8 @@ def cmd_pipeline(args) -> None:
         raise MorphaugError(f"{args.config}: 'strategies' must be a list of strategy names")
     if not all(type(k) is int for k in sizes):
         raise MorphaugError(f"{args.config}: 'k' must be an integer")
+    if type(n_pool) is not int or n_pool < 1:
+        raise MorphaugError(f"{args.config}: 'n_pool' must be an integer >= 1")
     try:
         ccfg = corruption.CorruptionConfig(theta=cfg["theta"], seed=derive_seed(seed, "augment"))
         scoring.NGramScorer(order=cfg["order"], k=cfg["k_smooth"])
@@ -273,7 +295,7 @@ def cmd_pipeline(args) -> None:
                       for kind in cfg["strategies"] for k in sizes]
         for k in sizes:
             selection.check_k(k, n_pool)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise MorphaugError(f"{args.config}: {e}") from None
 
     gold = _parse(cfg["gold"])
@@ -384,6 +406,11 @@ def main(argv=None) -> int:
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # the pool and all that is built from it are acyclic (frozen, slotted
+    # dataclasses of str, tuple and int), so reference counting frees them;
+    # the cyclic collector would only walk them again and again
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         args.func(args)
     except UsageError as e:
@@ -392,6 +419,9 @@ def main(argv=None) -> int:
     except (MorphaugError, OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return 0
 
 

@@ -55,9 +55,31 @@ class SyntheticExample:
         return self.triple.msd_string
 
     def with_score(self, nll: float) -> "SyntheticExample":
-        # the constructor directly: dataclasses.replace costs several times more
-        return SyntheticExample(self.triple, self.source_id, self.substituted_lemma_positions,
-                                self.substituted_form_positions, self.lev_to_gold_target, nll)
+        return _example(self.triple, self.source_id, self.substituted_lemma_positions,
+                        self.substituted_form_positions, self.lev_to_gold_target, nll)
+
+
+_new = object.__new__
+(_set_triple, _set_source_id, _set_lemma_positions, _set_form_positions, _set_lev,
+ _set_score) = (SyntheticExample.__dict__[f].__set__ for f in (
+    "triple", "source_id", "substituted_lemma_positions", "substituted_form_positions",
+    "lev_to_gold_target", "score"))
+
+
+def _example(triple: InflectionTriple, source_id: str, lemma_positions: tuple[int, ...],
+             form_positions: tuple[int, ...], distance: int,
+             score: float | None = None) -> SyntheticExample:
+    """SyntheticExample(...) built through the slot setters, as
+    corpus.derived_triple builds a triple: the frozen constructor costs
+    about twice as much."""
+    e = _new(SyntheticExample)
+    _set_triple(e, triple)
+    _set_source_id(e, source_id)
+    _set_lemma_positions(e, lemma_positions)
+    _set_form_positions(e, form_positions)
+    _set_lev(e, distance)
+    _set_score(e, score)
+    return e
 
 
 def substitute(
@@ -125,7 +147,7 @@ def corrupt(
     else:
         distance = 0
     # t is validated, and the corrupted triple keeps its MSD and its lengths
-    return SyntheticExample(
+    return _example(
         derived_triple(new_id if new_id is not None else f"{t.id}~syn", lemma, form, t.msd),
         t.id, tuple(sub_lemma), tuple(sub_form), distance,
     )

@@ -14,8 +14,8 @@ import logging
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Protocol
+from operator import attrgetter
+from typing import Iterable, Iterator, Protocol
 
 from .corpus import Dataset
 from .corruption import SyntheticExample
@@ -42,8 +42,14 @@ class UncertaintyScore:
     nll: float
 
     def __post_init__(self):
-        if not math.isfinite(self.nll) or self.nll < 0:
-            raise ValueError(f"nll must be finite and >= 0, got {self.nll}")
+        check_nll(self.nll)
+
+
+def check_nll(nll: float) -> float:
+    """nll, if it is finite and >= 0; a ValueError otherwise."""
+    if not 0.0 <= nll < math.inf:
+        raise ValueError(f"nll must be finite and >= 0, got {nll}")
+    return nll
 
 
 class Scorer(Protocol):
@@ -68,16 +74,23 @@ class NGramScorer:
 
     Unseen contexts fall back to the uniform distribution over the prediction
     vocabulary (the add-k estimate with zero counts). Out-of-vocabulary
-    symbols map to UNK; the mapping rate is logged. logprobs reads a log
-    table per context, built on first use from prob, so its values equal
-    math.log(prob(ctx, tok)) bit for bit.
+    symbols map to UNK; the mapping rate is logged.
+
+    Scoring reads ints, not strings. Each vocabulary token has an int id and
+    the BOS padding has the id |vocab|, so a context of order-1 tokens is one
+    int in base |vocab|+1. Each context met while scoring gets a row of
+    log-probabilities indexed by token id, built on first use from the count
+    tables with prob's expression, so row[id(tok)] equals
+    math.log(prob(ctx, tok)) bit for bit. The row reads the counts of the
+    context's strings, in which a data "<s>" is BOS, as it is in training.
+    train renumbers the tokens and drops the rows.
     """
 
     def __init__(self, order: int = 3, k: float = 0.1):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if k <= 0:
-            raise ValueError("k must be > 0")
+        if not isinstance(order, int) or order < 1:
+            raise ValueError(f"order must be an integer >= 1, got {order!r}")
+        if not 0 < k < math.inf:
+            raise ValueError(f"k must be > 0 and finite, got {k}")
         self.order = order
         self.k = k
         self.counts: dict[tuple, Counter] = defaultdict(Counter)
@@ -85,13 +98,11 @@ class NGramScorer:
         self.vocab: set[str] = {SEP, EOS, UNK}
         self.unk_hits = 0
         self.token_hits = 0
-        # ctx -> ({tok: log prob} for the tokens seen after ctx, log prob of any other)
-        self._log_tables: dict[tuple, tuple[dict[str, float], float]] = {}
+        self._renumber()
 
     def train(self, gold: Dataset) -> None:
         if len(gold) == 0:
             raise EmptyDataset("cannot train a scorer on an empty dataset")
-        self._log_tables.clear()
         for t in gold:
             self.vocab.update(t.lemma)
             self.vocab.update(t.form)
@@ -102,6 +113,16 @@ class NGramScorer:
                 ctx = tuple(seq[i - self.order + 1 : i])
                 self.counts[ctx][seq[i]] += 1
                 self.context_totals[ctx] += 1
+        self._renumber()
+
+    def _renumber(self) -> None:
+        """Token ids for the current vocabulary; no rows or pre-form contexts yet."""
+        self._tokens = [*sorted(self.vocab), BOS]  # id -> token
+        self._ids = {tok: i for i, tok in enumerate(self._tokens[:-1])}
+        self._base = len(self._tokens)
+        self._rows: dict[int, list[float]] = {}
+        # (last order-1 lemma chars, msd) -> (context of the first form token, UNKs in the msd)
+        self._pre_form: dict[tuple, tuple[int, int]] = {}
 
     def prob(self, ctx: tuple, tok: str) -> float:
         c = self.counts.get(ctx, None)
@@ -109,42 +130,74 @@ class NGramScorer:
         total = self.context_totals.get(ctx, 0)
         return (count + self.k) / (total + self.k * len(self.vocab))
 
-    def _new_log_table(self, ctx: tuple) -> tuple[dict[str, float], float]:
+    def _new_row(self, ctx: int) -> list[float]:
+        key = []  # the tuple context, newest token first
+        rest = ctx
+        for _ in range(self.order - 1):
+            rest, i = divmod(rest, self._base)
+            key.append(self._tokens[i])
+        key = tuple(reversed(key))
         # the expression of prob, with count 0 for the unseen tokens
-        denom = self.context_totals.get(ctx, 0) + self.k * len(self.vocab)
-        seen = self.counts.get(ctx, {})
-        table = self._log_tables[ctx] = (
-            {tok: math.log((count + self.k) / denom) for tok, count in seen.items()},
-            math.log(self.k / denom),
-        )
-        return table
+        denom = self.context_totals.get(key, 0) + self.k * len(self.vocab)
+        row = self._rows[ctx] = [math.log(self.k / denom)] * len(self.vocab)
+        for tok, count in self.counts.get(key, {}).items():
+            row[self._ids[tok]] = math.log((count + self.k) / denom)
+        return row
+
+    def _new_pre_form(self, key: tuple) -> tuple[int, int]:
+        tail, msd = key
+        ids, unk, bos = self._ids, self._ids[UNK], len(self.vocab)
+        base, mod = self._base, self._base ** (self.order - 1)
+        ctx = 0
+        for i in [bos] * (self.order - 1) + [ids.get(tok, unk) for tok in (*tail, SEP, *msd, SEP)]:
+            ctx = (ctx * base + i) % mod
+        value = self._pre_form[key] = (ctx, sum(tok not in ids for tok in msd))
+        return value
+
+    def _logprob_lists(self, examples: Iterable[tuple]) -> Iterator[list[float]]:
+        """For each (lemma, msd, form), the log-probs of the form tokens and
+        EOS in position order; counts the tokens and the UNKs. At order n
+        only the last n-1 lemma characters enter a context."""
+        vocab, ids, rows, pre_form = self.vocab, self._ids, self._rows, self._pre_form
+        new_row, new_pre_form = self._new_row, self._new_pre_form
+        get_id, unk, eos = ids.__getitem__, ids[UNK], ids[EOS]
+        base, mod = self._base, self._base ** (self.order - 1)
+        m = self.order - 1
+        tail = slice(-m, None) if m else slice(0, 0)
+        for lemma, msd, form in examples:
+            key = (lemma[tail], msd)
+            ctx, n_unk = pre_form.get(key) or new_pre_form(key)
+            if not vocab.issuperset(lemma):
+                n_unk += sum(c not in vocab for c in lemma)
+            try:
+                toks = list(map(get_id, form))
+            except KeyError:
+                toks = [ids.get(c, unk) for c in form]
+                n_unk += sum(c not in vocab for c in form)
+            toks.append(eos)
+            self.token_hits += len(lemma) + len(msd) + len(toks) + 2
+            self.unk_hits += n_unk
+            lps = []
+            for tok in toks:
+                lps.append((rows.get(ctx) or new_row(ctx))[tok])
+                ctx = (ctx * base + tok) % mod
+            yield lps
 
     def logprobs(self, lemma, msd, form):
-        vocab = self.vocab
-        toks = [*lemma, SEP, *msd, SEP, *form, EOS]
-        self.token_hits += len(toks)
-        if not vocab.issuperset(toks):
-            self.unk_hits += sum(tok not in vocab for tok in toks)
-            toks = [tok if tok in vocab else UNK for tok in toks]
-        order = self.order
-        seq = [BOS] * (order - 1) + toks
-        # the form tokens and EOS are scored; the context of seq[i] is
-        # seq[i-order+1:i], built for those positions only by zipping order-1
-        # shifted slices (at order 1 every context is ())
-        n = len(form) + 1
-        start, end = len(seq) - n, len(seq)
-        ctxs = (zip(*(seq[start - j : end - j] for j in range(order - 1, 0, -1)))
-                if order > 1 else repeat((), n))
-        tables = self._log_tables
-        out = []
-        for ctx, tok in zip(ctxs, seq[start:]):
-            logp, unseen = tables.get(ctx) or self._new_log_table(ctx)
-            out.append(logp.get(tok, unseen))
-        return out
+        return next(self._logprob_lists([(lemma, msd, form)]))
+
+    def nlls(self, pool: Iterable[SyntheticExample]) -> list[float]:
+        """The nll of each example, bit for bit as score gives it, in one
+        pass over the pool."""
+        return [check_nll(-sum(lps) / len(lps))
+                for lps in self._logprob_lists(map(_LEMMA_MSD_FORM, pool))]
 
     @property
     def unk_rate(self) -> float:
         return self.unk_hits / self.token_hits if self.token_hits else 0.0
+
+
+_LEMMA_MSD_FORM = attrgetter("triple.lemma", "triple.msd", "triple.form")
 
 
 def train_ngram(gold: Dataset, order: int = 3, k: float = 0.1) -> NGramScorer:
@@ -162,8 +215,11 @@ def score(scorer: Scorer, e: SyntheticExample) -> UncertaintyScore:
 
 
 def score_pool(scorer: Scorer, pool: Iterable[SyntheticExample]) -> list[SyntheticExample]:
-    out = [e.with_score(score(scorer, e).nll) for e in pool]
-    if isinstance(scorer, NGramScorer) and scorer.unk_hits:
+    if not isinstance(scorer, NGramScorer):
+        return [e.with_score(score(scorer, e).nll) for e in pool]
+    pool = list(pool)
+    out = list(map(SyntheticExample.with_score, pool, scorer.nlls(pool)))
+    if scorer.unk_hits:
         log.info("UNK mapping rate: %.4f", scorer.unk_rate)
     return out
 

@@ -23,12 +23,16 @@ def atomic_write(path: str, text: str) -> None:
     """Write via a temp file + rename so interrupted runs never leave a
     partial artifact at the final path."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as e:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError) and e.errno is not None:
+            # the temp file is an implementation detail: name only the target
+            raise OSError(e.errno, e.strerror, path) from e
         raise

@@ -280,6 +280,17 @@ def oracle_logprobs(scorer, lemma, msd, form):
     return out, len(toks), unk
 
 
+def oracle_nlls(scorer, pool):
+    """(nlls, token hits, UNK hits) of scoring the pool one oracle_logprobs
+    call per example: each nll is -sum(log-probs) / (|form| + 1)."""
+    nlls, hits, unk = [], 0, 0
+    for e in pool:
+        lps, n_tok, n_unk = oracle_logprobs(scorer, e.triple.lemma, e.triple.msd, e.triple.form)
+        nlls.append(-sum(lps) / (len(e.triple.form) + 1))
+        hits, unk = hits + n_tok, unk + n_unk
+    return nlls, hits, unk
+
+
 def oracle_harmony_bootstrap(v, a, resamples, rng):
     """The report's bootstrap as one full (resamples, n) index matrix per
     group, v's before a's: (row means of v, row means of a, one-sided p)."""

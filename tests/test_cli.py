@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -237,6 +238,11 @@ def test_pipeline_equals_the_chained_subcommands(tmp_path, monkeypatch):
     ({"k_smooth": 0}, "k must be > 0"),
     ({"theta": 1.5}, "theta"),
     ({"order": "3"}, "cfg.json"),
+    ({"k_smooth": float("nan")}, "cfg.json: k must be > 0 and finite, got nan"),  # JSON NaN
+    ({"k_smooth": float("inf")}, "cfg.json: k must be > 0 and finite, got inf"),
+    ({"order": 2.5}, "cfg.json: order must be an integer >= 1"),
+    ({"n_pool": 0}, "cfg.json: 'n_pool' must be an integer >= 1"),
+    ({"n_pool": 2.5}, "cfg.json: 'n_pool' must be an integer >= 1"),
 ])
 def test_invalid_pipeline_config_writes_nothing(gold_file, tmp_path, capsys, change, needle):
     cfg = {"gold": gold_file, "full": gold_file, "n_pool": 80, "theta": 0.5, "order": 3,
@@ -533,6 +539,53 @@ def test_milab_bad_flag_values_are_usage_errors_before_any_work(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and flag in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["augment", "--n", "0"], "--n"),
+    (["augment", "--n", "5", "--theta", "2"], "--theta"),
+    (["augment", "--n", "5", "--theta", "nan"], "--theta"),
+    (["augment", "--n", "5", "--min-run", "0"], "--min-run"),
+    (["score", "--order", "0"], "--order"),
+    (["score", "--k-smooth", "0"], "--k-smooth"),
+    (["score", "--k-smooth", "-1"], "--k-smooth"),
+    (["score", "--k-smooth", "nan"], "--k-smooth"),
+    (["score", "--k-smooth", "inf"], "--k-smooth"),
+])
+def test_augment_and_score_bad_flag_values_are_usage_errors(tmp_path, capsys, argv, flag):
+    # the inputs do not exist: the flags are checked before any of them is read
+    missing, out = str(tmp_path / "missing"), tmp_path / "out"
+    inputs = {"augment": ["--gold", missing], "score": ["--pool", missing, "--gold", missing]}
+    assert main([*argv, *inputs[argv[0]], "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flag in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_failed_write_names_only_the_target_and_leaves_no_temp_file(gold_file, tmp_path,
+                                                                     capsys):
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    for out, code in ((adir, errno.EISDIR), (tmp_path / "missing" / "out.jsonl", errno.ENOENT)):
+        assert main(["parse", "--in", gold_file, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
+    assert sorted(os.listdir(tmp_path)) == ["adir", "gold.tsv"] and os.listdir(adir) == []
+
+
+@pytest.mark.parametrize("where", ["a directory", "in a missing directory"])
+def test_milab_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch, where):
+    from morphaug import milab
+
+    monkeypatch.setattr(milab, "make_toy_grammar", _no_work)
+    monkeypatch.setattr(milab, "mi_decay_curve", _no_work)
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    out = adir if where == "a directory" else tmp_path / "missing" / "curve.json"
+    assert main(["milab", "--stems", "8", "--msds", "2", "--gold", "30",
+                 "--syn-sizes", "0,3000", "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{out}'" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["adir"] and os.listdir(adir) == []
 
 
 @pytest.mark.parametrize("theta", ["0", "1"])

@@ -3,6 +3,7 @@ the same results, and for corruption, toy corruption, the report bootstrap
 and the MSD-templatic selections the same random draws."""
 
 import dataclasses
+import gc
 import json
 import random
 from collections import Counter
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
-from morphaug import corruption, milab, report, selection
+from morphaug import corruption, milab, report, scoring, selection
 from morphaug.alignment import align, extract_stem, levenshtein, segmentation_from_boundary
+from morphaug.cli import main
 from morphaug.corpus import Alphabet, InflectionTriple, parse_unimorph
 from morphaug.corruption import (CorruptionConfig, SyntheticExample, corrupt, generate_pool,
                                  read_pool_jsonl, segment_dataset, write_pool_jsonl)
@@ -25,9 +27,10 @@ from morphaug.scoring import NGramScorer
 from conftest import (make_dataset, oracle_align, oracle_bootstrap_percentile, oracle_corrupt,
                       oracle_corrupt_toy, oracle_factorization_gap, oracle_generate_pool,
                       oracle_harmony_bootstrap, oracle_levenshtein, oracle_group_by_msd,
-                      oracle_logprobs, oracle_mi_decay_curve, oracle_pair_samples, pair_samples,
-                      oracle_select_by_loss, oracle_select_hybrid, oracle_select_random,
-                      oracle_select_templatic, oracle_write_pool_jsonl, random_word)
+                      oracle_logprobs, oracle_mi_decay_curve, oracle_nlls, oracle_pair_samples,
+                      pair_samples, oracle_select_by_loss, oracle_select_hybrid,
+                      oracle_select_random, oracle_select_templatic, oracle_write_pool_jsonl,
+                      random_word)
 
 # plain letters plus combining marks (NFD acute, diaeresis), one code point each
 SMALL = st.sampled_from(["a", "b", "c", "e", "\u0301", "\u0308"])
@@ -304,8 +307,8 @@ def test_logprobs_bit_identical_to_log_prob(rows, queries, order, k):
 @settings(max_examples=60, deadline=None)
 @given(rows=LOGPROB_ROWS, queries=LOGPROB_QUERIES, k=st.sampled_from([0.1, 1, 2.0]))
 def test_logprobs_matches_oracle_at_orders_1_2_3_5(order, rows, queries, k):
-    # order 1 has no context tokens to zip, and order 5 reaches into the BOS
-    # padding for a one-character lemma
+    # order 1 has the empty context, and order 5 reaches the last lemma
+    # character through a one-token MSD
     _check_logprobs(rows, queries, order, k)
 
 
@@ -320,8 +323,114 @@ def _check_logprobs(rows, queries, order, k):
             assert [x.hex() for x in got] == [x.hex() for x in expected]
             hits, unk = hits + n_tok, unk + n_unk
             assert (scorer.token_hits, scorer.unk_hits) == (hits, unk)
-        # retraining changes counts and vocabulary; cached tables must follow
+        # retraining changes counts and vocabulary; cached rows must follow
         scorer.train(make_dataset([(f, l, "ADJ;NEW") for l, f, _ in queries]))
+
+
+# '#' is the separator, and '<s>', '</s>' and '<unk>' are BOS, EOS and UNK:
+# as data they are the same tokens. z is never in the first training set.
+BATCH_WORDS = st.text(st.sampled_from("ab#"), min_size=1, max_size=6)
+BATCH_ROWS = st.lists(st.tuples(BATCH_WORDS, BATCH_WORDS,
+                                st.sampled_from(["V;PST", "#", "N;<unk>", "</s>;V"])),
+                      min_size=1, max_size=6)
+BATCH_POOL = st.lists(
+    st.tuples(st.text(st.sampled_from("ab#z"), min_size=1, max_size=7),
+              st.text(st.sampled_from("ab#z"), min_size=1, max_size=7),
+              st.sampled_from([("V", "PST"), ("#",), ("<s>", "V"), ("</s>",), ("N", "<unk>"),
+                               ("NEW",), ("<s>", "#", "</s>")])),
+    min_size=1, max_size=8)
+
+
+def _pool(queries):
+    return [SyntheticExample(InflectionTriple(f"syn{i}", lemma, form, msd), "1", (), (), 0)
+            for i, (lemma, form, msd) in enumerate(queries)]
+
+
+# from order 6 on, after a one-token MSD, the context of the first form
+# token holds two lemma characters, or BOS for a one-character lemma
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7])
+@settings(max_examples=40, deadline=None)
+@given(rows=BATCH_ROWS, queries=BATCH_POOL, k=st.sampled_from([0.1, 1, 2.0]))
+def test_batch_nlls_equal_score_bit_for_bit(order, rows, queries, k):
+    pool = _pool(queries)
+    batch, single = NGramScorer(order=order, k=k), NGramScorer(order=order, k=k)
+    hits = unk = 0
+    # the second training set adds z and '<s>' to the vocabulary: every id
+    # changes, and BOS becomes the data token '<s>'
+    for gold in (rows, [(f, l, "<s>;V") for l, f, _ in queries]):
+        for scorer in (batch, single):
+            scorer.train(make_dataset(gold))
+        for _ in range(2):  # cold rows, then cached ones
+            want, n_tok, n_unk = oracle_nlls(batch, pool)
+            got = batch.nlls(pool)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert [x.hex() for x in got] == [scoring.score(single, e).nll.hex() for e in pool]
+            hits, unk = hits + n_tok, unk + n_unk
+            assert (batch.token_hits, batch.unk_hits) == (hits, unk)
+    scored = scoring.score_pool(batch, pool)
+    assert scored == [dataclasses.replace(e, score=x) for e, x in zip(pool, got)]
+
+
+def test_batch_nlls_reject_a_non_finite_nll():
+    scorer = NGramScorer(order=2, k=0.1)
+    scorer.train(make_dataset([("ab", "abs", "V;PST")]))
+    scorer.k = float("nan")  # past the constructor's check
+    with pytest.raises(ValueError, match="nll must be finite"):
+        scorer.nlls(_pool([("ab", "ab", ("V",))]))
+
+
+# ------------------------------------------------------ cyclic GC paused
+
+def _pipeline(tmp_path, monkeypatch):
+    """A function running `pipeline` on the golden corpus with a given pool size."""
+    import test_golden as golden
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gold.tsv").write_text(golden.GOLD, encoding="utf-8")
+    (tmp_path / "full.tsv").write_text(golden.FULL, encoding="utf-8")
+
+    def run(n_pool):
+        cfg = {**golden.PIPELINE_CONFIG, "n_pool": n_pool}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        return main(["pipeline", "--config", "cfg.json", "--out-dir", "run", "--quiet"])
+    return run
+
+
+@contextmanager
+def _gc_state(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_main_pauses_the_cyclic_gc_and_restores_it(tmp_path, monkeypatch):
+    run = _pipeline(tmp_path, monkeypatch)
+    during = []
+    score_pool = scoring.score_pool
+    monkeypatch.setattr(scoring, "score_pool",
+                        lambda *args: during.append(gc.isenabled()) or score_pool(*args))
+    for enabled in (True, False):
+        with _gc_state(enabled):
+            assert run(100) == 0
+            assert gc.isenabled() is enabled
+    assert during == [False, False]
+
+
+def test_pipeline_cyclic_garbage_does_not_grow_with_the_pool(tmp_path, monkeypatch):
+    run = _pipeline(tmp_path, monkeypatch)
+
+    def garbage(n_pool):
+        gc.collect()
+        assert run(n_pool) == 0
+        return gc.collect()
+
+    with _gc_state(False):  # no collection between main's return and the count
+        garbage(100)  # first-use set-up: logging, lazy imports
+        small, large = garbage(100), garbage(2000)
+    assert abs(large - small) <= 50, (small, large)
 
 
 # ------------------------------------------------------- report bootstrap
