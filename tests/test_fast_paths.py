@@ -356,7 +356,7 @@ def test_batch_nlls_equal_score_bit_for_bit(order, rows, queries, k):
     batch, single = NGramScorer(order=order, k=k), NGramScorer(order=order, k=k)
     hits = unk = 0
     # the second training set adds z and '<s>' to the vocabulary: every id
-    # changes, and BOS becomes the data token '<s>'
+    # changes, and a data '<s>' is no longer UNK: in a context it is BOS
     for gold in (rows, [(f, l, "<s>;V") for l, f, _ in queries]):
         for scorer in (batch, single):
             scorer.train(make_dataset(gold))
