@@ -44,13 +44,27 @@ def _require(ok: bool, flag: str, rule: str, value) -> None:
         raise UsageError(f"{flag} must be {rule}, got {value}")
 
 
-def _check_out(path: str) -> None:
-    """Fail before any work if path cannot be an output file: it is a
-    directory, or the directory it names is missing."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+# the provenance sidecar of a TSV/JSONL artifact
+META_SUFFIX = ".meta.json"
+
+
+def _check_out(*paths: str) -> None:
+    """Fail before any work if a path cannot be an output file: it is a
+    directory, or the directory it names is missing or not a directory."""
+    for path in paths:
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
+
+
+def _with_meta(path: str) -> tuple[str, str]:
+    """An artifact written by _write_with_meta and its provenance sidecar."""
+    return path, path + META_SUFFIX
 
 
 def _provenance(stage: str, params: dict) -> dict:
@@ -61,7 +75,7 @@ def _provenance(stage: str, params: dict) -> dict:
 
 def _write_with_meta(path: str, text: str, stage: str, params: dict) -> None:
     atomic_write(path, text)
-    atomic_write(path + ".meta.json",
+    atomic_write(path + META_SUFFIX,
                  json.dumps(_provenance(stage, params), indent=2, sort_keys=True) + "\n")
 
 
@@ -131,6 +145,7 @@ def _split(full, train, out: str, params: dict) -> None:
 # ---------------------------------------------------------------- subcommands
 
 def cmd_parse(args) -> None:
+    _check_out(*_with_meta(args.out))
     d = _parse(args.infile)
     _write_with_meta(args.out, corpus.to_jsonl(d), "parse", vars(args))
     log.info("parsed %d triples from %s", len(d), args.infile)
@@ -146,6 +161,7 @@ def cmd_augment(args) -> None:
         min_run=args.min_run,
         seed=derive_seed(args.seed, "augment"),
     )
+    _check_out(*_with_meta(args.out), *(_with_meta(args.tsv_out) if args.tsv_out else ()))
     pool = _augment(_parse(args.gold), args.n, cfg, args.out, vars(args))
     if args.tsv_out:
         _write_with_meta(args.tsv_out, corruption.pool_to_tsv(pool), "augment", vars(args))
@@ -156,6 +172,7 @@ def cmd_score(args) -> None:
         raise UsageError("score needs --gold (built-in scorer) or --external")
     _require(args.order >= 1, "--order", ">= 1", args.order)
     _require(0 < args.k_smooth < math.inf, "--k-smooth", "finite and > 0", args.k_smooth)
+    _check_out(*_with_meta(args.out))
     pool = corruption.read_pool_jsonl(_read(args.pool))
     gold = None if args.external else _parse(args.gold)
     _score(pool, gold, args.order, args.k_smooth, args.external, args.out, vars(args))
@@ -164,6 +181,7 @@ def cmd_score(args) -> None:
 def cmd_select(args) -> None:
     if args.merged_out and not args.gold:
         raise UsageError("--merged-out needs --gold")
+    _check_out(args.out, *(_with_meta(args.merged_out) if args.merged_out else ()))
     pool = _load_scored_pool(args.pool, args.scores)
     strategy = selection.SelectionStrategy(kind=args.strategy, k=args.k,
                                            seed=derive_seed(args.seed, "select"))
@@ -178,6 +196,7 @@ def cmd_select(args) -> None:
 
 
 def cmd_split(args) -> None:
+    _check_out(*_with_meta(args.out))
     _split(_parse(args.full), _parse(args.train), args.out, vars(args))
 
 
@@ -239,6 +258,7 @@ def cmd_report(args) -> None:
     from . import report
 
     _require(args.resamples >= 1, "--resamples", ">= 1", args.resamples)
+    _check_out(args.out)
     # the small inputs first, so a bad one fails before the pool is read
     if args.selection:
         blob = json.loads(_read(args.selection))
@@ -298,17 +318,24 @@ def cmd_pipeline(args) -> None:
     except (TypeError, ValueError) as e:
         raise MorphaugError(f"{args.config}: {e}") from None
 
+    out = args.out_dir.rstrip("/")
+    pool_out, scores_out, test_out = (f"{out}/{name}"
+                                      for name in ("pool.jsonl", "scores.tsv", "test.tsv"))
+    select_outs = [f"{out}/select-{s.kind}-{s.k}.json" for s in strategies]
+    if os.path.exists(out):  # a missing out-dir is made, empty, after the corpora are read
+        _check_out(*_with_meta(pool_out), *_with_meta(scores_out), *select_outs,
+                   *(_with_meta(test_out) if "full" in cfg else ()))
+
     gold = _parse(cfg["gold"])
     full = _parse(cfg["full"]) if "full" in cfg else None
-    out = args.out_dir.rstrip("/")
     os.makedirs(out, exist_ok=True)
-    pool = _augment(gold, n_pool, ccfg, f"{out}/pool.jsonl", cfg)
-    scored = _score(pool, gold, cfg["order"], cfg["k_smooth"], None, f"{out}/scores.tsv", cfg)
+    pool = _augment(gold, n_pool, ccfg, pool_out, cfg)
+    scored = _score(pool, gold, cfg["order"], cfg["k_smooth"], None, scores_out, cfg)
     index = selection.PoolIndex(scored)  # grouped, ordered and ranked once for the sweep
-    for strategy in strategies:
-        _select(index, strategy, f"{out}/select-{strategy.kind}-{strategy.k}.json", cfg)
+    for strategy, select_out in zip(strategies, select_outs):
+        _select(index, strategy, select_out, cfg)
     if full is not None:
-        _split(full, gold, f"{out}/test.tsv", cfg)
+        _split(full, gold, test_out, cfg)
     log.info("pipeline artifacts written to %s", out)
 
 

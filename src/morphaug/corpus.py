@@ -132,11 +132,6 @@ class MsdHistogram:
         if any(c <= 0 for c in self.counts.values()):
             raise ValueError("histogram counts must be positive")
 
-    def proportion(self, msd_string: str) -> float:
-        if self.total == 0:
-            return 0.0
-        return self.counts.get(msd_string, 0) / self.total
-
     def mode(self) -> tuple[str, int]:
         # ties broken lexicographically
         top = max(self.counts.values())

@@ -10,7 +10,8 @@ stem-corrupted synthetic data at gold fraction lambda, and measures:
   * the total-variation gap between the empirical P(Y|X,T) and the
     factorized product P(Y_affix|X_affix,T) * P(Y_stem|X_stem).
 
-Each example set is counted once (toy_records); every MI table, bootstrap
+Each example set is counted once (toy_records; corrupt_toy counts its draws
+as they are made and never holds the examples); every MI table, bootstrap
 and factorization gap of the curve is derived from those counts.
 
 An optional vowel-harmony rule makes affixes agree with the last stem vowel's
@@ -32,7 +33,7 @@ from .alignment import align, extract_stem, segmentation_from_boundary
 from .corpus import Alphabet, InflectionTriple
 from .corruption import CorruptionConfig, substitute
 from .errors import NoStem, NoVowelsConfigured
-from .util import derive_seed
+from .util import derive_seed, row_blocks
 
 MI_PAIRS = (
     ("y_stem", "t"),
@@ -133,8 +134,7 @@ class ToyGrammar:
 
 @dataclass(frozen=True, slots=True)
 class ToyExample:
-    """One toy datapoint with its ground-truth decomposition. corrupt_toy
-    builds its examples through the slot setters, without __init__."""
+    """One toy datapoint with its ground-truth decomposition."""
 
     id: str
     stem: str
@@ -158,11 +158,6 @@ class ToyExample:
         return InflectionTriple(id=self.id, lemma=self.lemma, form=self.form, msd=(self.msd,))
 
 
-_new = object.__new__
-# the slots' own setters: like a frozen dataclass's __init__, they go past
-# the frozen __setattr__
-(_set_id, _set_stem, _set_msd, _set_lemma, _set_form, _set_x_affix, _set_y_affix,
- _set_synthetic) = (ToyExample.__dict__[f].__set__ for f in ToyExample.__slots__)
 _record = attrgetter("stem", "msd", "lemma", "form", "x_affix", "y_affix")
 
 
@@ -249,12 +244,13 @@ def generate_gold(g: ToyGrammar, n: int, seed: int = 0) -> list[ToyExample]:
     return out
 
 
-def corrupt_toy(
-    gold: list[ToyExample], g: ToyGrammar, n: int, theta: float, seed: int = 0
-) -> list[ToyExample]:
-    """n stem-corrupted examples from uniformly resampled gold sources, using
-    the grammar's known stem boundary. The draws are those of
-    corruption.corrupt; no distance to the gold form is computed."""
+def corrupt_toy(gold: list[ToyExample], g: ToyGrammar, n: int, theta: float,
+                seed: int = 0) -> Counter:
+    """The toy_records count of n stem-corrupted examples from uniformly
+    resampled gold sources, using the grammar's known stem boundary. Each
+    record is counted as it is drawn, so no example is ever built. The draws
+    are those of corruption.corrupt; no distance to the gold form is
+    computed."""
     cfg = CorruptionConfig(theta=theta, seed=seed)
     if n > 0 and not gold:
         raise ValueError("corrupt_toy needs at least one gold example")
@@ -263,30 +259,24 @@ def corrupt_toy(
     n_gold = len(gold)
     bits = n_gold.bit_length()
     alphabet = g.alphabet
-    # gold index -> (triple, segmentation), built on the source's first draw
+    # gold index -> (triple, segmentation, stem length, msd, x_affix,
+    # y_affix), built on the source's first draw
     sources: dict[int, tuple] = {}
-    out = []
-    for i in range(n):
+    records = Counter()
+    for _ in range(n):
         k = getrandbits(bits)  # randrange(n_gold), inlined as in corruption.substitute
         while k >= n_gold:
             k = getrandbits(bits)
-        src = gold[k]
         source = sources.get(k)
         if source is None:
-            source = sources[k] = (src.to_triple(), segmentation_from_boundary(
-                src.lemma, src.form, len(src.stem)))
-        lemma, form, _, _ = substitute(*source, alphabet, cfg, rng)
-        e = _new(ToyExample)
-        _set_id(e, f"s{i:06d}")
-        _set_stem(e, form[: len(src.stem)])
-        _set_msd(e, src.msd)
-        _set_lemma(e, lemma)
-        _set_form(e, form)
-        _set_x_affix(e, src.x_affix)
-        _set_y_affix(e, src.y_affix)
-        _set_synthetic(e, True)
-        out.append(e)
-    return out
+            src = gold[k]
+            source = sources[k] = (
+                src.to_triple(), segmentation_from_boundary(src.lemma, src.form, len(src.stem)),
+                len(src.stem), src.msd, src.x_affix, src.y_affix)
+        triple, seg, stem_len, msd, x_affix, y_affix = source
+        lemma, form, _, _ = substitute(triple, seg, alphabet, cfg, rng)
+        records[form[:stem_len], msd, lemma, form, x_affix, y_affix] += 1
+    return records
 
 
 @dataclass(frozen=True)
@@ -334,7 +324,8 @@ def estimate_mi(
 ) -> MIEstimate:
     """Plug-in MI of categorical pairs, given as a list or as a Counter of
     pairs with positive counts, with optional bootstrap percentile CI
-    (multinomial resampling of the empirical joint)."""
+    (multinomial resampling of the empirical joint, drawn and reduced in
+    row blocks of at most BOOTSTRAP_BLOCK_ELEMENTS cells)."""
     joint = samples if isinstance(samples, Counter) else Counter(samples)
     n = joint.total()
     if not n:
@@ -345,8 +336,10 @@ def estimate_mi(
     if resamples > 0:
         flat = counts.ravel() / n
         rng = np.random.default_rng(seed)
-        boot = rng.multinomial(n, flat, size=resamples).reshape(resamples, *counts.shape)
-        dist = _mi_bits(boot.astype(float))
+        dist = np.empty(resamples)
+        for start, stop in row_blocks(flat.size, resamples):
+            boot = rng.multinomial(n, flat, size=stop - start)
+            dist[start:stop] = _mi_bits(boot.reshape(-1, *counts.shape).astype(float))
         ci_low, ci_high = (float(q) for q in np.percentile(dist, [2.5, 97.5]))
     return MIEstimate(pair=pair, bits=bits, n_samples=n, lam=lam,
                       ci_low=ci_low, ci_high=ci_high)
@@ -424,8 +417,8 @@ def mi_decay_curve(
                 for pair, joint in _pair_counts(gold_rec).items()}
     points = []
     for s in syn_sizes:
-        syn_rec = toy_records(
-            corrupt_toy(gold, g, s, theta, seed=derive_seed(seed, f"syn-{s}")) if s else ())
+        syn_rec = corrupt_toy(gold, g, s, theta, seed=derive_seed(seed, f"syn-{s}")) \
+            if s else Counter()
         # Counter addition keeps the first-occurrence order of gold + syn
         mixture = gold_rec + syn_rec
         lam = gold_n / (gold_n + s)

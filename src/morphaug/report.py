@@ -15,6 +15,7 @@ from .errors import EmptySelection, MissingSegmentation, TooFewSamples, ZeroVari
 from .milab import HarmonyRule
 from .scoring import require_scored
 from .selection import SelectionResult
+from .util import row_blocks
 
 
 @dataclass(frozen=True)
@@ -50,24 +51,15 @@ def correlations(
     except KeyError as err:
         raise MissingSegmentation(err.args[0]) from None
     target_len = [len(e.triple.form) for e in pool]
-    try:
-        r_lev = pearson(nll, lev)
-    except ZeroVariance:
-        raise ZeroVariance("lev_to_gold_target") from None
-    try:
-        r_stem = pearson(nll, stem_len)
-    except ZeroVariance:
-        raise ZeroVariance("stem_length") from None
-    try:
-        r_len = pearson(nll, target_len)
-    except ZeroVariance:
-        raise ZeroVariance("target_length") from None
-    return CorrelationReport(
-        pearson_nll_levenshtein=r_lev,
-        pearson_nll_stem_length=r_stem,
-        pearson_nll_target_length=r_len,
-        n=len(pool),
-    )
+    # the CorrelationReport's field order; a constant column is named
+    rs = []
+    for name, xs in (("lev_to_gold_target", lev), ("stem_length", stem_len),
+                     ("target_length", target_len)):
+        try:
+            rs.append(pearson(nll, xs))
+        except ZeroVariance:
+            raise ZeroVariance(name) from None
+    return CorrelationReport(*rs, n=len(pool))
 
 
 def msd_mode_frequency(sel: SelectionResult) -> tuple[str, int]:
@@ -91,27 +83,12 @@ class BootstrapCI:
             raise ValueError("percentile CI must contain the point estimate")
 
 
-# Indices drawn per block of bootstrap rows: 2**16 int64 indices (512 KiB),
-# plus as many gathered floats, whatever the resample count and sample size;
-# a block and its gather stay in cache. The draws do not depend on it.
-BOOTSTRAP_BLOCK_ELEMENTS = 2 ** 16
-
-
-def resample_blocks(rng: np.random.Generator, n: int, resamples: int):
-    """The rows of rng.integers(0, n, size=(resamples, n)) as (first row,
-    block) pairs, each block at most BOOTSTRAP_BLOCK_ELEMENTS indices (at
-    least one row). The blocks consume the generator exactly as the one full
-    draw would."""
-    rows = max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)
-    for start in range(0, resamples, rows):
-        yield start, rng.integers(0, n, size=(min(rows, resamples - start), n))
-
-
 def bootstrap_means(rng: np.random.Generator, x: np.ndarray, resamples: int) -> np.ndarray:
     """Mean of each of `resamples` with-replacement resamples of x."""
+    n = len(x)
     means = np.empty(resamples)
-    for start, idx in resample_blocks(rng, len(x), resamples):
-        means[start:start + len(idx)] = x[idx].mean(axis=1)
+    for start, stop in row_blocks(n, resamples):
+        means[start:stop] = x[rng.integers(0, n, size=(stop - start, n))].mean(axis=1)
     return means
 
 
@@ -134,9 +111,10 @@ def bootstrap_percentile(
     point = float(statistic(samples))
     rng = np.random.default_rng(seed)
     arr = np.asarray(samples, dtype=float)
+    n = len(arr)
     dist = np.empty(resamples)
-    for start, idx in resample_blocks(rng, len(arr), resamples):
-        for i, row in enumerate(idx, start):
+    for start, stop in row_blocks(n, resamples):
+        for i, row in enumerate(rng.integers(0, n, size=(stop - start, n)), start):
             dist[i] = statistic(arr[row])
     alpha = (1 - level) / 2
     lower, upper = np.percentile(dist, [100 * alpha, 100 * (1 - alpha)])

@@ -1,4 +1,4 @@
-"""Seed derivation, config hashing, atomic file writes."""
+"""Seed derivation, config hashing, bootstrap row blocks, atomic file writes."""
 
 from __future__ import annotations
 
@@ -17,6 +17,23 @@ def derive_seed(seed: int, label: str) -> int:
 def config_hash(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, ensure_ascii=False, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# Cells drawn per block of bootstrap rows (report's resampled indices,
+# milab's multinomial tables): 2**16 int64 values (512 KiB) plus the floats
+# computed from them, whatever the resample count and row size; a block and
+# its temporaries stay in cache. The draws do not depend on it.
+BOOTSTRAP_BLOCK_ELEMENTS = 2 ** 16
+
+
+def row_blocks(row_size: int, rows: int):
+    """(start, stop) of consecutive blocks of `rows` rows of `row_size`
+    cells, each block at most BOOTSTRAP_BLOCK_ELEMENTS cells (at least one
+    row). Drawing the blocks in turn consumes a generator as one draw of all
+    the rows would."""
+    step = max(1, BOOTSTRAP_BLOCK_ELEMENTS // row_size)
+    for start in range(0, rows, step):
+        yield start, min(start + step, rows)
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -24,6 +24,7 @@ from morphaug.milab import (
     generate_gold,
     make_toy_grammar,
     mi_decay_curve,
+    toy_records,
 )
 from morphaug.scoring import UniformScorer, score, train_ngram
 from morphaug.selection import select_by_loss, select_hybrid, select_templatic
@@ -83,13 +84,13 @@ def test_criterion_2_convexity(decay_curve):
 def test_criterion_3_factorization():
     plain = make_toy_grammar(12, 3, seed=6, harmony=False, harmonize_lemma=False)
     gold = generate_gold(plain, 100, seed=3)
-    mix = gold + corrupt_toy(gold, plain, 9900, theta=1.0, seed=8)
+    mix = toy_records(gold) + corrupt_toy(gold, plain, 9900, theta=1.0, seed=8)
     gap_off = factorization_gap(mix)
     assert gap_off.tv_distance < 0.02
 
     harm = make_toy_grammar(12, 3, seed=6, harmony=True, harmonize_lemma=False)
     gold = generate_gold(harm, 100, seed=3)
-    mix = gold + corrupt_toy(gold, harm, 9900, theta=1.0, seed=8)
+    mix = toy_records(gold) + corrupt_toy(gold, harm, 9900, theta=1.0, seed=8)
     gap_on = factorization_gap(mix)
     assert gap_on.tv_distance > 0.05
     print(f"ACCEPTANCE 3 PASS: factorization gap {gap_off.tv_distance:.4f} "

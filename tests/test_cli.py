@@ -620,3 +620,66 @@ def test_directory_paths_are_data_errors(gold_file, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == before and os.listdir(adir) == []
+
+
+def _no_input(*args, **kwargs):
+    raise AssertionError("an input was read before the outputs were checked")
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["parse", "--in", "in.tsv", "--out", "out.jsonl"], "out.jsonl"),
+    (["augment", "--gold", "gold.tsv", "--n", "5", "--out", "pool.jsonl"], "pool.jsonl"),
+    (["augment", "--gold", "gold.tsv", "--n", "5", "--out", "pool.jsonl",
+      "--tsv-out", "pool.tsv"], "pool.tsv.meta.json"),
+    (["score", "--pool", "pool.jsonl", "--gold", "gold.tsv", "--out", "scores.tsv"],
+     "scores.tsv.meta.json"),
+    (["select", "--pool", "pool.jsonl", "--strategy", "random", "--k", "2",
+      "--out", "sel.json"], "sel.json"),
+    (["select", "--pool", "pool.jsonl", "--strategy", "random", "--k", "2", "--gold",
+      "gold.tsv", "--merged-out", "merged.tsv", "--out", "sel.json"], "merged.tsv"),
+    (["split", "--full", "full.tsv", "--train", "gold.tsv", "--out", "test.tsv"], "test.tsv"),
+    (["report", "--pool", "pool.jsonl", "--gold", "gold.tsv", "--out", "report.json"],
+     "report.json"),
+])
+def test_outputs_are_checked_before_any_input_is_read(tmp_path, capsys, monkeypatch, argv,
+                                                      blocked):
+    from morphaug import cli
+
+    monkeypatch.setattr(cli, "_read", _no_input)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / blocked).mkdir()
+    assert main([*argv, "--quiet"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{blocked}'\n"
+    assert os.listdir(tmp_path) == [blocked] and os.listdir(tmp_path / blocked) == []
+
+
+def test_an_output_under_a_file_is_a_data_error_before_any_work(gold_file, tmp_path, capsys,
+                                                                monkeypatch):
+    from morphaug import cli
+
+    monkeypatch.setattr(cli, "_read", _no_input)
+    out = os.path.join(gold_file, "out.jsonl")
+    assert main(["parse", "--in", gold_file, "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}'\n"
+    assert os.listdir(tmp_path) == ["gold.tsv"]
+
+
+@pytest.mark.parametrize("blocked", ["pool.jsonl", "pool.jsonl.meta.json", "scores.tsv",
+                                     "select-umt-4.json", "test.tsv.meta.json"])
+def test_pipeline_checks_every_artifact_before_reading_the_corpora(gold_file, tmp_path, capsys,
+                                                                   monkeypatch, blocked):
+    from morphaug import cli
+
+    monkeypatch.setattr(cli, "_parse", _no_input)
+    cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps({
+        "gold": gold_file, "full": gold_file, "n_pool": 20, "theta": 0.5, "order": 2,
+        "k_smooth": 0.1, "strategies": ["random", "umt"], "seed": 3, "k": 4}))
+    (out_dir / blocked).mkdir(parents=True)
+    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{out_dir / blocked}'" in err
+    assert os.listdir(out_dir) == [blocked] and os.listdir(out_dir / blocked) == []

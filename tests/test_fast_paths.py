@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
-from morphaug import corruption, milab, report, scoring, selection
+from morphaug import corruption, milab, report, scoring, selection, util
 from morphaug.alignment import align, extract_stem, levenshtein, segmentation_from_boundary
 from morphaug.cli import main
 from morphaug.corpus import Alphabet, InflectionTriple, parse_unimorph
@@ -25,7 +25,8 @@ from morphaug.errors import AlphabetTooSmall, NoStem
 from morphaug.scoring import NGramScorer
 
 from conftest import (make_dataset, oracle_align, oracle_bootstrap_percentile, oracle_corrupt,
-                      oracle_corrupt_toy, oracle_factorization_gap, oracle_generate_pool,
+                      oracle_corrupt_toy, oracle_estimate_mi, oracle_factorization_gap,
+                      oracle_generate_pool,
                       oracle_harmony_bootstrap, oracle_levenshtein, oracle_group_by_msd,
                       oracle_logprobs, oracle_mi_decay_curve, oracle_nlls, oracle_pair_samples,
                       pair_samples, oracle_select_by_loss, oracle_select_hybrid,
@@ -205,11 +206,12 @@ def test_corrupt_toy_draws_match_randrange_for_every_gold_size():
         with _recorded_rngs(milab) as made:
             fast = milab.corrupt_toy(gold[:n], g, 4, 0.5, seed=n)
         slow_rng = random.Random(n)
-        assert fast == oracle_corrupt_toy(gold[:n], g, 4, 0.5, seed=n, rng=slow_rng)
+        slow = milab.toy_records(oracle_corrupt_toy(gold[:n], g, 4, 0.5, seed=n, rng=slow_rng))
+        assert fast == slow and list(fast) == list(slow)
         assert made[0].getstate() == slow_rng.getstate()
     with pytest.raises(ValueError):
         milab.corrupt_toy([], g, 1, 0.5)
-    assert milab.corrupt_toy([], g, 0, 0.5) == []
+    assert milab.corrupt_toy([], g, 0, 0.5) == Counter()
 
 
 # --------------------------------------------------- validate-once triples
@@ -436,8 +438,9 @@ def test_pipeline_cyclic_garbage_does_not_grow_with_the_pool(tmp_path, monkeypat
 # ------------------------------------------------------- report bootstrap
 
 def _block(elements):
-    """Bootstrap row blocks of at most `elements` indices (at least one row)."""
-    return mock.patch.object(report, "BOOTSTRAP_BLOCK_ELEMENTS", elements)
+    """Bootstrap row blocks of at most `elements` cells (at least one row),
+    for the report bootstrap and the MI bootstrap alike."""
+    return mock.patch.object(util, "BOOTSTRAP_BLOCK_ELEMENTS", elements)
 
 
 @settings(max_examples=200, deadline=None)
@@ -640,35 +643,28 @@ THETAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 @st.composite
 def toy_mixtures(draw):
-    """(gold, syn) of a random grammar: gold, then its corruption."""
+    """(gold, syn) example lists of a random grammar: gold, then its
+    corruption (the oracle's, since corrupt_toy returns only the counts)."""
     g = draw(toy_grammars())
     seed = draw(st.integers(0, 2**32))
     gold = milab.generate_gold(g, draw(st.integers(1, 30)), seed=seed ^ 0x90D)
-    return gold, milab.corrupt_toy(gold, g, draw(st.integers(0, 80)), draw(THETAS), seed=seed)
+    return gold, oracle_corrupt_toy(gold, g, draw(st.integers(0, 80)), draw(THETAS), seed=seed)
 
 
 @settings(max_examples=150, deadline=None)
 @given(toy_grammars(), st.integers(1, 30), st.integers(0, 80), THETAS, st.integers(0, 2**32))
 def test_corrupt_toy_matches_oracle_field_for_field(g, gold_n, n, theta, seed):
     gold = milab.generate_gold(g, gold_n, seed=seed ^ 0x90D)
-    fast = milab.corrupt_toy(gold, g, n, theta, seed=seed)
-    slow = oracle_corrupt_toy(gold, g, n, theta, seed=seed)
-    assert len(fast) == n
-    assert fast == slow
-    records = milab.toy_records(gold + fast)
-    for pair, joint in milab._pair_counts(records).items():
+    with _recorded_rngs(milab) as made:
+        fast = milab.corrupt_toy(gold, g, n, theta, seed=seed)
+    slow_rng = random.Random(seed)
+    slow = oracle_corrupt_toy(gold, g, n, theta, seed=seed, rng=slow_rng)
+    assert fast.total() == n
+    # the same counts, in the same first-occurrence order, from the same draws
+    assert fast == milab.toy_records(slow) and list(fast) == list(milab.toy_records(slow))
+    assert made[0].getstate() == slow_rng.getstate()
+    for pair, joint in milab._pair_counts(milab.toy_records(gold) + fast).items():
         assert joint == Counter(oracle_pair_samples(gold + slow, pair))
-
-
-@settings(max_examples=100, deadline=None)
-@given(toy_mixtures())
-def test_fast_toy_examples_equal_and_hash_like_constructed_ones(mixture):
-    _, syn = mixture
-    for e in syn:
-        built = dataclasses.replace(e)  # through ToyExample.__init__
-        assert e == built and hash(e) == hash(built) and repr(e) == repr(built)
-        assert e.synthetic and not hasattr(e, "__dict__")
-    assert set(syn) == {dataclasses.replace(e) for e in syn}
 
 
 @settings(max_examples=150, deadline=None)
@@ -707,6 +703,19 @@ def test_estimate_mi_of_a_counter_equals_the_list(samples, resamples, seed):
     from_counter = milab.estimate_mi(Counter(samples), ("a", "b"), 0.5, resamples=resamples,
                                      seed=seed)
     assert from_counter == from_list and from_list.n_samples == len(samples)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("vwxyz")), min_size=1,
+                max_size=80), st.integers(1, 40), st.integers(1, 60), st.integers(0, 2**32))
+@example([("a", "v")], 7, 1, 0)  # one cell: a row per block
+@example([("a", "v"), ("b", "w")] * 3 + [("a", "w")], 25, 5, 1)
+def test_estimate_mi_bootstrap_in_row_blocks_matches_one_draw(samples, resamples, block, seed):
+    # a small block splits even these tables' bootstraps into many blocks
+    with _block(block):
+        fast = milab.estimate_mi(Counter(samples), ("a", "b"), 0.5, resamples=resamples,
+                                 seed=seed)
+    assert fast == oracle_estimate_mi(samples, ("a", "b"), 0.5, resamples, seed)
 
 
 @settings(max_examples=100, deadline=None)

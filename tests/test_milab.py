@@ -1,9 +1,13 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from morphaug import util
 from morphaug.milab import (
     MI_PAIRS,
     HarmonyRule,
@@ -17,6 +21,7 @@ from morphaug.milab import (
     generate_gold,
     make_toy_grammar,
     mi_decay_curve,
+    toy_records,
 )
 
 from conftest import toy_dataset
@@ -136,17 +141,17 @@ def test_corrupt_toy_replaces_stem_keeps_affix():
     g = make_toy_grammar(10, 3, seed=3, harmony=True, coupled=True)
     gold = generate_gold(g, 50, seed=1)
     syn = corrupt_toy(gold, g, 200, theta=1.0, seed=7)
-    assert len(syn) == 200
+    assert syn.total() == 200
     originals = {e.stem for e in gold}
     gold_affixes = {x.y_affix for x in gold}
-    for e in syn:
-        assert e.synthetic
-        assert e.form == e.stem + e.y_affix
-        assert set(e.stem) <= set(g.alphabet.chars)
-        assert e.y_affix in gold_affixes
+    for (stem, _, _, form, _, y_affix), c in syn.items():
+        assert c >= 1
+        assert form == stem + y_affix
+        assert set(stem) <= set(g.alphabet.chars)
+        assert y_affix in gold_affixes
     # with full corruption over a 6-character alphabet, most corrupted stems
-    # land outside the small set of gold stems
-    outside = sum(1 for e in syn if e.stem not in originals)
+    # land outside the small set of gold stems (each record weighs its count)
+    outside = sum(c for (stem, *_), c in syn.items() if stem not in originals)
     assert outside > 150
 
 
@@ -223,7 +228,7 @@ def test_partial_corruption_decays_less():
 def test_factorization_gap_near_zero_without_harmony():
     g = make_toy_grammar(12, 3, seed=6, harmony=False, harmonize_lemma=False)
     gold = generate_gold(g, 100, seed=3)
-    mix = gold + corrupt_toy(gold, g, 9900, theta=1.0, seed=8)
+    mix = toy_records(gold) + corrupt_toy(gold, g, 9900, theta=1.0, seed=8)
     gap = factorization_gap(mix)
     assert gap.tv_distance < 0.02
     assert gap.cells_used > 0
@@ -232,7 +237,7 @@ def test_factorization_gap_near_zero_without_harmony():
 def test_factorization_gap_large_with_harmony():
     g = make_toy_grammar(12, 3, seed=6, harmony=True, harmonize_lemma=False)
     gold = generate_gold(g, 100, seed=3)
-    mix = gold + corrupt_toy(gold, g, 9900, theta=1.0, seed=8)
+    mix = toy_records(gold) + corrupt_toy(gold, g, 9900, theta=1.0, seed=8)
     gap = factorization_gap(mix)
     assert gap.tv_distance > 0.05
     assert 0.0 <= gap.skip_rate < 1.0
@@ -262,3 +267,36 @@ def test_toy_grammar_sizes_are_bounded():
         with pytest.raises(ValueError):
             make_toy_grammar(n_stems, n_msds, coupled=coupled)
     assert len(make_toy_grammar(3, 4).stems) == 3
+
+
+# ---------------------------------------------------------------- memory
+
+def _traced_peak(f) -> int:
+    """The peak bytes that tracemalloc sees while f runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimate_mi_bootstrap_peak_is_a_row_block_not_the_whole_draw():
+    # 4800 cells, 200 resamples: one draw is 960k multinomial counts plus
+    # _mi_bits's temporaries of the same shape; a row block is 2**16 cells
+    cells = np.random.default_rng(0).integers(1, 20, size=(80, 60))
+    joint = Counter({(a, b): int(c) for (a, b), c in np.ndenumerate(cells)})
+    blocked = _traced_peak(lambda: estimate_mi(joint, resamples=200))
+    with mock.patch.object(util, "BOOTSTRAP_BLOCK_ELEMENTS", cells.size * 200):
+        one_draw = _traced_peak(lambda: estimate_mi(joint, resamples=200))
+    assert blocked < one_draw / 4, (blocked, one_draw)
+
+
+def test_corrupt_toy_holds_no_example_objects():
+    # the count saturates at the grammar's distinct records, so ten times the
+    # draws cost no more memory; 50k ToyExamples would take megabytes
+    g = make_toy_grammar(50, 5, seed=1, harmony=True)
+    gold = generate_gold(g, 500, seed=2)
+    small = _traced_peak(lambda: corrupt_toy(gold, g, 5_000, theta=1.0, seed=3))
+    large = _traced_peak(lambda: corrupt_toy(gold, g, 50_000, theta=1.0, seed=3))
+    assert large < 2 * small and large < 50_000 * 20, (small, large)

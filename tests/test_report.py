@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -104,6 +105,21 @@ def test_pool_source_without_segmentation_is_named():
         correlations(pool, segs)
     with pytest.raises(MissingSegmentation, match=repr(missing)):
         harmony_violation_stats(pool, VOWELS, segs, resamples=10)
+
+
+@pytest.mark.parametrize("constant", ["lev_to_gold_target", "stem_length", "target_length"])
+def test_correlations_name_the_constant_column(constant):
+    pool, segs = [], {}
+    for i in range(5):
+        form = "a" * (6 if constant == "target_length" else 6 + i)
+        pool.append(SyntheticExample(
+            triple=InflectionTriple(id=f"s{i}", lemma=form, form=form, msd=("N",)),
+            source_id=f"g{i}", substituted_lemma_positions=(), substituted_form_positions=(),
+            lev_to_gold_target=1 if constant == "lev_to_gold_target" else i, score=float(i)))
+        segs[f"g{i}"] = SimpleNamespace(y_stem="a" * (3 if constant == "stem_length" else 3 + i))
+    with pytest.raises(ZeroVariance) as err:
+        correlations(pool, segs)
+    assert err.value.variable == constant
 
 
 # ------------------------------------------------------- msd mode frequency
