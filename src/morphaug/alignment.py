@@ -67,13 +67,6 @@ class CharAlignment:
     pairs: tuple[tuple[int | None, int | None], ...]
     cost: int
 
-    def matched_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i, j in self.pairs
-            if i is not GAP and j is not GAP and self.lemma[i] == self.form[j]
-        ]
-
 
 @dataclass(frozen=True)
 class Segmentation:
@@ -88,14 +81,6 @@ class Segmentation:
     lemma_stem_spans: tuple[tuple[int, int], ...]
     form_stem_spans: tuple[tuple[int, int], ...]
     stem_pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def lemma_stem_positions(self) -> frozenset[int]:
-        return frozenset(i for s, e in self.lemma_stem_spans for i in range(s, e))
-
-    @property
-    def form_stem_positions(self) -> frozenset[int]:
-        return frozenset(i for s, e in self.form_stem_spans for i in range(s, e))
 
     @property
     def x_stem(self) -> str:

@@ -181,17 +181,18 @@ def cmd_score(args) -> None:
 def cmd_select(args) -> None:
     if args.merged_out and not args.gold:
         raise UsageError("--merged-out needs --gold")
+    _require(args.k >= 0, "--k", ">= 0", args.k)
     _check_out(args.out, *(_with_meta(args.merged_out) if args.merged_out else ()))
+    # every input is read before the first output is written
+    gold = _parse(args.gold) if args.merged_out else None
     pool = _load_scored_pool(args.pool, args.scores)
     strategy = selection.SelectionStrategy(kind=args.strategy, k=args.k,
                                            seed=derive_seed(args.seed, "select"))
     result = _select(selection.PoolIndex(pool), strategy, args.out, vars(args))
     if args.merged_out:
         by_id = {e.id: e for e in pool}
-        merged = corpus.serialize(_parse(args.gold)) + "".join(
-            f"{by_id[i].triple.lemma}\t{by_id[i].triple.form}\t{by_id[i].triple.msd_string}\n"
-            for i in result.selected_ids
-        )
+        merged = corpus.serialize(gold) + corruption.pool_to_tsv(
+            [by_id[i] for i in result.selected_ids])
         _write_with_meta(args.merged_out, merged, "select", vars(args))
 
 
@@ -247,9 +248,12 @@ def _read_harmony_tsv(path: str):
         if not line.strip():
             continue
         fields = line.split("\t")
-        if len(fields) != 2:
-            raise MorphaugError(f"{path} line {line_no}: expected char<TAB>class, got {line!r}")
+        if len(fields) != 2 or len(fields[0]) != 1 or not fields[1]:
+            raise MorphaugError(f"{path} line {line_no}: expected char<TAB>class, one "
+                                f"character and a non-empty class, got {line!r}")
         char, cls = fields
+        if char in classes:
+            raise MorphaugError(f"{path} line {line_no}: {char!r} is listed twice")
         classes[char] = cls
     return milab.HarmonyRule(vowel_classes=classes)
 

@@ -16,8 +16,7 @@ and factorization gap of the curve is derived from those counts.
 
 An optional vowel-harmony rule makes affixes agree with the last stem vowel's
 class, which breaks the factorization and is the built-in counterexample.
-Segmentation uses the grammar's known boundaries, not the alignment module;
-crosscheck_segmentation compares the two.
+Segmentation uses the grammar's known boundaries, not the alignment module.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ from operator import attrgetter
 
 import numpy as np
 
-from .alignment import align, extract_stem, segmentation_from_boundary
+from .alignment import segmentation_from_boundary
 from .corpus import Alphabet, InflectionTriple
 from .corruption import CorruptionConfig, substitute
-from .errors import NoStem, NoVowelsConfigured
+from .errors import NoVowelsConfigured
 from .util import derive_seed, row_blocks
 
 MI_PAIRS = (
@@ -502,16 +501,3 @@ def factorization_gap(examples: list[ToyExample] | Counter,
         tv_distance=float(np.mean(tvs)), cells_used=len(tvs), cells_skipped=skipped
     )
 
-
-def crosscheck_segmentation(examples: list[ToyExample], min_run: int = 3) -> float:
-    """Fraction of examples where alignment-based stem extraction disagrees
-    with the grammar's ground-truth stem."""
-    disagree = 0
-    for e in examples:
-        try:
-            seg = extract_stem(align(e.lemma, e.form), min_run=min_run)
-            if seg.y_stem != e.y_stem:
-                disagree += 1
-        except NoStem:
-            disagree += 1
-    return disagree / len(examples) if examples else 0.0

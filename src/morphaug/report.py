@@ -1,20 +1,19 @@
-"""Diagnostics over scored pools and selections: Pearson correlations of
-uncertainty with corruption degree / lengths, MSD mode frequency, bootstrap
-percentile intervals, and vowel-harmony violation statistics."""
+"""Diagnostics over scored pools: Pearson correlations of uncertainty with
+corruption degree / lengths, and vowel-harmony violation statistics with a
+bootstrap p-value."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .alignment import Segmentation
 from .corruption import SyntheticExample
-from .errors import EmptySelection, MissingSegmentation, TooFewSamples, ZeroVariance
+from .errors import MissingSegmentation, TooFewSamples, ZeroVariance
 from .milab import HarmonyRule
 from .scoring import require_scored
-from .selection import SelectionResult
 from .util import row_blocks
 
 
@@ -62,27 +61,6 @@ def correlations(
     return CorrelationReport(*rs, n=len(pool))
 
 
-def msd_mode_frequency(sel: SelectionResult) -> tuple[str, int]:
-    """The most commonly selected MSD and its count; ties lexicographic."""
-    if len(sel) == 0:
-        raise EmptySelection("selection is empty")
-    return sel.per_msd_counts.mode()
-
-
-@dataclass(frozen=True)
-class BootstrapCI:
-    statistic: str
-    point: float
-    lower: float
-    upper: float
-    resamples: int
-    level: float
-
-    def __post_init__(self):
-        if not self.lower <= self.point <= self.upper:
-            raise ValueError("percentile CI must contain the point estimate")
-
-
 def bootstrap_means(rng: np.random.Generator, x: np.ndarray, resamples: int) -> np.ndarray:
     """Mean of each of `resamples` with-replacement resamples of x."""
     n = len(x)
@@ -90,38 +68,6 @@ def bootstrap_means(rng: np.random.Generator, x: np.ndarray, resamples: int) -> 
     for start, stop in row_blocks(n, resamples):
         means[start:stop] = x[rng.integers(0, n, size=(stop - start, n))].mean(axis=1)
     return means
-
-
-def bootstrap_percentile(
-    samples: Sequence[float],
-    statistic: Callable[[Sequence[float]], float] = None,
-    resamples: int = 10000,
-    level: float = 0.95,
-    seed: int = 0,
-    name: str = "statistic",
-) -> BootstrapCI:
-    """Percentile CI of a statistic over with-replacement resamples."""
-    if resamples < 1:
-        raise ValueError(f"resamples must be >= 1, got {resamples}")
-    samples = list(samples)
-    if len(samples) < 2:
-        raise TooFewSamples("bootstrap needs >= 2 samples")
-    if statistic is None:
-        statistic = lambda xs: float(np.mean(xs))
-    point = float(statistic(samples))
-    rng = np.random.default_rng(seed)
-    arr = np.asarray(samples, dtype=float)
-    n = len(arr)
-    dist = np.empty(resamples)
-    for start, stop in row_blocks(n, resamples):
-        for i, row in enumerate(rng.integers(0, n, size=(stop - start, n)), start):
-            dist[i] = statistic(arr[row])
-    alpha = (1 - level) / 2
-    lower, upper = np.percentile(dist, [100 * alpha, 100 * (1 - alpha)])
-    lower = min(float(lower), point)
-    upper = max(float(upper), point)
-    return BootstrapCI(statistic=name, point=point, lower=lower, upper=upper,
-                       resamples=resamples, level=level)
 
 
 @dataclass(frozen=True)

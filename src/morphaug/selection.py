@@ -14,7 +14,6 @@ ranks it once.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -71,9 +70,6 @@ class SelectionResult:
             "selected_ids": list(self.selected_ids),
             "per_msd_counts": self.per_msd_counts.counts,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
 
 
 def check_k(k: int, pool_size: int) -> None:
@@ -179,15 +175,13 @@ class PoolIndex:
                 cum = list(accumulate(map(weights.__getitem__, live)))
         return picked
 
-    def select(self, strategy: SelectionStrategy, alpha: float | None = None) -> SelectionResult:
-        """The selection of `strategy`. The MSD-drawn kinds use q_alpha with
-        the strategy's own alpha unless `alpha` is given."""
-        kind, k = strategy.kind, strategy.k
+    def select(self, strategy: SelectionStrategy) -> SelectionResult:
+        """The selection of `strategy`; the MSD-drawn kinds use q_alpha with
+        the strategy's alpha."""
+        kind, k, alpha = strategy.kind, strategy.k, strategy.alpha
         if kind in LOSS_KINDS:
             self.scores  # raises UnscoredPool before any other check
         check_k(k, len(self.pool))
-        if alpha is None:
-            alpha = strategy.alpha
         if kind == "random":
             picked = random.Random(strategy.seed).sample(range(len(self.pool)), k)
         elif kind == "highloss" or kind == "lowloss":
@@ -221,13 +215,19 @@ def select_random(pool: Sequence[SyntheticExample], k: int, seed: int = 0) -> Se
     return PoolIndex(pool).select(SelectionStrategy(kind="random", k=k, seed=seed))
 
 
+def _msd_kind(alpha: float, kinds: tuple[str, str]) -> str:
+    """kinds[0] for alpha 0 and kinds[1] for alpha 1, the kinds' own alphas."""
+    if alpha not in (0, 1):
+        raise ValueError(f"alpha must be 0 or 1, got {alpha}")
+    return kinds[alpha == 1]
+
+
 def select_templatic(pool: Sequence[SyntheticExample], k: int, alpha: float,
                      seed: int = 0) -> SelectionResult:
     """Repeat k times: draw an MSD from q_alpha, then a uniform candidate
-    with that MSD; remove it. The result is labelled umt if alpha is 0, else
-    ume (whose strategy reports alpha 1)."""
-    kind = "umt" if alpha == 0 else "ume"
-    return PoolIndex(pool).select(SelectionStrategy(kind=kind, k=k, seed=seed), alpha)
+    with that MSD; remove it. alpha 0 is umt and alpha 1 ume."""
+    kind = _msd_kind(alpha, ("umt", "ume"))
+    return PoolIndex(pool).select(SelectionStrategy(kind=kind, k=k, seed=seed))
 
 
 def select_by_loss(pool: Sequence[SyntheticExample], k: int,
@@ -242,7 +242,7 @@ def select_by_loss(pool: Sequence[SyntheticExample], k: int,
 def select_hybrid(pool: Sequence[SyntheticExample], k: int, alpha: float,
                   seed: int = 0) -> SelectionResult:
     """Repeat k times: draw an MSD from q_alpha, take its most uncertain
-    remaining candidate (ties by lowest id); remove it. Labelled as
-    select_templatic, with the -loss suffix."""
-    kind = "umt-loss" if alpha == 0 else "ume-loss"
-    return PoolIndex(pool).select(SelectionStrategy(kind=kind, k=k, seed=seed), alpha)
+    remaining candidate (ties by lowest id); remove it. alpha 0 is umt-loss
+    and alpha 1 ume-loss."""
+    kind = _msd_kind(alpha, ("umt-loss", "ume-loss"))
+    return PoolIndex(pool).select(SelectionStrategy(kind=kind, k=k, seed=seed))

@@ -11,10 +11,9 @@ import pytest
 from morphaug.alignment import GAP, CharAlignment, segmentation_from_boundary
 from morphaug.corpus import Dataset, InflectionTriple, parse_unimorph
 from morphaug.corruption import CorruptionConfig, SyntheticExample, segment_dataset
-from morphaug.errors import AlphabetTooSmall, EmptyInput, TooFewSamples
+from morphaug.errors import AlphabetTooSmall, EmptyInput
 from morphaug.milab import (MI_PAIRS, CurvePoint, FactorizationGap, MIEstimate, ToyExample,
                             _mi_bits, convexity_bound_check, generate_gold)
-from morphaug.report import BootstrapCI
 from morphaug.scoring import BOS, EOS, SEP, UNK
 from morphaug.util import derive_seed
 
@@ -299,30 +298,6 @@ def oracle_harmony_bootstrap(v, a, resamples, rng):
     return v_means, a_means, float(np.mean(v_means - a_means <= 0))
 
 
-def oracle_bootstrap_percentile(samples, statistic=None, resamples=10000, level=0.95,
-                                seed=0, name="statistic"):
-    """Percentile CI from one full (resamples, n) index matrix."""
-    samples = list(samples)
-    if len(samples) < 2:
-        raise TooFewSamples("bootstrap needs >= 2 samples")
-    if statistic is None:
-        statistic = lambda xs: float(np.mean(xs))
-    point = float(statistic(samples))
-    rng = np.random.default_rng(seed)
-    n = len(samples)
-    arr = np.asarray(samples, dtype=float)
-    dist = np.empty(resamples)
-    idx = rng.integers(0, n, size=(resamples, n))
-    for i in range(resamples):
-        dist[i] = statistic(arr[idx[i]])
-    alpha = (1 - level) / 2
-    lower, upper = np.percentile(dist, [100 * alpha, 100 * (1 - alpha)])
-    lower = min(float(lower), point)
-    upper = max(float(upper), point)
-    return BootstrapCI(statistic=name, point=point, lower=lower, upper=upper,
-                       resamples=resamples, level=level)
-
-
 def oracle_group_by_msd(pool):
     """MSD string -> its examples, each group sorted by id (equal ids in pool
     order)."""
@@ -400,6 +375,27 @@ def oracle_matched_runs(alignment, min_run):
     if len(cur) >= min_run:
         runs.append(tuple(cur))
     return runs
+
+
+# ------------------------------------- views of src objects only tests read
+
+def matched_pairs(a: CharAlignment) -> list[tuple[int, int]]:
+    """The aligned (lemma_index, form_index) pairs of identical characters."""
+    return [(i, j) for i, j in a.pairs
+            if i is not GAP and j is not GAP and a.lemma[i] == a.form[j]]
+
+
+def lemma_stem_positions(seg) -> frozenset[int]:
+    return frozenset(i for s, e in seg.lemma_stem_spans for i in range(s, e))
+
+
+def form_stem_positions(seg) -> frozenset[int]:
+    return frozenset(i for s, e in seg.form_stem_spans for i in range(s, e))
+
+
+def selection_json(result) -> str:
+    """A SelectionResult as indented JSON."""
+    return json.dumps(result.to_dict(), ensure_ascii=False, indent=2)
 
 
 def random_word(rng: random.Random, alphabet="abcd", lo=1, hi=12) -> str:

@@ -12,25 +12,26 @@ from morphaug.alignment import (
 )
 from morphaug.errors import EmptyInput, NoStem
 
-from conftest import oracle_levenshtein, oracle_matched_runs
+from conftest import (form_stem_positions, lemma_stem_positions, matched_pairs,
+                      oracle_levenshtein, oracle_matched_runs)
 
 
 def test_dog_dogs():
     a = align("dog", "dogs")
     assert a.cost == 1
-    assert a.matched_pairs() == [(0, 0), (1, 1), (2, 2)]
+    assert matched_pairs(a) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_identical_strings():
     a = align("abc", "abc")
     assert a.cost == 0
-    assert len(a.matched_pairs()) == 3
+    assert len(matched_pairs(a)) == 3
 
 
 def test_shared_interior_run():
     a = align("abcde", "xbcdey")
     assert a.cost == oracle_levenshtein("abcde", "xbcdey") == 2
-    matched = "".join(a.lemma[i] for i, _ in a.matched_pairs())
+    matched = "".join(a.lemma[i] for i, _ in matched_pairs(a))
     assert matched == "bcde"
 
 
@@ -65,8 +66,8 @@ def test_matched_multiset_symmetric():
         x = "".join(rng.choice("abcde") for _ in range(8))
         y = "".join(rng.choice("abcde") for _ in range(8))
         a = align(x, y)
-        assert sorted(x[i] for i, _ in a.matched_pairs()) == \
-               sorted(y[j] for _, j in a.matched_pairs())
+        assert sorted(x[i] for i, _ in matched_pairs(a)) == \
+               sorted(y[j] for _, j in matched_pairs(a))
 
 
 def test_extract_stem_dog_dogs():
@@ -109,14 +110,14 @@ def test_reconstruction_invariant():
         except NoStem:
             continue
         # interleave stem and affix characters back by position
-        stem_pos = seg.lemma_stem_positions
+        stem_pos = lemma_stem_positions(seg)
         rebuilt = []
         stem_iter = iter(seg.x_stem)
         affix_iter = iter(seg.x_affix)
         for i in range(len(x)):
             rebuilt.append(next(stem_iter) if i in stem_pos else next(affix_iter))
         assert "".join(rebuilt) == x
-        stem_pos = seg.form_stem_positions
+        stem_pos = form_stem_positions(seg)
         rebuilt = []
         stem_iter = iter(seg.y_stem)
         affix_iter = iter(seg.y_affix)

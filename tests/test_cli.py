@@ -683,3 +683,71 @@ def test_pipeline_checks_every_artifact_before_reading_the_corpora(gold_file, tm
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"'{out_dir / blocked}'" in err
     assert os.listdir(out_dir) == [blocked] and os.listdir(out_dir / blocked) == []
+
+
+# ------------------------------------------------- select and report inputs
+
+def test_select_merged_out_reads_gold_before_writing(gold_file, tmp_path, capsys):
+    pool, bad = str(tmp_path / "pool.jsonl"), tmp_path / "bad.tsv"
+    assert main(["augment", "--gold", gold_file, "--n", "20", "--out", pool, "--quiet"]) == 0
+    bad.write_text("walked\twalkeds\tV;PST\nonly-one-column\n")
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main(["select", "--pool", pool, "--strategy", "random", "--k", "2",
+                 "--gold", str(bad), "--merged-out", str(tmp_path / "m.tsv"),
+                 "--out", str(tmp_path / "s.json"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_select_merged_out_is_gold_then_the_selected_triples(gold_file, tmp_path):
+    pool, sel, merged = (str(tmp_path / name) for name in ("pool.jsonl", "s.json", "m.tsv"))
+    assert main(["augment", "--gold", gold_file, "--n", "40", "--out", pool, "--quiet"]) == 0
+    assert main(["select", "--pool", pool, "--strategy", "ume", "--k", "7", "--gold", gold_file,
+                 "--merged-out", merged, "--out", sel, "--quiet", "--seed", "3"]) == 0
+    rows = {}
+    with open(pool, encoding="utf-8") as f:
+        for line in f:
+            e = json.loads(line)
+            rows[e["id"]] = f"{e['lemma']}\t{e['form']}\t{';'.join(e['msd'])}\n"
+    ids = json.loads(open(sel).read())["selected_ids"]
+    assert len(ids) == 7
+    with open(merged, "rb") as f:
+        assert f.read() == (GOLD + "".join(rows[i] for i in ids)).encode()
+
+
+def test_select_negative_k_is_a_usage_error_before_any_input(tmp_path, capsys, monkeypatch):
+    from morphaug import cli
+
+    monkeypatch.setattr(cli, "_read", _no_input)
+    out = tmp_path / "s.json"
+    assert main(["select", "--pool", str(tmp_path / "p.jsonl"), "--strategy", "umt",
+                 "--k", "-2", "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--k" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_select_k_above_the_pool_size_stays_a_data_error(gold_file, tmp_path, capsys):
+    pool, out = str(tmp_path / "pool.jsonl"), tmp_path / "s.json"
+    assert main(["augment", "--gold", gold_file, "--n", "5", "--out", pool, "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["select", "--pool", pool, "--strategy", "random", "--k", "6",
+                 "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, "k=6 exceeds pool size 5")
+
+
+@pytest.mark.parametrize("text, line, needle", [
+    ("a\tback\nab\tback\n", 2, "one character"),
+    ("a\tback\ne\t\n", 2, "non-empty class"),
+    ("\na\tback\na\tfront\n", 3, "'a' is listed twice"),
+])
+def test_report_harmony_lines_it_cannot_use_are_data_errors_before_the_pool(
+        gold_file, tmp_path, capsys, text, line, needle):
+    vowels, out = tmp_path / "vowels.tsv", tmp_path / "report.json"
+    vowels.write_text(text)
+    # the pool does not exist: the harmony file is checked before it is read
+    assert main(["report", "--pool", str(tmp_path / "missing.jsonl"), "--gold", gold_file,
+                 "--harmony", str(vowels), "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, f"{vowels} line {line}:", needle)

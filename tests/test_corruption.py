@@ -18,7 +18,7 @@ from morphaug.corruption import (
 from morphaug.errors import (AlphabetTooSmall, MissingSegmentation, NoAlignableTriples,
                              SourceMismatch)
 
-from conftest import make_dataset
+from conftest import form_stem_positions, lemma_stem_positions, make_dataset
 
 ALPHABET = Alphabet(chars=tuple("abcdefgh"))
 
@@ -60,13 +60,13 @@ def test_paired_substitution_and_preserved_affix():
         for i, j in seg.stem_pairs:
             assert e.triple.lemma[i] == e.triple.form[j]
         for j in range(len(t.form)):
-            if j not in seg.form_stem_positions:
+            if j not in form_stem_positions(seg):
                 assert e.triple.form[j] == t.form[j]
         for i in range(len(t.lemma)):
-            if i not in seg.lemma_stem_positions:
+            if i not in lemma_stem_positions(seg):
                 assert e.triple.lemma[i] == t.lemma[i]
         assert e.triple.msd == t.msd
-        assert set(e.substituted_lemma_positions) <= seg.lemma_stem_positions
+        assert set(e.substituted_lemma_positions) <= lemma_stem_positions(seg)
 
 
 def test_substitutions_stay_inside_stem_spans():
@@ -75,8 +75,8 @@ def test_substitutions_stay_inside_stem_spans():
     rng = random.Random(2)
     for _ in range(20):
         e = corrupt(t, seg, ALPHABET, CorruptionConfig(theta=1.0), rng)
-        assert set(e.substituted_lemma_positions) == seg.lemma_stem_positions
-        assert set(e.substituted_form_positions) == seg.form_stem_positions
+        assert set(e.substituted_lemma_positions) == lemma_stem_positions(seg)
+        assert set(e.substituted_form_positions) == form_stem_positions(seg)
 
 
 def test_mean_substituted_fraction_within_3_sigma():

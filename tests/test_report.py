@@ -1,31 +1,24 @@
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from morphaug.alignment import segmentation_from_boundary
 from morphaug.corpus import Alphabet, InflectionTriple
 from morphaug.corruption import CorruptionConfig, SyntheticExample, generate_pool, segment_dataset
 from morphaug.errors import (
-    EmptySelection,
     MissingSegmentation,
     NoVowelsConfigured,
     TooFewSamples,
     ZeroVariance,
 )
-from morphaug.report import (
-    BootstrapCI,
-    bootstrap_percentile,
-    correlations,
-    harmony_violation_stats,
-    msd_mode_frequency,
-    pearson,
-)
+from morphaug.report import bootstrap_means, correlations, harmony_violation_stats, pearson
 from morphaug.milab import HarmonyRule
 from morphaug.scoring import train_ngram, score_pool
 from morphaug.selection import select_random
 
-from conftest import make_dataset
+from conftest import form_stem_positions, make_dataset
 
 
 # --------------------------------------------------------------- pearson
@@ -137,15 +130,10 @@ def _ex(tid, msd, score=1.0):
 
 
 def test_msd_mode_frequency():
+    # the report's msd_mode block is the mode of a selection's MSD counts
     pool = [_ex(f"a{i}", "N;PL") for i in range(5)] + [_ex("b0", "N;SG")]
     sel = select_random(pool, 6, seed=0)
-    assert msd_mode_frequency(sel) == ("N;PL", 5)
-
-
-def test_msd_mode_empty_selection():
-    pool = [_ex("a0", "N;PL")]
-    with pytest.raises(EmptySelection):
-        msd_mode_frequency(select_random(pool, 0))
+    assert sel.per_msd_counts.mode() == ("N;PL", 5)
 
 
 # -------------------------------------------------------------- harmony
@@ -200,9 +188,9 @@ def test_harmony_violation_rate_matches_inline_reclassification():
     for e in pool:
         seg = segs[e.source_id]
         form = e.triple.form
-        stem = "".join(form[i] for i in sorted(seg.form_stem_positions))
+        stem = "".join(form[i] for i in sorted(form_stem_positions(seg)))
         affix = "".join(form[i] for i in range(len(form))
-                        if i not in seg.form_stem_positions)
+                        if i not in form_stem_positions(seg))
         cls = None
         for c in reversed(stem):
             if c in VOWELS.vowel_classes:
@@ -225,9 +213,9 @@ def test_harmony_planted_score_gap_detected():
     for e in pool:
         seg = segs[e.source_id]
         form = e.triple.form
-        stem = "".join(form[i] for i in sorted(seg.form_stem_positions))
+        stem = "".join(form[i] for i in sorted(form_stem_positions(seg)))
         affix = "".join(form[i] for i in range(len(form))
-                        if i not in seg.form_stem_positions)
+                        if i not in form_stem_positions(seg))
         base = 1.0 + (0.5 if VOWELS.violates(stem, affix) else 0.0)
         planted.append(e.with_score(base + rng.gauss(0, 0.2)))
     stats = harmony_violation_stats(planted, VOWELS, segs, resamples=2000, seed=3)
@@ -251,29 +239,36 @@ def test_harmony_stats_handle_one_sided_pool():
 
 # -------------------------------------------------------------- bootstrap
 
+def _percentile_ci(samples, resamples, seed):
+    """The 95% percentile interval of the harmony bootstrap's resample means."""
+    rng = np.random.default_rng(seed)
+    means = bootstrap_means(rng, np.asarray(samples, dtype=float), resamples)
+    return tuple(np.percentile(means, [2.5, 97.5]))
+
+
 def test_bootstrap_constant_samples_degenerate_ci():
-    ci = bootstrap_percentile([2.0] * 50, resamples=200, seed=0)
-    assert ci.lower == ci.point == ci.upper == 2.0
+    means = bootstrap_means(np.random.default_rng(0), np.full(50, 2.0), 200)
+    assert means.shape == (200,) and (means == 2.0).all()
 
 
 def test_bootstrap_coin_ci_contains_half():
-    ci = bootstrap_percentile([0.0, 1.0] * 100, resamples=2000, seed=1)
-    assert ci.lower < 0.5 < ci.upper
+    lower, upper = _percentile_ci([0.0, 1.0] * 100, 2000, seed=1)
+    assert lower < 0.5 < upper
 
 
 def test_bootstrap_win_rate_excludes_distant_value():
     samples = [1.0] * 100 + [0.0] * 200  # win rate 1/3
-    ci = bootstrap_percentile(samples, resamples=5000, seed=2)
-    assert ci.point == pytest.approx(1 / 3, abs=1e-12)
-    assert ci.lower > 1 / 7
-    assert ci.upper < 0.6
+    lower, upper = _percentile_ci(samples, 5000, seed=2)
+    assert lower > 1 / 7
+    assert upper < 0.6
+    assert lower < 1 / 3 < upper
 
 
 def test_bootstrap_deterministic():
-    samples = [random.Random(4).gauss(0, 1) for _ in range(30)]
-    a = bootstrap_percentile(samples, resamples=500, seed=9)
-    b = bootstrap_percentile(samples, resamples=500, seed=9)
-    assert (a.lower, a.upper) == (b.lower, b.upper)
+    x = np.asarray([random.Random(4).gauss(0, 1) for _ in range(30)])
+    a = bootstrap_means(np.random.default_rng(9), x, 500)
+    b = bootstrap_means(np.random.default_rng(9), x, 500)
+    assert (a == b).all()
 
 
 def test_bootstrap_width_shrinks_like_sqrt_n():
@@ -281,8 +276,8 @@ def test_bootstrap_width_shrinks_like_sqrt_n():
     widths = []
     for n in (100, 400, 1600):
         samples = [rng.gauss(0, 1) for _ in range(n)]
-        ci = bootstrap_percentile(samples, resamples=2000, seed=n)
-        widths.append(ci.upper - ci.lower)
+        lower, upper = _percentile_ci(samples, 2000, seed=n)
+        widths.append(upper - lower)
     # quadrupling n should roughly halve the width
     assert 1.4 < widths[0] / widths[1] < 2.9
     assert 1.4 < widths[1] / widths[2] < 2.9
@@ -293,16 +288,3 @@ def test_bootstrap_resamples_below_one_rejected(resamples):
     pool, segs = _toy_pool(n=50)
     with pytest.raises(ValueError, match="resamples"):
         harmony_violation_stats(pool, VOWELS, segs, resamples=resamples)
-    with pytest.raises(ValueError, match="resamples"):
-        bootstrap_percentile([1.0, 2.0, 3.0], resamples=resamples)
-
-
-def test_bootstrap_too_few_samples():
-    with pytest.raises(TooFewSamples):
-        bootstrap_percentile([1.0])
-
-
-def test_bootstrap_ci_must_bracket_point():
-    with pytest.raises(ValueError):
-        BootstrapCI(statistic="s", point=5.0, lower=1.0, upper=2.0,
-                    resamples=10, level=0.95)

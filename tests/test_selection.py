@@ -19,6 +19,8 @@ from morphaug.selection import (
     select_templatic,
 )
 
+from conftest import selection_json
+
 
 def _ex(tid, msd="N;PL", score=None):
     return SyntheticExample(
@@ -55,6 +57,18 @@ def test_alpha_is_fixed_by_the_kind():
         assert strategy.alpha == (1.0 if kind in ("ume", "ume-loss") else 0.0)
         res = select(pool, strategy)
         assert (res.strategy.kind, res.strategy.alpha) == (kind, strategy.alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.5, -1.0, 2.0, math.nan])
+def test_msd_selectors_accept_only_the_kinds_alphas(alpha):
+    pool = _pool_nine_vs_one(scored=True)
+    for fn in (select_templatic, select_hybrid):
+        with pytest.raises(ValueError, match="alpha must be 0 or 1"):
+            fn(pool, 3, alpha)
+        for ok, kind in ((0, "umt"), (1.0, "ume")):
+            res = fn(pool, 3, ok, seed=4)
+            assert res.strategy.alpha == ok
+            assert res.strategy.kind.startswith(kind)
 
 
 def test_k_equals_pool_size_selects_everything():
@@ -213,7 +227,7 @@ def test_strategies_ignore_scores_when_score_free():
 def test_result_json_round_trip():
     import json
     res = select_random(_pool_nine_vs_one(), 3, seed=2)
-    blob = json.loads(res.to_json())
+    blob = json.loads(selection_json(res))
     assert blob["strategy"]["kind"] == "random"
     assert blob["selected_ids"] == list(res.selected_ids)
     assert sum(blob["per_msd_counts"].values()) == 3
