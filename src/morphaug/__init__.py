@@ -22,16 +22,7 @@ from .scoring import (
     score_pool,
     train_ngram,
 )
-from .selection import (
-    PoolIndex,
-    SelectionResult,
-    SelectionStrategy,
-    select,
-    select_by_loss,
-    select_hybrid,
-    select_random,
-    select_templatic,
-)
+from .selection import PoolIndex, SelectionResult, SelectionStrategy, select
 from .splitgen import LemmaSplit, lemma_split
 
 __version__ = "0.1.0"

@@ -181,6 +181,8 @@ def cmd_score(args) -> None:
 def cmd_select(args) -> None:
     if args.merged_out and not args.gold:
         raise UsageError("--merged-out needs --gold")
+    if args.gold and not args.merged_out:
+        raise UsageError("--gold needs --merged-out")
     _require(args.k >= 0, "--k", ">= 0", args.k)
     _check_out(args.out, *(_with_meta(args.merged_out) if args.merged_out else ()))
     # every input is read before the first output is written
@@ -272,6 +274,10 @@ def cmd_report(args) -> None:
                                 "'per_msd_counts' object")
         if not counts:
             raise EmptySelection(f"{args.selection}: the selection is empty")
+        for msd, count in counts.items():
+            if type(count) is not int or count < 1:
+                raise MorphaugError(f"{args.selection}: per_msd_counts[{msd!r}] must be an "
+                                    f"integer >= 1, got {json.dumps(count)}")
     if args.harmony:
         cfg = _read_harmony_tsv(args.harmony)
     pool = _load_scored_pool(args.pool, args.scores)
@@ -293,14 +299,26 @@ def cmd_report(args) -> None:
 
 
 SWEEP_SIZES = (128, 256, 512, 1024, 2048)
+# the type and rule of each pipeline config value a stage takes as given; a
+# bool is no number here, though Python counts it as an int
+CONFIG_RULES = {"gold": ((str,), "a path"), "full": ((str,), "a path"),
+                "seed": ((int,), "an integer"), "order": ((int,), "an integer >= 1"),
+                "theta": ((int, float), "a number in [0, 1]"),
+                "k_smooth": ((int, float), "a number > 0 and finite"),
+                "sweep": ((bool,), "true or false")}
 
 
 def cmd_pipeline(args) -> None:
     cfg = json.loads(_read(args.config))
+    if not isinstance(cfg, dict):
+        raise MorphaugError(f"{args.config}: expected a JSON object")
     required = ["gold", "n_pool", "theta", "order", "k_smooth", "strategies", "seed"]
     missing = [k for k in required if k not in cfg]
     if missing:
         raise MorphaugError(f"pipeline config missing keys: {', '.join(missing)}")
+    for key, (types, rule) in CONFIG_RULES.items():
+        if key in cfg and type(cfg[key]) not in types:
+            raise MorphaugError(f"{args.config}: {key} must be {rule}, got {json.dumps(cfg[key])}")
     # every stage's parameters are built, and so checked, before the corpora
     # are read or any file is written
     seed, n_pool = cfg["seed"], cfg["n_pool"]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,39 +131,23 @@ class ToyGrammar:
         return stem + x_affix, stem + y_affix, x_affix, y_affix
 
 
-@dataclass(frozen=True, slots=True)
-class ToyExample:
-    """One toy datapoint with its ground-truth decomposition."""
+class ToyExample(NamedTuple):
+    """One toy datapoint as its record: the prefix stem, which lemma and form
+    share verbatim (so it is both x_stem and y_stem), the MSD, the lemma and
+    form, and their ground-truth affixes."""
 
-    id: str
     stem: str
     msd: str
     lemma: str
     form: str
     x_affix: str
     y_affix: str
-    synthetic: bool = False
-
-    # the prefix stem is shared verbatim by lemma and form
-    @property
-    def x_stem(self) -> str:
-        return self.stem
-
-    @property
-    def y_stem(self) -> str:
-        return self.stem
-
-    def to_triple(self) -> InflectionTriple:
-        return InflectionTriple(id=self.id, lemma=self.lemma, form=self.form, msd=(self.msd,))
-
-
-_record = attrgetter("stem", "msd", "lemma", "form", "x_affix", "y_affix")
 
 
 def toy_records(examples: list[ToyExample]) -> Counter:
-    """The count of each (stem, msd, lemma, form, x_affix, y_affix) record of
-    the examples, in first-occurrence order."""
-    return Counter(map(_record, examples))
+    """The count of each example, that is of its record, in first-occurrence
+    order."""
+    return Counter(examples)
 
 
 _CONSONANTS = ("d", "l")
@@ -231,15 +215,11 @@ def generate_gold(g: ToyGrammar, n: int, seed: int = 0) -> list[ToyExample]:
     rng = random.Random(seed)
     msds = g.msds
     out = []
-    for i in range(n):
+    for _ in range(n):
         msd = msds[rng.randrange(len(msds))]
         stems = g.stem_groups[msd] if g.stem_groups is not None else g.stems
         stem = stems[rng.randrange(len(stems))]
-        lemma, form, x_affix, y_affix = g.realize(stem, msd)
-        out.append(ToyExample(
-            id=f"g{i:06d}", stem=stem, msd=msd, lemma=lemma, form=form,
-            x_affix=x_affix, y_affix=y_affix,
-        ))
+        out.append(ToyExample(stem, msd, *g.realize(stem, msd)))
     return out
 
 
@@ -268,10 +248,12 @@ def corrupt_toy(gold: list[ToyExample], g: ToyGrammar, n: int, theta: float,
             k = getrandbits(bits)
         source = sources.get(k)
         if source is None:
-            src = gold[k]
+            stem, msd, lemma, form, x_affix, y_affix = gold[k]
+            # substitute reads the triple's lemma and form, never its id
             source = sources[k] = (
-                src.to_triple(), segmentation_from_boundary(src.lemma, src.form, len(src.stem)),
-                len(src.stem), src.msd, src.x_affix, src.y_affix)
+                InflectionTriple(id="", lemma=lemma, form=form, msd=(msd,)),
+                segmentation_from_boundary(lemma, form, len(stem)),
+                len(stem), msd, x_affix, y_affix)
         triple, seg, stem_len, msd, x_affix, y_affix = source
         lemma, form, _, _ = substitute(triple, seg, alphabet, cfg, rng)
         records[form[:stem_len], msd, lemma, form, x_affix, y_affix] += 1

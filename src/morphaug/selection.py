@@ -210,39 +210,3 @@ def select(pool: Sequence[SyntheticExample] | PoolIndex,
     index = pool if isinstance(pool, PoolIndex) else PoolIndex(pool)
     return index.select(strategy)
 
-
-def select_random(pool: Sequence[SyntheticExample], k: int, seed: int = 0) -> SelectionResult:
-    return PoolIndex(pool).select(SelectionStrategy(kind="random", k=k, seed=seed))
-
-
-def _msd_kind(alpha: float, kinds: tuple[str, str]) -> str:
-    """kinds[0] for alpha 0 and kinds[1] for alpha 1, the kinds' own alphas."""
-    if alpha not in (0, 1):
-        raise ValueError(f"alpha must be 0 or 1, got {alpha}")
-    return kinds[alpha == 1]
-
-
-def select_templatic(pool: Sequence[SyntheticExample], k: int, alpha: float,
-                     seed: int = 0) -> SelectionResult:
-    """Repeat k times: draw an MSD from q_alpha, then a uniform candidate
-    with that MSD; remove it. alpha 0 is umt and alpha 1 ume."""
-    kind = _msd_kind(alpha, ("umt", "ume"))
-    return PoolIndex(pool).select(SelectionStrategy(kind=kind, k=k, seed=seed))
-
-
-def select_by_loss(pool: Sequence[SyntheticExample], k: int,
-                   direction: str = "highest") -> SelectionResult:
-    """Exact top-k (or bottom-k) by nll; ties broken by lowest id."""
-    if direction not in ("highest", "lowest"):
-        raise ValueError(f"direction must be 'highest' or 'lowest', got {direction!r}")
-    kind = "highloss" if direction == "highest" else "lowloss"
-    return PoolIndex(pool).select(SelectionStrategy(kind=kind, k=k))
-
-
-def select_hybrid(pool: Sequence[SyntheticExample], k: int, alpha: float,
-                  seed: int = 0) -> SelectionResult:
-    """Repeat k times: draw an MSD from q_alpha, take its most uncertain
-    remaining candidate (ties by lowest id); remove it. alpha 0 is umt-loss
-    and alpha 1 ume-loss."""
-    kind = _msd_kind(alpha, ("umt-loss", "ume-loss"))
-    return PoolIndex(pool).select(SelectionStrategy(kind=kind, k=k, seed=seed))

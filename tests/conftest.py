@@ -149,21 +149,22 @@ def oracle_corrupt_toy(gold, g, n, theta, seed=0, rng=None):
     for i in range(n):
         src = gold[rng.randrange(len(gold))]
         seg = segmentation_from_boundary(src.lemma, src.form, len(src.stem))
-        syn = oracle_corrupt(src.to_triple(), seg, g.alphabet, cfg, rng, new_id=f"s{i:06d}")
+        triple = InflectionTriple(id="src", lemma=src.lemma, form=src.form, msd=(src.msd,))
+        syn = oracle_corrupt(triple, seg, g.alphabet, cfg, rng, new_id=f"s{i:06d}")
         out.append(ToyExample(
-            id=syn.id, stem=syn.triple.form[: len(src.stem)], msd=src.msd,
+            stem=syn.triple.form[: len(src.stem)], msd=src.msd,
             lemma=syn.triple.lemma, form=syn.triple.form,
-            x_affix=src.x_affix, y_affix=src.y_affix, synthetic=True,
+            x_affix=src.x_affix, y_affix=src.y_affix,
         ))
     return out
 
 
 def oracle_pair_samples(examples, pair):
     """MI samples of a variable pair, read from one dict of all five
-    variables per example."""
+    variables per example (lemma and form share the prefix stem)."""
     a, b = pair
-    rows = ({"t": e.msd, "x_stem": e.x_stem, "x_affix": e.x_affix,
-             "y_stem": e.y_stem, "y_affix": e.y_affix} for e in examples)
+    rows = ({"t": e.msd, "x_stem": e.stem, "x_affix": e.x_affix,
+             "y_stem": e.stem, "y_affix": e.y_affix} for e in examples)
     return [(v[a], v[b]) for v in rows]
 
 
@@ -179,7 +180,9 @@ def pair_samples(examples, pair):
 
 
 def toy_dataset(examples, name="toy") -> Dataset:
-    return Dataset(triples=tuple(e.to_triple() for e in examples), name=name)
+    return Dataset(triples=tuple(
+        InflectionTriple(id=f"g{i:06d}", lemma=e.lemma, form=e.form, msd=(e.msd,))
+        for i, e in enumerate(examples)), name=name)
 
 
 def oracle_joint_counts(samples):
@@ -201,7 +204,7 @@ def oracle_factorization_gap(examples, min_cell=5):
     for e in examples:
         cells[(e.lemma, e.msd)].append(e)
         aff_cond[(e.x_affix, e.msd)][e.y_affix] += 1
-        stem_cond[e.x_stem][e.y_stem] += 1
+        stem_cond[e.stem][e.stem] += 1
     tvs, skipped = [], 0
     for (_, msd), members in cells.items():
         if len(members) < min_cell:
@@ -212,8 +215,8 @@ def oracle_factorization_gap(examples, min_cell=5):
         q_obs = abs_diff = 0.0
         for form, c in p.items():
             e = decomp[form]
-            ac, sc = aff_cond[(e.x_affix, msd)], stem_cond[e.x_stem]
-            q = (ac[e.y_affix] / sum(ac.values())) * (sc[e.y_stem] / sum(sc.values()))
+            ac, sc = aff_cond[(e.x_affix, msd)], stem_cond[e.stem]
+            q = (ac[e.y_affix] / sum(ac.values())) * (sc[e.stem] / sum(sc.values()))
             q_obs += q
             abs_diff += abs(c / len(members) - q)
         tvs.append(max(0.0, 0.5 * (abs_diff + (1.0 - q_obs))))

@@ -27,7 +27,7 @@ from morphaug.milab import (
     toy_records,
 )
 from morphaug.scoring import UniformScorer, score, train_ngram
-from morphaug.selection import select_by_loss, select_hybrid, select_templatic
+from morphaug.selection import SelectionStrategy, select
 from morphaug.splitgen import lemma_split
 
 from conftest import make_dataset, oracle_levenshtein, oracle_matched_runs
@@ -170,17 +170,17 @@ def test_criterion_6_selection_exactness():
             for i in range(1000)]
     for k in (1, 10, 100):
         oracle = [e.id for e in sorted(pool, key=lambda e: (-e.score, e.id))][:k]
-        assert list(select_by_loss(pool, k, "highest").selected_ids) == oracle
+        assert list(select(pool, SelectionStrategy("highloss", k)).selected_ids) == oracle
         oracle = [e.id for e in sorted(pool, key=lambda e: (e.score, e.id))][:k]
-        assert list(select_by_loss(pool, k, "lowest").selected_ids) == oracle
+        assert list(select(pool, SelectionStrategy("lowloss", k)).selected_ids) == oracle
 
     # 9-vs-1 pool: q_0 gives each tag 0.5; q_1 keeps the empirical 0.9/0.1
     small = [_pool_example(f"a{i}", "PL;ERG") for i in range(9)]
     small.append(_pool_example("b0", "SG;ERG"))
     n = 10_000
-    for alpha, p_minor in ((0.0, 0.5), (1.0, 0.1)):
+    for kind, p_minor in (("umt", 0.5), ("ume", 0.1)):
         minority = sum(
-            select_templatic(small, 1, alpha, seed=s)
+            select(small, SelectionStrategy(kind, 1, seed=s))
             .per_msd_counts.counts.get("SG;ERG", 0)
             for s in range(n)
         )
@@ -199,10 +199,10 @@ def test_criterion_7_hybrid_spreads_tags():
             s = 100.0 + i if m == 0 else float(i)
             pool.append(_pool_example(f"m{m}e{i:02d}", f"M{m};X", score=s))
     k = 10
-    top = select_by_loss(pool, k, "highest")
+    top = select(pool, SelectionStrategy("highloss", k))
     _, top_mode = top.per_msd_counts.mode()
     assert top_mode == k
-    hybrid = select_hybrid(pool, k, alpha=0.0, seed=9)
+    hybrid = select(pool, SelectionStrategy("umt-loss", k, seed=9))
     _, hybrid_mode = hybrid.per_msd_counts.mode()
     assert hybrid_mode < k
     print("ACCEPTANCE 7 PASS: pure loss selection concentrates all "

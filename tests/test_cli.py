@@ -51,7 +51,10 @@ def test_usage_error_exit_code_1(capsys):
     assert "--alpha" in capsys.readouterr().err
 
 
-def test_missing_argument_dependencies_are_usage_errors(gold_file, tmp_path, capsys):
+def test_missing_argument_dependencies_are_usage_errors(gold_file, tmp_path, capsys,
+                                                       monkeypatch):
+    from morphaug import cli
+
     pool = str(tmp_path / "pool.jsonl")
     assert main(["augment", "--gold", gold_file, "--n", "5", "--out", pool, "--quiet"]) == 0
     capsys.readouterr()
@@ -67,6 +70,15 @@ def test_missing_argument_dependencies_are_usage_errors(gold_file, tmp_path, cap
     err = capsys.readouterr().err
     assert "usage error" in err and "--merged-out" in err and "Traceback" not in err
     assert not sel.exists() and not merged.exists()
+
+    # --gold is read only for --merged-out, so alone it is refused before any input is read
+    monkeypatch.setattr(cli, "_read", _no_input)
+    assert main(["select", "--pool", pool, "--strategy", "random", "--k", "2",
+                 "--gold", gold_file, "--out", str(sel), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert "--gold" in err and "--merged-out" in err
+    assert not sel.exists()
 
 
 def test_missing_file_exit_code_2(tmp_path, capsys):
@@ -243,8 +255,22 @@ def test_pipeline_equals_the_chained_subcommands(tmp_path, monkeypatch):
     ({"order": 2.5}, "cfg.json: order must be an integer >= 1"),
     ({"n_pool": 0}, "cfg.json: 'n_pool' must be an integer >= 1"),
     ({"n_pool": 2.5}, "cfg.json: 'n_pool' must be an integer >= 1"),
+    # a value of the wrong type, a bool included, is refused naming its key
+    ({"gold": 0}, "cfg.json: gold must be a path, got 0"),
+    ({"full": None}, "cfg.json: full must be a path, got null"),
+    ({"seed": "x"}, 'cfg.json: seed must be an integer, got "x"'),
+    ({"seed": True}, "cfg.json: seed must be an integer, got true"),
+    ({"order": True}, "cfg.json: order must be an integer >= 1, got true"),
+    ({"theta": True}, "cfg.json: theta must be a number in [0, 1], got true"),
+    ({"theta": "x"}, "cfg.json: theta must be a number in [0, 1]"),
+    ({"k_smooth": True}, "cfg.json: k_smooth must be a number > 0 and finite, got true"),
+    ({"sweep": "no"}, 'cfg.json: sweep must be true or false, got "no"'),
 ])
-def test_invalid_pipeline_config_writes_nothing(gold_file, tmp_path, capsys, change, needle):
+def test_invalid_pipeline_config_writes_nothing(gold_file, tmp_path, capsys, monkeypatch,
+                                                change, needle):
+    from morphaug import cli
+
+    monkeypatch.setattr(cli, "_parse", _no_input)  # every check comes before the corpora
     cfg = {"gold": gold_file, "full": gold_file, "n_pool": 80, "theta": 0.5, "order": 3,
            "k_smooth": 0.1, "strategies": ["random", "highloss"], "seed": 3, "k": 16}
     cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "run"
@@ -290,6 +316,34 @@ def test_report_on_empty_selection_is_a_data_error(gold_file, scored_pool, tmp_p
     assert main(["report", "--pool", pool, "--scores", scores, "--gold", gold_file,
                  "--selection", sel, "--out", str(out), "--quiet"]) == 2
     _assert_data_error(capsys, out, "selection is empty")
+
+
+@pytest.mark.parametrize("config", [3, ["gold", "n_pool", "theta", "order", "k_smooth",
+                                    "strategies", "seed"]])
+def test_pipeline_config_that_is_not_an_object_is_a_data_error(tmp_path, capsys, config):
+    cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                 "--quiet"]) == 2
+    _assert_data_error(capsys, out_dir, f"{cfg_path}: expected a JSON object")
+
+
+@pytest.mark.parametrize("count", ["x", -3, 0, 1.5, True, None])
+def test_report_selection_counts_must_be_integers_of_at_least_one(tmp_path, capsys,
+                                                                  monkeypatch, count):
+    from morphaug import cli
+
+    sel, out = tmp_path / "sel.json", tmp_path / "report.json"
+    sel.write_text(json.dumps({"per_msd_counts": {"N;PL": 2, "N;SG": count}}))
+    read = cli._read
+    # only the selection may be read: its counts are checked before the pool
+    monkeypatch.setattr(cli, "_read", lambda path: read(path) if path == str(sel)
+                        else _no_input())
+    assert main(["report", "--pool", str(tmp_path / "pool.jsonl"), "--gold",
+                 str(tmp_path / "gold.tsv"), "--selection", str(sel), "--out", str(out),
+                 "--quiet"]) == 2
+    _assert_data_error(capsys, out, str(sel), "per_msd_counts['N;SG'] must be an integer >= 1",
+                       f"got {json.dumps(count)}")
 
 
 @pytest.mark.parametrize("blob", [{"selected_ids": []}, [], {"per_msd_counts": 3}])

@@ -516,31 +516,28 @@ def msd_pools(draw):
     return pool, k
 
 
-def _check_selection(fast_select, oracle, pool, k, alpha, seed):
-    if alpha not in (0, 1):
-        # q_alpha's exponent is the kind's own: 0 or 1
-        with pytest.raises(ValueError, match="alpha"):
-            fast_select(pool, k, alpha, seed)
-        return
+def _check_selection(kind, oracle, pool, k, seed):
+    """select draws as the oracle does with the kind's own alpha."""
+    strategy = selection.SelectionStrategy(kind, k, seed)
     with _recorded_rngs(selection) as made:
-        fast = fast_select(pool, k, alpha, seed)
+        fast = selection.select(pool, strategy)
     slow_rng = random.Random(seed)
-    assert list(fast.selected_ids) == [e.id for e in oracle(pool, k, alpha, slow_rng)]
+    assert list(fast.selected_ids) == [e.id for e in oracle(pool, k, strategy.alpha, slow_rng)]
     assert made[0].getstate() == slow_rng.getstate()
 
 
 @settings(max_examples=200, deadline=None)
-@given(msd_pools(), st.sampled_from([0.0, 1.0, 0.5]), st.integers(0, 2**32))
-def test_select_templatic_matches_oracle_draw_for_draw(case, alpha, seed):
+@given(msd_pools(), st.sampled_from(["umt", "ume"]), st.integers(0, 2**32))
+def test_select_templatic_matches_oracle_draw_for_draw(case, kind, seed):
     pool, k = case
-    _check_selection(selection.select_templatic, oracle_select_templatic, pool, k, alpha, seed)
+    _check_selection(kind, oracle_select_templatic, pool, k, seed)
 
 
 @settings(max_examples=200, deadline=None)
-@given(msd_pools(), st.sampled_from([0.0, 1.0, 0.5]), st.integers(0, 2**32))
-def test_select_hybrid_matches_oracle_draw_for_draw(case, alpha, seed):
+@given(msd_pools(), st.sampled_from(["umt-loss", "ume-loss"]), st.integers(0, 2**32))
+def test_select_hybrid_matches_oracle_draw_for_draw(case, kind, seed):
     pool, k = case
-    _check_selection(selection.select_hybrid, oracle_select_hybrid, pool, k, alpha, seed)
+    _check_selection(kind, oracle_select_hybrid, pool, k, seed)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
@@ -548,10 +545,12 @@ def test_msd_selections_match_oracle_on_500_msds(alpha):
     rng = random.Random(11)
     pool = [_example(f"y{i:05d}", f"N;T{rng.randrange(500)}", rng.choice([1.0, 2.0, 2.5]))
             for i in range(1500)]
-    for fast, oracle in ((selection.select_templatic, oracle_select_templatic),
-                         (selection.select_hybrid, oracle_select_hybrid)):
+    templatic = "ume" if alpha else "umt"
+    for kind, oracle in ((templatic, oracle_select_templatic),
+                         (f"{templatic}-loss", oracle_select_hybrid)):
+        assert selection.SelectionStrategy(kind, 0).alpha == alpha
         for k in (700, len(pool)):
-            _check_selection(fast, oracle, pool, k, alpha, seed=3)
+            _check_selection(kind, oracle, pool, k, seed=3)
 
 
 # ------------------------------------------------ one index, many selections

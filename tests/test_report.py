@@ -16,7 +16,7 @@ from morphaug.errors import (
 from morphaug.report import bootstrap_means, correlations, harmony_violation_stats, pearson
 from morphaug.milab import HarmonyRule
 from morphaug.scoring import train_ngram, score_pool
-from morphaug.selection import select_random
+from morphaug.selection import SelectionStrategy, select
 
 from conftest import form_stem_positions, make_dataset
 
@@ -132,7 +132,7 @@ def _ex(tid, msd, score=1.0):
 def test_msd_mode_frequency():
     # the report's msd_mode block is the mode of a selection's MSD counts
     pool = [_ex(f"a{i}", "N;PL") for i in range(5)] + [_ex("b0", "N;SG")]
-    sel = select_random(pool, 6, seed=0)
+    sel = select(pool, SelectionStrategy("random", 6, seed=0))
     assert sel.per_msd_counts.mode() == ("N;PL", 5)
 
 

@@ -13,10 +13,6 @@ from morphaug.selection import (
     PoolIndex,
     SelectionStrategy,
     select,
-    select_by_loss,
-    select_hybrid,
-    select_random,
-    select_templatic,
 )
 
 from conftest import selection_json
@@ -59,18 +55,6 @@ def test_alpha_is_fixed_by_the_kind():
         assert (res.strategy.kind, res.strategy.alpha) == (kind, strategy.alpha)
 
 
-@pytest.mark.parametrize("alpha", [0.5, -1.0, 2.0, math.nan])
-def test_msd_selectors_accept_only_the_kinds_alphas(alpha):
-    pool = _pool_nine_vs_one(scored=True)
-    for fn in (select_templatic, select_hybrid):
-        with pytest.raises(ValueError, match="alpha must be 0 or 1"):
-            fn(pool, 3, alpha)
-        for ok, kind in ((0, "umt"), (1.0, "ume")):
-            res = fn(pool, 3, ok, seed=4)
-            assert res.strategy.alpha == ok
-            assert res.strategy.kind.startswith(kind)
-
-
 def test_k_equals_pool_size_selects_everything():
     pool = _pool_nine_vs_one(scored=True)
     for kind in STRATEGIES:
@@ -102,7 +86,7 @@ def test_index_raises_as_the_one_shot_functions():
 
 def test_k_too_large():
     with pytest.raises(KTooLarge):
-        select_random(_pool_nine_vs_one(), 11)
+        select(_pool_nine_vs_one(), SelectionStrategy("random", 11))
 
 
 def test_no_duplicates_and_determinism():
@@ -117,7 +101,7 @@ def test_no_duplicates_and_determinism():
 def test_random_single_draw_frequencies():
     # a uniform first draw from a 4-item pool hits each item with p=0.25
     pool = [_ex(f"x{i}") for i in range(4)]
-    hits = Counter(select_random(pool, 1, seed=s).selected_ids[0]
+    hits = Counter(select(pool, SelectionStrategy("random", 1, seed=s)).selected_ids[0]
                    for s in range(10_000))
     sigma = math.sqrt(0.25 * 0.75 / 10_000)
     for tid in ("x0", "x1", "x2", "x3"):
@@ -135,9 +119,11 @@ def test_templatic_first_draw_tag_frequency(alpha, p_minority):
     # with alpha=0 each tag is drawn with p=0.5; with alpha=1 the minority
     # tag keeps its empirical 0.1
     pool = _pool_nine_vs_one()
+    kind = "ume" if alpha else "umt"
+    assert SelectionStrategy(kind, 1).alpha == alpha
     n = 10_000
     minority = sum(
-        select_templatic(pool, 1, alpha, seed=s).per_msd_counts.counts.get("SG;ERG", 0)
+        select(pool, SelectionStrategy(kind, 1, seed=s)).per_msd_counts.counts.get("SG;ERG", 0)
         for s in range(n)
     )
     sigma = math.sqrt(p_minority * (1 - p_minority) / n)
@@ -148,19 +134,19 @@ def test_templatic_weights_fixed_from_full_pool():
     # after the single minority example is taken, only the majority tag has
     # candidates left, so every further draw must come from it
     pool = _pool_nine_vs_one()
-    res = select_templatic(pool, 10, alpha=1.0, seed=0)
+    res = select(pool, SelectionStrategy("ume", 10, seed=0))
     assert res.per_msd_counts.counts["SG;ERG"] == 1
 
 
 def test_by_loss_examples():
     pool = [_ex("a", score=1.0), _ex("b", score=3.0), _ex("c", score=2.0)]
-    assert select_by_loss(pool, 2, "highest").selected_ids == ("b", "c")
-    assert select_by_loss(pool, 2, "lowest").selected_ids == ("a", "c")
+    assert select(pool, SelectionStrategy("highloss", 2)).selected_ids == ("b", "c")
+    assert select(pool, SelectionStrategy("lowloss", 2)).selected_ids == ("a", "c")
 
 
 def test_by_loss_tie_breaks_by_lowest_id():
     pool = [_ex("z", score=5.0), _ex("a", score=5.0), _ex("m", score=5.0)]
-    assert select_by_loss(pool, 2, "highest").selected_ids == ("a", "m")
+    assert select(pool, SelectionStrategy("highloss", 2)).selected_ids == ("a", "m")
 
 
 def test_by_loss_matches_full_sort_oracle():
@@ -169,21 +155,16 @@ def test_by_loss_matches_full_sort_oracle():
             for i in range(1000)]
     for k in (1, 10, 100):
         oracle = [e.id for e in sorted(pool, key=lambda e: (-e.score, e.id))][:k]
-        assert list(select_by_loss(pool, k, "highest").selected_ids) == oracle
+        assert list(select(pool, SelectionStrategy("highloss", k)).selected_ids) == oracle
         oracle = [e.id for e in sorted(pool, key=lambda e: (e.score, e.id))][:k]
-        assert list(select_by_loss(pool, k, "lowest").selected_ids) == oracle
+        assert list(select(pool, SelectionStrategy("lowloss", k)).selected_ids) == oracle
 
 
 def test_by_loss_requires_scores():
     with pytest.raises(UnscoredPool):
-        select_by_loss([_ex("a")], 1, "highest")
+        select([_ex("a")], SelectionStrategy("highloss", 1))
     with pytest.raises(UnscoredPool):
-        select_hybrid([_ex("a")], 1, 0.0)
-
-
-def test_by_loss_invalid_direction():
-    with pytest.raises(ValueError):
-        select_by_loss([_ex("a", score=1.0)], 1, "sideways")
+        select([_ex("a")], SelectionStrategy("umt-loss", 1))
 
 
 def test_hybrid_single_msd_equals_highloss():
@@ -191,8 +172,8 @@ def test_hybrid_single_msd_equals_highloss():
     rng = random.Random(5)
     pool = [_ex(f"e{i:03d}", score=rng.uniform(0, 10)) for i in range(50)]
     for k in (1, 5, 50):
-        assert select_hybrid(pool, k, 0.0, seed=3).selected_ids == \
-            select_by_loss(pool, k, "highest").selected_ids
+        assert select(pool, SelectionStrategy("umt-loss", k, seed=3)).selected_ids == \
+            select(pool, SelectionStrategy("highloss", k)).selected_ids
 
 
 def test_hybrid_takes_most_uncertain_per_msd():
@@ -200,7 +181,7 @@ def test_hybrid_takes_most_uncertain_per_msd():
         _ex("a1", "N;SG", score=1.0), _ex("a2", "N;SG", score=9.0),
         _ex("b1", "N;PL", score=2.0), _ex("b2", "N;PL", score=8.0),
     ]
-    res = select_hybrid(pool, 2, 0.0, seed=0)
+    res = select(pool, SelectionStrategy("umt-loss", 2, seed=0))
     # whichever tags were drawn, only the higher-scored member of each tag
     # group (or both members of one tag in score order) can appear first
     assert set(res.selected_ids) <= {"a2", "b2"} or \
@@ -211,7 +192,7 @@ def test_hybrid_exhausts_msd_and_renormalizes():
     pool = [_ex("a1", "N;SG", score=1.0),
             _ex("b1", "N;PL", score=2.0),
             _ex("b2", "N;PL", score=3.0)]
-    res = select_hybrid(pool, 3, 0.0, seed=11)
+    res = select(pool, SelectionStrategy("umt-loss", 3, seed=11))
     assert sorted(res.selected_ids) == ["a1", "b1", "b2"]
 
 
@@ -226,7 +207,7 @@ def test_strategies_ignore_scores_when_score_free():
 
 def test_result_json_round_trip():
     import json
-    res = select_random(_pool_nine_vs_one(), 3, seed=2)
+    res = select(_pool_nine_vs_one(), SelectionStrategy("random", 3, seed=2))
     blob = json.loads(selection_json(res))
     assert blob["strategy"]["kind"] == "random"
     assert blob["selected_ids"] == list(res.selected_ids)
