@@ -87,7 +87,9 @@ def _write_json(path: str, payload: dict, stage: str, params: dict) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
+    """The text of an input file; one leading UTF-8 byte order mark is not
+    part of it."""
+    with open(path, encoding="utf-8-sig") as f:
         return f.read()
 
 
@@ -299,6 +301,9 @@ def cmd_report(args) -> None:
 
 
 SWEEP_SIZES = (128, 256, 512, 1024, 2048)
+# every key a pipeline config may hold; any other is a data error
+CONFIG_KEYS = ("gold", "full", "n_pool", "theta", "order", "k_smooth", "strategies", "seed",
+               "sweep", "k")
 # the type and rule of each pipeline config value a stage takes as given; a
 # bool is no number here, though Python counts it as an int
 CONFIG_RULES = {"gold": ((str,), "a path"), "full": ((str,), "a path"),
@@ -312,6 +317,10 @@ def cmd_pipeline(args) -> None:
     cfg = json.loads(_read(args.config))
     if not isinstance(cfg, dict):
         raise MorphaugError(f"{args.config}: expected a JSON object")
+    unknown = [k for k in cfg if k not in CONFIG_KEYS]
+    if unknown:
+        raise MorphaugError(f"{args.config}: unknown config key {', '.join(map(repr, unknown))}"
+                            f" (the keys are {', '.join(CONFIG_KEYS)})")
     required = ["gold", "n_pool", "theta", "order", "k_smooth", "strategies", "seed"]
     missing = [k for k in required if k not in cfg]
     if missing:

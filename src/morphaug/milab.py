@@ -21,8 +21,10 @@ Segmentation uses the grammar's known boundaries, not the alignment module.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter, defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -285,15 +287,20 @@ def _joint_counts(joint: Counter) -> np.ndarray:
 
 
 def _mi_bits(counts: np.ndarray) -> np.ndarray:
-    """Plug-in MI in bits; counts has shape (..., r, c)."""
+    """Plug-in MI in bits; counts (integer or float) has shape (..., r, c).
+    The terms p * (log2 p - log2 pa - log2 pb) are reduced in place, and an
+    empty cell's term (NaN) counts as +0.0, as nansum counts it."""
     n = counts.sum(axis=(-1, -2), keepdims=True)
     p = counts / n
     pa = p.sum(axis=-1, keepdims=True)
     pb = p.sum(axis=-2, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = p * (np.log2(p) - np.log2(pa) - np.log2(pb))
-    bits = np.nansum(terms, axis=(-1, -2))
-    return np.maximum(bits, 0.0)
+        terms = np.log2(p)
+        terms -= np.log2(pa)
+        terms -= np.log2(pb)
+        terms *= p
+    terms[p == 0] = 0.0
+    return np.maximum(terms.sum(axis=(-1, -2)), 0.0)
 
 
 def estimate_mi(
@@ -320,7 +327,7 @@ def estimate_mi(
         dist = np.empty(resamples)
         for start, stop in row_blocks(flat.size, resamples):
             boot = rng.multinomial(n, flat, size=stop - start)
-            dist[start:stop] = _mi_bits(boot.reshape(-1, *counts.shape).astype(float))
+            dist[start:stop] = _mi_bits(boot.reshape(-1, *counts.shape))
         ci_low, ci_high = (float(q) for q in np.percentile(dist, [2.5, 97.5]))
     return MIEstimate(pair=pair, bits=bits, n_samples=n, lam=lam,
                       ci_low=ci_low, ci_high=ci_high)
@@ -379,6 +386,16 @@ def _pair_counts(records: Counter) -> dict:
     return out
 
 
+def _bootstrap_workers() -> int:
+    """Threads for a curve point's mixture bootstraps: one per MI pair, at
+    most one per CPU this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(len(MI_PAIRS), cpus)
+
+
 def mi_decay_curve(
     g: ToyGrammar,
     gold_n: int,
@@ -391,35 +408,42 @@ def mi_decay_curve(
     """MI of the gold/synthetic mixture for each synthetic size, for all four
     variable pairs, with bootstrap CIs, per-point convexity verdicts and the
     mixture's factorization gap. Gold is counted and estimated once, each
-    synthetic set counted once, and the mixture count is their sum."""
+    synthetic set counted once, and the mixture count is their sum.
+
+    A point's four mixture bootstraps run on worker threads, each with its
+    own seeded generator (numpy's multinomial draw releases the GIL), so the
+    curve does not depend on the number of threads. The curve waits for all
+    four before its next step."""
     gold = generate_gold(g, gold_n, seed=derive_seed(seed, "gold"))
     gold_rec = toy_records(gold)
     gold_est = {pair: estimate_mi(joint, pair, 1.0)
                 for pair, joint in _pair_counts(gold_rec).items()}
     points = []
-    for s in syn_sizes:
-        syn_rec = corrupt_toy(gold, g, s, theta, seed=derive_seed(seed, f"syn-{s}")) \
-            if s else Counter()
-        # Counter addition keeps the first-occurrence order of gold + syn
-        mixture = gold_rec + syn_rec
-        lam = gold_n / (gold_n + s)
-        mix_est = {pair: estimate_mi(joint, pair, lam, resamples=resamples,
-                                     seed=derive_seed(seed, f"boot-{s}-{pair}"))
-                   for pair, joint in _pair_counts(mixture).items()}
-        syn_est = {pair: estimate_mi(joint, pair, 0.0)
-                   for pair, joint in _pair_counts(syn_rec).items()} if s else {}
-        convex = {pair: convexity_bound_check(gold_est[pair].bits,
-                                              syn_est[pair].bits if s else 0.0, lam,
-                                              mix_est[pair].bits, epsilon)
-                  for pair in MI_PAIRS}
-        try:
-            gap = factorization_gap(mixture)
-        except ValueError:
-            gap = None
-        points.append(CurvePoint(
-            syn_size=s, lam=lam, mixture=mix_est, gold_only=gold_est,
-            syn_only=syn_est or None, convexity_ok=convex, gap=gap,
-        ))
+    with ThreadPoolExecutor(max_workers=_bootstrap_workers()) as pool:
+        for s in syn_sizes:
+            syn_rec = corrupt_toy(gold, g, s, theta, seed=derive_seed(seed, f"syn-{s}")) \
+                if s else Counter()
+            # Counter addition keeps the first-occurrence order of gold + syn
+            mixture = gold_rec + syn_rec
+            lam = gold_n / (gold_n + s)
+            futures = {pair: pool.submit(estimate_mi, joint, pair, lam, resamples=resamples,
+                                         seed=derive_seed(seed, f"boot-{s}-{pair}"))
+                       for pair, joint in _pair_counts(mixture).items()}
+            mix_est = {pair: f.result() for pair, f in futures.items()}
+            syn_est = {pair: estimate_mi(joint, pair, 0.0)
+                       for pair, joint in _pair_counts(syn_rec).items()} if s else {}
+            convex = {pair: convexity_bound_check(gold_est[pair].bits,
+                                                  syn_est[pair].bits if s else 0.0, lam,
+                                                  mix_est[pair].bits, epsilon)
+                      for pair in MI_PAIRS}
+            try:
+                gap = factorization_gap(mixture)
+            except ValueError:
+                gap = None
+            points.append(CurvePoint(
+                syn_size=s, lam=lam, mixture=mix_est, gold_only=gold_est,
+                syn_only=syn_est or None, convexity_ok=convex, gap=gap,
+            ))
     return points
 
 

@@ -13,7 +13,7 @@ from morphaug.corpus import Dataset, InflectionTriple, parse_unimorph
 from morphaug.corruption import CorruptionConfig, SyntheticExample, segment_dataset
 from morphaug.errors import AlphabetTooSmall, EmptyInput
 from morphaug.milab import (MI_PAIRS, CurvePoint, FactorizationGap, MIEstimate, ToyExample,
-                            _mi_bits, convexity_bound_check, generate_gold)
+                            convexity_bound_check, generate_gold)
 from morphaug.scoring import BOS, EOS, SEP, UNK
 from morphaug.util import derive_seed
 
@@ -226,6 +226,19 @@ def oracle_factorization_gap(examples, min_cell=5):
                             cells_skipped=skipped)
 
 
+def oracle_mi_bits(counts):
+    """Plug-in MI in bits of count tables of shape (..., r, c), as float
+    copies reduced by nansum (an empty cell's term is NaN)."""
+    counts = counts.astype(float)
+    n = counts.sum(axis=(-1, -2), keepdims=True)
+    p = counts / n
+    pa = p.sum(axis=-1, keepdims=True)
+    pb = p.sum(axis=-2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * (np.log2(p) - np.log2(pa) - np.log2(pb))
+    return np.maximum(np.nansum(terms, axis=(-1, -2)), 0.0)
+
+
 def oracle_estimate_mi(samples, pair, lam, resamples=0, seed=0):
     """Plug-in MI of a list of samples: the joint table counted sample by
     sample (oracle_joint_counts), n the number of samples."""
@@ -235,9 +248,9 @@ def oracle_estimate_mi(samples, pair, lam, resamples=0, seed=0):
     if resamples > 0:
         rng = np.random.default_rng(seed)
         boot = rng.multinomial(n, counts.ravel() / n, size=resamples)
-        dist = _mi_bits(boot.reshape(resamples, *counts.shape).astype(float))
+        dist = oracle_mi_bits(boot.reshape(resamples, *counts.shape))
         ci = tuple(float(q) for q in np.percentile(dist, [2.5, 97.5]))
-    return MIEstimate(pair, float(_mi_bits(counts)), n, lam, *ci)
+    return MIEstimate(pair, float(oracle_mi_bits(counts)), n, lam, *ci)
 
 
 def oracle_mi_decay_curve(g, gold_n, syn_sizes, theta=1.0, seed=0, resamples=200,

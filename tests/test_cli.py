@@ -265,6 +265,9 @@ def test_pipeline_equals_the_chained_subcommands(tmp_path, monkeypatch):
     ({"theta": "x"}, "cfg.json: theta must be a number in [0, 1]"),
     ({"k_smooth": True}, "cfg.json: k_smooth must be a number > 0 and finite, got true"),
     ({"sweep": "no"}, 'cfg.json: sweep must be true or false, got "no"'),
+    # a misspelt key is no silent default: "swep" would leave the sweep off
+    ({"swep": True}, "cfg.json: unknown config key 'swep'"),
+    ({"alpha": 0.5, "K": 16}, "cfg.json: unknown config key 'alpha', 'K'"),
 ])
 def test_invalid_pipeline_config_writes_nothing(gold_file, tmp_path, capsys, monkeypatch,
                                                 change, needle):
@@ -805,3 +808,43 @@ def test_report_harmony_lines_it_cannot_use_are_data_errors_before_the_pool(
     assert main(["report", "--pool", str(tmp_path / "missing.jsonl"), "--gold", gold_file,
                  "--harmony", str(vowels), "--out", str(out), "--quiet"]) == 2
     _assert_data_error(capsys, out, f"{vowels} line {line}:", needle)
+
+
+BOM = "\ufeff"
+
+
+def test_a_leading_bom_is_not_part_of_any_input(tmp_path, monkeypatch):
+    import test_golden as golden
+
+    # the same commands on the same inputs, once with a byte order mark
+    # before each input file's text: every artifact has the same bytes
+    cfg = {**golden.PIPELINE_CONFIG, "n_pool": 2000}
+    inputs = {"gold.tsv": golden.GOLD, "full.tsv": golden.FULL, "cfg.json": json.dumps(cfg),
+              "vowels.tsv": "a\tback\ne\tfront\n"}
+    argvs = [["parse", "--in", "gold.tsv", "--out", "gold.jsonl"],
+             ["augment", "--gold", "gold.tsv", "--n", "2000", "--out", "pool.jsonl"],
+             ["pipeline", "--config", "cfg.json", "--out-dir", "run"],
+             ["report", "--pool", "run/pool.jsonl", "--scores", "run/scores.tsv",
+              "--gold", "gold.tsv", "--harmony", "vowels.tsv", "--resamples", "50",
+              "--out", "report.json"]]
+    outputs = {}
+    for bom in ("", BOM):
+        run = tmp_path / ("bom" if bom else "plain")
+        run.mkdir()
+        for name, text in inputs.items():
+            (run / name).write_text(bom + text, encoding="utf-8")
+        monkeypatch.chdir(run)
+        for argv in argvs:
+            assert main([*argv, "--quiet"]) == 0, argv
+        outputs[bom] = {str(p.relative_to(run)): p.read_bytes()
+                        for p in sorted(run.rglob("*")) if p.is_file() and p.name not in inputs}
+    assert outputs[BOM] == outputs[""]
+    assert not any(BOM.encode() in blob for blob in outputs[BOM].values())
+    assert json.loads(outputs[BOM]["gold.jsonl"].splitlines()[0])["lemma"] == "walk"
+
+
+def test_only_one_leading_bom_is_dropped(tmp_path, capsys):
+    gold, out = tmp_path / "gold.tsv", tmp_path / "gold.jsonl"
+    gold.write_text(BOM + BOM + "walk\twalked\tV;PST\n", encoding="utf-8")
+    assert main(["parse", "--in", str(gold), "--out", str(out), "--quiet"]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["lemma"] == BOM + "walk"

@@ -6,6 +6,8 @@ import dataclasses
 import gc
 import json
 import random
+import sys
+import threading
 from collections import Counter
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -14,6 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from morphaug import corruption, milab, report, scoring, selection, util
 from morphaug.alignment import align, extract_stem, levenshtein, segmentation_from_boundary
@@ -28,7 +31,8 @@ from conftest import (form_stem_positions, make_dataset, oracle_align, oracle_co
                       oracle_corrupt_toy, oracle_estimate_mi, oracle_factorization_gap,
                       oracle_generate_pool,
                       oracle_harmony_bootstrap, oracle_levenshtein, oracle_group_by_msd,
-                      oracle_logprobs, oracle_mi_decay_curve, oracle_nlls, oracle_pair_samples,
+                      oracle_logprobs, oracle_mi_bits, oracle_mi_decay_curve, oracle_nlls,
+                      oracle_pair_samples,
                       pair_samples, oracle_select_by_loss, oracle_select_hybrid,
                       oracle_select_random, oracle_select_templatic, oracle_write_pool_jsonl,
                       random_word)
@@ -731,3 +735,112 @@ def test_mi_decay_curve_matches_oracle_path(g, gold_n, syn_sizes, theta, resampl
     slow = oracle_mi_decay_curve(g, gold_n, syn_sizes, theta=theta, seed=seed,
                                  resamples=resamples)
     assert [p.to_dict() for p in fast] == [p.to_dict() for p in slow]
+
+
+@st.composite
+def count_blocks(draw):
+    """A block of count tables, shape (rows, r, c), each with at least one
+    count; rows and columns of zeros are common."""
+    shape = tuple(draw(st.integers(1, n)) for n in (8, 5, 5))
+    block = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 3) | st.integers(0, 10**6)))
+    block[block.sum(axis=(-1, -2)) == 0, 0, 0] = 1
+    return block
+
+
+@settings(max_examples=500, deadline=None)
+@given(count_blocks())
+@example(np.array([[[0, 0], [3, 1]], [[2, 0], [5, 0]], [[0, 0], [0, 9]]]))  # empty row/column
+@example(np.array([[[7]]]))
+def test_mi_bits_in_place_is_bit_identical_to_the_nansum_of_floats(block):
+    # the bootstrap reduces the integer draws, the point estimate float counts
+    for counts in (block, block.astype(float)):
+        assert milab._mi_bits(counts).tobytes() == oracle_mi_bits(block).tobytes()
+
+
+# ------------------------------------------- MI bootstraps on worker threads
+
+@contextmanager
+def _cpus(k):
+    """milab sees k CPUs; yields the worker count of each thread pool it
+    makes."""
+    made = []
+    real = milab.ThreadPoolExecutor
+
+    def pool(max_workers):
+        made.append(max_workers)
+        return real(max_workers)
+
+    with mock.patch.object(milab.os, "sched_getaffinity", lambda pid: set(range(k)),
+                           create=True), mock.patch.object(milab, "ThreadPoolExecutor", pool):
+        yield made
+
+
+@settings(max_examples=20, deadline=None)
+@given(toy_grammars(), st.integers(5, 40),
+       st.lists(st.integers(0, 60), min_size=1, max_size=3), THETAS,
+       st.integers(1, 20), st.integers(0, 2**32))
+def test_mi_decay_curve_does_not_depend_on_the_thread_count(g, gold_n, syn_sizes, theta,
+                                                            resamples, seed):
+    curves = {}
+    interval = sys.getswitchinterval()
+    try:
+        # more workers than most hosts have cores, switching threads often
+        sys.setswitchinterval(1e-6)
+        for cpus in (1, 4):
+            with _cpus(cpus) as pools:
+                curves[cpus] = [p.to_dict() for p in milab.mi_decay_curve(
+                    g, gold_n, syn_sizes, theta=theta, seed=seed, resamples=resamples)]
+            assert pools == [cpus]  # one pool per curve
+    finally:
+        sys.setswitchinterval(interval)
+    assert curves[1] == curves[4]
+
+
+def test_bootstrap_workers_are_one_per_pair_and_at_most_one_per_cpu(monkeypatch):
+    for cpus, workers in ((1, 1), (3, 3), (4, 4), (64, 4)):
+        with _cpus(cpus):
+            assert milab._bootstrap_workers() == workers
+    # without an affinity call, the CPU count; when that is unknown, one
+    monkeypatch.delattr(milab.os, "sched_getaffinity", raising=False)
+    for count, workers in ((2, 2), (None, 1)):
+        monkeypatch.setattr(milab.os, "cpu_count", lambda: count)
+        assert milab._bootstrap_workers() == workers
+
+
+def test_a_worker_exception_surfaces_unchanged(tmp_path, capsys, monkeypatch):
+    failure = ValueError("bootstrap failed")
+    raised_on = []
+    estimate_mi = milab.estimate_mi
+
+    def failing(joint, pair, lam=1.0, resamples=0, seed=0):
+        if resamples:  # the mixture estimates, on the pool's threads
+            raised_on.append(threading.current_thread())
+            raise failure
+        return estimate_mi(joint, pair, lam, resamples, seed)
+
+    monkeypatch.setattr(milab, "estimate_mi", failing)
+    g = milab.make_toy_grammar(10, 3, seed=1)
+    with _cpus(4), pytest.raises(ValueError) as info:
+        milab.mi_decay_curve(g, 50, [0, 50], resamples=5)
+    assert info.value is failure
+    assert raised_on and threading.main_thread() not in raised_on
+
+    out = tmp_path / "curve.json"
+    assert main(["milab", "--stems", "10", "--msds", "3", "--gold", "50", "--syn-sizes",
+                 "0,50", "--resamples", "5", "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: bootstrap failed\n"
+    assert not out.exists()
+
+
+def test_milab_runs_write_the_same_bytes(tmp_path, monkeypatch):
+    blobs = []
+    for cpus in (1, 4):
+        run = tmp_path / f"cpus-{cpus}"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        with _cpus(cpus):
+            assert main(["milab", "--harmony", "on", "--stems", "20", "--msds", "4",
+                         "--gold", "200", "--syn-sizes", "0,200,2000", "--resamples", "50",
+                         "--out", "curve.json", "--quiet"]) == 0
+        blobs.append((run / "curve.json").read_bytes())
+    assert blobs[0] == blobs[1]

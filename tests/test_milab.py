@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from morphaug import util
 from morphaug.alignment import align, extract_stem
@@ -68,6 +69,24 @@ def test_mi_bootstrap_ci_brackets_point():
     est = estimate_mi(samples, resamples=500, seed=4)
     assert est.ci_low is not None and est.ci_low <= est.bits <= est.ci_high
     assert est.ci_high - est.ci_low < 0.3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.tuples(st.sampled_from("abcd"), st.sampled_from("vwxyz")),
+                       st.integers(1, 500), min_size=1).map(Counter),
+       st.integers(0, 30), st.integers(0, 2**32))
+@example(Counter({("a", "v"): 7}), 30, 0)  # a single cell
+@example(Counter({("a", "v"): 3, ("a", "w"): 1, ("a", "x"): 9}), 30, 1)  # one row
+@example(Counter({("a", "v"): 3, ("b", "v"): 1, ("c", "v"): 9}), 30, 2)  # one column
+# the rare levels b and w are drawn 0 times in most resamples
+@example(Counter({("a", "v"): 500, ("b", "w"): 1, ("a", "w"): 1, ("b", "v"): 1}), 30, 3)
+def test_mi_is_nonnegative_and_its_ci_ordered(joint, resamples, seed):
+    est = estimate_mi(joint, resamples=resamples, seed=seed)
+    assert est.bits >= 0
+    if resamples:
+        assert 0 <= est.ci_low <= est.ci_high
+    else:
+        assert est.ci_low is None and est.ci_high is None
 
 
 def test_mi_requires_samples():
