@@ -13,15 +13,7 @@ from .corpus import (
     serialize,
 )
 from .corruption import CorruptionConfig, SyntheticExample, corrupt, generate_pool
-from .scoring import (
-    NGramScorer,
-    UncertaintyScore,
-    UniformScorer,
-    load_external_scores,
-    score,
-    score_pool,
-    train_ngram,
-)
+from .scoring import NGramScorer, load_external_scores, score_pool, train_ngram
 from .selection import PoolIndex, SelectionResult, SelectionStrategy, select
 from .splitgen import LemmaSplit, lemma_split
 

@@ -97,14 +97,21 @@ def _parse(path: str) -> corpus.Dataset:
     return corpus.parse_unimorph(_read(path), name=path)
 
 
-def _apply_external(pool, scores_path: str) -> list:
-    """The pool with the scores of an external id<TAB>nll file."""
-    return scoring.apply_scores(pool, scoring.load_external_scores(_read(scores_path), pool))
+def _read_json(path: str):
+    """The JSON value of an input file; an unreadable one is a data error naming the file."""
+    try:
+        return json.loads(_read(path))
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise MorphaugError(f"{path}: not valid JSON: {e}") from None
 
 
-def _load_scored_pool(pool_path: str, scores_path: str | None):
-    pool = corruption.read_pool_jsonl(_read(pool_path))
-    return _apply_external(pool, scores_path) if scores_path else pool
+def _load_scored_pool(pool_path: str, scores_path: str | None = None):
+    """The pool of a JSONL file, scored by an external id<TAB>nll file if one is given."""
+    try:
+        pool = corruption.read_pool_jsonl(_read(pool_path))
+    except MorphaugError as e:
+        raise MorphaugError(f"{pool_path}: {e}") from None
+    return scoring.load_external_scores(_read(scores_path), pool) if scores_path else pool
 
 
 # --------------------------------------------------------------------- stages
@@ -121,10 +128,8 @@ def _augment(gold, n: int, cfg: corruption.CorruptionConfig, out: str, params: d
 def _score(pool, gold, order: int, k_smooth: float, external: str | None,
            out: str, params: dict) -> list:
     """Scores from the external id<TAB>nll file if given, else from an n-gram trained on gold."""
-    if external:
-        scored = _apply_external(pool, external)
-    else:
-        scored = scoring.score_pool(scoring.train_ngram(gold, order=order, k=k_smooth), pool)
+    scored = (scoring.load_external_scores(_read(external), pool) if external else
+              scoring.score_pool(scoring.train_ngram(gold, order=order, k=k_smooth), pool))
     _write_with_meta(out, scoring.write_scores_tsv(scored), "score", params)
     log.info("scored %d examples to %s", len(scored), out)
     return scored
@@ -175,7 +180,7 @@ def cmd_score(args) -> None:
     _require(args.order >= 1, "--order", ">= 1", args.order)
     _require(0 < args.k_smooth < math.inf, "--k-smooth", "finite and > 0", args.k_smooth)
     _check_out(*_with_meta(args.out))
-    pool = corruption.read_pool_jsonl(_read(args.pool))
+    pool = _load_scored_pool(args.pool)
     gold = None if args.external else _parse(args.gold)
     _score(pool, gold, args.order, args.k_smooth, args.external, args.out, vars(args))
 
@@ -269,7 +274,7 @@ def cmd_report(args) -> None:
     _check_out(args.out)
     # the small inputs first, so a bad one fails before the pool is read
     if args.selection:
-        blob = json.loads(_read(args.selection))
+        blob = _read_json(args.selection)
         counts = blob.get("per_msd_counts") if isinstance(blob, dict) else None
         if not isinstance(counts, dict):
             raise MorphaugError(f"{args.selection}: expected a selection JSON with a "
@@ -314,7 +319,7 @@ CONFIG_RULES = {"gold": ((str,), "a path"), "full": ((str,), "a path"),
 
 
 def cmd_pipeline(args) -> None:
-    cfg = json.loads(_read(args.config))
+    cfg = _read_json(args.config)
     if not isinstance(cfg, dict):
         raise MorphaugError(f"{args.config}: expected a JSON object")
     unknown = [k for k in cfg if k not in CONFIG_KEYS]
@@ -474,7 +479,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (MorphaugError, OSError, json.JSONDecodeError, ValueError) as e:
+    except (MorphaugError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     finally:

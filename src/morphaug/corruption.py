@@ -17,8 +17,9 @@ from json.encoder import encode_basestring
 
 from .alignment import Segmentation, align, extract_stem, levenshtein
 from .corpus import Alphabet, Dataset, InflectionTriple, derived_triple
-from .errors import (AlphabetTooSmall, BadTriple, BadValue, MissingKey, MissingSegmentation,
-                     NoAlignableTriples, NoStem, NotAnObject, NotJson, SourceMismatch)
+from .errors import (AlphabetTooSmall, BadTriple, BadValue, DuplicateId, MissingKey,
+                     MissingSegmentation, NoAlignableTriples, NoStem, NotAnObject, NotJson,
+                     SourceMismatch)
 
 log = logging.getLogger(__name__)
 
@@ -220,16 +221,17 @@ def write_pool_jsonl(pool: list[SyntheticExample]) -> str:
 
 
 def read_pool_jsonl(text: str) -> list[SyntheticExample]:
-    """The pool of a JSONL text. A line that is not a JSON object with every
-    key and a value of the right type for each, or whose triple is invalid,
-    is a data error naming the line (and the key)."""
-    pool = []
-    for line_no, line in enumerate(text.splitlines(), 1):
+    """The pool of a JSONL text, split at "\\n" only (json leaves U+2028
+    unescaped). A line that is not a JSON object with every key and a
+    value of the right type for each, whose triple is invalid, or whose id
+    is taken, is a data error naming the line (and the key)."""
+    pool, ids = [], set()
+    for line_no, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         try:
             d = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise NotJson(line_no, e) from None
         if not isinstance(d, dict):
             raise NotAnObject(line_no, type(d).__name__)
@@ -245,6 +247,9 @@ def read_pool_jsonl(text: str) -> list[SyntheticExample]:
                                       msd=tuple(d["msd"]))
         except ValueError as e:
             raise BadTriple(line_no, e) from None
+        if triple.id in ids:
+            raise DuplicateId(triple.id, line_no)
+        ids.add(triple.id)
         pool.append(SyntheticExample(
             triple=triple,
             source_id=d["source_id"],
@@ -259,7 +264,7 @@ def read_pool_jsonl(text: str) -> list[SyntheticExample]:
 def _bad_value(d: dict) -> tuple[str, str] | None:
     """The first key of a pool line whose value has the wrong type, with the
     type it needs; None if every value is right. The score, which may be
-    absent, is null or a finite number >= 0, the rule of UncertaintyScore.
+    absent, is null or a finite number >= 0, the rule of scoring.check_nll.
     JSON gives exactly str, int, float, bool, list, dict or None, and a bool
     is no int here."""
     for key in ("id", "source_id", "lemma", "form"):

@@ -90,7 +90,8 @@ class NotAnObject(MorphaugError):
 
 class NotJson(MorphaugError):
     def __init__(self, line_no, err):
-        super().__init__(f"line {line_no}: not valid JSON, column {err.colno}: {err.msg}")
+        where = f", column {err.colno}: {err.msg}" if hasattr(err, "colno") else f": {err}"
+        super().__init__(f"line {line_no}: not valid JSON{where}")
 
 
 class BadValue(MorphaugError):

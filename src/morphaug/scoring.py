@@ -1,11 +1,10 @@
 """Predictive-uncertainty scoring: average per-token NLL of the target form.
 
 The score of an example is -1/n * sum_j log p(y_j | y_<j, X, T) in nats, with
-n = |Y| + 1 (the end-of-sequence token is counted). Any object exposing
-logprobs(lemma, msd, form) can act as a scorer; the built-in scorer is an
-add-k smoothed character n-gram over the concatenated "X # T # Y" sequence,
-standing in for an external inflection model whose scores can be loaded from
-a TSV instead.
+n = |Y| + 1 (the end-of-sequence token is counted). A pool gets its scores
+from one of two sources: the built-in add-k smoothed character n-gram over the
+concatenated "X # T # Y" sequence (score_pool), or an external inflection
+model's id<TAB>nll TSV (load_external_scores), for which the n-gram stands in.
 """
 
 from __future__ import annotations
@@ -13,9 +12,9 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Iterator, Protocol
+from functools import reduce
+from operator import add, attrgetter
+from typing import Iterable, Iterator
 
 from .corpus import Dataset
 from .corruption import SyntheticExample
@@ -36,37 +35,11 @@ SEP = "#"
 UNK = "<unk>"
 
 
-@dataclass(frozen=True)
-class UncertaintyScore:
-    example_id: str
-    nll: float
-
-    def __post_init__(self):
-        check_nll(self.nll)
-
-
 def check_nll(nll: float) -> float:
     """nll, if it is finite and >= 0; a ValueError otherwise."""
     if not 0.0 <= nll < math.inf:
         raise ValueError(f"nll must be finite and >= 0, got {nll}")
     return nll
-
-
-class Scorer(Protocol):
-    def logprobs(self, lemma: str, msd: tuple[str, ...], form: str) -> list[float]:
-        """Per-token log-probabilities for the form plus EOS (length |form|+1)."""
-        ...
-
-
-class UniformScorer:
-    """Assigns 1/vocab_size to every continuation; nll is log(vocab_size)."""
-
-    def __init__(self, vocab_size: int):
-        self.vocab_size = vocab_size
-
-    def logprobs(self, lemma, msd, form):
-        lp = -math.log(self.vocab_size)
-        return [lp] * (len(form) + 1)
 
 
 class NGramScorer:
@@ -184,12 +157,14 @@ class NGramScorer:
             yield lps
 
     def logprobs(self, lemma, msd, form):
+        """Per-token log-probabilities of the form plus EOS (length |form|+1)."""
         return next(self._logprob_lists([(lemma, msd, form)]))
 
     def nlls(self, pool: Iterable[SyntheticExample]) -> list[float]:
-        """The nll of each example, bit for bit as score gives it, in one
-        pass over the pool."""
-        return [check_nll(-sum(lps) / len(lps))
+        """The nll of each example, -(its logprobs summed left to right) /
+        (len(form) + 1), in one pass. Python 3.12's sum() of floats rounds
+        otherwise, so reduce(add) keeps the bytes the same on every version."""
+        return [check_nll(-reduce(add, lps, 0.0) / len(lps))
                 for lps in self._logprob_lists(map(_LEMMA_MSD_FORM, pool))]
 
     @property
@@ -206,17 +181,7 @@ def train_ngram(gold: Dataset, order: int = 3, k: float = 0.1) -> NGramScorer:
     return scorer
 
 
-def score(scorer: Scorer, e: SyntheticExample) -> UncertaintyScore:
-    lps = scorer.logprobs(e.triple.lemma, e.triple.msd, e.triple.form)
-    n = len(e.triple.form) + 1
-    if len(lps) != n:
-        raise ValueError(f"scorer returned {len(lps)} log-probs, expected {n}")
-    return UncertaintyScore(example_id=e.id, nll=-sum(lps) / n)
-
-
-def score_pool(scorer: Scorer, pool: Iterable[SyntheticExample]) -> list[SyntheticExample]:
-    if not isinstance(scorer, NGramScorer):
-        return [e.with_score(score(scorer, e).nll) for e in pool]
+def score_pool(scorer: NGramScorer, pool: Iterable[SyntheticExample]) -> list[SyntheticExample]:
     pool = list(pool)
     out = list(map(SyntheticExample.with_score, pool, scorer.nlls(pool)))
     if scorer.unk_hits:
@@ -232,12 +197,12 @@ def require_scored(pool: Iterable[SyntheticExample]) -> list[SyntheticExample]:
     return pool
 
 
-def load_external_scores(text: str, pool: list[SyntheticExample]) -> dict[str, UncertaintyScore]:
-    """Parse an "id<TAB>nll" TSV and attach scores; every pool id must appear
-    exactly once."""
+def load_external_scores(text: str, pool: list[SyntheticExample]) -> list[SyntheticExample]:
+    """The pool with the scores of an "id<TAB>nll" TSV, whose lines end at
+    "\\n" only; every pool id must appear exactly once."""
     pool_ids = {e.id for e in pool}
-    scores: dict[str, UncertaintyScore] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    scores: dict[str, float] = {}
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -252,16 +217,11 @@ def load_external_scores(text: str, pool: list[SyntheticExample]) -> dict[str, U
             raise UnknownId(example_id, line_no)
         if example_id in scores:
             raise DuplicateId(example_id, line_no)
-        scores[example_id] = UncertaintyScore(example_id=example_id, nll=nll)
+        scores[example_id] = check_nll(nll)
     missing = pool_ids - scores.keys()
     if missing:
         raise MissingId(missing)
-    return scores
-
-
-def apply_scores(pool: list[SyntheticExample],
-                 scores: dict[str, UncertaintyScore]) -> list[SyntheticExample]:
-    return [e.with_score(scores[e.id].nll) for e in pool]
+    return [e.with_score(scores[e.id]) for e in pool]
 
 
 def write_scores_tsv(pool: Iterable[SyntheticExample]) -> str:

@@ -2,8 +2,8 @@ import json
 import math
 import random
 from collections import Counter, defaultdict
-from functools import lru_cache
-from operator import attrgetter
+from functools import lru_cache, reduce
+from operator import add, attrgetter
 
 import numpy as np
 import pytest
@@ -297,11 +297,12 @@ def oracle_logprobs(scorer, lemma, msd, form):
 
 def oracle_nlls(scorer, pool):
     """(nlls, token hits, UNK hits) of scoring the pool one oracle_logprobs
-    call per example: each nll is -sum(log-probs) / (|form| + 1)."""
+    call per example: each nll is -(log-probs summed left to right) /
+    (|form| + 1)."""
     nlls, hits, unk = [], 0, 0
     for e in pool:
         lps, n_tok, n_unk = oracle_logprobs(scorer, e.triple.lemma, e.triple.msd, e.triple.form)
-        nlls.append(-sum(lps) / (len(e.triple.form) + 1))
+        nlls.append(-reduce(add, lps, 0.0) / (len(e.triple.form) + 1))
         hits, unk = hits + n_tok, unk + n_unk
     return nlls, hits, unk
 

@@ -26,7 +26,7 @@ from morphaug.milab import (
     mi_decay_curve,
     toy_records,
 )
-from morphaug.scoring import UniformScorer, score, train_ngram
+from morphaug.scoring import NGramScorer, score_pool, train_ngram
 from morphaug.selection import SelectionStrategy, select
 from morphaug.splitgen import lemma_split
 
@@ -211,9 +211,9 @@ def test_criterion_7_hybrid_spreads_tags():
 
 
 def test_criterion_8_scoring_sanity():
-    e = _pool_example("x", "N;PL")
-    assert score(UniformScorer(vocab_size=7), e).nll == \
-        pytest.approx(math.log(7), abs=1e-15)
+    # untrained, the n-gram is uniform over its vocabulary {#, </s>, <unk>}
+    [e] = score_pool(NGramScorer(order=3, k=0.1), [_pool_example("x", "N;PL")])
+    assert e.score == pytest.approx(math.log(3), abs=1e-15)
 
     rows = [("walk", "walked", "V;PST"),
             ("talk", "talked", "V;PST"),
@@ -238,12 +238,12 @@ def test_criterion_8_scoring_sanity():
             c = (seq[pos - 2], seq[pos - 1], seq[pos])
             nll -= math.log((counts[c] + 0.1) / (ctx_totals[c[:2]] + 0.1 * len(vocab)))
         expected = nll / (len(form) + 1)
-        got = score(scorer, SyntheticExample(
+        [got] = score_pool(scorer, [SyntheticExample(
             triple=InflectionTriple(id="q", lemma=lemma, form=form, msd=msd),
             source_id="g", substituted_lemma_positions=(),
-            substituted_form_positions=(), lev_to_gold_target=0)).nll
-        assert got == pytest.approx(expected, abs=1e-9)
-    print("ACCEPTANCE 8 PASS: uniform scorer is exactly ln(vocab); trigram "
+            substituted_form_positions=(), lev_to_gold_target=0)])
+        assert got.score == pytest.approx(expected, abs=1e-9)
+    print("ACCEPTANCE 8 PASS: an untrained n-gram scores exactly ln(3); trigram "
           "scorer matches the hand chain-rule product to 1e-9")
 
 

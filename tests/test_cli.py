@@ -848,3 +848,69 @@ def test_only_one_leading_bom_is_dropped(tmp_path, capsys):
     gold.write_text(BOM + BOM + "walk\twalked\tV;PST\n", encoding="utf-8")
     assert main(["parse", "--in", str(gold), "--out", str(out), "--quiet"]) == 0
     assert json.loads(out.read_text(encoding="utf-8"))["lemma"] == BOM + "walk"
+
+
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("command", ["pipeline", "score", "report"])
+def test_deeply_nested_json_is_a_data_error_naming_the_file(gold_file, scored_pool, tmp_path,
+                                                          capsys, command):
+    pool, scores = scored_pool
+    deep, out = tmp_path / "deep.json", tmp_path / "out"
+    if command == "score":  # a pool whose second line is nested too deeply
+        deep.write_text(open(pool).readline() + DEEP_JSON + "\n")
+        argv = ["score", "--pool", str(deep), "--gold", gold_file, "--out", str(out)]
+        needles = [f"{deep}: line 2:"]
+    else:
+        deep.write_text(DEEP_JSON)
+        argv = (["pipeline", "--config", str(deep), "--out-dir", str(out)]
+                if command == "pipeline" else
+                ["report", "--pool", pool, "--scores", scores, "--gold", gold_file,
+                 "--selection", str(deep), "--out", str(out)])
+        needles = [f"{deep}:"]
+    capsys.readouterr()
+    assert main([*argv, "--quiet"]) == 2
+    _assert_data_error(capsys, out, *needles, "not valid JSON")
+
+
+def test_line_separators_in_the_gold_survive_augment_and_score(tmp_path, capsys):
+    # json writes U+2028 and U+0085 unescaped; the pool reader splits at "\n" only
+    gold, pool, scores = (str(tmp_path / name) for name in ("gold.tsv", "pool.jsonl",
+                                                             "scores.tsv"))
+    with open(gold, "w", encoding="utf-8") as f:
+        f.write("wa\u2028lked\twa\u2028lkeds\tV;PST\n"
+                "ta\x85lked\tta\x85lkeds\tV;PST\n"
+                "jumped\tjumpeds\tV;PST\n")
+    assert main(["augment", "--gold", gold, "--n", "50", "--theta", "0.5", "--out", pool,
+                 "--quiet"]) == 0
+    assert main(["score", "--pool", pool, "--gold", gold, "--out", scores, "--quiet"]) == 0
+    with open(pool, encoding="utf-8") as f:
+        lines = [json.loads(line) for line in f.read().split("\n") if line]
+    assert sum("\u2028" in d["lemma"] for d in lines) > 0
+    with open(scores, encoding="utf-8") as f:
+        assert [line.split("\t")[0] for line in f.read().split("\n") if line] == \
+            [d["id"] for d in lines]
+
+
+def _pool_line(tid, lemma):
+    return json.dumps({"id": tid, "source_id": "1", "lemma": lemma, "form": lemma + "ed",
+                       "msd": ["V", "PST"], "substituted_lemma_positions": [],
+                       "substituted_form_positions": [], "lev_to_gold_target": 0,
+                       "score": 1.0}) + "\n"
+
+
+def test_a_repeated_pool_id_is_a_data_error_naming_the_line(gold_file, tmp_path, capsys):
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text(_pool_line("x", "walk") + _pool_line("x", "talk"))
+    sel, merged = tmp_path / "sel.json", tmp_path / "merged.tsv"
+    assert main(["select", "--pool", str(pool), "--strategy", "random", "--k", "2",
+                 "--gold", gold_file, "--merged-out", str(merged), "--out", str(sel),
+                 "--quiet"]) == 2
+    _assert_data_error(capsys, sel, f"{pool}: line 2: duplicate id 'x'")
+    assert not merged.exists()
+    external, scores = tmp_path / "external.tsv", tmp_path / "scores.tsv"
+    external.write_text("x\t0.5\n")
+    assert main(["score", "--pool", str(pool), "--external", str(external),
+                 "--out", str(scores), "--quiet"]) == 2
+    _assert_data_error(capsys, scores, "line 2: duplicate id 'x'")

@@ -15,8 +15,8 @@ from morphaug.corruption import (
     read_pool_jsonl,
     write_pool_jsonl,
 )
-from morphaug.errors import (AlphabetTooSmall, MissingSegmentation, NoAlignableTriples,
-                             SourceMismatch)
+from morphaug.errors import (AlphabetTooSmall, DuplicateId, MissingSegmentation,
+                             NoAlignableTriples, NotJson, SourceMismatch)
 
 from conftest import form_stem_positions, lemma_stem_positions, make_dataset
 
@@ -163,6 +163,28 @@ def test_read_pool_jsonl_may_omit_the_score():
             '"msd": ["V", "PST"], "substituted_lemma_positions": [], '
             '"substituted_form_positions": [], "lev_to_gold_target": 0}')
     assert read_pool_jsonl(line + "\n")[0].score is None
+
+
+def _line(tid, lemma):
+    return ('{"id": "%s", "source_id": "1", "lemma": "%s", "form": "%ss", "msd": ["V"], '
+            '"substituted_lemma_positions": [], "substituted_form_positions": [], '
+            '"lev_to_gold_target": 0}' % (tid, lemma, lemma))
+
+
+def test_read_pool_jsonl_splits_at_newline_only():
+    pool = read_pool_jsonl(_line("s1", "wa\u2028lk") + "\r\n" + _line("s2", "ta\x85lk") + "\n")
+    assert [e.triple.lemma for e in pool] == ["wa\u2028lk", "ta\x85lk"]
+    # a trailing "\r" is JSON whitespace; a bare "\r" ends no line
+    with pytest.raises(NotJson, match="line 1: not valid JSON"):
+        read_pool_jsonl(_line("s1", "walk") + "\r" + _line("s2", "talk") + "\r")
+
+
+def test_read_pool_jsonl_rejects_a_repeated_id_and_deep_nesting():
+    with pytest.raises(DuplicateId, match="line 3: duplicate id 'x'"):
+        read_pool_jsonl(_line("x", "walk") + "\n" + _line("y", "jump") + "\n"
+                        + _line("x", "talk") + "\n")
+    with pytest.raises(NotJson, match="line 2: not valid JSON: maximum recursion depth"):
+        read_pool_jsonl(_line("x", "walk") + "\n" + "[" * 100000 + "]" * 100000 + "\n")
 
 
 def test_pool_tsv_export():

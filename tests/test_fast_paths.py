@@ -10,6 +10,8 @@ import sys
 import threading
 from collections import Counter
 from contextlib import contextmanager
+from functools import reduce
+from operator import add
 from types import SimpleNamespace
 from unittest import mock
 
@@ -370,7 +372,10 @@ def test_batch_nlls_equal_score_bit_for_bit(order, rows, queries, k):
             want, n_tok, n_unk = oracle_nlls(batch, pool)
             got = batch.nlls(pool)
             assert [x.hex() for x in got] == [x.hex() for x in want]
-            assert [x.hex() for x in got] == [scoring.score(single, e).nll.hex() for e in pool]
+            by_single = [-reduce(add, single.logprobs(e.triple.lemma, e.triple.msd,
+                                                      e.triple.form), 0.0)
+                         / (len(e.triple.form) + 1) for e in pool]
+            assert [x.hex() for x in got] == [x.hex() for x in by_single]
             hits, unk = hits + n_tok, unk + n_unk
             assert (batch.token_hits, batch.unk_hits) == (hits, unk)
     scored = scoring.score_pool(batch, pool)

@@ -212,6 +212,47 @@ def test_convexity_exact_on_constructed_mixture():
     assert convexity_bound_check(i_g, i_a, 0.5, i_mix, epsilon=0.0)
 
 
+def _levels(prefix):
+    # one level makes a one-row or one-column table
+    return st.integers(1, 4).map(lambda n: [f"{prefix}{i}" for i in range(n)])
+
+
+@st.composite
+def component_tables(draw):
+    """Gold and synthetic count tables; each side may take levels of its own,
+    so the supports may be disjoint."""
+    tables = []
+    for side in ("g", "s"):
+        rows = draw(_levels(draw(st.sampled_from(["a", f"a{side}"]))))
+        cols = draw(_levels(draw(st.sampled_from(["b", f"b{side}"]))))
+        cells = st.tuples(st.sampled_from(rows), st.sampled_from(cols))
+        tables.append(Counter(draw(st.dictionaries(cells, st.integers(1, 60), min_size=1,
+                                                   max_size=16))))
+    return tables
+
+
+@settings(max_examples=300, deadline=None)
+@given(component_tables())
+@example([Counter({("a", "b0"): 3, ("a", "b1"): 5}), Counter({("x", "b0"): 2, ("y", "b1"): 7})])
+@example([Counter({("a0", "b"): 4, ("a1", "b"): 1}), Counter({("a0", "c"): 2, ("a1", "c"): 9})])
+# disjoint bijections: I_mix = 2 bits meets the bound 1 + 1 with equality
+@example([Counter({("a0", "b0"): 5, ("a1", "b1"): 5}), Counter({("x0", "y0"): 5, ("x1", "y1"): 5})])
+def test_mixture_mi_obeys_the_exact_convexity_bound(tables):
+    # Z marks the component of a mixture row. I(A;B) <= I(A;B|Z) + I(A;Z) by
+    # the chain rule (and the same with B), and the plug-in I(A;B|Z) is
+    # exactly lam*I_gold + (1-lam)*I_syn
+    gold, syn = tables
+    lam = gold.total() / (gold.total() + syn.total())
+    a_z, b_z = Counter(), Counter()
+    for z, table in (("gold", gold), ("syn", syn)):
+        for (a, b), count in table.items():
+            a_z[a, z] += count
+            b_z[b, z] += count
+    bound = (lam * estimate_mi(gold).bits + (1 - lam) * estimate_mi(syn).bits
+             + min(estimate_mi(a_z).bits, estimate_mi(b_z).bits))
+    assert estimate_mi(gold + syn).bits <= bound + 1e-12
+
+
 # -------------------------------------------------------------- decay curve
 
 @pytest.fixture(scope="module")

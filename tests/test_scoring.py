@@ -20,11 +20,8 @@ from morphaug.scoring import (
     EOS,
     SEP,
     NGramScorer,
-    UniformScorer,
-    apply_scores,
     load_external_scores,
     require_scored,
-    score,
     score_pool,
     train_ngram,
     write_scores_tsv,
@@ -44,10 +41,9 @@ def _syn(tid, lemma, form, msd=("N",), lev=0, score_=None):
     )
 
 
-def test_uniform_scorer_nll_is_log_vocab():
-    e = _syn("x", "abc", "abcd")
-    s = score(UniformScorer(vocab_size=4), e)
-    assert s.nll == pytest.approx(math.log(4), abs=1e-12)
+def _nll(scorer, e):
+    [scored] = score_pool(scorer, [e])
+    return scored.score
 
 
 def test_unigram_add_k_matches_hand_computation():
@@ -121,15 +117,15 @@ def test_trigram_matches_chain_rule_oracle():
                              ("talk", "talks", ("V", "PRS"))]:
         e = _syn("e1", lemma, form, msd)
         expected = _oracle_trigram_nll(rows, lemma, msd, form, 0.1)
-        assert score(scorer, e).nll == pytest.approx(expected, abs=1e-9)
+        assert _nll(scorer, e) == pytest.approx(expected, abs=1e-9)
 
 
 def test_unknown_characters_map_to_unk():
     gold = make_dataset([("walk", "walked", "V;PST")])
     scorer = train_ngram(gold, order=2, k=0.1)
     e = _syn("e1", "wQlk", "wQlked", ("V", "PST"))
-    s = score(scorer, e)
-    assert math.isfinite(s.nll) and s.nll > 0
+    nll = _nll(scorer, e)
+    assert math.isfinite(nll) and nll > 0
     assert scorer.unk_rate > 0
 
 
@@ -137,7 +133,7 @@ def test_score_deterministic():
     gold = make_dataset([("walk", "walked", "V;PST")])
     scorer = train_ngram(gold, order=3, k=0.1)
     e = _syn("e1", "walk", "walked", ("V", "PST"))
-    assert score(scorer, e).nll == score(scorer, e).nll
+    assert _nll(scorer, e) == _nll(scorer, e)
 
 
 def test_corrupted_examples_score_higher_on_average():
@@ -166,10 +162,11 @@ def test_train_on_empty_dataset():
 
 def test_load_external_scores_roundtrip():
     pool = [_syn("a", "x", "y"), _syn("b", "x", "y")]
-    scored = apply_scores(pool, load_external_scores("a\t1.5\nb\t0.25\n", pool))
+    scored = load_external_scores("a\t1.5\nb\t0.25\n", pool)
     assert [e.score for e in scored] == [1.5, 0.25]
+    assert [e.id for e in scored] == ["a", "b"] and [e.score for e in pool] == [None, None]
     text = write_scores_tsv(scored)
-    again = apply_scores(pool, load_external_scores(text, pool))
+    again = load_external_scores(text, pool)
     assert [e.score for e in again] == [1.5, 0.25]
 
 
@@ -183,6 +180,20 @@ def test_load_external_scores_errors():
         load_external_scores("a\tabc\nb\t1.0\n", pool)
     with pytest.raises(UnknownId):
         load_external_scores("zzz\t1.0\n", pool)
+    # every nll passes check_nll, after the id checks
+    for bad in ("-0.5", "inf", "nan"):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            load_external_scores(f"a\t{bad}\nb\t1.0\n", pool)
+    with pytest.raises(DuplicateId):
+        load_external_scores("a\t1.0\na\t-1.0\nb\t1.0\n", pool)
+
+
+def test_load_external_scores_splits_lines_at_newline_only():
+    pool = [_syn("a\u2028b", "x", "y"), _syn("c\x85", "x", "y"), _syn("d", "x", "y")]
+    scored = load_external_scores("a\u2028b\t1.5\r\nc\x85\t0.25\nd\t2\n", pool)
+    assert [e.score for e in scored] == [1.5, 0.25, 2.0]
+    assert [e.score for e in load_external_scores(write_scores_tsv(scored), pool)] == \
+        [1.5, 0.25, 2.0]
 
 
 def test_require_scored():
