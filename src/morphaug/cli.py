@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 # milab and report load numpy; they are imported by the commands that use
 # them, so the other commands start without it
@@ -38,10 +39,47 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _require(ok: bool, flag: str, rule: str, value) -> None:
-    """A flag value that breaks its rule is a usage error naming the flag."""
-    if not ok:
-        raise UsageError(f"{flag} must be {rule}, got {value}")
+# ------------------------------------------------------------ parameter rules
+# Each value rule of a flag or a pipeline config key, written once. A flag's
+# type= is its rule's, so a bad value is a usage error naming the flag before
+# any command runs; a bad config value is a data error naming the key.
+
+def _int_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
+
+
+class Rule(NamedTuple):
+    wording: str
+    types: tuple  # exact, so a bool is never an integer or a number, though Python counts it an int
+    holds: Callable[[object], bool] = lambda value: True
+    parse: Callable[[str], object] = str  # a flag's text to its value; a ValueError if it cannot
+
+    def flag(self, text: str):
+        """The value of a flag's text, as argparse's type=."""
+        try:
+            if self.holds(value := self.parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {self.wording}, got {text!r}")
+
+    def check(self, where: str, name: str, value) -> None:
+        """A value read from a file that breaks the rule is a data error naming it."""
+        if type(value) not in self.types or not self.holds(value):
+            raise MorphaugError(f"{where}: {name} must be {self.wording}, got {json.dumps(value)}")
+
+
+INTEGER = Rule("an integer", (int,), parse=int)
+AT_LEAST_1 = Rule("an integer >= 1", (int,), lambda v: v >= 1, int)
+AT_LEAST_0 = Rule("an integer >= 0", (int,), lambda v: v >= 0, int)
+UNIT = Rule("a number in [0, 1]", (int, float), lambda v: 0 <= v <= 1, float)
+POSITIVE = Rule("a number > 0 and finite", (int, float), lambda v: 0 < v < math.inf, float)
+PATH = Rule("a path", (str,))
+BOOL = Rule("true or false", (bool,))
+STRATEGY_NAMES = Rule(f"a list of strategy names ({', '.join(selection.STRATEGIES)})", (list,),
+                      lambda v: all(s in selection.STRATEGIES for s in v))
+# the value stays the text, which the provenance records
+SIZES = Rule("comma-separated integers >= 0", (str,), lambda text: min(_int_list(text)) >= 0)
 
 
 # the provenance sidecar of a TSV/JSONL artifact
@@ -80,8 +118,7 @@ def _write_with_meta(path: str, text: str, stage: str, params: dict) -> None:
 
 
 def _write_json(path: str, payload: dict, stage: str, params: dict) -> None:
-    payload = dict(payload)
-    payload["provenance"] = _provenance(stage, params)
+    payload = {**payload, "provenance": _provenance(stage, params)}
     atomic_write(path, json.dumps(payload, indent=2, sort_keys=True,
                                   ensure_ascii=False) + "\n")
 
@@ -93,8 +130,16 @@ def _read(path: str) -> str:
         return f.read()
 
 
+def _load(path: str, load, *args):
+    """load(the text of an input file, *args); a data error names the file."""
+    try:
+        return load(_read(path), *args)
+    except (MorphaugError, ValueError) as e:
+        raise MorphaugError(f"{path}: {e}") from None
+
+
 def _parse(path: str) -> corpus.Dataset:
-    return corpus.parse_unimorph(_read(path), name=path)
+    return _load(path, corpus.parse_unimorph, path)
 
 
 def _read_json(path: str):
@@ -107,11 +152,8 @@ def _read_json(path: str):
 
 def _load_scored_pool(pool_path: str, scores_path: str | None = None):
     """The pool of a JSONL file, scored by an external id<TAB>nll file if one is given."""
-    try:
-        pool = corruption.read_pool_jsonl(_read(pool_path))
-    except MorphaugError as e:
-        raise MorphaugError(f"{pool_path}: {e}") from None
-    return scoring.load_external_scores(_read(scores_path), pool) if scores_path else pool
+    pool = _load(pool_path, corruption.read_pool_jsonl)
+    return _load(scores_path, scoring.load_external_scores, pool) if scores_path else pool
 
 
 # --------------------------------------------------------------------- stages
@@ -128,7 +170,7 @@ def _augment(gold, n: int, cfg: corruption.CorruptionConfig, out: str, params: d
 def _score(pool, gold, order: int, k_smooth: float, external: str | None,
            out: str, params: dict) -> list:
     """Scores from the external id<TAB>nll file if given, else from an n-gram trained on gold."""
-    scored = (scoring.load_external_scores(_read(external), pool) if external else
+    scored = (_load(external, scoring.load_external_scores, pool) if external else
               scoring.score_pool(scoring.train_ngram(gold, order=order, k=k_smooth), pool))
     _write_with_meta(out, scoring.write_scores_tsv(scored), "score", params)
     log.info("scored %d examples to %s", len(scored), out)
@@ -159,9 +201,6 @@ def cmd_parse(args) -> None:
 
 
 def cmd_augment(args) -> None:
-    _require(args.n >= 1, "--n", ">= 1", args.n)
-    _require(0.0 <= args.theta <= 1.0, "--theta", "in [0, 1]", args.theta)
-    _require(args.min_run >= 1, "--min-run", ">= 1", args.min_run)
     cfg = corruption.CorruptionConfig(
         theta=args.theta,
         exclude_original=not args.allow_original_char,
@@ -177,8 +216,6 @@ def cmd_augment(args) -> None:
 def cmd_score(args) -> None:
     if not (args.external or args.gold):
         raise UsageError("score needs --gold (built-in scorer) or --external")
-    _require(args.order >= 1, "--order", ">= 1", args.order)
-    _require(0 < args.k_smooth < math.inf, "--k-smooth", "finite and > 0", args.k_smooth)
     _check_out(*_with_meta(args.out))
     pool = _load_scored_pool(args.pool)
     gold = None if args.external else _parse(args.gold)
@@ -190,7 +227,6 @@ def cmd_select(args) -> None:
         raise UsageError("--merged-out needs --gold")
     if args.gold and not args.merged_out:
         raise UsageError("--gold needs --merged-out")
-    _require(args.k >= 0, "--k", ">= 0", args.k)
     _check_out(args.out, *(_with_meta(args.merged_out) if args.merged_out else ()))
     # every input is read before the first output is written
     gold = _parse(args.gold) if args.merged_out else None
@@ -210,24 +246,9 @@ def cmd_split(args) -> None:
     _split(_parse(args.full), _parse(args.train), args.out, vars(args))
 
 
-def _syn_sizes(text: str) -> list[int]:
-    try:
-        sizes = [int(s) for s in text.split(",")]
-    except ValueError:
-        raise UsageError(f"--syn-sizes must be comma-separated integers, got {text!r}") from None
-    if any(s < 0 for s in sizes):
-        raise UsageError(f"--syn-sizes must be >= 0, got {text!r}")
-    return sizes
-
-
 def cmd_milab(args) -> None:
     from . import milab
 
-    # every flag value is checked before any work; a bad one is a usage error
-    syn_sizes = _syn_sizes(args.syn_sizes)
-    _require(args.gold >= 1, "--gold", ">= 1", args.gold)
-    _require(0.0 <= args.theta <= 1.0, "--theta", "in [0, 1]", args.theta)
-    _require(args.resamples >= 0, "--resamples", ">= 0", args.resamples)
     _check_out(args.out)
     try:
         # its ValueErrors are all bad sizes, raised before any other work
@@ -240,7 +261,7 @@ def cmd_milab(args) -> None:
     except ValueError as e:
         raise UsageError(f"--stems/--msds: {e}") from None
     curve = milab.mi_decay_curve(
-        grammar, args.gold, syn_sizes, theta=args.theta,
+        grammar, args.gold, _int_list(args.syn_sizes), theta=args.theta,
         seed=derive_seed(args.seed, "milab"), resamples=args.resamples,
     )
     records = [point.to_dict() for point in curve]
@@ -253,10 +274,10 @@ def _read_harmony_tsv(path: str):
     from . import milab
 
     classes = {}
-    for line_no, line in enumerate(_read(path).splitlines(), 1):
+    for line_no, line in enumerate(_read(path).split("\n"), 1):
         if not line.strip():
             continue
-        fields = line.split("\t")
+        fields = line.removesuffix("\r").split("\t")
         if len(fields) != 2 or len(fields[0]) != 1 or not fields[1]:
             raise MorphaugError(f"{path} line {line_no}: expected char<TAB>class, one "
                                 f"character and a non-empty class, got {line!r}")
@@ -270,7 +291,6 @@ def _read_harmony_tsv(path: str):
 def cmd_report(args) -> None:
     from . import report
 
-    _require(args.resamples >= 1, "--resamples", ">= 1", args.resamples)
     _check_out(args.out)
     # the small inputs first, so a bad one fails before the pool is read
     if args.selection:
@@ -282,9 +302,7 @@ def cmd_report(args) -> None:
         if not counts:
             raise EmptySelection(f"{args.selection}: the selection is empty")
         for msd, count in counts.items():
-            if type(count) is not int or count < 1:
-                raise MorphaugError(f"{args.selection}: per_msd_counts[{msd!r}] must be an "
-                                    f"integer >= 1, got {json.dumps(count)}")
+            AT_LEAST_1.check(args.selection, f"per_msd_counts[{msd!r}]", count)
     if args.harmony:
         cfg = _read_harmony_tsv(args.harmony)
     pool = _load_scored_pool(args.pool, args.scores)
@@ -306,16 +324,10 @@ def cmd_report(args) -> None:
 
 
 SWEEP_SIZES = (128, 256, 512, 1024, 2048)
-# every key a pipeline config may hold; any other is a data error
-CONFIG_KEYS = ("gold", "full", "n_pool", "theta", "order", "k_smooth", "strategies", "seed",
-               "sweep", "k")
-# the type and rule of each pipeline config value a stage takes as given; a
-# bool is no number here, though Python counts it as an int
-CONFIG_RULES = {"gold": ((str,), "a path"), "full": ((str,), "a path"),
-                "seed": ((int,), "an integer"), "order": ((int,), "an integer >= 1"),
-                "theta": ((int, float), "a number in [0, 1]"),
-                "k_smooth": ((int, float), "a number > 0 and finite"),
-                "sweep": ((bool,), "true or false")}
+# each key a pipeline config may hold, with its rule; any other key is a data error
+CONFIG_KEYS = {"gold": PATH, "full": PATH, "n_pool": AT_LEAST_1, "theta": UNIT,
+               "order": AT_LEAST_1, "k_smooth": POSITIVE, "strategies": STRATEGY_NAMES,
+               "seed": INTEGER, "sweep": BOOL, "k": AT_LEAST_0}
 
 
 def cmd_pipeline(args) -> None:
@@ -330,29 +342,18 @@ def cmd_pipeline(args) -> None:
     missing = [k for k in required if k not in cfg]
     if missing:
         raise MorphaugError(f"pipeline config missing keys: {', '.join(missing)}")
-    for key, (types, rule) in CONFIG_RULES.items():
-        if key in cfg and type(cfg[key]) not in types:
-            raise MorphaugError(f"{args.config}: {key} must be {rule}, got {json.dumps(cfg[key])}")
-    # every stage's parameters are built, and so checked, before the corpora
-    # are read or any file is written
+    # every value is checked before the corpora are read or any file is written
+    for key, rule in CONFIG_KEYS.items():
+        if key in cfg:
+            rule.check(args.config, key, cfg[key])
     seed, n_pool = cfg["seed"], cfg["n_pool"]
     sizes = SWEEP_SIZES if cfg.get("sweep") else [cfg.get("k", 128)]
-    if not isinstance(cfg["strategies"], list):
-        raise MorphaugError(f"{args.config}: 'strategies' must be a list of strategy names")
-    if not all(type(k) is int for k in sizes):
-        raise MorphaugError(f"{args.config}: 'k' must be an integer")
-    if type(n_pool) is not int or n_pool < 1:
-        raise MorphaugError(f"{args.config}: 'n_pool' must be an integer >= 1")
-    try:
-        ccfg = corruption.CorruptionConfig(theta=cfg["theta"], seed=derive_seed(seed, "augment"))
-        scoring.NGramScorer(order=cfg["order"], k=cfg["k_smooth"])
-        strategies = [selection.SelectionStrategy(kind=kind, k=k,
-                                                  seed=derive_seed(seed, f"select-{kind}-{k}"))
-                      for kind in cfg["strategies"] for k in sizes]
-        for k in sizes:
-            selection.check_k(k, n_pool)
-    except (TypeError, ValueError) as e:
-        raise MorphaugError(f"{args.config}: {e}") from None
+    for k in sizes:
+        selection.check_k(k, n_pool)
+    ccfg = corruption.CorruptionConfig(theta=cfg["theta"], seed=derive_seed(seed, "augment"))
+    strategies = [selection.SelectionStrategy(kind=kind, k=k,
+                                              seed=derive_seed(seed, f"select-{kind}-{k}"))
+                  for kind in cfg["strategies"] for k in sizes]
 
     out = args.out_dir.rstrip("/")
     pool_out, scores_out, test_out = (f"{out}/{name}"
@@ -380,7 +381,7 @@ def cmd_pipeline(args) -> None:
 def build_parser() -> _Parser:
     p = _Parser(prog="morphaug", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=INTEGER.flag, default=0)
     common.add_argument("--quiet", action="store_true")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -392,9 +393,9 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("augment", parents=[common], help="generate a stem-corrupted synthetic pool")
     sp.add_argument("--gold", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--theta", type=float, default=0.5)
-    sp.add_argument("--min-run", type=int, default=3)
+    sp.add_argument("--n", type=AT_LEAST_1.flag, required=True)
+    sp.add_argument("--theta", type=UNIT.flag, default=0.5)
+    sp.add_argument("--min-run", type=AT_LEAST_1.flag, default=3)
     sp.add_argument("--allow-original-char", action="store_true",
                     help="let a substitution redraw the original character")
     sp.add_argument("--out", required=True)
@@ -404,8 +405,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("score", parents=[common], help="attach NLL uncertainty scores to a pool")
     sp.add_argument("--pool", required=True)
     sp.add_argument("--gold", default=None)
-    sp.add_argument("--order", type=int, default=3)
-    sp.add_argument("--k-smooth", type=float, default=0.1)
+    sp.add_argument("--order", type=AT_LEAST_1.flag, default=3)
+    sp.add_argument("--k-smooth", type=POSITIVE.flag, default=0.1)
     sp.add_argument("--external", default=None,
                     help="id<TAB>nll TSV from an external model instead of the built-in scorer")
     sp.add_argument("--out", required=True)
@@ -415,7 +416,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--pool", required=True)
     sp.add_argument("--scores", default=None)
     sp.add_argument("--strategy", required=True, choices=selection.STRATEGIES)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=AT_LEAST_0.flag, required=True)
     sp.add_argument("--gold", default=None)
     sp.add_argument("--merged-out", default=None,
                     help="also write gold + selection as one training TSV")
@@ -429,15 +430,15 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_split)
 
     sp = sub.add_parser("milab", parents=[common], help="toy-grammar mutual-information lab")
-    sp.add_argument("--stems", type=int, default=50)
-    sp.add_argument("--msds", type=int, default=5)
-    sp.add_argument("--gold", type=int, default=500)
-    sp.add_argument("--syn-sizes", default="0,500,5000,50000")
-    sp.add_argument("--theta", type=float, default=1.0)
+    sp.add_argument("--stems", type=INTEGER.flag, default=50)
+    sp.add_argument("--msds", type=INTEGER.flag, default=5)
+    sp.add_argument("--gold", type=AT_LEAST_1.flag, default=500)
+    sp.add_argument("--syn-sizes", type=SIZES.flag, default="0,500,5000,50000")
+    sp.add_argument("--theta", type=UNIT.flag, default=1.0)
     sp.add_argument("--harmony", choices=("on", "off"), default="off")
     sp.add_argument("--uncoupled", action="store_true",
                     help="sample stems independently of MSDs")
-    sp.add_argument("--resamples", type=int, default=200)
+    sp.add_argument("--resamples", type=AT_LEAST_0.flag, default=200)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_milab)
 
@@ -447,7 +448,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--gold", required=True)
     sp.add_argument("--selection", default=None)
     sp.add_argument("--harmony", default=None, help="char<TAB>class vowel TSV")
-    sp.add_argument("--resamples", type=int, default=10000)
+    sp.add_argument("--resamples", type=AT_LEAST_1.flag, default=10000)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_report)
 
@@ -459,22 +460,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     # the pool and all that is built from it are acyclic (frozen, slotted
     # dataclasses of str, tuple and int), so reference counting frees them;
     # the cyclic collector would only walk them again and again
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO,
+                            format="%(levelname)s %(name)s: %(message)s")
         args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -263,13 +263,18 @@ def read_pool_jsonl(text: str) -> list[SyntheticExample]:
 
 def _bad_value(d: dict) -> tuple[str, str] | None:
     """The first key of a pool line whose value has the wrong type, with the
-    type it needs; None if every value is right. The score, which may be
-    absent, is null or a finite number >= 0, the rule of scoring.check_nll.
+    type it needs; None if every value is right. An id or source id holds no
+    "\\t", "\\n" or "\\r" and does not start with U+FEFF, so an id<TAB>nll
+    line reads back. The score, which may be absent, is null or a finite
+    number >= 0, the rule of scoring.check_nll.
     JSON gives exactly str, int, float, bool, list, dict or None, and a bool
     is no int here."""
     for key in ("id", "source_id", "lemma", "form"):
         if type(d[key]) is not str:
             return key, "a string"
+    for key in ("id", "source_id"):
+        if d[key].startswith("\ufeff") or any(c in d[key] for c in "\t\n\r"):
+            return key, "a string with no tab, \\n or \\r that does not start with U+FEFF"
     msd = d["msd"]
     if type(msd) is not list or any(type(tok) is not str for tok in msd):
         return "msd", "a list of strings"

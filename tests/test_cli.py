@@ -1,10 +1,12 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from morphaug.cli import main
 
@@ -240,21 +242,37 @@ def test_pipeline_equals_the_chained_subcommands(tmp_path, monkeypatch):
         assert chained == piped
 
 
+def _ported(change, needle, label, n):
+    """The n-th case, named by a short label instead of its whole needle."""
+    return pytest.param(change, needle, id=f"change{n}-{label}")
+
+
 @pytest.mark.parametrize("change, needle", [
-    ({"strategies": ["random", "bogus"]}, "'bogus'"),
-    ({"strategies": "random"}, "'strategies' must be a list"),
+    _ported({"strategies": ["random", "bogus"]},
+            'cfg.json: strategies must be a list of strategy names (random, umt, ume, '
+            'highloss, lowloss, umt-loss, ume-loss), got ["random", "bogus"]', "'bogus'", 0),
+    _ported({"strategies": "random"}, "cfg.json: strategies must be a list of strategy names",
+            "'strategies' must be a list", 1),
     ({"k": 81}, "k=81"),
     ({"sweep": True}, "k=128"),
-    ({"k": 2.5}, "'k' must be an integer"),
+    _ported({"k": 2.5}, "cfg.json: k must be an integer >= 0, got 2.5",
+            "'k' must be an integer", 4),
     ({"order": 0}, "order"),
-    ({"k_smooth": 0}, "k must be > 0"),
+    _ported({"k_smooth": 0}, "cfg.json: k_smooth must be a number > 0 and finite, got 0",
+            "k must be > 0", 6),
     ({"theta": 1.5}, "theta"),
     ({"order": "3"}, "cfg.json"),
-    ({"k_smooth": float("nan")}, "cfg.json: k must be > 0 and finite, got nan"),  # JSON NaN
-    ({"k_smooth": float("inf")}, "cfg.json: k must be > 0 and finite, got inf"),
+    _ported({"k_smooth": float("nan")},  # JSON NaN
+            "cfg.json: k_smooth must be a number > 0 and finite, got NaN",
+            "cfg.json: k must be > 0 and finite, got nan", 9),
+    _ported({"k_smooth": float("inf")},
+            "cfg.json: k_smooth must be a number > 0 and finite, got Infinity",
+            "cfg.json: k must be > 0 and finite, got inf", 10),
     ({"order": 2.5}, "cfg.json: order must be an integer >= 1"),
-    ({"n_pool": 0}, "cfg.json: 'n_pool' must be an integer >= 1"),
-    ({"n_pool": 2.5}, "cfg.json: 'n_pool' must be an integer >= 1"),
+    _ported({"n_pool": 0}, "cfg.json: n_pool must be an integer >= 1, got 0",
+            "cfg.json: 'n_pool' must be an integer >= 1", 12),
+    _ported({"n_pool": 2.5}, "cfg.json: n_pool must be an integer >= 1, got 2.5",
+            "cfg.json: 'n_pool' must be an integer >= 1", 13),
     # a value of the wrong type, a bool included, is refused naming its key
     ({"gold": 0}, "cfg.json: gold must be a path, got 0"),
     ({"full": None}, "cfg.json: full must be a path, got null"),
@@ -268,6 +286,8 @@ def test_pipeline_equals_the_chained_subcommands(tmp_path, monkeypatch):
     # a misspelt key is no silent default: "swep" would leave the sweep off
     ({"swep": True}, "cfg.json: unknown config key 'swep'"),
     ({"alpha": 0.5, "K": 16}, "cfg.json: unknown config key 'alpha', 'K'"),
+    # a sweep does not use k, but k is still checked
+    ({"sweep": True, "k": "x"}, 'cfg.json: k must be an integer >= 0, got "x"'),
 ])
 def test_invalid_pipeline_config_writes_nothing(gold_file, tmp_path, capsys, monkeypatch,
                                                 change, needle):
@@ -914,3 +934,113 @@ def test_a_repeated_pool_id_is_a_data_error_naming_the_line(gold_file, tmp_path,
     assert main(["score", "--pool", str(pool), "--external", str(external),
                  "--out", str(scores), "--quiet"]) == 2
     _assert_data_error(capsys, scores, "line 2: duplicate id 'x'")
+
+
+# ----------------------------------------------------------- the rule table
+
+@pytest.mark.parametrize("argv, change", [
+    (["augment", "--theta", "1.5"], {"theta": 1.5}),
+    (["milab", "--theta", "abc"], {"theta": "abc"}),  # a text that is no number
+    (["score", "--order", "0"], {"order": 0}),
+    (["score", "--k-smooth", "inf"], {"k_smooth": float("inf")}),
+    (["select", "--k", "-1"], {"k": -1}),
+    (["augment", "--n", "x"], {"n_pool": 0}),
+    (["milab", "--seed", "1.5"], {"seed": 1.5}),
+])
+def test_a_flag_and_its_config_key_break_their_rule_in_the_same_words(
+        gold_file, tmp_path, capsys, monkeypatch, argv, change):
+    from morphaug import cli
+
+    read = cli._read
+    monkeypatch.setattr(cli, "_read", _no_input)
+    rest = {"augment": ["--gold", gold_file], "score": ["--pool", "p.jsonl", "--gold", gold_file],
+            "select": ["--pool", "p.jsonl", "--strategy", "umt"], "milab": []}[argv[0]]
+    argv = [*argv, *rest, "--out", str(tmp_path / "out")]
+    with pytest.raises(cli.UsageError):  # refused by the parser, before any command runs
+        cli.build_parser().parse_args(argv)
+    assert main([*argv, "--quiet"]) == 1
+    usage = capsys.readouterr().err
+    assert usage.startswith(f"usage error: argument {argv[1]}: must be ")
+
+    monkeypatch.setattr(cli, "_read", read)  # the config is read, the corpora are not
+    monkeypatch.setattr(cli, "_parse", _no_input)
+    cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps({"gold": gold_file, "n_pool": 80, "theta": 0.5, "order": 3,
+                                    "k_smooth": 0.1, "strategies": ["umt"], "seed": 3,
+                                    **change}))
+    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                 "--quiet"]) == 2
+    data = capsys.readouterr().err
+    assert data.startswith(f"error: {cfg_path}: {next(iter(change))} must be ")
+    usage_words, data_words = (re.search(" must be (.+?), got ", err).group(1)
+                               for err in (usage, data))
+    assert usage_words == data_words
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "gold.tsv"]
+
+
+def test_harmony_lines_end_at_newline_only(tmp_path):
+    from morphaug import cli
+
+    vowels = tmp_path / "vowels.tsv"
+    vowels.write_bytes("a\tback\u2028\ne\tfront\x85\r\n\ni\tneutral\r\n".encode())
+    classes = cli._read_harmony_tsv(str(vowels)).vowel_classes
+    assert classes == {"a": "back\u2028", "e": "front\x85", "i": "neutral"}
+
+
+@pytest.mark.parametrize("command", ["score --external", "select --scores", "report --scores"])
+def test_score_file_errors_name_the_file(gold_file, scored_pool, tmp_path, capsys, command):
+    pool, _ = scored_pool
+    bad, out = tmp_path / "bad.tsv", tmp_path / "out"
+    bad.write_text("syn000000\tabc\n")
+    argv = {"score --external": ["score", "--pool", pool, "--external", str(bad)],
+            "select --scores": ["select", "--pool", pool, "--scores", str(bad),
+                                "--strategy", "umt", "--k", "2"],
+            "report --scores": ["report", "--pool", pool, "--scores", str(bad),
+                                "--gold", gold_file]}[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, f"{bad}: line 1: non-numeric score 'abc'")
+
+
+@pytest.mark.parametrize("key", ["id", "source_id"])
+@pytest.mark.parametrize("value", ["a\tb", "\ufeffa"])
+def test_a_pool_id_a_scores_line_cannot_hold_is_a_data_error(gold_file, tmp_path, capsys,
+                                                             key, value):
+    pool, scores = tmp_path / "pool.jsonl", tmp_path / "scores.tsv"
+    line = json.loads(_pool_line("y", "talk"))
+    line[key] = value
+    pool.write_text(_pool_line("x", "walk") + json.dumps(line) + "\n", encoding="utf-8")
+    assert main(["score", "--pool", str(pool), "--gold", gold_file, "--out", str(scores),
+                 "--quiet"]) == 2
+    _assert_data_error(capsys, scores, f"{pool}: line 2: '{key}' must be a string with no tab")
+
+
+ROUND_TRIP_GOLD = "walked\twalkeds\tV;PST\ntalked\ttalkeds\tV;PST\njumping\tjumpings\tV;PRS\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ids=st.lists(st.text(max_size=6), min_size=4, max_size=4, unique=True))
+def test_any_pool_the_reader_accepts_scores_and_selects(tmp_path, ids):
+    from morphaug import corruption
+    from morphaug.errors import MorphaugError
+
+    lines = [json.loads(_pool_line(f"s{i}", lemma))
+             for i, lemma in enumerate(("walk", "talk", "jump", "dream"))]
+    text = "".join(json.dumps({**d, "id": i}, ensure_ascii=False) + "\n"
+                   for d, i in zip(lines, ids))
+    try:
+        corruption.read_pool_jsonl(text)
+    except MorphaugError:
+        assume(False)
+    gold, pool, scores, sel = (str(tmp_path / name) for name in
+                               ("gold.tsv", "pool.jsonl", "scores.tsv", "sel.json"))
+    with open(gold, "w", encoding="utf-8") as f:
+        f.write(ROUND_TRIP_GOLD)
+    with open(pool, "w", encoding="utf-8") as f:
+        f.write(text)
+    assert main(["score", "--pool", pool, "--gold", gold, "--out", scores, "--quiet"]) == 0
+    assert main(["select", "--pool", pool, "--scores", scores, "--strategy", "highloss",
+                 "--k", "4", "--out", sel, "--quiet"]) == 0
+    with open(sel, encoding="utf-8") as f:
+        assert sorted(json.load(f)["selected_ids"]) == sorted(ids)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -15,7 +16,7 @@ from morphaug.corruption import (
     read_pool_jsonl,
     write_pool_jsonl,
 )
-from morphaug.errors import (AlphabetTooSmall, DuplicateId, MissingSegmentation,
+from morphaug.errors import (AlphabetTooSmall, BadValue, DuplicateId, MissingSegmentation,
                              NoAlignableTriples, NotJson, SourceMismatch)
 
 from conftest import form_stem_positions, lemma_stem_positions, make_dataset
@@ -185,6 +186,22 @@ def test_read_pool_jsonl_rejects_a_repeated_id_and_deep_nesting():
                         + _line("x", "talk") + "\n")
     with pytest.raises(NotJson, match="line 2: not valid JSON: maximum recursion depth"):
         read_pool_jsonl(_line("x", "walk") + "\n" + "[" * 100000 + "]" * 100000 + "\n")
+
+
+@pytest.mark.parametrize("key", ["id", "source_id"])
+@pytest.mark.parametrize("value", ["a\tb", "a\nb", "a\r", "\r", "\ufeffa"])
+def test_read_pool_jsonl_rejects_an_id_an_id_tab_nll_line_cannot_hold(key, value):
+    bad = json.loads(_line("s2", "talk"))
+    bad[key] = value
+    with pytest.raises(BadValue, match=f"line 2: '{key}' must be a string with no tab"):
+        read_pool_jsonl(_line("s1", "walk") + "\n" + json.dumps(bad) + "\n")
+
+
+def test_read_pool_jsonl_keeps_an_inner_byte_order_mark_and_line_separators():
+    ids = ["a\ufeff", "b\u2028", "c\x85 ", " "]
+    pool = read_pool_jsonl("".join(_line(f"s{i}", "walk").replace('"s%d"' % i, json.dumps(tid))
+                                   + "\n" for i, tid in enumerate(ids)))
+    assert [e.id for e in pool] == ids
 
 
 def test_pool_tsv_export():
