@@ -210,7 +210,8 @@ def cmd_augment(args) -> None:
     _check_out(*_with_meta(args.out), *(_with_meta(args.tsv_out) if args.tsv_out else ()))
     pool = _augment(_parse(args.gold), args.n, cfg, args.out, vars(args))
     if args.tsv_out:
-        _write_with_meta(args.tsv_out, corruption.pool_to_tsv(pool), "augment", vars(args))
+        _write_with_meta(args.tsv_out, corpus.serialize(e.triple for e in pool), "augment",
+                         vars(args))
 
 
 def cmd_score(args) -> None:
@@ -236,8 +237,7 @@ def cmd_select(args) -> None:
     result = _select(selection.PoolIndex(pool), strategy, args.out, vars(args))
     if args.merged_out:
         by_id = {e.id: e for e in pool}
-        merged = corpus.serialize(gold) + corruption.pool_to_tsv(
-            [by_id[i] for i in result.selected_ids])
+        merged = corpus.serialize([*gold, *(by_id[i].triple for i in result.selected_ids)])
         _write_with_meta(args.merged_out, merged, "select", vars(args))
 
 
@@ -269,27 +269,8 @@ def cmd_milab(args) -> None:
     log.info("wrote %d curve points to %s", len(records), args.out)
 
 
-def _read_harmony_tsv(path: str):
-    """The milab.HarmonyRule of a char<TAB>class vowel file."""
-    from . import milab
-
-    classes = {}
-    for line_no, line in enumerate(_read(path).split("\n"), 1):
-        if not line.strip():
-            continue
-        fields = line.removesuffix("\r").split("\t")
-        if len(fields) != 2 or len(fields[0]) != 1 or not fields[1]:
-            raise MorphaugError(f"{path} line {line_no}: expected char<TAB>class, one "
-                                f"character and a non-empty class, got {line!r}")
-        char, cls = fields
-        if char in classes:
-            raise MorphaugError(f"{path} line {line_no}: {char!r} is listed twice")
-        classes[char] = cls
-    return milab.HarmonyRule(vowel_classes=classes)
-
-
 def cmd_report(args) -> None:
-    from . import report
+    from . import milab, report
 
     _check_out(args.out)
     # the small inputs first, so a bad one fails before the pool is read
@@ -304,7 +285,7 @@ def cmd_report(args) -> None:
         for msd, count in counts.items():
             AT_LEAST_1.check(args.selection, f"per_msd_counts[{msd!r}]", count)
     if args.harmony:
-        cfg = _read_harmony_tsv(args.harmony)
+        cfg = _load(args.harmony, milab.read_harmony_tsv)
     pool = _load_scored_pool(args.pool, args.scores)
     gold = _parse(args.gold)
     corruption.check_sources(pool, gold)

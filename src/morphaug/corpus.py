@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import EmptyDataset, EmptyField, MalformedLine
+from .util import lines
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,36 +140,25 @@ class MsdHistogram:
         return m, top
 
 
-def parse_unimorph(text: str | Iterable[str], name: str = "dataset") -> Dataset:
-    """Parse UniMorph-style TSV into a Dataset. Blank lines are skipped; ids
-    are assigned from 1-based line order."""
-    if isinstance(text, str):
-        lines = text.split("\n")
-    else:
-        lines = [ln.rstrip("\n") for ln in text]
+def parse_unimorph(text: str, name: str = "dataset") -> Dataset:
+    """Parse UniMorph-style TSV, whose lines are util.lines, into a Dataset;
+    ids are assigned from 1-based line order."""
     triples = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        fields = line.rstrip("\r").split("\t")
+    for line_no, line in lines(text):
+        fields = line.split("\t")
         if len(fields) != 3:
             raise MalformedLine(line_no, f"got {len(fields)}")
+        for value, field_name in zip(fields, ("lemma", "form", "MSD")):
+            if not value:
+                raise EmptyField(line_no, field_name)
         lemma, form, msd = fields
-        if not lemma:
-            raise EmptyField(line_no, "lemma")
-        if not form:
-            raise EmptyField(line_no, "form")
-        if not msd:
-            raise EmptyField(line_no, "MSD")
-        triples.append(
-            InflectionTriple(id=str(line_no), lemma=lemma, form=form, msd=tuple(msd.split(";")))
-        )
+        triples.append(InflectionTriple(str(line_no), lemma, form, tuple(msd.split(";"))))
     return Dataset(triples=tuple(triples), name=name)
 
 
-def serialize(d: Dataset) -> str:
+def serialize(triples: Iterable[InflectionTriple]) -> str:
     """Inverse of parse_unimorph up to id renumbering."""
-    return "".join(f"{t.lemma}\t{t.form}\t{t.msd_string}\n" for t in d)
+    return "".join(f"{t.lemma}\t{t.form}\t{t.msd_string}\n" for t in triples)
 
 
 def to_jsonl(d: Dataset) -> str:

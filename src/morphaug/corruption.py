@@ -12,14 +12,16 @@ import json
 import logging
 import math
 import random
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 
 from .alignment import Segmentation, align, extract_stem, levenshtein
 from .corpus import Alphabet, Dataset, InflectionTriple, derived_triple
-from .errors import (AlphabetTooSmall, BadTriple, BadValue, DuplicateId, MissingKey,
+from .errors import (AlphabetTooSmall, BadLine, BadValue, DuplicateId, MissingKey,
                      MissingSegmentation, NoAlignableTriples, NoStem, NotAnObject, NotJson,
                      SourceMismatch)
+from .util import lines
 
 log = logging.getLogger(__name__)
 
@@ -221,14 +223,12 @@ def write_pool_jsonl(pool: list[SyntheticExample]) -> str:
 
 
 def read_pool_jsonl(text: str) -> list[SyntheticExample]:
-    """The pool of a JSONL text, split at "\\n" only (json leaves U+2028
-    unescaped). A line that is not a JSON object with every key and a
-    value of the right type for each, whose triple is invalid, or whose id
-    is taken, is a data error naming the line (and the key)."""
+    """The pool of a JSONL text, whose lines are util.lines. A line that is
+    not a JSON object with every key and a value of the right type for
+    each, whose triple is invalid, or whose id is taken, is a data error
+    naming the line (and the key)."""
     pool, ids = [], set()
-    for line_no, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
-            continue
+    for line_no, line in lines(text):
         try:
             d = json.loads(line)
         except (json.JSONDecodeError, RecursionError) as e:
@@ -236,7 +236,7 @@ def read_pool_jsonl(text: str) -> list[SyntheticExample]:
         if not isinstance(d, dict):
             raise NotAnObject(line_no, type(d).__name__)
         try:
-            bad = _bad_value(d)
+            bad = _bad_value(d, "\\" in line)
         except KeyError as e:
             raise MissingKey(line_no, e.args[0]) from None
         if bad:
@@ -246,38 +246,44 @@ def read_pool_jsonl(text: str) -> list[SyntheticExample]:
             triple = InflectionTriple(id=d["id"], lemma=d["lemma"], form=d["form"],
                                       msd=tuple(d["msd"]))
         except ValueError as e:
-            raise BadTriple(line_no, e) from None
+            raise BadLine(line_no, e) from None
         if triple.id in ids:
             raise DuplicateId(triple.id, line_no)
         ids.add(triple.id)
-        pool.append(SyntheticExample(
-            triple=triple,
-            source_id=d["source_id"],
-            substituted_lemma_positions=tuple(d["substituted_lemma_positions"]),
-            substituted_form_positions=tuple(d["substituted_form_positions"]),
-            lev_to_gold_target=d["lev_to_gold_target"],
-            score=d.get("score"),
-        ))
+        pool.append(_example(triple, d["source_id"], tuple(d["substituted_lemma_positions"]),
+                             tuple(d["substituted_form_positions"]), d["lev_to_gold_target"],
+                             d.get("score")))
     return pool
 
 
-def _bad_value(d: dict) -> tuple[str, str] | None:
+_LINE_BREAK = re.compile("[\t\n\r]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_ID_RULE = "a string with no tab, \\n or \\r that does not start with U+FEFF"
+
+
+def _bad_value(d: dict, escaped: bool) -> tuple[str, str] | None:
     """The first key of a pool line whose value has the wrong type, with the
-    type it needs; None if every value is right. An id or source id holds no
-    "\\t", "\\n" or "\\r" and does not start with U+FEFF, so an id<TAB>nll
-    line reads back. The score, which may be absent, is null or a finite
-    number >= 0, the rule of scoring.check_nll.
-    JSON gives exactly str, int, float, bool, list, dict or None, and a bool
-    is no int here."""
+    type it needs; None if every value is right. No string holds a tab, "\\n"
+    or "\\r", so an id<TAB>nll line and a triple's TSV line read back, nor
+    a lone surrogate, which UTF-8 cannot write; only a JSON escape (in an
+    `escaped` line) writes one. An id or source id does not start with
+    U+FEFF. The score, which may be absent, is null or a finite number >= 0,
+    the rule of scoring.check_nll. JSON gives exactly str, int, float, bool,
+    list, dict or None, and a bool is no int here."""
     for key in ("id", "source_id", "lemma", "form"):
         if type(d[key]) is not str:
             return key, "a string"
     for key in ("id", "source_id"):
-        if d[key].startswith("\ufeff") or any(c in d[key] for c in "\t\n\r"):
-            return key, "a string with no tab, \\n or \\r that does not start with U+FEFF"
+        if d[key].startswith("\ufeff"):
+            return key, _ID_RULE
     msd = d["msd"]
     if type(msd) is not list or any(type(tok) is not str for tok in msd):
         return "msd", "a list of strings"
+    for key in ("id", "source_id", "lemma", "form", "msd") if escaped else ():
+        if key != "msd" and _LINE_BREAK.search(d[key]):
+            return key, _ID_RULE if "id" in key else "a string with no tab, \\n or \\r"
+        if _SURROGATE.search("".join(d[key])):  # an msd's tokens are joined
+            return key, "free of lone surrogates (U+D800 to U+DFFF)"
     for key in ("substituted_lemma_positions", "substituted_form_positions"):
         positions = d[key]
         if type(positions) is not list or any(type(i) is not int for i in positions):
@@ -316,10 +322,3 @@ def _restores(got: str, want: str, positions: tuple[int, ...]) -> bool:
             return False
         chars[i] = want[i]
     return "".join(chars) == want
-
-
-def pool_to_tsv(pool: list[SyntheticExample]) -> str:
-    """Triples only, for trainer consumption."""
-    return "".join(
-        f"{e.triple.lemma}\t{e.triple.form}\t{e.triple.msd_string}\n" for e in pool
-    )

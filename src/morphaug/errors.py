@@ -99,9 +99,9 @@ class BadValue(MorphaugError):
         super().__init__(f"line {line_no}: {key!r} must be {expected}, got {reprlib.repr(value)}")
 
 
-class BadTriple(MorphaugError, ValueError):
-    """An input line's triple that InflectionTriple rejects; a ValueError,
-    as the constructor's own error is."""
+class BadLine(MorphaugError, ValueError):
+    """An input line's value that its constructor or check rejects (a pool
+    line's triple, a score line's nll); a ValueError, as their own error is."""
 
     def __init__(self, line_no, err):
         super().__init__(f"line {line_no}: {err}")

@@ -33,8 +33,8 @@ import numpy as np
 from .alignment import segmentation_from_boundary
 from .corpus import Alphabet, InflectionTriple
 from .corruption import CorruptionConfig, substitute
-from .errors import NoVowelsConfigured
-from .util import derive_seed, row_blocks
+from .errors import MorphaugError, NoVowelsConfigured
+from .util import derive_seed, lines, row_blocks
 
 MI_PAIRS = (
     ("y_stem", "t"),
@@ -84,6 +84,21 @@ class HarmonyRule:
     def violates(self, stem: str, affix: str) -> bool:
         cls = self.stem_class(stem)
         return cls is not None and any(self._clashes(c, cls) for c in affix)
+
+
+def read_harmony_tsv(text: str) -> HarmonyRule:
+    """The HarmonyRule of a char<TAB>class vowel TSV, whose lines are util.lines."""
+    classes = {}
+    for line_no, line in lines(text):
+        fields = line.split("\t")
+        if len(fields) != 2 or len(fields[0]) != 1 or not fields[1]:
+            raise MorphaugError(f"line {line_no}: expected char<TAB>class, one character "
+                                f"and a non-empty class, got {line!r}")
+        char, cls = fields
+        if char in classes:
+            raise MorphaugError(f"line {line_no}: {char!r} is listed twice")
+        classes[char] = cls
+    return HarmonyRule(vowel_classes=classes)
 
 
 def default_harmony() -> HarmonyRule:

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 from .corpus import Dataset
 from .corruption import SyntheticExample
 from .errors import (
+    BadLine,
     DuplicateId,
     EmptyDataset,
     MissingId,
@@ -26,6 +27,7 @@ from .errors import (
     UnknownId,
     UnscoredPool,
 )
+from .util import lines
 
 log = logging.getLogger(__name__)
 
@@ -198,13 +200,11 @@ def require_scored(pool: Iterable[SyntheticExample]) -> list[SyntheticExample]:
 
 
 def load_external_scores(text: str, pool: list[SyntheticExample]) -> list[SyntheticExample]:
-    """The pool with the scores of an "id<TAB>nll" TSV, whose lines end at
-    "\\n" only; every pool id must appear exactly once."""
+    """The pool with the scores of an "id<TAB>nll" TSV, whose lines are
+    util.lines; every pool id must appear exactly once."""
     pool_ids = {e.id for e in pool}
     scores: dict[str, float] = {}
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in lines(text):
         parts = line.split("\t")
         if len(parts) != 2:
             raise NonNumericScore(line_no, line)
@@ -217,7 +217,10 @@ def load_external_scores(text: str, pool: list[SyntheticExample]) -> list[Synthe
             raise UnknownId(example_id, line_no)
         if example_id in scores:
             raise DuplicateId(example_id, line_no)
-        scores[example_id] = check_nll(nll)
+        try:
+            scores[example_id] = check_nll(nll)
+        except ValueError as e:
+            raise BadLine(line_no, e) from None
     missing = pool_ids - scores.keys()
     if missing:
         raise MissingId(missing)

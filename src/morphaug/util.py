@@ -1,4 +1,4 @@
-"""Seed derivation, config hashing, bootstrap row blocks, atomic file writes."""
+"""Seed derivation, config hashing, bootstrap row blocks, input lines, atomic writes."""
 
 from __future__ import annotations
 
@@ -34,6 +34,15 @@ def row_blocks(row_size: int, rows: int):
     step = max(1, BOOTSTRAP_BLOCK_ELEMENTS // row_size)
     for start in range(0, rows, step):
         yield start, min(start + step, rows)
+
+
+def lines(text: str):
+    """(number, line) of each non-blank line of an input text, numbered
+    from 1 with the blank lines. A line ends at "\\n" only (json writes
+    U+2028, U+2029 and U+0085 unescaped) and without one trailing "\\r"."""
+    for line_no, line in enumerate(text.split("\n"), 1):
+        if line.strip():
+            yield line_no, line.removesuffix("\r")
 
 
 def atomic_write(path: str, text: str) -> None:

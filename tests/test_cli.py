@@ -827,7 +827,7 @@ def test_report_harmony_lines_it_cannot_use_are_data_errors_before_the_pool(
     # the pool does not exist: the harmony file is checked before it is read
     assert main(["report", "--pool", str(tmp_path / "missing.jsonl"), "--gold", gold_file,
                  "--harmony", str(vowels), "--out", str(out), "--quiet"]) == 2
-    _assert_data_error(capsys, out, f"{vowels} line {line}:", needle)
+    _assert_data_error(capsys, out, f"{vowels}: line {line}:", needle)
 
 
 BOM = "\ufeff"
@@ -979,11 +979,11 @@ def test_a_flag_and_its_config_key_break_their_rule_in_the_same_words(
 
 
 def test_harmony_lines_end_at_newline_only(tmp_path):
-    from morphaug import cli
+    from morphaug import cli, milab
 
     vowels = tmp_path / "vowels.tsv"
     vowels.write_bytes("a\tback\u2028\ne\tfront\x85\r\n\ni\tneutral\r\n".encode())
-    classes = cli._read_harmony_tsv(str(vowels)).vowel_classes
+    classes = cli._load(str(vowels), milab.read_harmony_tsv).vowel_classes
     assert classes == {"a": "back\u2028", "e": "front\x85", "i": "neutral"}
 
 
@@ -1015,6 +1015,37 @@ def test_a_pool_id_a_scores_line_cannot_hold_is_a_data_error(gold_file, tmp_path
     _assert_data_error(capsys, scores, f"{pool}: line 2: '{key}' must be a string with no tab")
 
 
+def test_an_nll_a_score_file_cannot_hold_names_the_line(scored_pool, tmp_path, capsys):
+    pool, _ = scored_pool
+    bad, out = tmp_path / "bad.tsv", tmp_path / "sel.json"
+    bad.write_text("syn000001\t1.0\nsyn000000\tnan\n")
+    capsys.readouterr()
+    assert main(["select", "--pool", pool, "--scores", str(bad), "--strategy", "umt",
+                 "--k", "2", "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, f"{bad}: line 2: nll must be finite and >= 0, got nan")
+
+
+def _select_merged(gold, pool, tmp_path):
+    sel, merged = tmp_path / "sel.json", tmp_path / "merged.tsv"
+    code = main(["select", "--pool", str(pool), "--strategy", "random", "--k", "2",
+                 "--gold", gold, "--merged-out", str(merged), "--out", str(sel), "--quiet"])
+    return code, merged
+
+
+@pytest.mark.parametrize("key", ["lemma", "form"])
+@pytest.mark.parametrize("value", ["wa\tlk", "wa\nlk", "walk\r", "wa\ud800lk"])
+def test_a_lemma_or_form_a_merged_tsv_cannot_hold_is_a_data_error(gold_file, tmp_path, capsys,
+                                                                  key, value):
+    pool = tmp_path / "pool.jsonl"
+    line = json.loads(_pool_line("y", "talk"))
+    line[key] = value
+    pool.write_text(_pool_line("x", "walk") + json.dumps(line) + "\n", encoding="utf-8")
+    code, merged = _select_merged(gold_file, pool, tmp_path)
+    assert code == 2
+    _assert_data_error(capsys, merged, f"{pool}: line 2: '{key}' must be ")
+    assert not (tmp_path / "sel.json").exists()
+
+
 ROUND_TRIP_GOLD = "walked\twalkeds\tV;PST\ntalked\ttalkeds\tV;PST\njumping\tjumpings\tV;PRS\n"
 
 
@@ -1044,3 +1075,32 @@ def test_any_pool_the_reader_accepts_scores_and_selects(tmp_path, ids):
                  "--k", "4", "--out", sel, "--quiet"]) == 0
     with open(sel, encoding="utf-8") as f:
         assert sorted(json.load(f)["selected_ids"]) == sorted(ids)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(words=st.lists(st.text(min_size=1, max_size=6), min_size=4, max_size=4))
+def test_a_merged_tsv_of_any_pool_the_reader_accepts_parses_back(tmp_path, words):
+    from morphaug import corruption
+    from morphaug.errors import MorphaugError
+
+    text = "".join(json.dumps({**json.loads(_pool_line(f"s{i}", "walk")), "lemma": lemma,
+                               "form": form}, ensure_ascii=False) + "\n"
+                   for i, (lemma, form) in enumerate(zip(words, words[1:] + words[:1])))
+    try:
+        corruption.read_pool_jsonl(text)
+    except MorphaugError:
+        assume(False)
+    gold, pool, parsed = tmp_path / "gold.tsv", tmp_path / "pool.jsonl", tmp_path / "m.jsonl"
+    gold.write_text(ROUND_TRIP_GOLD, encoding="utf-8")
+    pool.write_text(text, encoding="utf-8")
+    code, merged = _select_merged(str(gold), pool, tmp_path)
+    assert code == 0
+    assert main(["parse", "--in", str(merged), "--out", str(parsed), "--quiet"]) == 0
+    with open(tmp_path / "sel.json", encoding="utf-8") as f:
+        selected = [int(tid[1:]) for tid in json.load(f)["selected_ids"]]
+    with open(parsed, encoding="utf-8") as f:
+        triples = [json.loads(line) for line in f]
+    assert [(t["lemma"], t["form"]) for t in triples] == [
+        *(tuple(line.split("\t")[:2]) for line in ROUND_TRIP_GOLD.splitlines()),
+        *((words[i], (words[1:] + words[:1])[i]) for i in selected)]

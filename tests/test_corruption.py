@@ -5,14 +5,13 @@ import random
 import pytest
 
 from morphaug.alignment import align, extract_stem
-from morphaug.corpus import Alphabet, InflectionTriple
+from morphaug.corpus import Alphabet, InflectionTriple, serialize
 from morphaug.corruption import (
     CorruptionConfig,
     SyntheticExample,
     check_sources,
     corrupt,
     generate_pool,
-    pool_to_tsv,
     read_pool_jsonl,
     write_pool_jsonl,
 )
@@ -197,6 +196,25 @@ def test_read_pool_jsonl_rejects_an_id_an_id_tab_nll_line_cannot_hold(key, value
         read_pool_jsonl(_line("s1", "walk") + "\n" + json.dumps(bad) + "\n")
 
 
+@pytest.mark.parametrize("key", ["lemma", "form"])
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+def test_read_pool_jsonl_rejects_a_lemma_or_form_a_tsv_line_cannot_hold(key, char):
+    bad = json.loads(_line("s2", "talk"))
+    bad[key] = f"ta{char}lk"
+    with pytest.raises(BadValue, match=f"line 2: '{key}' must be a string with no tab, "
+                                       r"\\n or \\r, got"):
+        read_pool_jsonl(_line("s1", "walk") + "\n" + json.dumps(bad) + "\n")
+
+
+@pytest.mark.parametrize("key", ["id", "source_id", "lemma", "form", "msd"])
+def test_read_pool_jsonl_rejects_a_lone_surrogate(key):
+    bad = json.loads(_line("s2", "talk"))
+    bad[key] = ["V", "P\udc00"] if key == "msd" else "ta\ud800lk"
+    # json.dumps escapes the surrogate, as any UTF-8 file must
+    with pytest.raises(BadValue, match=f"line 2: '{key}' must be free of lone surrogates"):
+        read_pool_jsonl(_line("s1", "walk") + "\n" + json.dumps(bad) + "\n")
+
+
 def test_read_pool_jsonl_keeps_an_inner_byte_order_mark_and_line_separators():
     ids = ["a\ufeff", "b\u2028", "c\x85 ", " "]
     pool = read_pool_jsonl("".join(_line(f"s{i}", "walk").replace('"s%d"' % i, json.dumps(tid))
@@ -207,7 +225,7 @@ def test_read_pool_jsonl_keeps_an_inner_byte_order_mark_and_line_separators():
 def test_pool_tsv_export():
     gold = make_dataset([("walked", "walkeds", "V;PST")])
     pool = generate_pool(gold, 3, ALPHABET, CorruptionConfig(theta=0.0, seed=3))
-    lines = pool_to_tsv(pool).splitlines()
+    lines = serialize(e.triple for e in pool).splitlines()
     assert lines == ["walked\twalkeds\tV;PST"] * 3
 
 
