@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import EmptyDataset, EmptyField, MalformedLine
+from .errors import EmptyDataset, LineError
 from .util import lines
 
 
@@ -30,6 +30,9 @@ class InflectionTriple:
     def __post_init__(self):
         if not self.lemma or not self.form:
             raise ValueError(f"triple {self.id!r}: lemma and form must be non-empty")
+        if "\ufeff" in self.lemma or "\ufeff" in self.form:
+            # a byte order mark that starts a file is not read back as data
+            raise ValueError(f"triple {self.id!r}: lemma and form must not hold U+FEFF")
         if not self.msd:
             raise ValueError(f"triple {self.id!r}: msd must have at least one feature")
         for tok in self.msd:
@@ -147,12 +150,15 @@ def parse_unimorph(text: str, name: str = "dataset") -> Dataset:
     for line_no, line in lines(text):
         fields = line.split("\t")
         if len(fields) != 3:
-            raise MalformedLine(line_no, f"got {len(fields)}")
+            raise LineError(line_no, f"expected 3 tab-separated fields: got {len(fields)}")
         for value, field_name in zip(fields, ("lemma", "form", "MSD")):
             if not value:
-                raise EmptyField(line_no, field_name)
+                raise LineError(line_no, f"empty {field_name}")
         lemma, form, msd = fields
-        triples.append(InflectionTriple(str(line_no), lemma, form, tuple(msd.split(";"))))
+        try:
+            triples.append(InflectionTriple(str(line_no), lemma, form, tuple(msd.split(";"))))
+        except ValueError as e:
+            raise LineError(line_no, e) from None
     return Dataset(triples=tuple(triples), name=name)
 
 

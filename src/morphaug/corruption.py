@@ -13,13 +13,13 @@ import logging
 import math
 import random
 import re
+import reprlib
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 
 from .alignment import Segmentation, align, extract_stem, levenshtein
 from .corpus import Alphabet, Dataset, InflectionTriple, derived_triple
-from .errors import (AlphabetTooSmall, BadLine, BadValue, DuplicateId, MissingKey,
-                     MissingSegmentation, NoAlignableTriples, NoStem, NotAnObject, NotJson,
+from .errors import (AlphabetTooSmall, LineError, MissingSegmentation, NoAlignableTriples, NoStem,
                      SourceMismatch)
 from .util import lines
 
@@ -231,24 +231,26 @@ def read_pool_jsonl(text: str) -> list[SyntheticExample]:
     for line_no, line in lines(text):
         try:
             d = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as e:
-            raise NotJson(line_no, e) from None
+        except json.JSONDecodeError as e:
+            raise LineError(line_no, f"not valid JSON, column {e.colno}: {e.msg}") from None
+        except RecursionError as e:
+            raise LineError(line_no, f"not valid JSON: {e}") from None
         if not isinstance(d, dict):
-            raise NotAnObject(line_no, type(d).__name__)
+            raise LineError(line_no, f"expected a JSON object, got {type(d).__name__}")
         try:
             bad = _bad_value(d, "\\" in line)
         except KeyError as e:
-            raise MissingKey(line_no, e.args[0]) from None
+            raise LineError(line_no, f"missing key {e.args[0]!r}") from None
         if bad:
             key, expected = bad
-            raise BadValue(line_no, key, expected, d.get(key))
+            raise LineError(line_no, f"{key!r} must be {expected}, got {reprlib.repr(d.get(key))}")
         try:
             triple = InflectionTriple(id=d["id"], lemma=d["lemma"], form=d["form"],
                                       msd=tuple(d["msd"]))
         except ValueError as e:
-            raise BadLine(line_no, e) from None
+            raise LineError(line_no, e) from None
         if triple.id in ids:
-            raise DuplicateId(triple.id, line_no)
+            raise LineError(line_no, f"duplicate id {triple.id!r}")
         ids.add(triple.id)
         pool.append(_example(triple, d["source_id"], tuple(d["substituted_lemma_positions"]),
                              tuple(d["substituted_form_positions"]), d["lev_to_gold_target"],

@@ -1,23 +1,17 @@
 """Exception types shared across the toolkit."""
 
-import reprlib
-
 
 class MorphaugError(Exception):
     """Base class for all toolkit errors."""
 
 
-class MalformedLine(MorphaugError):
-    def __init__(self, line_no, detail=""):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: expected 3 tab-separated fields{': ' + detail if detail else ''}")
+class LineError(MorphaugError, ValueError):
+    """A line of an input line file that its reader refuses; a ValueError,
+    as the triple's and the nll check's own errors are."""
 
-
-class EmptyField(MorphaugError):
-    def __init__(self, line_no, field):
+    def __init__(self, line_no, detail):
         self.line_no = line_no
-        self.field = field
-        super().__init__(f"line {line_no}: empty {field}")
+        super().__init__(f"line {line_no}: {detail}")
 
 
 class EmptyDataset(MorphaugError):
@@ -66,50 +60,6 @@ class MissingId(MorphaugError):
         self.ids = sorted(ids)
         super().__init__(f"score file missing ids: {', '.join(self.ids[:5])}"
                          + ("..." if len(self.ids) > 5 else ""))
-
-
-class DuplicateId(MorphaugError):
-    def __init__(self, example_id, line_no):
-        super().__init__(f"line {line_no}: duplicate id {example_id!r}")
-
-
-class UnknownId(MorphaugError):
-    def __init__(self, example_id, line_no):
-        super().__init__(f"line {line_no}: id {example_id!r} not in pool")
-
-
-class MissingKey(MorphaugError):
-    def __init__(self, line_no, key):
-        super().__init__(f"line {line_no}: missing key {key!r}")
-
-
-class NotAnObject(MorphaugError):
-    def __init__(self, line_no, kind):
-        super().__init__(f"line {line_no}: expected a JSON object, got {kind}")
-
-
-class NotJson(MorphaugError):
-    def __init__(self, line_no, err):
-        where = f", column {err.colno}: {err.msg}" if hasattr(err, "colno") else f": {err}"
-        super().__init__(f"line {line_no}: not valid JSON{where}")
-
-
-class BadValue(MorphaugError):
-    def __init__(self, line_no, key, expected, value):
-        super().__init__(f"line {line_no}: {key!r} must be {expected}, got {reprlib.repr(value)}")
-
-
-class BadLine(MorphaugError, ValueError):
-    """An input line's value that its constructor or check rejects (a pool
-    line's triple, a score line's nll); a ValueError, as their own error is."""
-
-    def __init__(self, line_no, err):
-        super().__init__(f"line {line_no}: {err}")
-
-
-class NonNumericScore(MorphaugError):
-    def __init__(self, line_no, value):
-        super().__init__(f"line {line_no}: non-numeric score {value!r}")
 
 
 class ZeroVariance(MorphaugError):

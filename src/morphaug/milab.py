@@ -33,7 +33,7 @@ import numpy as np
 from .alignment import segmentation_from_boundary
 from .corpus import Alphabet, InflectionTriple
 from .corruption import CorruptionConfig, substitute
-from .errors import MorphaugError, NoVowelsConfigured
+from .errors import LineError, NoVowelsConfigured
 from .util import derive_seed, lines, row_blocks
 
 MI_PAIRS = (
@@ -92,11 +92,11 @@ def read_harmony_tsv(text: str) -> HarmonyRule:
     for line_no, line in lines(text):
         fields = line.split("\t")
         if len(fields) != 2 or len(fields[0]) != 1 or not fields[1]:
-            raise MorphaugError(f"line {line_no}: expected char<TAB>class, one character "
-                                f"and a non-empty class, got {line!r}")
+            raise LineError(line_no, "expected char<TAB>class, one character and a non-empty "
+                                     f"class, got {line!r}")
         char, cls = fields
         if char in classes:
-            raise MorphaugError(f"line {line_no}: {char!r} is listed twice")
+            raise LineError(line_no, f"{char!r} is listed twice")
         classes[char] = cls
     return HarmonyRule(vowel_classes=classes)
 

@@ -18,15 +18,7 @@ from typing import Iterable, Iterator
 
 from .corpus import Dataset
 from .corruption import SyntheticExample
-from .errors import (
-    BadLine,
-    DuplicateId,
-    EmptyDataset,
-    MissingId,
-    NonNumericScore,
-    UnknownId,
-    UnscoredPool,
-)
+from .errors import EmptyDataset, LineError, MissingId, UnscoredPool
 from .util import lines
 
 log = logging.getLogger(__name__)
@@ -207,20 +199,20 @@ def load_external_scores(text: str, pool: list[SyntheticExample]) -> list[Synthe
     for line_no, line in lines(text):
         parts = line.split("\t")
         if len(parts) != 2:
-            raise NonNumericScore(line_no, line)
+            raise LineError(line_no, f"non-numeric score {line!r}")
         example_id, raw = parts
         try:
             nll = float(raw)
         except ValueError:
-            raise NonNumericScore(line_no, raw) from None
+            raise LineError(line_no, f"non-numeric score {raw!r}") from None
         if example_id not in pool_ids:
-            raise UnknownId(example_id, line_no)
+            raise LineError(line_no, f"id {example_id!r} not in pool")
         if example_id in scores:
-            raise DuplicateId(example_id, line_no)
+            raise LineError(line_no, f"duplicate id {example_id!r}")
         try:
             scores[example_id] = check_nll(nll)
         except ValueError as e:
-            raise BadLine(line_no, e) from None
+            raise LineError(line_no, e) from None
     missing = pool_ids - scores.keys()
     if missing:
         raise MissingId(missing)

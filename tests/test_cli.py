@@ -95,6 +95,24 @@ def test_malformed_input_exit_code_2(tmp_path):
     assert main(["parse", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("text, line, detail", [
+    pytest.param("walk\twalked\tV\n\nonly-one-column\n", 3,
+                 "expected 3 tab-separated fields: got 1", id="fields"),
+    pytest.param("walk\t\tV\n", 1, "empty form", id="empty-field"),
+    pytest.param("a\tb\tV;;X\n", 1, "triple '1': bad msd token ''", id="msd-token"),
+    pytest.param("walked\twalkeds\tV;PST\n\ufefftalked\ttalkeds\tV;PST\n", 2,
+                 "triple '2': lemma and form must not hold U+FEFF", id="byte-order-mark"),
+])
+def test_gold_line_errors_name_the_line(tmp_path, capsys, text, line, detail):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(text, encoding="utf-8")
+    # with U+FEFF in its lemma, a synthetic triple could start the --tsv-out file
+    for argv in (["parse", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")],
+                 ["augment", "--gold", str(bad), "--n", "1", "--seed", "2", "--out",
+                  str(tmp_path / "pool.jsonl"), "--tsv-out", str(tmp_path / "pool.tsv")]):
+        _assert_line_error(capsys, tmp_path, argv, bad, line, detail)
+
+
 def test_parse_writes_jsonl_and_sidecar(gold_file, tmp_path):
     out = tmp_path / "parsed.jsonl"
     assert main(["parse", "--in", gold_file, "--out", str(out), "--quiet"]) == 0
@@ -328,6 +346,18 @@ def _assert_data_error(capsys, out, *needles):
     assert err.startswith("error: ") and "Traceback" not in err
     assert all(n in err for n in needles), err
     assert not out.exists()
+
+
+def _assert_line_error(capsys, tmp_path, argv, path, line, detail):
+    """argv exits 2 with `error: <path>: line N: ...` holding detail, with no
+    traceback and no new file."""
+    files = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main([*argv, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line {line}: ") and "Traceback" not in err, err
+    assert detail in err, err
+    assert sorted(os.listdir(tmp_path)) == files
 
 
 def test_report_on_empty_selection_is_a_data_error(gold_file, scored_pool, tmp_path, capsys):
@@ -825,9 +855,9 @@ def test_report_harmony_lines_it_cannot_use_are_data_errors_before_the_pool(
     vowels, out = tmp_path / "vowels.tsv", tmp_path / "report.json"
     vowels.write_text(text)
     # the pool does not exist: the harmony file is checked before it is read
-    assert main(["report", "--pool", str(tmp_path / "missing.jsonl"), "--gold", gold_file,
-                 "--harmony", str(vowels), "--out", str(out), "--quiet"]) == 2
-    _assert_data_error(capsys, out, f"{vowels}: line {line}:", needle)
+    _assert_line_error(capsys, tmp_path, ["report", "--pool", str(tmp_path / "missing.jsonl"),
+                                          "--gold", gold_file, "--harmony", str(vowels),
+                                          "--out", str(out)], vowels, line, needle)
 
 
 BOM = "\ufeff"
@@ -864,10 +894,11 @@ def test_a_leading_bom_is_not_part_of_any_input(tmp_path, monkeypatch):
 
 
 def test_only_one_leading_bom_is_dropped(tmp_path, capsys):
+    # the second is data, which no lemma may hold
     gold, out = tmp_path / "gold.tsv", tmp_path / "gold.jsonl"
     gold.write_text(BOM + BOM + "walk\twalked\tV;PST\n", encoding="utf-8")
-    assert main(["parse", "--in", str(gold), "--out", str(out), "--quiet"]) == 0
-    assert json.loads(out.read_text(encoding="utf-8"))["lemma"] == BOM + "walk"
+    _assert_line_error(capsys, tmp_path, ["parse", "--in", str(gold), "--out", str(out)], gold,
+                       1, "triple '1': lemma and form must not hold U+FEFF")
 
 
 DEEP_JSON = "[" * 100000 + "]" * 100000
@@ -997,9 +1028,8 @@ def test_score_file_errors_name_the_file(gold_file, scored_pool, tmp_path, capsy
                                 "--strategy", "umt", "--k", "2"],
             "report --scores": ["report", "--pool", pool, "--scores", str(bad),
                                 "--gold", gold_file]}[command]
-    capsys.readouterr()
-    assert main([*argv, "--out", str(out), "--quiet"]) == 2
-    _assert_data_error(capsys, out, f"{bad}: line 1: non-numeric score 'abc'")
+    _assert_line_error(capsys, tmp_path, [*argv, "--out", str(out)], bad, 1,
+                       "non-numeric score 'abc'")
 
 
 @pytest.mark.parametrize("key", ["id", "source_id"])
@@ -1010,9 +1040,9 @@ def test_a_pool_id_a_scores_line_cannot_hold_is_a_data_error(gold_file, tmp_path
     line = json.loads(_pool_line("y", "talk"))
     line[key] = value
     pool.write_text(_pool_line("x", "walk") + json.dumps(line) + "\n", encoding="utf-8")
-    assert main(["score", "--pool", str(pool), "--gold", gold_file, "--out", str(scores),
-                 "--quiet"]) == 2
-    _assert_data_error(capsys, scores, f"{pool}: line 2: '{key}' must be a string with no tab")
+    _assert_line_error(capsys, tmp_path, ["score", "--pool", str(pool), "--gold", gold_file,
+                                          "--out", str(scores)], pool, 2,
+                       f"'{key}' must be a string with no tab")
 
 
 def test_an_nll_a_score_file_cannot_hold_names_the_line(scored_pool, tmp_path, capsys):

@@ -12,7 +12,7 @@ from morphaug.corpus import (
     parse_unimorph,
     serialize,
 )
-from morphaug.errors import EmptyDataset, EmptyField, MalformedLine
+from morphaug.errors import EmptyDataset, LineError
 
 from conftest import make_dataset, random_word
 
@@ -29,13 +29,13 @@ def test_parse_empty_stream():
 
 
 def test_parse_malformed_line():
-    with pytest.raises(MalformedLine) as e:
+    with pytest.raises(LineError, match="^line 1: expected 3 tab-separated fields: got 2$") as e:
         parse_unimorph("a\tb")
     assert e.value.line_no == 1
 
 
 def test_parse_empty_field():
-    with pytest.raises(EmptyField):
+    with pytest.raises(LineError, match="^line 1: empty form$"):
         parse_unimorph("a\t\tN")
 
 

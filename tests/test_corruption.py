@@ -15,8 +15,8 @@ from morphaug.corruption import (
     read_pool_jsonl,
     write_pool_jsonl,
 )
-from morphaug.errors import (AlphabetTooSmall, BadValue, DuplicateId, MissingSegmentation,
-                             NoAlignableTriples, NotJson, SourceMismatch)
+from morphaug.errors import (AlphabetTooSmall, LineError, MissingSegmentation, NoAlignableTriples,
+                             SourceMismatch)
 
 from conftest import form_stem_positions, lemma_stem_positions, make_dataset
 
@@ -175,15 +175,15 @@ def test_read_pool_jsonl_splits_at_newline_only():
     pool = read_pool_jsonl(_line("s1", "wa\u2028lk") + "\r\n" + _line("s2", "ta\x85lk") + "\n")
     assert [e.triple.lemma for e in pool] == ["wa\u2028lk", "ta\x85lk"]
     # a trailing "\r" is JSON whitespace; a bare "\r" ends no line
-    with pytest.raises(NotJson, match="line 1: not valid JSON"):
+    with pytest.raises(LineError, match="line 1: not valid JSON"):
         read_pool_jsonl(_line("s1", "walk") + "\r" + _line("s2", "talk") + "\r")
 
 
 def test_read_pool_jsonl_rejects_a_repeated_id_and_deep_nesting():
-    with pytest.raises(DuplicateId, match="line 3: duplicate id 'x'"):
+    with pytest.raises(LineError, match="line 3: duplicate id 'x'"):
         read_pool_jsonl(_line("x", "walk") + "\n" + _line("y", "jump") + "\n"
                         + _line("x", "talk") + "\n")
-    with pytest.raises(NotJson, match="line 2: not valid JSON: maximum recursion depth"):
+    with pytest.raises(LineError, match="line 2: not valid JSON: maximum recursion depth"):
         read_pool_jsonl(_line("x", "walk") + "\n" + "[" * 100000 + "]" * 100000 + "\n")
 
 
@@ -192,7 +192,7 @@ def test_read_pool_jsonl_rejects_a_repeated_id_and_deep_nesting():
 def test_read_pool_jsonl_rejects_an_id_an_id_tab_nll_line_cannot_hold(key, value):
     bad = json.loads(_line("s2", "talk"))
     bad[key] = value
-    with pytest.raises(BadValue, match=f"line 2: '{key}' must be a string with no tab"):
+    with pytest.raises(LineError, match=f"line 2: '{key}' must be a string with no tab"):
         read_pool_jsonl(_line("s1", "walk") + "\n" + json.dumps(bad) + "\n")
 
 
@@ -201,7 +201,7 @@ def test_read_pool_jsonl_rejects_an_id_an_id_tab_nll_line_cannot_hold(key, value
 def test_read_pool_jsonl_rejects_a_lemma_or_form_a_tsv_line_cannot_hold(key, char):
     bad = json.loads(_line("s2", "talk"))
     bad[key] = f"ta{char}lk"
-    with pytest.raises(BadValue, match=f"line 2: '{key}' must be a string with no tab, "
+    with pytest.raises(LineError, match=f"line 2: '{key}' must be a string with no tab, "
                                        r"\\n or \\r, got"):
         read_pool_jsonl(_line("s1", "walk") + "\n" + json.dumps(bad) + "\n")
 
@@ -211,7 +211,7 @@ def test_read_pool_jsonl_rejects_a_lone_surrogate(key):
     bad = json.loads(_line("s2", "talk"))
     bad[key] = ["V", "P\udc00"] if key == "msd" else "ta\ud800lk"
     # json.dumps escapes the surrogate, as any UTF-8 file must
-    with pytest.raises(BadValue, match=f"line 2: '{key}' must be free of lone surrogates"):
+    with pytest.raises(LineError, match=f"line 2: '{key}' must be free of lone surrogates"):
         read_pool_jsonl(_line("s1", "walk") + "\n" + json.dumps(bad) + "\n")
 
 

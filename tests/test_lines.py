@@ -7,7 +7,7 @@ import pytest
 
 from morphaug.corpus import InflectionTriple, parse_unimorph
 from morphaug.corruption import SyntheticExample, read_pool_jsonl
-from morphaug.errors import MorphaugError
+from morphaug.errors import LineError
 from morphaug.milab import read_harmony_tsv
 from morphaug.scoring import load_external_scores
 from morphaug.util import lines
@@ -26,17 +26,27 @@ def _scored_ids(text, ids):
     return [e.id for e in load_external_scores(text, pool)]
 
 
+def _pool_line_with(**change):
+    return json.dumps({**json.loads(_pool_line(1, "y")), **change}, ensure_ascii=False)
+
+
 # each reader: the i-th line with a text field holding a value, the values
-# read back from a text of such lines, and a line it refuses
+# read back from a text of such lines, and lines it refuses after line(0, "x"),
+# one for each way a line of it can be bad
 READERS = {
     "gold TSV": (lambda i, v: f"{v}\twalked\tV;PST",
-                 lambda text, values: [t.lemma for t in parse_unimorph(text)], "walk\twalked"),
+                 lambda text, values: [t.lemma for t in parse_unimorph(text)],
+                 ["walk\twalked", "walk\t\tV", "walk\twalked\tV;;X", "\ufeffwalk\twalked\tV"]),
     "pool JSONL": (_pool_line,
-                   lambda text, values: [e.id for e in read_pool_jsonl(text)], "[]"),
-    "score TSV": (lambda i, v: f"{v}\t1.5", _scored_ids, "x\t1.5\t2"),
+                   lambda text, values: [e.id for e in read_pool_jsonl(text)],
+                   ["[]", "{", '{"id": "y"}', _pool_line_with(lemma=5),
+                    _pool_line_with(form=""), _pool_line_with(lemma="wa\ufefflk"),
+                    _pool_line(1, "x")]),
+    "score TSV": (lambda i, v: f"{v}\t1.5", _scored_ids,
+                  ["x\t1.5\t2", "y\tabc", "z\t1.5", "x\t1.5", "y\tnan"]),
     "harmony TSV": (lambda i, v: f"{'aeiou'[i]}\t{v}",
                     lambda text, values: list(read_harmony_tsv(text).vowel_classes.values()),
-                    "ab\tback"),
+                    ["ab\tback", "e\t", "a\tback"]),
 }
 
 
@@ -52,9 +62,11 @@ def test_every_reader_reads_the_same_lines(reader, end, values):
 
 @pytest.mark.parametrize("reader", READERS)
 def test_every_reader_skips_a_whitespace_line_and_counts_it(reader):
-    line, read, bad = READERS[reader]
-    with pytest.raises(MorphaugError, match="^line 3: "):
-        read(line(0, "x") + "\n \t\u2028\r\n" + bad + "\n", ["x"])
+    line, read, bad_lines = READERS[reader]
+    for bad in bad_lines:
+        with pytest.raises(LineError, match="^line 3: ") as e:
+            read(line(0, "x") + "\n \t\u2028\r\n" + bad + "\n", ["x", "y"])
+        assert e.value.line_no == 3, bad
 
 
 def test_lines_split_at_newline_only_and_drop_one_carriage_return():

@@ -7,14 +7,7 @@ import pytest
 from morphaug.corpus import Alphabet, parse_unimorph
 from morphaug.corruption import CorruptionConfig, SyntheticExample, generate_pool
 from morphaug.corpus import InflectionTriple
-from morphaug.errors import (
-    DuplicateId,
-    EmptyDataset,
-    MissingId,
-    NonNumericScore,
-    UnknownId,
-    UnscoredPool,
-)
+from morphaug.errors import EmptyDataset, LineError, MissingId, UnscoredPool
 from morphaug.scoring import (
     BOS,
     EOS,
@@ -174,17 +167,17 @@ def test_load_external_scores_errors():
     pool = [_syn("a", "x", "y"), _syn("b", "x", "y")]
     with pytest.raises(MissingId):
         load_external_scores("a\t1.0\n", pool)
-    with pytest.raises(DuplicateId):
+    with pytest.raises(LineError, match="^line 2: duplicate id 'a'$"):
         load_external_scores("a\t1.0\na\t2.0\nb\t1.0\n", pool)
-    with pytest.raises(NonNumericScore):
+    with pytest.raises(LineError, match="^line 1: non-numeric score 'abc'$"):
         load_external_scores("a\tabc\nb\t1.0\n", pool)
-    with pytest.raises(UnknownId):
+    with pytest.raises(LineError, match="^line 1: id 'zzz' not in pool$"):
         load_external_scores("zzz\t1.0\n", pool)
     # every nll passes check_nll, after the id checks
     for bad in ("-0.5", "inf", "nan"):
         with pytest.raises(ValueError, match="finite and >= 0"):
             load_external_scores(f"a\t{bad}\nb\t1.0\n", pool)
-    with pytest.raises(DuplicateId):
+    with pytest.raises(LineError, match="^line 2: duplicate id 'a'$"):
         load_external_scores("a\t1.0\na\t-1.0\nb\t1.0\n", pool)
 
 
