@@ -22,10 +22,17 @@ from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 # milab and report load numpy; they are imported by the commands that use
-# them, so the other commands start without it
+# them, so the other commands start without it, and numpy always loads
+# after the BLAS thread default below is set
 from . import corpus, corruption, scoring, selection, splitgen
 from .errors import EmptySelection, MorphaugError
 from .util import atomic_write, config_hash, derive_seed
+
+# On import, numpy's OpenBLAS starts a worker thread per CPU, yet morphaug
+# makes no parallel BLAS call (its one BLAS call is report's corrcoef of two
+# vectors). So one thread is the default; the artifacts' bytes do not depend
+# on it. A value already in the environment is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 log = logging.getLogger("morphaug")
 

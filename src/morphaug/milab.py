@@ -31,9 +31,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .alignment import segmentation_from_boundary
-from .corpus import Alphabet, InflectionTriple
-from .corruption import CorruptionConfig, substitute
-from .errors import LineError, NoVowelsConfigured
+from .corpus import Alphabet
+from .corruption import CorruptionConfig
+from .errors import AlphabetTooSmall, LineError, NoVowelsConfigured
 from .util import derive_seed, lines, row_blocks
 
 MI_PAIRS = (
@@ -245,35 +245,56 @@ def corrupt_toy(gold: list[ToyExample], g: ToyGrammar, n: int, theta: float,
     """The toy_records count of n stem-corrupted examples from uniformly
     resampled gold sources, using the grammar's known stem boundary. Each
     record is counted as it is drawn, so no example is ever built. The draws
-    are those of corruption.corrupt; no distance to the gold form is
-    computed."""
-    cfg = CorruptionConfig(theta=theta, seed=seed)
+    are those of corruption.corrupt (corruption.substitute, inlined); no
+    distance to the gold form is computed."""
+    CorruptionConfig(theta=theta)  # rejects a theta outside [0, 1], as corrupt's config does
     if n > 0 and not gold:
         raise ValueError("corrupt_toy needs at least one gold example")
+    chars, index = g.alphabet.chars, g.alphabet.index
+    n_all = len(chars)
+    n_other = n_all - 1
+    if n > 0 and n_other < 1:
+        raise AlphabetTooSmall("need >= 2 characters to exclude the original")
+    bits_all, bits_other = n_all.bit_length(), n_other.bit_length()
     rng = random.Random(seed)
-    getrandbits = rng.getrandbits
+    draw, getrandbits = rng.random, rng.getrandbits
     n_gold = len(gold)
     bits = n_gold.bit_length()
-    alphabet = g.alphabet
-    # gold index -> (triple, segmentation, stem length, msd, x_affix,
-    # y_affix), built on the source's first draw
-    sources: dict[int, tuple] = {}
+    # gold index -> its plan, built on the source's first draw: the stem as a
+    # list, each stem character's alphabet index (None outside the alphabet,
+    # which draws among all n), the lemma's and form's tails after the stem,
+    # and the msd and affixes. Lemma and form share the stem, so one draw per
+    # stem position substitutes both, as substitute does for a stem pair.
+    plans: dict[int, tuple] = {}
     records = Counter()
     for _ in range(n):
         k = getrandbits(bits)  # randrange(n_gold), inlined as in corruption.substitute
         while k >= n_gold:
             k = getrandbits(bits)
-        source = sources.get(k)
-        if source is None:
+        plan = plans.get(k)
+        if plan is None:
             stem, msd, lemma, form, x_affix, y_affix = gold[k]
-            # substitute reads the triple's lemma and form, never its id
-            source = sources[k] = (
-                InflectionTriple(id="", lemma=lemma, form=form, msd=(msd,)),
-                segmentation_from_boundary(lemma, form, len(stem)),
-                len(stem), msd, x_affix, y_affix)
-        triple, seg, stem_len, msd, x_affix, y_affix = source
-        lemma, form, _, _ = substitute(triple, seg, alphabet, cfg, rng)
-        records[form[:stem_len], msd, lemma, form, x_affix, y_affix] += 1
+            stem_len = len(stem)
+            segmentation_from_boundary(lemma, form, stem_len)  # raises unless they share the stem
+            shared = lemma[:stem_len]
+            plan = plans[k] = (list(shared), tuple(enumerate(map(index.get, shared))),
+                               lemma[stem_len:], form[stem_len:], msd, x_affix, y_affix)
+        shared, positions, lemma_tail, form_tail, msd, x_affix, y_affix = plan
+        stem = shared[:]
+        for i, original in positions:
+            if draw() < theta:
+                if original is None:
+                    r = getrandbits(bits_all)
+                    while r >= n_all:
+                        r = getrandbits(bits_all)
+                    stem[i] = chars[r]
+                else:
+                    r = getrandbits(bits_other)
+                    while r >= n_other:
+                        r = getrandbits(bits_other)
+                    stem[i] = chars[r + (r >= original)]
+        new_stem = "".join(stem)
+        records[new_stem, msd, new_stem + lemma_tail, new_stem + form_tail, x_affix, y_affix] += 1
     return records
 
 

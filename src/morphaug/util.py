@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -47,11 +46,14 @@ def lines(text: str):
 
 def atomic_write(path: str, text: str) -> None:
     """Write via a temp file + rename so interrupted runs never leave a
-    partial artifact at the final path."""
-    d = os.path.dirname(os.path.abspath(path))
+    partial artifact at the final path. The artifact gets the mode that
+    open(path, "w") gives a new file, 0o666 less the umask (mkstemp's
+    would be 0o600)."""
+    name = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name  # only a file this call created is ever removed
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
         os.replace(tmp, path)

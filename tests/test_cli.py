@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from morphaug.cli import main
+from morphaug.util import atomic_write
 
 GOLD = (
     "walked\twalkeds\tV;PST\n"
@@ -121,6 +123,31 @@ def test_parse_writes_jsonl_and_sidecar(gold_file, tmp_path):
     assert json.loads(lines[0])["lemma"] == "walked"
     meta = json.loads((tmp_path / "parsed.jsonl.meta.json").read_text())
     assert meta["stage"] == "parse" and "config_hash" in meta
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_artifacts_get_the_mode_open_gives_a_new_file(gold_file, tmp_path, mask):
+    out = tmp_path / "parsed.jsonl"
+    out.write_text("")
+    out.chmod(0o600)  # an artifact written over takes the new mode, as a rename does
+    old = os.umask(mask)
+    try:
+        assert main(["parse", "--in", gold_file, "--out", str(out), "--quiet"]) == 0
+    finally:
+        os.umask(old)
+    for path in (out, tmp_path / "parsed.jsonl.meta.json"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~mask
+    assert not list(tmp_path.glob(".tmp-*"))
+
+
+def test_atomic_write_failure_leaves_no_temp_file_and_names_the_target(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(str(tmp_path / "out.txt"), "\ud800")
+    assert list(tmp_path.iterdir()) == []
+    missing = str(tmp_path / "missing" / "out.txt")
+    with pytest.raises(FileNotFoundError) as e:
+        atomic_write(missing, "x")
+    assert e.value.filename == missing
 
 
 def test_augment_score_select_split_chain(gold_file, tmp_path):
@@ -588,14 +615,30 @@ def test_milab_corrupts_each_synthetic_size_once(tmp_path, monkeypatch):
     assert all(0.0 <= gap["tv_distance"] <= 1.0 for gap in gaps)
 
 
-def test_cli_import_does_not_load_numpy():
+def _probe(code: str, **env_changes) -> str:
+    """The stdout of a fresh interpreter that runs code with src importable,
+    in the environment changed by env_changes (a None value unsets a variable)."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = "import sys, morphaug.cli; print('numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    for key, value in env_changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_cli_import_does_not_load_numpy():
+    assert _probe("import sys, morphaug.cli; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+def test_cli_import_defaults_to_one_blas_thread_and_keeps_a_set_value(given, expected):
+    code = "import os, morphaug.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _probe(code, OPENBLAS_NUM_THREADS=given) == expected
 
 
 @pytest.mark.parametrize("key, value, detail", [

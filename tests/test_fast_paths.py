@@ -220,6 +220,24 @@ def test_corrupt_toy_draws_match_randrange_for_every_gold_size():
     assert milab.corrupt_toy([], g, 0, 0.5) == Counter()
 
 
+def test_corrupt_toy_draws_among_all_characters_for_one_outside_the_alphabet():
+    # grammar-made gold holds only alphabet characters; here some stems hold
+    # z or q, which are outside it, so their draws are among all n characters
+    g = milab.make_toy_grammar(20, 3, seed=1, harmony=True)
+    stems = ["z" + s[1:] if i % 3 == 0 else s[:2] + "q" if i % 3 == 1 else s
+             for i, s in enumerate(g.stems)]
+    gold = [milab.ToyExample(stem, msd, *g.realize(stem, msd))
+            for stem, msd in zip(stems, g.msds * len(stems))]
+    assert any(c not in g.alphabet for e in gold for c in e.stem)
+    for theta, seed in ((1.0, 3), (0.5, 4), (0.3, 5)):
+        with _recorded_rngs(milab) as made:
+            fast = milab.corrupt_toy(gold, g, 500, theta, seed=seed)
+        slow_rng = random.Random(seed)
+        slow = milab.toy_records(oracle_corrupt_toy(gold, g, 500, theta, seed=seed, rng=slow_rng))
+        assert fast == slow and list(fast) == list(slow)
+        assert made[0].getstate() == slow_rng.getstate()
+
+
 # --------------------------------------------------- validate-once triples
 
 @settings(max_examples=200, deadline=None)
@@ -257,6 +275,8 @@ def test_every_boundary_still_validates_msd_tokens(tok):
 JSON_CHARS = st.one_of(st.characters(), st.sampled_from(
     ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\udfff", "\U0001f600"]))
 JSON_TEXT = st.text(JSON_CHARS, max_size=6)
+# a triple's lemma and form are non-empty and hold no U+FEFF
+TRIPLE_TEXT = JSON_TEXT.filter(lambda s: s and "\ufeff" not in s)
 MSD_TOKENS = st.text(JSON_CHARS, min_size=1, max_size=4).filter(
     lambda tok: ";" not in tok and tok.split() == [tok])
 POSITIONS = st.lists(st.integers(0, 10**6), max_size=4).map(tuple)
@@ -270,8 +290,8 @@ def jsonl_pools(draw):
                          min_size=1, max_size=3))
     pool = []
     for _ in range(draw(st.integers(0, 6))):
-        t = InflectionTriple(id=draw(JSON_TEXT), lemma=draw(JSON_TEXT.filter(bool)),
-                             form=draw(JSON_TEXT.filter(bool)), msd=draw(st.sampled_from(msds)))
+        t = InflectionTriple(id=draw(JSON_TEXT), lemma=draw(TRIPLE_TEXT),
+                             form=draw(TRIPLE_TEXT), msd=draw(st.sampled_from(msds)))
         pool.append(SyntheticExample(t, draw(JSON_TEXT), draw(POSITIONS), draw(POSITIONS),
                                      draw(st.integers(0, 10**9)), draw(SCORES)))
     return pool
