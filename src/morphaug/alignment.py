@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyInput, NoStem
+from .errors import MorphaugError, NoStem
 
 GAP = None
 
@@ -119,7 +119,7 @@ def align(lemma: str, form: str) -> CharAlignment:
     """Minimum-edit-cost alignment maximizing matched characters among
     minimum-cost paths."""
     if not lemma or not form:
-        raise EmptyInput("align requires non-empty strings")
+        raise MorphaugError("align requires non-empty strings")
     n, m = len(lemma), len(form)
     # One int per cell orders paths by (cost, -matches): key = cost*w - matches
     # with w > any match count, so a step costs +w and a match -1. Candidates

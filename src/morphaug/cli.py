@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 # them, so the other commands start without it, and numpy always loads
 # after the BLAS thread default below is set
 from . import corpus, corruption, scoring, selection, splitgen
-from .errors import EmptySelection, MorphaugError
+from .errors import MorphaugError
 from .util import atomic_write, config_hash, derive_seed
 
 # On import, numpy's OpenBLAS starts a worker thread per CPU, yet morphaug
@@ -94,8 +94,14 @@ META_SUFFIX = ".meta.json"
 
 
 def _check_out(*paths: str) -> None:
-    """Fail before any work if a path cannot be an output file: it is a
-    directory, or the directory it names is missing or not a directory."""
+    """Fail before any work if a path cannot be an output file: an earlier
+    one names the same file (a usage error), it is a directory, or the
+    directory it names is missing or not a directory."""
+    real = [os.path.realpath(path) for path in paths]
+    for i, path in enumerate(paths):
+        if real[i] in real[:i]:
+            raise UsageError(f"two outputs name one file: {paths[real.index(real[i])]!r} "
+                             f"and {path!r}")
     for path in paths:
         parent = os.path.dirname(path) or "."
         if os.path.isdir(path):
@@ -138,7 +144,7 @@ def _read(path: str) -> str:
 
 
 def _load(path: str, load, *args):
-    """load(the text of an input file, *args); a data error names the file."""
+    """load(the text of an input file, *args); a data error of either names the file."""
     try:
         return load(_read(path), *args)
     except (MorphaugError, ValueError) as e:
@@ -149,12 +155,12 @@ def _parse(path: str) -> corpus.Dataset:
     return _load(path, corpus.parse_unimorph, path)
 
 
-def _read_json(path: str):
-    """The JSON value of an input file; an unreadable one is a data error naming the file."""
+def _json(text: str):
+    """The JSON value of a text, as a decoder for _load."""
     try:
-        return json.loads(_read(path))
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
-        raise MorphaugError(f"{path}: not valid JSON: {e}") from None
+        raise MorphaugError(f"not valid JSON: {e}") from None
 
 
 def _load_scored_pool(pool_path: str, scores_path: str | None = None):
@@ -282,13 +288,13 @@ def cmd_report(args) -> None:
     _check_out(args.out)
     # the small inputs first, so a bad one fails before the pool is read
     if args.selection:
-        blob = _read_json(args.selection)
+        blob = _load(args.selection, _json)
         counts = blob.get("per_msd_counts") if isinstance(blob, dict) else None
         if not isinstance(counts, dict):
             raise MorphaugError(f"{args.selection}: expected a selection JSON with a "
                                 "'per_msd_counts' object")
         if not counts:
-            raise EmptySelection(f"{args.selection}: the selection is empty")
+            raise MorphaugError(f"{args.selection}: the selection is empty")
         for msd, count in counts.items():
             AT_LEAST_1.check(args.selection, f"per_msd_counts[{msd!r}]", count)
     if args.harmony:
@@ -319,7 +325,7 @@ CONFIG_KEYS = {"gold": PATH, "full": PATH, "n_pool": AT_LEAST_1, "theta": UNIT,
 
 
 def cmd_pipeline(args) -> None:
-    cfg = _read_json(args.config)
+    cfg = _load(args.config, _json)
     if not isinstance(cfg, dict):
         raise MorphaugError(f"{args.config}: expected a JSON object")
     unknown = [k for k in cfg if k not in CONFIG_KEYS]
@@ -348,7 +354,8 @@ def cmd_pipeline(args) -> None:
                                       for name in ("pool.jsonl", "scores.tsv", "test.tsv"))
     select_outs = [f"{out}/select-{s.kind}-{s.k}.json" for s in strategies]
     if os.path.exists(out):  # a missing out-dir is made, empty, after the corpora are read
-        _check_out(*_with_meta(pool_out), *_with_meta(scores_out), *select_outs,
+        # a strategy listed twice writes its one file twice, with the same bytes
+        _check_out(*_with_meta(pool_out), *_with_meta(scores_out), *dict.fromkeys(select_outs),
                    *(_with_meta(test_out) if "full" in cfg else ()))
 
     gold = _parse(cfg["gold"])
@@ -463,6 +470,9 @@ def main(argv=None) -> int:
         return 1
     except (MorphaugError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
     finally:
         if gc_was_enabled:

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import EmptyDataset, LineError
+from .errors import LineError, MorphaugError
 from .util import lines
 
 
@@ -178,7 +178,7 @@ def to_jsonl(d: Dataset) -> str:
 def extract_alphabet(d: Dataset) -> Alphabet:
     """Union of code points over all lemmas and forms, sorted by code point."""
     if len(d) == 0:
-        raise EmptyDataset(f"dataset {d.name!r} is empty")
+        raise MorphaugError(f"dataset {d.name!r} is empty")
     chars = set()
     for t in d:
         chars.update(t.lemma)

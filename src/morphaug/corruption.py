@@ -19,8 +19,7 @@ from json.encoder import encode_basestring
 
 from .alignment import Segmentation, align, extract_stem, levenshtein
 from .corpus import Alphabet, Dataset, InflectionTriple, derived_triple
-from .errors import (AlphabetTooSmall, LineError, MissingSegmentation, NoAlignableTriples, NoStem,
-                     SourceMismatch)
+from .errors import LineError, MorphaugError, NoStem
 from .util import lines
 
 log = logging.getLogger(__name__)
@@ -96,7 +95,7 @@ def substitute(
     positions, substituted form positions). Each stem pair flips one
     Bernoulli(theta); on success both sides get the same replacement."""
     if cfg.exclude_original and len(alphabet) < 2:
-        raise AlphabetTooSmall("need >= 2 characters to exclude the original")
+        raise MorphaugError("need >= 2 characters to exclude the original")
     chars = alphabet.chars
     n_all = len(chars)
     n_other = n_all - 1
@@ -176,7 +175,7 @@ def generate_pool(
         raise ValueError("n must be >= 1")
     segs = segment_dataset(gold, min_run=cfg.min_run)
     if all(s is None for s in segs.values()):
-        raise NoAlignableTriples(f"no triple in {gold.name!r} has an alignable stem")
+        raise MorphaugError(f"no triple in {gold.name!r} has an alignable stem")
     skipped = {tid for tid, s in segs.items() if s is None}
     if skipped:
         log.info("skipping %d unalignable gold triples: %s", len(skipped), sorted(skipped))
@@ -307,12 +306,15 @@ def check_sources(pool: list[SyntheticExample], gold: Dataset) -> None:
         try:
             src = gold.by_id(e.source_id)
         except KeyError:
-            raise MissingSegmentation(e.source_id) from None
+            raise MorphaugError(f"source id {e.source_id!r} of the pool has no segmented "
+                                "gold triple") from None
         t = e.triple
         if not (t.msd == src.msd
                 and _restores(t.lemma, src.lemma, e.substituted_lemma_positions)
                 and _restores(t.form, src.form, e.substituted_form_positions)):
-            raise SourceMismatch(e.id, e.source_id)
+            raise MorphaugError(f"pool example {e.id!r} is not a stem corruption of gold "
+                                f"triple {e.source_id!r}; is --gold the file the pool was made "
+                                "from?")
 
 
 def _restores(got: str, want: str, positions: tuple[int, ...]) -> bool:

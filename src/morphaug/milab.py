@@ -33,7 +33,7 @@ import numpy as np
 from .alignment import segmentation_from_boundary
 from .corpus import Alphabet
 from .corruption import CorruptionConfig
-from .errors import AlphabetTooSmall, LineError, NoVowelsConfigured
+from .errors import LineError, MorphaugError
 from .util import derive_seed, lines, row_blocks
 
 MI_PAIRS = (
@@ -63,7 +63,7 @@ class HarmonyRule:
 
     def __post_init__(self):
         if not self.vowel_classes:
-            raise NoVowelsConfigured("vowel class map is empty")
+            raise MorphaugError("vowel class map is empty")
 
     def stem_class(self, stem: str) -> str | None:
         for c in reversed(stem):
@@ -254,7 +254,7 @@ def corrupt_toy(gold: list[ToyExample], g: ToyGrammar, n: int, theta: float,
     n_all = len(chars)
     n_other = n_all - 1
     if n > 0 and n_other < 1:
-        raise AlphabetTooSmall("need >= 2 characters to exclude the original")
+        raise MorphaugError("need >= 2 characters to exclude the original")
     bits_all, bits_other = n_all.bit_length(), n_other.bit_length()
     rng = random.Random(seed)
     draw, getrandbits = rng.random, rng.getrandbits

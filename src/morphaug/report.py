@@ -11,7 +11,7 @@ import numpy as np
 
 from .alignment import Segmentation
 from .corruption import SyntheticExample
-from .errors import MissingSegmentation, TooFewSamples, ZeroVariance
+from .errors import MorphaugError, ZeroVariance
 from .milab import HarmonyRule
 from .scoring import require_scored
 from .util import row_blocks
@@ -35,6 +35,14 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
+def _segmentation(segmentations: dict[str, Segmentation], source_id: str) -> Segmentation:
+    try:
+        return segmentations[source_id]
+    except KeyError:
+        raise MorphaugError(f"source id {source_id!r} of the pool has no segmented "
+                            "gold triple") from None
+
+
 def correlations(
     pool: Sequence[SyntheticExample], segmentations: dict[str, Segmentation]
 ) -> CorrelationReport:
@@ -42,13 +50,10 @@ def correlations(
     length. Segmentations are keyed by gold source id."""
     pool = require_scored(pool)
     if len(pool) < 3:
-        raise TooFewSamples("need >= 3 scored examples")
+        raise MorphaugError("need >= 3 scored examples")
     nll = [e.score for e in pool]
     lev = [e.lev_to_gold_target for e in pool]
-    try:
-        stem_len = [len(segmentations[e.source_id].y_stem) for e in pool]
-    except KeyError as err:
-        raise MissingSegmentation(err.args[0]) from None
+    stem_len = [len(_segmentation(segmentations, e.source_id).y_stem) for e in pool]
     target_len = [len(e.triple.form) for e in pool]
     # the CorrelationReport's field order; a constant column is named
     rs = []
@@ -56,8 +61,8 @@ def correlations(
                      ("target_length", target_len)):
         try:
             rs.append(pearson(nll, xs))
-        except ZeroVariance:
-            raise ZeroVariance(name) from None
+        except ZeroVariance as e:
+            raise ZeroVariance("nll" if e.variable == "x" else name) from None
     return CorrelationReport(*rs, n=len(pool))
 
 
@@ -99,11 +104,7 @@ def harmony_violation_stats(
     violating: list[float] = []
     adhering: list[float] = []
     for e in pool:
-        try:
-            seg = segmentations[e.source_id]
-        except KeyError:
-            raise MissingSegmentation(e.source_id) from None
-        stem, affix = seg.split_form(e.triple.form)
+        stem, affix = _segmentation(segmentations, e.source_id).split_form(e.triple.form)
         (violating if cfg.violates(stem, affix) else adhering).append(e.score)
     rate = len(violating) / len(pool)
     if not violating or not adhering:

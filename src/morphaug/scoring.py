@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from .corpus import Dataset
 from .corruption import SyntheticExample
-from .errors import EmptyDataset, LineError, MissingId, UnscoredPool
+from .errors import LineError, MorphaugError
 from .util import lines
 
 log = logging.getLogger(__name__)
@@ -69,7 +69,7 @@ class NGramScorer:
 
     def train(self, gold: Dataset) -> None:
         if len(gold) == 0:
-            raise EmptyDataset("cannot train a scorer on an empty dataset")
+            raise MorphaugError("cannot train a scorer on an empty dataset")
         for t in gold:
             self.vocab.update(t.lemma)
             self.vocab.update(t.form)
@@ -187,7 +187,7 @@ def require_scored(pool: Iterable[SyntheticExample]) -> list[SyntheticExample]:
     pool = list(pool)
     unscored = [e.id for e in pool if e.score is None]
     if unscored:
-        raise UnscoredPool(f"{len(unscored)} pool examples have no score")
+        raise MorphaugError(f"{len(unscored)} pool examples have no score")
     return pool
 
 
@@ -215,7 +215,9 @@ def load_external_scores(text: str, pool: list[SyntheticExample]) -> list[Synthe
             raise LineError(line_no, e) from None
     missing = pool_ids - scores.keys()
     if missing:
-        raise MissingId(missing)
+        ids = sorted(missing)
+        raise MorphaugError(f"score file missing ids: {', '.join(ids[:5])}"
+                            + ("..." if len(ids) > 5 else ""))
     return [e.with_score(scores[e.id]) for e in pool]
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from .corpus import MsdHistogram
 from .corruption import SyntheticExample
-from .errors import KTooLarge
+from .errors import MorphaugError
 from .scoring import require_scored
 
 STRATEGIES = ("random", "umt", "ume", "highloss", "lowloss", "umt-loss", "ume-loss")
@@ -74,7 +74,7 @@ class SelectionResult:
 
 def check_k(k: int, pool_size: int) -> None:
     if k > pool_size:
-        raise KTooLarge(k, pool_size)
+        raise MorphaugError(f"requested k={k} exceeds pool size {pool_size}")
     if k < 0:
         raise ValueError("k must be >= 0")
 
@@ -132,7 +132,7 @@ class PoolIndex:
 
     @cached_property
     def scores(self) -> list[float]:
-        """Each example's score; UnscoredPool if any is missing."""
+        """Each example's score; a data error if any is missing."""
         return [e.score for e in require_scored(self.pool)]
 
     @cached_property
@@ -180,7 +180,7 @@ class PoolIndex:
         the strategy's alpha."""
         kind, k, alpha = strategy.kind, strategy.k, strategy.alpha
         if kind in LOSS_KINDS:
-            self.scores  # raises UnscoredPool before any other check
+            self.scores  # an unscored pool is refused before any other check
         check_k(k, len(self.pool))
         if kind == "random":
             picked = random.Random(strategy.seed).sample(range(len(self.pool)), k)

@@ -11,7 +11,7 @@ import pytest
 from morphaug.alignment import GAP, CharAlignment, segmentation_from_boundary
 from morphaug.corpus import Dataset, InflectionTriple, parse_unimorph
 from morphaug.corruption import CorruptionConfig, SyntheticExample, segment_dataset
-from morphaug.errors import AlphabetTooSmall, EmptyInput
+from morphaug.errors import MorphaugError
 from morphaug.milab import (MI_PAIRS, CurvePoint, FactorizationGap, MIEstimate, ToyExample,
                             convexity_bound_check, generate_gold)
 from morphaug.scoring import BOS, EOS, SEP, UNK
@@ -40,7 +40,7 @@ def oracle_align(lemma: str, form: str) -> CharAlignment:
     """Full-table alignment DP: every cell takes the min over its three
     candidates keyed by (cost, -matches, op), then a backtrace."""
     if not lemma or not form:
-        raise EmptyInput("align requires non-empty strings")
+        raise MorphaugError("align requires non-empty strings")
     MATCH, SUB, DEL, INS = 0, 1, 2, 3
     n, m = len(lemma), len(form)
     cost = [[0] * (m + 1) for _ in range(n + 1)]
@@ -82,7 +82,7 @@ def oracle_corrupt(t, seg, alphabet, cfg, rng, new_id=None) -> SyntheticExample:
     """Corruption that builds the list of allowed replacement characters at
     every substituted position and indexes it with one randrange draw."""
     if cfg.exclude_original and len(alphabet) < 2:
-        raise AlphabetTooSmall("need >= 2 characters to exclude the original")
+        raise MorphaugError("need >= 2 characters to exclude the original")
     lemma = list(t.lemma)
     form = list(t.form)
     sub_lemma, sub_form = [], []

@@ -10,7 +10,7 @@ from morphaug.alignment import (
     levenshtein,
     segmentation_from_boundary,
 )
-from morphaug.errors import EmptyInput, NoStem
+from morphaug.errors import MorphaugError, NoStem
 
 from conftest import (form_stem_positions, lemma_stem_positions, matched_pairs,
                       oracle_levenshtein, oracle_matched_runs)
@@ -36,7 +36,7 @@ def test_shared_interior_run():
 
 
 def test_empty_input():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(MorphaugError, match="^align requires non-empty strings$"):
         align("", "abc")
 
 

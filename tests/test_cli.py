@@ -835,6 +835,18 @@ def test_pipeline_checks_every_artifact_before_reading_the_corpora(gold_file, tm
     assert os.listdir(out_dir) == [blocked] and os.listdir(out_dir / blocked) == []
 
 
+def test_a_strategy_listed_twice_writes_its_one_file_under_an_existing_out_dir(gold_file,
+                                                                              tmp_path):
+    cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps({
+        "gold": gold_file, "n_pool": 20, "theta": 0.5, "order": 2, "k_smooth": 0.1,
+        "strategies": ["umt", "umt"], "seed": 3, "k": 4}))
+    out_dir.mkdir()
+    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                 "--quiet"]) == 0
+    assert "select-umt-4.json" in os.listdir(out_dir)
+
+
 # ------------------------------------------------- select and report inputs
 
 def test_select_merged_out_reads_gold_before_writing(gold_file, tmp_path, capsys):
@@ -967,6 +979,78 @@ def test_deeply_nested_json_is_a_data_error_naming_the_file(gold_file, scored_po
     assert main([*argv, "--quiet"]) == 2
     _assert_data_error(capsys, out, *needles, "not valid JSON")
 
+
+@pytest.mark.parametrize("command", ["pipeline", "report"])
+def test_invalid_utf8_in_a_json_input_names_the_file(gold_file, scored_pool, tmp_path, capsys,
+                                                     command):
+    pool, scores = scored_pool
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    bad.write_bytes(b"\xff{}")
+    argv = (["pipeline", "--config", str(bad), "--out-dir", str(out)] if command == "pipeline"
+            else ["report", "--pool", pool, "--scores", scores, "--gold", gold_file,
+                  "--selection", str(bad), "--out", str(out)])
+    capsys.readouterr()
+    assert main([*argv, "--quiet"]) == 2
+    _assert_data_error(capsys, out, f"error: {bad}: 'utf-8' codec can't decode byte 0xff in "
+                       "position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("argv, first, second", [
+    (["augment", "--gold", "gold.tsv", "--n", "5", "--out", "same.out", "--tsv-out",
+      "same.out"], "same.out", "same.out"),
+    (["augment", "--gold", "gold.tsv", "--n", "5", "--out", "x.jsonl", "--tsv-out",
+      "./x.jsonl"], "x.jsonl", "./x.jsonl"),
+    (["augment", "--gold", "gold.tsv", "--n", "5", "--out", "x.jsonl", "--tsv-out",
+      "x.jsonl.meta.json"], "x.jsonl.meta.json", "x.jsonl.meta.json"),
+    (["select", "--pool", "pool.jsonl", "--strategy", "random", "--k", "2", "--gold",
+      "gold.tsv", "--merged-out", "sel.json", "--out", "sel.json"], "sel.json", "sel.json"),
+])
+def test_two_outputs_naming_one_file_are_a_usage_error_before_any_input(
+        tmp_path, capsys, monkeypatch, argv, first, second):
+    from morphaug import cli
+
+    monkeypatch.setattr(cli, "_read", _no_input)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--quiet"]) == 1
+    assert capsys.readouterr().err == \
+        f"usage error: two outputs name one file: {first!r} and {second!r}\n"
+    assert os.listdir(tmp_path) == []
+
+
+# 8 PiB of float64 resample statistics: more than any 47-bit address space,
+# so the allocation fails at once and touches no memory
+TOO_MANY_RESAMPLES = str(2**50)
+
+
+def test_milab_resamples_too_many_to_allocate_are_a_data_error(tmp_path, capsys):
+    out = tmp_path / "curve.json"
+    assert main(["milab", "--stems", "6", "--msds", "2", "--gold", "20", "--syn-sizes", "0,10",
+                 "--resamples", TOO_MANY_RESAMPLES, "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, "error: out of memory: ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_report_resamples_too_many_to_allocate_are_a_data_error(tmp_path, capsys):
+    gold, pool, scores, vowels, out = (str(tmp_path / name) for name in (
+        "gold.tsv", "pool.jsonl", "scores.tsv", "vowels.tsv", "report.json"))
+    with open(gold, "w", encoding="utf-8") as f:  # kalap+ler breaks back/front harmony
+        f.write("kalap\tkalapler\tN;PL\ndeniz\tdenizler\tN;PL\nokul\tokullar\tN;PL\n")
+    with open(vowels, "w", encoding="utf-8") as f:
+        f.write("a\tback\no\tback\nu\tback\ne\tfront\ni\tfront\n")
+    assert main(["augment", "--gold", gold, "--n", "30", "--out", pool, "--quiet"]) == 0
+    assert main(["score", "--pool", pool, "--gold", gold, "--out", scores, "--quiet"]) == 0
+    argv = ["report", "--pool", pool, "--scores", scores, "--gold", gold,
+            "--harmony", vowels, "--out", out, "--quiet"]
+    out = tmp_path / "report.json"
+    assert main([*argv, "--resamples", "10"]) == 0
+    harmony = json.loads(out.read_text())["harmony"]
+    assert harmony["n_violating"] and harmony["n_adhering"]  # so the bootstrap runs
+    out.unlink()
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main([*argv, "--resamples", TOO_MANY_RESAMPLES]) == 2
+    _assert_data_error(capsys, out, "error: out of memory: ")
+    assert sorted(os.listdir(tmp_path)) == before
 
 def test_line_separators_in_the_gold_survive_augment_and_score(tmp_path, capsys):
     # json writes U+2028 and U+0085 unescaped; the pool reader splits at "\n" only

@@ -12,7 +12,7 @@ from morphaug.corpus import (
     parse_unimorph,
     serialize,
 )
-from morphaug.errors import EmptyDataset, LineError
+from morphaug.errors import LineError, MorphaugError
 
 from conftest import make_dataset, random_word
 
@@ -68,7 +68,7 @@ def test_alphabet_direct_union():
 
 
 def test_alphabet_empty_dataset():
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(MorphaugError, match="^dataset 'fixture' is empty$"):
         extract_alphabet(make_dataset([]))
 
 

@@ -26,7 +26,7 @@ from morphaug.cli import main
 from morphaug.corpus import Alphabet, InflectionTriple, parse_unimorph
 from morphaug.corruption import (CorruptionConfig, SyntheticExample, corrupt, generate_pool,
                                  read_pool_jsonl, segment_dataset, write_pool_jsonl)
-from morphaug.errors import AlphabetTooSmall, NoStem
+from morphaug.errors import MorphaugError, NoStem
 from morphaug.scoring import NGramScorer
 
 from conftest import (form_stem_positions, make_dataset, oracle_align, oracle_corrupt,
@@ -101,7 +101,7 @@ def test_corrupt_matches_oracle_draw_for_draw(case):
     t, seg, alphabet, cfg, seed = case
     fast_rng, slow_rng = random.Random(seed), random.Random(seed)
     if cfg.exclude_original and len(alphabet) < 2:
-        with pytest.raises(AlphabetTooSmall):
+        with pytest.raises(MorphaugError, match="^need >= 2 characters to exclude the original$"):
             corrupt(t, seg, alphabet, cfg, fast_rng)
         return
     for n in range(3):

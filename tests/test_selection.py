@@ -6,7 +6,7 @@ import pytest
 
 from morphaug.corpus import InflectionTriple
 from morphaug.corruption import SyntheticExample
-from morphaug.errors import KTooLarge, UnscoredPool
+from morphaug.errors import MorphaugError
 from morphaug.selection import (
     LOSS_KINDS,
     STRATEGIES,
@@ -74,18 +74,18 @@ def test_index_raises_as_the_one_shot_functions():
     index = PoolIndex(_pool_nine_vs_one())
     for kind in STRATEGIES:
         if kind in LOSS_KINDS:
-            with pytest.raises(UnscoredPool):
+            with pytest.raises(MorphaugError, match="^10 pool examples have no score$"):
                 index.select(SelectionStrategy(kind=kind, k=11))
         else:
             assert len(index.select(SelectionStrategy(kind=kind, k=10))) == 10
-            with pytest.raises(KTooLarge):
+            with pytest.raises(MorphaugError, match="^requested k=11 exceeds pool size 10$"):
                 index.select(SelectionStrategy(kind=kind, k=11))
             with pytest.raises(ValueError):
                 index.select(SelectionStrategy(kind=kind, k=-1))
 
 
 def test_k_too_large():
-    with pytest.raises(KTooLarge):
+    with pytest.raises(MorphaugError, match="^requested k=11 exceeds pool size 10$"):
         select(_pool_nine_vs_one(), SelectionStrategy("random", 11))
 
 
@@ -161,9 +161,9 @@ def test_by_loss_matches_full_sort_oracle():
 
 
 def test_by_loss_requires_scores():
-    with pytest.raises(UnscoredPool):
+    with pytest.raises(MorphaugError, match="^1 pool examples have no score$"):
         select([_ex("a")], SelectionStrategy("highloss", 1))
-    with pytest.raises(UnscoredPool):
+    with pytest.raises(MorphaugError, match="^1 pool examples have no score$"):
         select([_ex("a")], SelectionStrategy("umt-loss", 1))
 
 
