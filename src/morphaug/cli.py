@@ -1,11 +1,11 @@
 """Command-line pipeline: parse -> augment -> score -> select -> split,
 plus the toy-grammar information lab and the diagnostics report.
 
-All artifacts are written atomically and carry provenance (config hash,
-seed, parameters) either embedded (JSON outputs) or as a .meta.json sidecar
-(TSV/JSONL outputs). A single top-level seed is fanned out per stage, so any
-stage can be reproduced in isolation. Exit codes: 0 ok, 1 usage error,
-2 data error.
+A command adds all of its artifacts or, if it fails, no file at all. Each
+carries provenance (config hash, seed, parameters) either embedded (JSON
+outputs) or as a .meta.json sidecar (TSV/JSONL outputs). A single top-level
+seed is fanned out per stage, so any stage can be reproduced in isolation.
+Exit codes: 0 ok, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -93,47 +93,84 @@ SIZES = Rule("comma-separated integers >= 0", (str,), lambda text: min(_int_list
 META_SUFFIX = ".meta.json"
 
 
-def _check_out(*paths: str) -> None:
-    """Fail before any work if a path cannot be an output file: an earlier
-    one names the same file (a usage error), it is a directory, or the
-    directory it names is missing or not a directory."""
-    real = [os.path.realpath(path) for path in paths]
-    for i, path in enumerate(paths):
-        if real[i] in real[:i]:
-            raise UsageError(f"two outputs name one file: {paths[real.index(real[i])]!r} "
-                             f"and {path!r}")
-    for path in paths:
-        parent = os.path.dirname(path) or "."
-        if os.path.isdir(path):
-            code = errno.EISDIR
-        elif not os.path.isdir(parent):
-            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-        else:
-            continue
-        raise OSError(code, os.strerror(code), path)
-
-
-def _with_meta(path: str) -> tuple[str, str]:
-    """An artifact written by _write_with_meta and its provenance sidecar."""
-    return path, path + META_SUFFIX
-
-
 def _provenance(stage: str, params: dict) -> dict:
     params = {k: v for k, v in params.items() if k != "func"}
     return {"tool": "morphaug", "stage": stage, "params": params,
             "config_hash": config_hash(params)}
 
 
-def _write_with_meta(path: str, text: str, stage: str, params: dict) -> None:
-    atomic_write(path, text)
-    atomic_write(path + META_SUFFIX,
-                 json.dumps(_provenance(stage, params), indent=2, sort_keys=True) + "\n")
+class Outputs:
+    """The files one command writes, as a `with` block that adds them all,
+    one rename each, or, if anything in it raises, no file or directory.
+    documents embed their provenance; tables (TSV/JSONL) get a sidecar. A
+    missing out_dir, holding them all, is made when they are written. Built
+    before any input is read, it refuses two outputs that are one file (a
+    usage error) and one that is a directory or not in a directory. An
+    OSError names the target, never a staged file."""
 
+    def __init__(self, *documents: str, tables=(), out_dir: str = ""):
+        paths = [*documents, *(p for table in tables for p in (table, table + META_SUFFIX))]
+        real = [os.path.realpath(path) for path in paths]
+        for i, path in enumerate(paths):
+            if real[i] in real[:i]:
+                raise UsageError(f"two outputs name one file: {paths[real.index(real[i])]!r} "
+                                 f"and {path!r}")
+        self.staged: list[tuple[str, str]] = []  # (staged file, target), in the order written
+        self.made: list[str] = []  # deepest first
+        while out_dir and not os.path.exists(out_dir):
+            self.made.append(out_dir)
+            out_dir = os.path.dirname(out_dir)
+        for path in paths if not self.made else ():  # a directory yet to make holds nothing
+            parent = os.path.dirname(path) or "."
+            if os.path.isdir(path):
+                code = errno.EISDIR
+            elif not os.path.isdir(parent):
+                code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            else:
+                continue
+            raise OSError(code, os.strerror(code), path)
 
-def _write_json(path: str, payload: dict, stage: str, params: dict) -> None:
-    payload = {**payload, "provenance": _provenance(stage, params)}
-    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True,
-                                  ensure_ascii=False) + "\n")
+    def __enter__(self) -> Outputs:
+        return self
+
+    def __exit__(self, kind, value, traceback) -> None:
+        try:
+            if kind is None:
+                self.commit()
+        finally:  # remove what is left, which after commit() is nothing
+            for staged, _ in self.staged:
+                if os.path.exists(staged):  # a commit() that failed renamed those before it
+                    os.unlink(staged)
+            for path in self.made:
+                if os.path.isdir(path) and not os.listdir(path):
+                    os.rmdir(path)
+
+    def table(self, path: str, text: str, stage: str, params: dict) -> None:
+        self._stage(path, text)
+        self._stage(path + META_SUFFIX,
+                    json.dumps(_provenance(stage, params), indent=2, sort_keys=True) + "\n")
+
+    def document(self, path: str, payload: dict, stage: str, params: dict) -> None:
+        payload = {**payload, "provenance": _provenance(stage, params)}
+        self._stage(path, json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+
+    def _stage(self, path: str, text: str) -> None:
+        if self.made:
+            os.makedirs(self.made[0], exist_ok=True)
+        staged = f"{os.path.dirname(os.path.abspath(path))}/.tmp-{os.urandom(8).hex()}~"
+        try:
+            atomic_write(staged, text)
+        except OSError as e:
+            raise OSError(e.errno, e.strerror, path) from e
+        self.staged.append((staged, path))
+
+    def commit(self) -> None:
+        for staged, path in self.staged:
+            try:
+                os.replace(staged, path)
+            except OSError as e:
+                raise OSError(e.errno, e.strerror, path) from e
+        self.staged, self.made = [], []
 
 
 def _read(path: str) -> str:
@@ -173,43 +210,45 @@ def _load_scored_pool(pool_path: str, scores_path: str | None = None):
 # One function per stage, called by its subcommand and by `pipeline`; the
 # callers differ only in the provenance params and the selection seed label.
 
-def _augment(gold, n: int, cfg: corruption.CorruptionConfig, out: str, params: dict) -> list:
+def _augment(gold, n: int, cfg: corruption.CorruptionConfig, out: Outputs, path: str,
+             params: dict) -> list:
     pool = corruption.generate_pool(gold, n, corpus.extract_alphabet(gold), cfg)
-    _write_with_meta(out, corruption.write_pool_jsonl(pool), "augment", params)
-    log.info("wrote %d synthetic examples to %s", len(pool), out)
+    out.table(path, corruption.write_pool_jsonl(pool), "augment", params)
+    log.info("wrote %d synthetic examples to %s", len(pool), path)
     return pool
 
 
-def _score(pool, gold, order: int, k_smooth: float, external: str | None,
-           out: str, params: dict) -> list:
-    """Scores from the external id<TAB>nll file if given, else from an n-gram trained on gold."""
-    scored = (_load(external, scoring.load_external_scores, pool) if external else
-              scoring.score_pool(scoring.train_ngram(gold, order=order, k=k_smooth), pool))
-    _write_with_meta(out, scoring.write_scores_tsv(scored), "score", params)
-    log.info("scored %d examples to %s", len(scored), out)
+def _score(pool, gold, order: int, k_smooth: float, out: Outputs, path: str, params: dict) -> list:
+    """The pool scored by an n-gram trained on gold, or, with no gold, as it was read."""
+    scored = pool if gold is None else scoring.score_pool(
+        scoring.train_ngram(gold, order=order, k=k_smooth), pool)
+    out.table(path, scoring.write_scores_tsv(scored), "score", params)
+    log.info("scored %d examples to %s", len(scored), path)
     return scored
 
 
-def _select(index: selection.PoolIndex, strategy: selection.SelectionStrategy, out: str,
-            params: dict):
+def _select(index: selection.PoolIndex, strategy: selection.SelectionStrategy, out: Outputs,
+            path: str, params: dict):
     result = selection.select(index, strategy)
-    _write_json(out, result.to_dict(), "select", params)
+    out.document(path, result.to_dict(), "select", params)
     log.info("selected %d / %d examples (%s)", len(result), len(index), strategy.kind)
     return result
 
 
-def _split(full, train, out: str, params: dict) -> None:
+def _split(full, train, out: Outputs, path: str, params: dict) -> None:
     split = splitgen.lemma_split(full, train)
-    _write_with_meta(out, corpus.serialize(split.test), "split", params)
+    out.table(path, corpus.serialize(split.test), "split", params)
     log.info("lemma split: %d of %d triples kept for test", len(split.test), len(full))
 
 
 # ---------------------------------------------------------------- subcommands
+# Each command writes through one Outputs, built from all its paths before
+# it reads any input.
 
 def cmd_parse(args) -> None:
-    _check_out(*_with_meta(args.out))
-    d = _parse(args.infile)
-    _write_with_meta(args.out, corpus.to_jsonl(d), "parse", vars(args))
+    with Outputs(tables=[args.out]) as out:
+        d = _parse(args.infile)
+        out.table(args.out, corpus.to_jsonl(d), "parse", vars(args))
     log.info("parsed %d triples from %s", len(d), args.infile)
 
 
@@ -220,20 +259,20 @@ def cmd_augment(args) -> None:
         min_run=args.min_run,
         seed=derive_seed(args.seed, "augment"),
     )
-    _check_out(*_with_meta(args.out), *(_with_meta(args.tsv_out) if args.tsv_out else ()))
-    pool = _augment(_parse(args.gold), args.n, cfg, args.out, vars(args))
-    if args.tsv_out:
-        _write_with_meta(args.tsv_out, corpus.serialize(e.triple for e in pool), "augment",
-                         vars(args))
+    with Outputs(tables=[args.out, *([args.tsv_out] if args.tsv_out else [])]) as out:
+        pool = _augment(_parse(args.gold), args.n, cfg, out, args.out, vars(args))
+        if args.tsv_out:
+            out.table(args.tsv_out, corpus.serialize(e.triple for e in pool), "augment",
+                      vars(args))
 
 
 def cmd_score(args) -> None:
     if not (args.external or args.gold):
         raise UsageError("score needs --gold (built-in scorer) or --external")
-    _check_out(*_with_meta(args.out))
-    pool = _load_scored_pool(args.pool)
-    gold = None if args.external else _parse(args.gold)
-    _score(pool, gold, args.order, args.k_smooth, args.external, args.out, vars(args))
+    with Outputs(tables=[args.out]) as out:
+        pool = _load_scored_pool(args.pool, args.external)
+        gold = None if args.external else _parse(args.gold)
+        _score(pool, gold, args.order, args.k_smooth, out, args.out, vars(args))
 
 
 def cmd_select(args) -> None:
@@ -241,79 +280,78 @@ def cmd_select(args) -> None:
         raise UsageError("--merged-out needs --gold")
     if args.gold and not args.merged_out:
         raise UsageError("--gold needs --merged-out")
-    _check_out(args.out, *(_with_meta(args.merged_out) if args.merged_out else ()))
-    # every input is read before the first output is written
-    gold = _parse(args.gold) if args.merged_out else None
-    pool = _load_scored_pool(args.pool, args.scores)
-    strategy = selection.SelectionStrategy(kind=args.strategy, k=args.k,
-                                           seed=derive_seed(args.seed, "select"))
-    result = _select(selection.PoolIndex(pool), strategy, args.out, vars(args))
-    if args.merged_out:
-        by_id = {e.id: e for e in pool}
-        merged = corpus.serialize([*gold, *(by_id[i].triple for i in result.selected_ids)])
-        _write_with_meta(args.merged_out, merged, "select", vars(args))
+    with Outputs(args.out, tables=[args.merged_out] if args.merged_out else []) as out:
+        gold = _parse(args.gold) if args.merged_out else None
+        pool = _load_scored_pool(args.pool, args.scores)
+        strategy = selection.SelectionStrategy(kind=args.strategy, k=args.k,
+                                               seed=derive_seed(args.seed, "select"))
+        result = _select(selection.PoolIndex(pool), strategy, out, args.out, vars(args))
+        if args.merged_out:
+            by_id = {e.id: e for e in pool}
+            merged = corpus.serialize([*gold, *(by_id[i].triple for i in result.selected_ids)])
+            out.table(args.merged_out, merged, "select", vars(args))
 
 
 def cmd_split(args) -> None:
-    _check_out(*_with_meta(args.out))
-    _split(_parse(args.full), _parse(args.train), args.out, vars(args))
+    with Outputs(tables=[args.out]) as out:
+        _split(_parse(args.full), _parse(args.train), out, args.out, vars(args))
 
 
 def cmd_milab(args) -> None:
     from . import milab
 
-    _check_out(args.out)
-    try:
-        # its ValueErrors are all bad sizes, raised before any other work
-        grammar = milab.make_toy_grammar(
-            n_stems=args.stems, n_msds=args.msds,
-            seed=derive_seed(args.seed, "grammar"),
-            harmony=args.harmony == "on",
-            coupled=not args.uncoupled,
+    with Outputs(args.out) as out:
+        try:
+            # its ValueErrors are all bad sizes, raised before any other work
+            grammar = milab.make_toy_grammar(
+                n_stems=args.stems, n_msds=args.msds,
+                seed=derive_seed(args.seed, "grammar"),
+                harmony=args.harmony == "on",
+                coupled=not args.uncoupled,
+            )
+        except ValueError as e:
+            raise UsageError(f"--stems/--msds: {e}") from None
+        curve = milab.mi_decay_curve(
+            grammar, args.gold, _int_list(args.syn_sizes), theta=args.theta,
+            seed=derive_seed(args.seed, "milab"), resamples=args.resamples,
         )
-    except ValueError as e:
-        raise UsageError(f"--stems/--msds: {e}") from None
-    curve = milab.mi_decay_curve(
-        grammar, args.gold, _int_list(args.syn_sizes), theta=args.theta,
-        seed=derive_seed(args.seed, "milab"), resamples=args.resamples,
-    )
-    records = [point.to_dict() for point in curve]
-    _write_json(args.out, {"curve": records}, "milab", vars(args))
+        records = [point.to_dict() for point in curve]
+        out.document(args.out, {"curve": records}, "milab", vars(args))
     log.info("wrote %d curve points to %s", len(records), args.out)
 
 
 def cmd_report(args) -> None:
     from . import milab, report
 
-    _check_out(args.out)
-    # the small inputs first, so a bad one fails before the pool is read
-    if args.selection:
-        blob = _load(args.selection, _json)
-        counts = blob.get("per_msd_counts") if isinstance(blob, dict) else None
-        if not isinstance(counts, dict):
-            raise MorphaugError(f"{args.selection}: expected a selection JSON with a "
-                                "'per_msd_counts' object")
-        if not counts:
-            raise MorphaugError(f"{args.selection}: the selection is empty")
-        for msd, count in counts.items():
-            AT_LEAST_1.check(args.selection, f"per_msd_counts[{msd!r}]", count)
-    if args.harmony:
-        cfg = _load(args.harmony, milab.read_harmony_tsv)
-    pool = _load_scored_pool(args.pool, args.scores)
-    gold = _parse(args.gold)
-    corruption.check_sources(pool, gold)
-    segs = {tid: s for tid, s in corruption.segment_dataset(gold).items() if s is not None}
-    blocks = {"correlations": asdict(report.correlations(pool, segs))}
-    if args.selection:
-        hist = corpus.MsdHistogram(counts=counts, total=sum(counts.values()))
-        msd, count = hist.mode()
-        blocks["msd_mode"] = {"msd": msd, "count": count}
-    if args.harmony:
-        blocks["harmony"] = asdict(report.harmony_violation_stats(
-            pool, cfg, segs, resamples=args.resamples,
-            seed=derive_seed(args.seed, "report"),
-        ))
-    _write_json(args.out, blocks, "report", vars(args))
+    with Outputs(args.out) as out:
+        # the small inputs first, so a bad one fails before the pool is read
+        if args.selection:
+            blob = _load(args.selection, _json)
+            counts = blob.get("per_msd_counts") if isinstance(blob, dict) else None
+            if not isinstance(counts, dict):
+                raise MorphaugError(f"{args.selection}: expected a selection JSON with a "
+                                    "'per_msd_counts' object")
+            if not counts:
+                raise MorphaugError(f"{args.selection}: the selection is empty")
+            for msd, count in counts.items():
+                AT_LEAST_1.check(args.selection, f"per_msd_counts[{msd!r}]", count)
+        if args.harmony:
+            cfg = _load(args.harmony, milab.read_harmony_tsv)
+        pool = _load_scored_pool(args.pool, args.scores)
+        gold = _parse(args.gold)
+        corruption.check_sources(pool, gold)
+        segs = {tid: s for tid, s in corruption.segment_dataset(gold).items() if s is not None}
+        blocks = {"correlations": asdict(report.correlations(pool, segs))}
+        if args.selection:
+            hist = corpus.MsdHistogram(counts=counts, total=sum(counts.values()))
+            msd, count = hist.mode()
+            blocks["msd_mode"] = {"msd": msd, "count": count}
+        if args.harmony:
+            blocks["harmony"] = asdict(report.harmony_violation_stats(
+                pool, cfg, segs, resamples=args.resamples,
+                seed=derive_seed(args.seed, "report"),
+            ))
+        out.document(args.out, blocks, "report", vars(args))
     log.info("wrote report to %s", args.out)
 
 
@@ -349,26 +387,23 @@ def cmd_pipeline(args) -> None:
                                               seed=derive_seed(seed, f"select-{kind}-{k}"))
                   for kind in cfg["strategies"] for k in sizes]
 
-    out = args.out_dir.rstrip("/")
-    pool_out, scores_out, test_out = (f"{out}/{name}"
+    out_dir = args.out_dir.rstrip("/")
+    pool_out, scores_out, test_out = (f"{out_dir}/{name}"
                                       for name in ("pool.jsonl", "scores.tsv", "test.tsv"))
-    select_outs = [f"{out}/select-{s.kind}-{s.k}.json" for s in strategies]
-    if os.path.exists(out):  # a missing out-dir is made, empty, after the corpora are read
-        # a strategy listed twice writes its one file twice, with the same bytes
-        _check_out(*_with_meta(pool_out), *_with_meta(scores_out), *dict.fromkeys(select_outs),
-                   *(_with_meta(test_out) if "full" in cfg else ()))
-
-    gold = _parse(cfg["gold"])
-    full = _parse(cfg["full"]) if "full" in cfg else None
-    os.makedirs(out, exist_ok=True)
-    pool = _augment(gold, n_pool, ccfg, pool_out, cfg)
-    scored = _score(pool, gold, cfg["order"], cfg["k_smooth"], None, scores_out, cfg)
-    index = selection.PoolIndex(scored)  # grouped, ordered and ranked once for the sweep
-    for strategy, select_out in zip(strategies, select_outs):
-        _select(index, strategy, select_out, cfg)
-    if full is not None:
-        _split(full, gold, test_out, cfg)
-    log.info("pipeline artifacts written to %s", out)
+    select_outs = [f"{out_dir}/select-{s.kind}-{s.k}.json" for s in strategies]
+    tables = [pool_out, scores_out, *([test_out] if "full" in cfg else [])]
+    # a strategy listed twice writes its one file twice, with the same bytes
+    with Outputs(*dict.fromkeys(select_outs), tables=tables, out_dir=out_dir) as out:
+        gold = _parse(cfg["gold"])
+        full = _parse(cfg["full"]) if "full" in cfg else None
+        pool = _augment(gold, n_pool, ccfg, out, pool_out, cfg)
+        scored = _score(pool, gold, cfg["order"], cfg["k_smooth"], out, scores_out, cfg)
+        index = selection.PoolIndex(scored)  # grouped, ordered and ranked once for the sweep
+        for strategy, select_out in zip(strategies, select_outs):
+            _select(index, strategy, out, select_out, cfg)
+        if full is not None:
+            _split(full, gold, out, test_out, cfg)
+    log.info("pipeline artifacts written to %s", out_dir)
 
 
 # -------------------------------------------------------------------- parser

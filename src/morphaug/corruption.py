@@ -297,6 +297,11 @@ def _bad_value(d: dict, escaped: bool) -> tuple[str, str] | None:
     return None
 
 
+def unknown_source(source_id: str) -> MorphaugError:
+    """The data error of a pool example whose source id names no gold triple it can use."""
+    return MorphaugError(f"source id {source_id!r} of the pool names no alignable gold triple")
+
+
 def check_sources(pool: list[SyntheticExample], gold: Dataset) -> None:
     """Check that every example is a stem corruption of the gold triple its
     source_id names: the same MSD, and a lemma and form that equal the gold
@@ -306,8 +311,7 @@ def check_sources(pool: list[SyntheticExample], gold: Dataset) -> None:
         try:
             src = gold.by_id(e.source_id)
         except KeyError:
-            raise MorphaugError(f"source id {e.source_id!r} of the pool has no segmented "
-                                "gold triple") from None
+            raise unknown_source(e.source_id) from None
         t = e.triple
         if not (t.msd == src.msd
                 and _restores(t.lemma, src.lemma, e.substituted_lemma_positions)

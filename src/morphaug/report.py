@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import Segmentation
-from .corruption import SyntheticExample
+from .corruption import SyntheticExample, unknown_source
 from .errors import MorphaugError, ZeroVariance
 from .milab import HarmonyRule
 from .scoring import require_scored
@@ -39,8 +39,7 @@ def _segmentation(segmentations: dict[str, Segmentation], source_id: str) -> Seg
     try:
         return segmentations[source_id]
     except KeyError:
-        raise MorphaugError(f"source id {source_id!r} of the pool has no segmented "
-                            "gold triple") from None
+        raise unknown_source(source_id) from None
 
 
 def correlations(

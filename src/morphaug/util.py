@@ -1,4 +1,4 @@
-"""Seed derivation, config hashing, bootstrap row blocks, input lines, atomic writes."""
+"""Seed derivation, config hashing, bootstrap row blocks, input lines, whole-file writes."""
 
 from __future__ import annotations
 
@@ -45,22 +45,14 @@ def lines(text: str):
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write via a temp file + rename so interrupted runs never leave a
-    partial artifact at the final path. The artifact gets the mode that
-    open(path, "w") gives a new file, 0o666 less the umask (mkstemp's
-    would be 0o600)."""
-    name = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
-    tmp = None
+    """Write text to a new file at path, with the mode open(path, "w") gives
+    a new file, 0o666 less the umask (mkstemp's would be 0o600). A write
+    that fails removes the file, so there is a whole file at path or none;
+    each artifact is staged through it, then renamed into place."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        tmp = name  # only a file this call created is ever removed
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
-        os.replace(tmp, path)
-    except BaseException as e:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(e, OSError) and e.errno is not None:
-            # the temp file is an implementation detail: name only the target
-            raise OSError(e.errno, e.strerror, path) from e
+    except BaseException:
+        os.unlink(path)
         raise

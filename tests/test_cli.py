@@ -847,6 +847,114 @@ def test_a_strategy_listed_twice_writes_its_one_file_under_an_existing_out_dir(g
     assert "select-umt-4.json" in os.listdir(out_dir)
 
 
+# --------------------------------------------------------- the output transaction
+# A command that fails adds no file or directory, and leaves the artifacts of
+# an earlier run as they were.
+
+def _snapshot(root) -> dict:
+    """Every file and directory under root, a file with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+def _pipeline_config(tmp_path, gold, seed=3) -> str:
+    cfg = tmp_path / f"cfg{seed}.json"
+    cfg.write_text(json.dumps({"gold": str(gold), "full": str(gold), "n_pool": 20,
+                               "theta": 0.5, "order": 2, "k_smooth": 0.1,
+                               "strategies": ["random", "umt"], "seed": seed, "k": 4}))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("out_dir", ["run", "run/a/b"])
+def test_a_pipeline_that_fails_makes_no_out_dir(tmp_path, capsys, monkeypatch, out_dir):
+    monkeypatch.chdir(tmp_path)
+    gold = tmp_path / "g.tsv"
+    gold.write_text("go\twent\tV;PST\nbe\twas\tV;PST\n")
+    cfg = _pipeline_config(tmp_path, "g.tsv")
+    assert main(["pipeline", "--config", cfg, "--out-dir", out_dir, "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: no triple in 'g.tsv' has an alignable stem\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg3.json", "g.tsv"]
+
+
+@pytest.mark.parametrize("failure", [MemoryError, KeyboardInterrupt])
+def test_a_failure_after_augment_adds_no_pipeline_artifact(gold_file, tmp_path, capsys,
+                                                         monkeypatch, failure):
+    from morphaug import cli
+
+    run, cfg = tmp_path / "run", _pipeline_config(tmp_path, gold_file, seed=4)
+    assert main(["pipeline", "--config", _pipeline_config(tmp_path, gold_file),
+                 "--out-dir", str(run), "--quiet"]) == 0
+    earlier = _snapshot(tmp_path)
+
+    def fail(*args, **kwargs):
+        raise failure("injected")
+
+    monkeypatch.setattr(cli, "_select", fail)
+    # a missing out-dir, and one that holds an earlier run's artifacts
+    for out_dir in (tmp_path / "fresh" / "run", run):
+        argv = ["pipeline", "--config", cfg, "--out-dir", str(out_dir), "--quiet"]
+        if failure is MemoryError:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: out of memory: injected\n"
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        assert _snapshot(tmp_path) == earlier
+
+
+@pytest.mark.parametrize("argv, failing_call, target", [
+    (["augment", "--gold", "gold.tsv", "--n", "5", "--out", "pool.jsonl",
+      "--tsv-out", "pool.tsv"], 3, "pool.tsv"),
+    (["select", "--pool", "pool.jsonl", "--strategy", "random", "--k", "2", "--gold",
+      "gold.tsv", "--merged-out", "merged.tsv", "--out", "sel.json"], 2, "merged.tsv"),
+], ids=["augment --tsv-out", "select --merged-out"])
+def test_a_failure_at_the_second_output_adds_no_file(gold_file, tmp_path, capsys, monkeypatch,
+                                                     argv, failing_call, target):
+    from morphaug import cli
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["augment", "--gold", "gold.tsv", "--n", "5", "--out", "pool.jsonl",
+                 "--quiet"]) == 0
+    write, calls = cli.atomic_write, []
+
+    def full_disk(path, text):
+        calls.append(path)
+        if len(calls) == failing_call:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+        write(path, text)
+
+    monkeypatch.setattr(cli, "atomic_write", full_disk)
+    for seed in ("1", "2"):  # the second run finds the first one's artifacts
+        before = _snapshot(tmp_path)
+        calls.clear()
+        assert main([*argv, "--seed", seed, "--quiet"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{target}'\n"
+        assert _snapshot(tmp_path) == before
+        monkeypatch.setattr(cli, "atomic_write", write)
+        assert main([*argv, "--seed", seed, "--quiet"]) == 0
+        monkeypatch.setattr(cli, "atomic_write", full_disk)
+
+
+def test_a_failed_rename_names_the_target_and_leaves_no_staged_file(gold_file, tmp_path,
+                                                                    capsys, monkeypatch):
+    replace, calls = os.replace, []
+
+    def busy(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), src, dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", busy)
+    out = tmp_path / "parsed.jsonl"
+    assert main(["parse", "--in", gold_file, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: [Errno {errno.EBUSY}] {os.strerror(errno.EBUSY)}: '{out}.meta.json'\n"
+    # a set of renames is not atomic as a whole: the first one has happened
+    assert sorted(os.listdir(tmp_path)) == ["gold.tsv", "parsed.jsonl"]
+
+
 # ------------------------------------------------- select and report inputs
 
 def test_select_merged_out_reads_gold_before_writing(gold_file, tmp_path, capsys):

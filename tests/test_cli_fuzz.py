@@ -1,8 +1,11 @@
-"""cli.main over mutated input files. Each input kind starts from a small
-valid seed file, gets one mutation and runs through its command in process.
-Whatever the bytes, no exception escapes main, the exit code is 0 or 2, no
-temporary file is left, and a run that fails adds no file."""
+"""cli.main over mutated input files and drawn flag values. Each input kind
+starts from a small valid seed file, gets one mutation and runs through its
+command in process; each command's flag values are drawn from their
+`cli.Rule` rows, valid or not. Whatever the bytes or the flags, no exception
+escapes main, the exit code is 0, 1 for an invalid flag value only, or 2, no
+temporary file is left, and a run that fails adds no file or directory."""
 
+import argparse
 import json
 import os
 import re
@@ -11,6 +14,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morphaug import cli
 from morphaug.cli import main
 
 GOLD = (
@@ -39,6 +43,8 @@ COMMANDS = {
     "sel.json": [*REPORT, "--selection", "sel.json"],
     "cfg.json": ["pipeline", "--config", "cfg.json", "--out-dir", "run"],
 }
+# a config also runs into an out-dir that does not exist, which a failed run must not make
+MISSING_OUT_DIR = ["pipeline", "--config", "cfg.json", "--out-dir", "new/run"]
 # a config's numbers, which a mutation leaves alone, so no run grows large
 NUMBER = re.compile(rb"\d+(?:\.\d+)?")
 BOM = "\ufeff".encode()
@@ -113,20 +119,105 @@ def _files(root: str) -> list[str]:
                   for d, dirs, files in os.walk(root) for f in [*files, *dirs])
 
 
+def _run(root: str, argv: list) -> int:
+    """main(argv) in root: no temporary file is left, and a run that fails adds nothing."""
+    before = _files(root)
+    code = main([*argv, "--quiet"])
+    after = _files(root)
+    assert not [f for f in after if ".tmp-" in f]
+    if code:
+        assert after == before
+    return code
+
+
+def _seeded(seeds: dict, root: str) -> None:
+    for name, text in seeds.items():
+        with open(os.path.join(root, name), "wb") as f:
+            f.write(text)
+
+
 @settings(max_examples=400, deadline=None)
 @given(name=st.sampled_from(sorted(COMMANDS)), data=st.data())
 def test_a_mutated_input_file_exits_0_or_2_and_a_failure_writes_nothing(seeds, name, data):
     mutated = _mutate(data, name, seeds[name])
     with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)
-        for seed_name, text in {**seeds, name: mutated}.items():
-            with open(seed_name, "wb") as f:
-                f.write(text)
+        _seeded({**seeds, name: mutated}, root)
         os.mkdir("run")
-        before = _files(root)
-        code = main([*COMMANDS[name], "--quiet"])
-        after = _files(root)
-    assert code in (0, 2)
-    assert not [f for f in after if ".tmp-" in f]
-    if code:
-        assert after == before
+        for argv in [COMMANDS[name], *([MISSING_OUT_DIR] if name == "cfg.json" else [])]:
+            assert _run(root, argv) in (0, 2)
+
+
+# ------------------------------------------------------------------ the argv
+# Valid values stay small, so that no run grows large; the invalid ones are
+# the text a rule refuses, or a number outside its range.
+NOT_AN_INTEGER = st.sampled_from(["", "x", "1.5", "1e3", "0x1", "-x"])
+NOT_A_NUMBER = st.sampled_from(["", "x", "nan", "inf", "1,5", "-x"])
+VALID = {
+    cli.INTEGER: st.integers(1, 12).map(str),
+    cli.AT_LEAST_1: st.integers(1, 6).map(str),
+    cli.AT_LEAST_0: st.integers(0, 6).map(str),
+    cli.UNIT: st.floats(0, 1).map(repr),
+    cli.POSITIVE: st.floats(1e-3, 10).map(repr),
+    cli.SIZES: st.lists(st.integers(0, 30), min_size=1, max_size=3).map(
+        lambda sizes: ",".join(map(str, sizes))),
+}
+INVALID = {
+    cli.INTEGER: NOT_AN_INTEGER,
+    cli.AT_LEAST_1: NOT_AN_INTEGER | st.integers(-3, 0).map(str),
+    cli.AT_LEAST_0: NOT_AN_INTEGER | st.integers(-3, -1).map(str),
+    cli.UNIT: NOT_A_NUMBER | st.sampled_from(["-0.5", "1.5", "2"]),
+    cli.POSITIVE: NOT_A_NUMBER | st.sampled_from(["0", "-1", "0.0"]),
+    cli.SIZES: st.sampled_from(["", "x", "1,,2", "1,-1", "1.5", "-x"]),
+}
+# each command's input and output flags; its value flags are all drawn
+PATHS = {
+    "parse": ["--in", "gold.tsv", "--out", "out.jsonl"],
+    "augment": ["--gold", "gold.tsv", "--out", "out.jsonl", "--tsv-out", "out.tsv"],
+    "score": ["--pool", "pool.jsonl", "--gold", "gold.tsv", "--out", "out.tsv"],
+    "select": ["--pool", "pool.jsonl", "--scores", "scores.tsv", "--out", "out.json"],
+    "split": ["--full", "gold.tsv", "--train", "gold.tsv", "--out", "out.tsv"],
+    "milab": ["--out", "out.json"],
+    "report": [*REPORT[1:], "--harmony", "vowels.tsv"],
+    "pipeline": MISSING_OUT_DIR[1:],
+}
+
+
+def _value_flags(command: str) -> list:
+    """(flag, its Rule, or its choices) of each flag of command that takes a checked value."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(action.option_strings[0], getattr(action.type, "__self__", None) or action.choices)
+            for action in sub.choices[command]._actions
+            if isinstance(getattr(action.type, "__self__", None), cli.Rule) or action.choices]
+
+
+def _toy_grammar_holds(values: dict, uncoupled: bool) -> bool:
+    """Whether milab's toy grammar has the drawn sizes: 1..12 MSDs, 1..208
+    stems, and unless uncoupled at least as many stems as MSDs."""
+    stems, msds = int(values["--stems"]), int(values["--msds"])
+    return 1 <= msds <= 12 and 1 <= stems <= 208 and (uncoupled or stems >= msds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(sorted(PATHS)), data=st.data())
+def test_drawn_flag_values_exit_1_exactly_when_one_is_invalid(seeds, command, data):
+    flags = _value_flags(command)
+    names = st.sampled_from([flag for flag, _ in flags])
+    bad = data.draw(st.just(set()) | st.sets(names, min_size=1, max_size=2))
+    values = {}
+    for flag, rule in flags:
+        if isinstance(rule, cli.Rule):
+            values[flag] = data.draw((INVALID if flag in bad else VALID)[rule])
+        else:
+            values[flag] = "none" if flag in bad else data.draw(st.sampled_from(rule))
+    uncoupled = command == "milab" and data.draw(st.booleans())
+    argv = [command, *PATHS[command], *(["--uncoupled"] if uncoupled else [])]
+    for flag, value in values.items():
+        argv += [flag, value]
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        _seeded(seeds, root)
+        code = _run(root, argv)
+    usage = bool(bad) or (command == "milab" and not _toy_grammar_holds(values, uncoupled))
+    assert code == 1 if usage else code in (0, 2)

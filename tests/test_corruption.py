@@ -265,5 +265,5 @@ def test_check_sources_rejects_a_mismatch(example):
 def test_check_sources_names_a_missing_source():
     gold = make_dataset([("walk", "walked", "V;PST")])
     with pytest.raises(MorphaugError,
-                       match="^source id '2' of the pool has no segmented gold triple$"):
+                       match="^source id '2' of the pool names no alignable gold triple$"):
         check_sources([_from_source("walk", "walked", (), (), source="2")], gold)

@@ -90,7 +90,7 @@ def test_pool_source_without_segmentation_is_named():
     segs = segment_dataset(gold)
     missing = pool[7].source_id
     del segs[missing]
-    message = f"^source id {re.escape(repr(missing))} of the pool has no segmented gold triple$"
+    message = f"^source id {re.escape(repr(missing))} of the pool names no alignable gold triple$"
     with pytest.raises(MorphaugError, match=message):
         correlations(pool, segs)
     with pytest.raises(MorphaugError, match=message):
