@@ -197,7 +197,7 @@ def extract_stem(a: CharAlignment, min_run: int = 3) -> Segmentation:
 
 def segmentation_from_boundary(lemma: str, form: str, stem_len: int) -> Segmentation:
     """Segmentation for a known prefix stem of length stem_len shared by lemma
-    and form (used by generated toy data, bypassing alignment)."""
+    and form, bypassing alignment."""
     if stem_len < 1 or lemma[:stem_len] != form[:stem_len]:
         raise ValueError("lemma and form do not share the given prefix stem")
     span = ((0, stem_len),)

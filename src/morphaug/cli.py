@@ -490,9 +490,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    # the pool and all that is built from it are acyclic (frozen, slotted
-    # dataclasses of str, tuple and int), so reference counting frees them;
-    # the cyclic collector would only walk them again and again
+    # the pool and all that is built from it are acyclic (NamedTuples and
+    # frozen, slotted dataclasses of str, tuple and int), so reference counting
+    # frees them; the cyclic collector would only walk them again and again
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

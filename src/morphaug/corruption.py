@@ -16,6 +16,7 @@ import re
 import reprlib
 from dataclasses import dataclass
 from json.encoder import encode_basestring
+from typing import NamedTuple
 
 from .alignment import Segmentation, align, extract_stem, levenshtein
 from .corpus import Alphabet, Dataset, InflectionTriple, derived_triple
@@ -37,8 +38,7 @@ class CorruptionConfig:
             raise ValueError(f"theta must be in [0,1], got {self.theta}")
 
 
-@dataclass(frozen=True, slots=True)
-class SyntheticExample:
+class SyntheticExample(NamedTuple):
     """A corrupted triple with provenance back to its gold source."""
 
     triple: InflectionTriple
@@ -57,31 +57,7 @@ class SyntheticExample:
         return self.triple.msd_string
 
     def with_score(self, nll: float) -> "SyntheticExample":
-        return _example(self.triple, self.source_id, self.substituted_lemma_positions,
-                        self.substituted_form_positions, self.lev_to_gold_target, nll)
-
-
-_new = object.__new__
-(_set_triple, _set_source_id, _set_lemma_positions, _set_form_positions, _set_lev,
- _set_score) = (SyntheticExample.__dict__[f].__set__ for f in (
-    "triple", "source_id", "substituted_lemma_positions", "substituted_form_positions",
-    "lev_to_gold_target", "score"))
-
-
-def _example(triple: InflectionTriple, source_id: str, lemma_positions: tuple[int, ...],
-             form_positions: tuple[int, ...], distance: int,
-             score: float | None = None) -> SyntheticExample:
-    """SyntheticExample(...) built through the slot setters, as
-    corpus.derived_triple builds a triple: the frozen constructor costs
-    about twice as much."""
-    e = _new(SyntheticExample)
-    _set_triple(e, triple)
-    _set_source_id(e, source_id)
-    _set_lemma_positions(e, lemma_positions)
-    _set_form_positions(e, form_positions)
-    _set_lev(e, distance)
-    _set_score(e, score)
-    return e
+        return SyntheticExample(*self[:5], nll)
 
 
 def substitute(
@@ -149,7 +125,7 @@ def corrupt(
     else:
         distance = 0
     # t is validated, and the corrupted triple keeps its MSD and its lengths
-    return _example(
+    return SyntheticExample(
         derived_triple(new_id if new_id is not None else f"{t.id}~syn", lemma, form, t.msd),
         t.id, tuple(sub_lemma), tuple(sub_form), distance,
     )
@@ -251,9 +227,10 @@ def read_pool_jsonl(text: str) -> list[SyntheticExample]:
         if triple.id in ids:
             raise LineError(line_no, f"duplicate id {triple.id!r}")
         ids.add(triple.id)
-        pool.append(_example(triple, d["source_id"], tuple(d["substituted_lemma_positions"]),
-                             tuple(d["substituted_form_positions"]), d["lev_to_gold_target"],
-                             d.get("score")))
+        pool.append(SyntheticExample(triple, d["source_id"],
+                                     tuple(d["substituted_lemma_positions"]),
+                                     tuple(d["substituted_form_positions"]),
+                                     d["lev_to_gold_target"], d.get("score")))
     return pool
 
 

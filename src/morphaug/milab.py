@@ -16,7 +16,7 @@ and factorization gap of the curve is derived from those counts.
 
 An optional vowel-harmony rule makes affixes agree with the last stem vowel's
 class, which breaks the factorization and is the built-in counterexample.
-Segmentation uses the grammar's known boundaries, not the alignment module.
+A toy record holds its stem and affixes, so it is never segmented.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alignment import segmentation_from_boundary
 from .corpus import Alphabet
 from .corruption import CorruptionConfig
 from .errors import LineError, MorphaugError
@@ -43,10 +42,10 @@ MI_PAIRS = (
     ("y_affix", "x_stem"),
 )
 
-# the field of a toy record (stem, msd, lemma, form, x_affix, y_affix) that
-# holds each MI variable (lemma and form share the prefix stem, so x_stem and
-# y_stem are both the stem)
-_VARIABLE_FIELD = {"t": 1, "x_stem": 0, "x_affix": 4, "y_stem": 0, "y_affix": 5}
+# the field of a toy record (stem, msd, x_affix, y_affix) that holds each MI
+# variable (lemma and form share the prefix stem, so x_stem and y_stem are
+# both the stem)
+_VARIABLE_FIELD = {"t": 1, "x_stem": 0, "x_affix": 2, "y_stem": 0, "y_affix": 3}
 
 
 @dataclass(frozen=True)
@@ -136,8 +135,8 @@ class ToyGrammar:
     def msds(self) -> tuple[str, ...]:
         return tuple(sorted(self.affix_map))
 
-    def realize(self, stem: str, msd: str) -> tuple[str, str, str, str]:
-        """(lemma, form, x_affix, y_affix) for a stem/MSD combination."""
+    def realize(self, stem: str, msd: str) -> tuple[str, str]:
+        """(x_affix, y_affix) for a stem/MSD combination."""
         y_affix = self.affix_map[msd]
         x_affix = self.lemma_affix
         if self.harmony is not None:
@@ -145,20 +144,26 @@ class ToyGrammar:
             y_affix = self.harmony.harmonize(y_affix, cls)
             if self.harmonize_lemma:
                 x_affix = self.harmony.harmonize(x_affix, cls)
-        return stem + x_affix, stem + y_affix, x_affix, y_affix
+        return x_affix, y_affix
 
 
 class ToyExample(NamedTuple):
     """One toy datapoint as its record: the prefix stem, which lemma and form
-    share verbatim (so it is both x_stem and y_stem), the MSD, the lemma and
-    form, and their ground-truth affixes."""
+    share verbatim (so it is both x_stem and y_stem), the MSD, and the
+    ground-truth affixes of the lemma and the form."""
 
     stem: str
     msd: str
-    lemma: str
-    form: str
     x_affix: str
     y_affix: str
+
+    @property
+    def lemma(self) -> str:
+        return self.stem + self.x_affix
+
+    @property
+    def form(self) -> str:
+        return self.stem + self.y_affix
 
 
 def toy_records(examples: list[ToyExample]) -> Counter:
@@ -262,9 +267,9 @@ def corrupt_toy(gold: list[ToyExample], g: ToyGrammar, n: int, theta: float,
     bits = n_gold.bit_length()
     # gold index -> its plan, built on the source's first draw: the stem as a
     # list, each stem character's alphabet index (None outside the alphabet,
-    # which draws among all n), the lemma's and form's tails after the stem,
-    # and the msd and affixes. Lemma and form share the stem, so one draw per
-    # stem position substitutes both, as substitute does for a stem pair.
+    # which draws among all n), and the msd and affixes. Lemma and form share
+    # the stem, so one draw per stem position substitutes both, as substitute
+    # does for a stem pair.
     plans: dict[int, tuple] = {}
     records = Counter()
     for _ in range(n):
@@ -273,13 +278,10 @@ def corrupt_toy(gold: list[ToyExample], g: ToyGrammar, n: int, theta: float,
             k = getrandbits(bits)
         plan = plans.get(k)
         if plan is None:
-            stem, msd, lemma, form, x_affix, y_affix = gold[k]
-            stem_len = len(stem)
-            segmentation_from_boundary(lemma, form, stem_len)  # raises unless they share the stem
-            shared = lemma[:stem_len]
-            plan = plans[k] = (list(shared), tuple(enumerate(map(index.get, shared))),
-                               lemma[stem_len:], form[stem_len:], msd, x_affix, y_affix)
-        shared, positions, lemma_tail, form_tail, msd, x_affix, y_affix = plan
+            stem, msd, x_affix, y_affix = gold[k]
+            plan = plans[k] = (list(stem), tuple(enumerate(map(index.get, stem))),
+                               msd, x_affix, y_affix)
+        shared, positions, msd, x_affix, y_affix = plan
         stem = shared[:]
         for i, original in positions:
             if draw() < theta:
@@ -293,8 +295,7 @@ def corrupt_toy(gold: list[ToyExample], g: ToyGrammar, n: int, theta: float,
                     while r >= n_other:
                         r = getrandbits(bits_other)
                     stem[i] = chars[r + (r >= original)]
-        new_stem = "".join(stem)
-        records[new_stem, msd, new_stem + lemma_tail, new_stem + form_tail, x_affix, y_affix] += 1
+        records["".join(stem), msd, x_affix, y_affix] += 1
     return records
 
 
@@ -504,35 +505,30 @@ def factorization_gap(examples: list[ToyExample] | Counter,
     """Mean TV distance, over observed (X, T) cells with >= min_cell samples,
     between the empirical P(Y|X,T) and the factorized product
     P(Y_affix|X_affix,T) * P(Y_stem|X_stem). Takes the examples or their
-    toy_records count. Cells and the forms in a cell are visited in
-    first-occurrence order. A form's decomposition depends only on its
-    lemma and form (harmony keeps the lemma affix's length), so the first
-    record of a form stands for all. Lemma and form share the stem
-    (x_stem = y_stem), so P(Y_stem|X_stem) is 1."""
+    toy_records count. A cell is a (stem, x_affix, msd) and a form its
+    y_affix: harmony keeps the lemma affix's length, so (stem, x_affix) is
+    one-to-one with the lemma, and within a cell y_affix with the form.
+    Cells and the forms in a cell are visited in first-occurrence order.
+    Lemma and form share the stem (x_stem = y_stem), so P(Y_stem|X_stem)
+    is 1."""
     records = examples if isinstance(examples, Counter) else toy_records(examples)
-    # (lemma, msd) -> form -> [count, x_affix, y_affix]
-    cells: dict[tuple, dict] = defaultdict(dict)
+    cells: dict[tuple, Counter] = defaultdict(Counter)
     aff_cond: dict[tuple, Counter] = defaultdict(Counter)
-    for (_, msd, lemma, form, x_affix, y_affix), c in records.items():
-        forms = cells[(lemma, msd)]
-        entry = forms.get(form)
-        if entry is None:
-            forms[form] = [c, x_affix, y_affix]
-        else:
-            entry[0] += c
-        aff_cond[(x_affix, msd)][y_affix] += c
+    for (stem, msd, x_affix, y_affix), c in records.items():
+        cells[stem, x_affix, msd][y_affix] += c
+        aff_cond[x_affix, msd][y_affix] += c
     aff_total = {key: c.total() for key, c in aff_cond.items()}
     tvs = []
     skipped = 0
-    for (_, msd), forms in cells.items():
-        n = sum(entry[0] for entry in forms.values())
+    for (_, x_affix, msd), forms in cells.items():
+        n = forms.total()
         if n < min_cell:
             skipped += 1
             continue
         q_obs = 0.0
         abs_diff = 0.0
-        for c, x_affix, y_affix in forms.values():
-            aff_key = (x_affix, msd)
+        aff_key = (x_affix, msd)
+        for y_affix, c in forms.items():
             q = aff_cond[aff_key][y_affix] / aff_total[aff_key]
             q_obs += q
             abs_diff += abs(c / n - q)

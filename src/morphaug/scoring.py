@@ -199,7 +199,7 @@ def load_external_scores(text: str, pool: list[SyntheticExample]) -> list[Synthe
     for line_no, line in lines(text):
         parts = line.split("\t")
         if len(parts) != 2:
-            raise LineError(line_no, f"non-numeric score {line!r}")
+            raise LineError(line_no, f"expected id<TAB>nll, got {line!r}")
         example_id, raw = parts
         try:
             nll = float(raw)

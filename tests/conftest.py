@@ -153,7 +153,6 @@ def oracle_corrupt_toy(gold, g, n, theta, seed=0, rng=None):
         syn = oracle_corrupt(triple, seg, g.alphabet, cfg, rng, new_id=f"s{i:06d}")
         out.append(ToyExample(
             stem=syn.triple.form[: len(src.stem)], msd=src.msd,
-            lemma=syn.triple.lemma, form=syn.triple.form,
             x_affix=src.x_affix, y_affix=src.y_affix,
         ))
     return out

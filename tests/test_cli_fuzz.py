@@ -25,6 +25,8 @@ GOLD = (
     "kalap\tkalapler\tN;PL\n"
     "deniz\tdenizler\tN;PL\n"
 )
+# a gold whose pairs share no stem, so that a pipeline fails once its stages start
+UNALIGNABLE = b"go\twent\tV;PST\nbe\twas\tV;PST\n"
 HARMONY = "a\tback\no\tback\nu\tback\ne\tfront\ni\tfront\n"
 CONFIG = json.dumps({"gold": "gold.tsv", "full": "gold.tsv", "n_pool": 20, "theta": 0.5,
                      "order": 2, "k_smooth": 0.1, "strategies": ["random", "umt-loss"],
@@ -139,13 +141,81 @@ def _seeded(seeds: dict, root: str) -> None:
 @settings(max_examples=400, deadline=None)
 @given(name=st.sampled_from(sorted(COMMANDS)), data=st.data())
 def test_a_mutated_input_file_exits_0_or_2_and_a_failure_writes_nothing(seeds, name, data):
-    mutated = _mutate(data, name, seeds[name])
+    files = {**seeds, name: _mutate(data, name, seeds[name])}
+    if name == "cfg.json":
+        # the config's gold: the seed, mutated bytes, or one with no alignable stem
+        files["gold.tsv"] = data.draw(st.sampled_from(
+            [seeds["gold.tsv"], _mutate(data, "gold.tsv", seeds["gold.tsv"]), UNALIGNABLE]))
     with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)
-        _seeded({**seeds, name: mutated}, root)
+        _seeded(files, root)
         os.mkdir("run")
         for argv in [COMMANDS[name], *([MISSING_OUT_DIR] if name == "cfg.json" else [])]:
             assert _run(root, argv) in (0, 2)
+
+
+# ------------------------------------------------- what no byte mutation reaches
+# Files whose bytes are well formed but break a rule of their kind, and a
+# directory in place of each input file: every run that reads one exits 2.
+
+def _bad_scores(data, text: bytes) -> bytes:
+    """The score file with one nll made NaN, infinite or negative, or one line repeated."""
+    lines = text.decode().splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    nll = data.draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "-1.5", "repeat"]))
+    if nll == "repeat":
+        lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
+    else:
+        lines[i] = lines[i].split("\t")[0] + f"\t{nll}\n"
+    return "".join(lines).encode()
+
+
+def _bad_pool(data, text: bytes) -> bytes:
+    """The pool with one line's id taken from another line, an escaped tab,
+    \\n or \\r in an id or source id, or a non-finite or negative score."""
+    rows = [json.loads(line) for line in text.splitlines()]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    row = rows[i]
+    kind = data.draw(st.sampled_from(["duplicate id", "line break", "score"]))
+    if kind == "duplicate id":
+        j = data.draw(st.integers(0, len(rows) - 2))
+        row["id"] = rows[j + (j >= i)]["id"]
+    elif kind == "line break":
+        key = data.draw(st.sampled_from(["id", "source_id"]))
+        at = data.draw(st.integers(0, len(row[key])))
+        row[key] = row[key][:at] + data.draw(st.sampled_from("\t\n\r")) + row[key][at:]
+    else:
+        row["score"] = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                                                  -1.0]))
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows).encode()
+
+
+BROKEN = {"scores.tsv": _bad_scores, "pool.jsonl": _bad_pool}
+
+
+def _readers(name: str) -> list:
+    """Each argv of COMMANDS, and the pipeline into a missing out-dir, that
+    reads the file name; a config names gold.tsv."""
+    return [argv for argv in [*COMMANDS.values(), MISSING_OUT_DIR]
+            if name in argv or name == "gold.tsv" and "cfg.json" in argv]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from([*((name, False) for name in sorted(BROKEN)),
+                             *((name, True) for name in sorted(COMMANDS))]),
+       data=st.data())
+def test_a_file_no_byte_mutation_reaches_exits_2_and_writes_nothing(seeds, case, data):
+    name, directory = case
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        if directory:
+            _seeded({n: text for n, text in seeds.items() if n != name}, root)
+            os.mkdir(name)
+        else:
+            _seeded({**seeds, name: BROKEN[name](data, seeds[name])}, root)
+        os.mkdir("run")
+        for argv in _readers(name):
+            assert _run(root, argv) == 2
 
 
 # ------------------------------------------------------------------ the argv

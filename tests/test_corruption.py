@@ -233,6 +233,17 @@ def test_invalid_theta_rejected():
         CorruptionConfig(theta=1.5)
 
 
+def test_a_pool_example_is_a_tuple_of_its_six_fields():
+    t = InflectionTriple(id="s1", lemma="wa", form="was", msd=("V", "PST"))
+    e = SyntheticExample(t, "g1", (0,), (0,), 1)
+    assert SyntheticExample._fields == ("triple", "source_id", "substituted_lemma_positions",
+                                        "substituted_form_positions", "lev_to_gold_target",
+                                        "score")
+    assert e == (t, "g1", (0,), (0,), 1, None) and (e.id, e.msd_string) == ("s1", "V;PST")
+    scored = e.with_score(2.5)
+    assert type(scored) is SyntheticExample and scored == (*e[:5], 2.5) and e.score is None
+
+
 def _from_source(lemma, form, lemma_pos, form_pos, msd=("V", "PST"), source="1"):
     return SyntheticExample(InflectionTriple(id="s1", lemma=lemma, form=form, msd=msd),
                             source, lemma_pos, form_pos, 0)

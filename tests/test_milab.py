@@ -14,6 +14,7 @@ from morphaug.errors import NoStem
 from morphaug.milab import (
     MI_PAIRS,
     HarmonyRule,
+    ToyExample,
     ToyGrammar,
     convexity_bound_check,
     corrupt_toy,
@@ -101,9 +102,10 @@ def test_realize_concatenates_stem_and_affix():
         stems=("dal",), affix_map={"M0": "lar"},
         alphabet=make_toy_grammar(4, 2).alphabet,
     )
-    lemma, form, x_affix, y_affix = g.realize("dal", "M0")
-    assert (lemma, form) == ("dal", "dallar")
-    assert (x_affix, y_affix) == ("", "lar")
+    e = ToyExample("dal", "M0", *g.realize("dal", "M0"))
+    assert ToyExample._fields == ("stem", "msd", "x_affix", "y_affix")
+    assert (e.lemma, e.form) == ("dal", "dallar")
+    assert (e.x_affix, e.y_affix) == ("", "lar")
 
 
 def test_harmony_agrees_with_last_stem_vowel():
@@ -132,9 +134,9 @@ def test_grammar_harmony_end_to_end():
     g = make_toy_grammar(8, 2, seed=0, harmony=True)
     for stem in g.stems:
         for msd in g.msds:
-            _, form, _, y_affix = g.realize(stem, msd)
-            assert form == stem + y_affix
-            assert not g.harmony.violates(stem, y_affix)
+            e = ToyExample(stem, msd, *g.realize(stem, msd))
+            assert e.form == stem + e.y_affix
+            assert not g.harmony.violates(stem, e.y_affix)
 
 
 def test_gold_generation_is_deterministic_and_well_formed():
@@ -164,11 +166,12 @@ def test_corrupt_toy_replaces_stem_keeps_affix():
     assert syn.total() == 200
     originals = {e.stem for e in gold}
     gold_affixes = {x.y_affix for x in gold}
-    for (stem, _, _, form, _, y_affix), c in syn.items():
+    for record, c in syn.items():
+        e = ToyExample(*record)
         assert c >= 1
-        assert form == stem + y_affix
-        assert set(stem) <= set(g.alphabet.chars)
-        assert y_affix in gold_affixes
+        assert e.form == e.stem + e.y_affix
+        assert set(e.stem) <= set(g.alphabet.chars)
+        assert e.y_affix in gold_affixes
     # with full corruption over a 6-character alphabet, most corrupted stems
     # land outside the small set of gold stems (each record weighs its count)
     outside = sum(c for (stem, *_), c in syn.items() if stem not in originals)

@@ -171,6 +171,11 @@ def test_load_external_scores_errors():
         load_external_scores("a\t1.0\na\t2.0\nb\t1.0\n", pool)
     with pytest.raises(LineError, match="^line 1: non-numeric score 'abc'$"):
         load_external_scores("a\tabc\nb\t1.0\n", pool)
+    # a line of one field or of three is no id<TAB>nll line
+    with pytest.raises(LineError, match="^line 1: expected id<TAB>nll, got 'a'$"):
+        load_external_scores("a\nb\t1.0\n", pool)
+    with pytest.raises(LineError, match=r"^line 1: expected id<TAB>nll, got 'a\\t1\.0\\tx'$"):
+        load_external_scores("a\t1.0\tx\nb\t1.0\n", pool)
     with pytest.raises(LineError, match="^line 1: id 'zzz' not in pool$"):
         load_external_scores("zzz\t1.0\n", pool)
     # every nll passes check_nll, after the id checks
