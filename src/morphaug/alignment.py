@@ -14,6 +14,7 @@ exact for strings of any length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MorphaugError, NoStem
 
@@ -68,47 +69,22 @@ class CharAlignment:
     cost: int
 
 
-@dataclass(frozen=True)
-class Segmentation:
-    """Stem/affix decomposition of a lemma-form pair.
-
-    Spans are half-open [start, end) index ranges. stem_pairs lists the
-    aligned (lemma_index, form_index) stem positions in order; corruption
+class Segmentation(NamedTuple):
+    """The stem of a lemma-form pair: the aligned (lemma_index, form_index)
+    stem positions, in order. Every other position is affix. Corruption
     applies the same random draw to both sides of each pair."""
 
-    lemma: str
-    form: str
-    lemma_stem_spans: tuple[tuple[int, int], ...]
-    form_stem_spans: tuple[tuple[int, int], ...]
     stem_pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def x_stem(self) -> str:
-        return _cut(self.lemma, self.lemma_stem_spans)[0]
-
-    @property
-    def x_affix(self) -> str:
-        return _cut(self.lemma, self.lemma_stem_spans)[1]
-
-    @property
-    def y_stem(self) -> str:
-        return self.split_form(self.form)[0]
-
-    @property
-    def y_affix(self) -> str:
-        return self.split_form(self.form)[1]
 
     def split_form(self, form: str) -> tuple[str, str]:
         """(stem, affix) of the gold form, or of any corruption of it (which
-        keeps its length), cut at form_stem_spans."""
-        return _cut(form, self.form_stem_spans)
-
-
-def _cut(text: str, spans: tuple[tuple[int, int], ...]) -> tuple[str, str]:
-    """The characters of text inside the sorted, disjoint spans, and the rest."""
-    bounds = [0, *(i for span in spans for i in span), len(text)]
-    pieces = [text[a:b] for a, b in zip(bounds, bounds[1:])]
-    return "".join(pieces[1::2]), "".join(pieces[::2])
+        keeps its length): the characters at the pairs' form positions, and
+        the rest, each in order."""
+        affix, stem = list(form), []
+        for _, j in self.stem_pairs:
+            stem.append(affix[j])
+            affix[j] = ""
+        return "".join(stem), "".join(affix)
 
 
 # backtrace ops, in preference order for equal (cost, -matches)
@@ -183,28 +159,4 @@ def extract_stem(a: CharAlignment, min_run: int = 3) -> Segmentation:
     stem_runs = [r for r in runs if len(r) >= min_run]
     if not stem_runs:
         raise NoStem(f"no aligned run of length >= {min_run} for {a.lemma!r}/{a.form!r}")
-    lemma_spans = tuple((r[0][0], r[-1][0] + 1) for r in stem_runs)
-    form_spans = tuple((r[0][1], r[-1][1] + 1) for r in stem_runs)
-    stem_pairs = tuple(p for r in stem_runs for p in r)
-    return Segmentation(
-        lemma=a.lemma,
-        form=a.form,
-        lemma_stem_spans=lemma_spans,
-        form_stem_spans=form_spans,
-        stem_pairs=stem_pairs,
-    )
-
-
-def segmentation_from_boundary(lemma: str, form: str, stem_len: int) -> Segmentation:
-    """Segmentation for a known prefix stem of length stem_len shared by lemma
-    and form, bypassing alignment."""
-    if stem_len < 1 or lemma[:stem_len] != form[:stem_len]:
-        raise ValueError("lemma and form do not share the given prefix stem")
-    span = ((0, stem_len),)
-    return Segmentation(
-        lemma=lemma,
-        form=form,
-        lemma_stem_spans=span,
-        form_stem_spans=span,
-        stem_pairs=tuple((i, i) for i in range(stem_len)),
-    )
+    return Segmentation(tuple(p for r in stem_runs for p in r))

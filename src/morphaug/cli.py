@@ -203,7 +203,7 @@ def _json(text: str):
 def _load_scored_pool(pool_path: str, scores_path: str | None = None):
     """The pool of a JSONL file, scored by an external id<TAB>nll file if one is given."""
     pool = _load(pool_path, corruption.read_pool_jsonl)
-    return _load(scores_path, scoring.load_external_scores, pool) if scores_path else pool
+    return pool if scores_path is None else _load(scores_path, scoring.load_external_scores, pool)
 
 
 # --------------------------------------------------------------------- stages
@@ -267,11 +267,9 @@ def cmd_augment(args) -> None:
 
 
 def cmd_score(args) -> None:
-    if not (args.external or args.gold):
-        raise UsageError("score needs --gold (built-in scorer) or --external")
     with Outputs(tables=[args.out]) as out:
         pool = _load_scored_pool(args.pool, args.external)
-        gold = None if args.external else _parse(args.gold)
+        gold = None if args.external is not None else _parse(args.gold)
         _score(pool, gold, args.order, args.k_smooth, out, args.out, vars(args))
 
 
@@ -434,11 +432,12 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("score", parents=[common], help="attach NLL uncertainty scores to a pool")
     sp.add_argument("--pool", required=True)
-    sp.add_argument("--gold", default=None)
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--gold", default=None)
+    source.add_argument("--external", default=None,
+                        help="id<TAB>nll TSV from an external model instead of the built-in scorer")
     sp.add_argument("--order", type=AT_LEAST_1.flag, default=3)
     sp.add_argument("--k-smooth", type=POSITIVE.flag, default=0.1)
-    sp.add_argument("--external", default=None,
-                    help="id<TAB>nll TSV from an external model instead of the built-in scorer")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_score)
 

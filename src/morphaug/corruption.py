@@ -266,8 +266,8 @@ def _bad_value(d: dict, escaped: bool) -> tuple[str, str] | None:
         positions = d[key]
         if type(positions) is not list or any(type(i) is not int for i in positions):
             return key, "a list of integers"
-    if type(d["lev_to_gold_target"]) is not int:
-        return "lev_to_gold_target", "an integer"
+    if type(d["lev_to_gold_target"]) is not int or d["lev_to_gold_target"] < 0:
+        return "lev_to_gold_target", "an integer >= 0"
     score = d.get("score")
     if score is not None and not (type(score) in (int, float) and 0 <= score < math.inf):
         return "score", "null or a finite number >= 0"

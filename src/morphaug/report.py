@@ -52,7 +52,7 @@ def correlations(
         raise MorphaugError("need >= 3 scored examples")
     nll = [e.score for e in pool]
     lev = [e.lev_to_gold_target for e in pool]
-    stem_len = [len(_segmentation(segmentations, e.source_id).y_stem) for e in pool]
+    stem_len = [len(_segmentation(segmentations, e.source_id).stem_pairs) for e in pool]
     target_len = [len(e.triple.form) for e in pool]
     # the CorrelationReport's field order; a constant column is named
     rs = []

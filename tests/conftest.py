@@ -8,7 +8,7 @@ from operator import add, attrgetter
 import numpy as np
 import pytest
 
-from morphaug.alignment import GAP, CharAlignment, segmentation_from_boundary
+from morphaug.alignment import GAP, CharAlignment, Segmentation
 from morphaug.corpus import Dataset, InflectionTriple, parse_unimorph
 from morphaug.corruption import CorruptionConfig, SyntheticExample, segment_dataset
 from morphaug.errors import MorphaugError
@@ -148,7 +148,7 @@ def oracle_corrupt_toy(gold, g, n, theta, seed=0, rng=None):
     out = []
     for i in range(n):
         src = gold[rng.randrange(len(gold))]
-        seg = segmentation_from_boundary(src.lemma, src.form, len(src.stem))
+        seg = prefix_segmentation(len(src.stem))
         triple = InflectionTriple(id="src", lemma=src.lemma, form=src.form, msd=(src.msd,))
         syn = oracle_corrupt(triple, seg, g.alphabet, cfg, rng, new_id=f"s{i:06d}")
         out.append(ToyExample(
@@ -402,11 +402,25 @@ def matched_pairs(a: CharAlignment) -> list[tuple[int, int]]:
 
 
 def lemma_stem_positions(seg) -> frozenset[int]:
-    return frozenset(i for s, e in seg.lemma_stem_spans for i in range(s, e))
+    return frozenset(i for i, _ in seg.stem_pairs)
 
 
 def form_stem_positions(seg) -> frozenset[int]:
-    return frozenset(i for s, e in seg.form_stem_spans for i in range(s, e))
+    return frozenset(j for _, j in seg.stem_pairs)
+
+
+def prefix_segmentation(stem_len: int) -> Segmentation:
+    """The Segmentation of a prefix stem of stem_len characters that lemma
+    and form share, without alignment."""
+    return Segmentation(tuple((i, i) for i in range(stem_len)))
+
+
+def split_lemma(seg, lemma: str) -> tuple[str, str]:
+    """(stem, affix) of a lemma: the characters at the pairs' lemma
+    positions, and the rest, each in order."""
+    stem = lemma_stem_positions(seg)
+    return ("".join(lemma[i] for i, _ in seg.stem_pairs),
+            "".join(c for i, c in enumerate(lemma) if i not in stem))
 
 
 def selection_json(result) -> str:

@@ -3,17 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphaug.alignment import (
-    GAP,
-    align,
-    extract_stem,
-    levenshtein,
-    segmentation_from_boundary,
-)
+from morphaug.alignment import GAP, align, extract_stem, levenshtein
 from morphaug.errors import MorphaugError, NoStem
 
 from conftest import (form_stem_positions, lemma_stem_positions, matched_pairs,
-                      oracle_levenshtein, oracle_matched_runs)
+                      oracle_levenshtein, oracle_matched_runs, split_lemma)
 
 
 def test_dog_dogs():
@@ -72,8 +66,8 @@ def test_matched_multiset_symmetric():
 
 def test_extract_stem_dog_dogs():
     seg = extract_stem(align("dog", "dogs"))
-    assert seg.x_stem == "dog" and seg.x_affix == ""
-    assert seg.y_stem == "dog" and seg.y_affix == "s"
+    assert split_lemma(seg, "dog") == ("dog", "")
+    assert seg.split_form("dogs") == ("dog", "s")
 
 
 def test_suppletion_has_no_stem():
@@ -95,7 +89,6 @@ def test_stem_runs_match_brute_force():
             continue
         seg = extract_stem(a)
         assert seg.stem_pairs == tuple(p for r in runs for p in r)
-        assert seg.lemma_stem_spans == tuple((r[0][0], r[-1][0] + 1) for r in runs)
         checked += 1
     assert checked > 20
 
@@ -112,15 +105,17 @@ def test_reconstruction_invariant():
         # interleave stem and affix characters back by position
         stem_pos = lemma_stem_positions(seg)
         rebuilt = []
-        stem_iter = iter(seg.x_stem)
-        affix_iter = iter(seg.x_affix)
+        x_stem, x_affix = split_lemma(seg, x)
+        stem_iter = iter(x_stem)
+        affix_iter = iter(x_affix)
         for i in range(len(x)):
             rebuilt.append(next(stem_iter) if i in stem_pos else next(affix_iter))
         assert "".join(rebuilt) == x
         stem_pos = form_stem_positions(seg)
         rebuilt = []
-        stem_iter = iter(seg.y_stem)
-        affix_iter = iter(seg.y_affix)
+        y_stem, y_affix = seg.split_form(y)
+        stem_iter = iter(y_stem)
+        affix_iter = iter(y_affix)
         for j in range(len(y)):
             rebuilt.append(next(stem_iter) if j in stem_pos else next(affix_iter))
         assert "".join(rebuilt) == y
@@ -142,8 +137,9 @@ def test_min_run_monotonicity():
 
 
 def test_stem_characters_identical_across_sides():
-    seg = extract_stem(align("schreiben", "geschrieben"))
-    assert all(seg.lemma[i] == seg.form[j] for i, j in seg.stem_pairs)
+    lemma, form = "schreiben", "geschrieben"
+    seg = extract_stem(align(lemma, form))
+    assert all(lemma[i] == form[j] for i, j in seg.stem_pairs)
 
 
 def test_levenshtein_basics():
@@ -163,10 +159,3 @@ def test_levenshtein_random_vs_oracle():
         b = "".join(rng.choice("abcd\u0301") for _ in range(rng.randint(60, 200)))
         assert levenshtein(a, b) == oracle_levenshtein(a, b)
 
-
-def test_segmentation_from_boundary():
-    seg = segmentation_from_boundary("dalin", "dallar", 3)
-    assert seg.x_stem == "dal" and seg.x_affix == "in"
-    assert seg.y_stem == "dal" and seg.y_affix == "lar"
-    with pytest.raises(ValueError):
-        segmentation_from_boundary("abc", "xbc", 2)

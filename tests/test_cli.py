@@ -63,10 +63,13 @@ def test_missing_argument_dependencies_are_usage_errors(gold_file, tmp_path, cap
     assert main(["augment", "--gold", gold_file, "--n", "5", "--out", pool, "--quiet"]) == 0
     capsys.readouterr()
     scores = tmp_path / "scores.tsv"
-    assert main(["score", "--pool", pool, "--out", str(scores), "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert "usage error" in err and "--gold" in err and "Traceback" not in err
-    assert not scores.exists()
+    # score takes exactly one score source: neither, or both, is refused
+    for sources in ([], ["--gold", gold_file, "--external", "ext.tsv"]):
+        assert main(["score", "--pool", pool, *sources, "--out", str(scores), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--gold" in err and "Traceback" not in err
+        assert "--external" in err
+        assert not scores.exists()
 
     sel, merged = tmp_path / "sel.json", tmp_path / "merged.tsv"
     assert main(["select", "--pool", pool, "--strategy", "random", "--k", "2",
@@ -192,6 +195,9 @@ def test_external_scores_path(gold_file, tmp_path):
     # an incomplete external file is a data error
     ext.write_text(f"{ids[0]}\t1.0\n")
     assert main(["score", "--pool", pool, "--external", str(ext),
+                 "--out", out, "--quiet"]) == 2
+    # and so is an empty path, which names no file
+    assert main(["score", "--pool", pool, "--external", "",
                  "--out", out, "--quiet"]) == 2
 
 
@@ -552,6 +558,7 @@ def test_pool_line_missing_a_key_is_a_data_error(gold_file, tmp_path, capsys):
     ("score", -0.5, "finite number >= 0"),
     ("score", "1.5", "finite number >= 0"),
     ("score", True, "finite number >= 0"),
+    ("lev_to_gold_target", -1, "an integer >= 0"),
 ])
 def test_pool_value_of_the_wrong_type_is_a_data_error(gold_file, tmp_path, capsys,
                                                       key, value, expected):

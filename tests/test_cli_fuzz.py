@@ -172,11 +172,12 @@ def _bad_scores(data, text: bytes) -> bytes:
 
 def _bad_pool(data, text: bytes) -> bytes:
     """The pool with one line's id taken from another line, an escaped tab,
-    \\n or \\r in an id or source id, or a non-finite or negative score."""
+    \\n or \\r in an id or source id, a non-finite or negative score, or a
+    negative distance to the gold target."""
     rows = [json.loads(line) for line in text.splitlines()]
     i = data.draw(st.integers(0, len(rows) - 1))
     row = rows[i]
-    kind = data.draw(st.sampled_from(["duplicate id", "line break", "score"]))
+    kind = data.draw(st.sampled_from(["duplicate id", "line break", "score", "distance"]))
     if kind == "duplicate id":
         j = data.draw(st.integers(0, len(rows) - 2))
         row["id"] = rows[j + (j >= i)]["id"]
@@ -184,9 +185,11 @@ def _bad_pool(data, text: bytes) -> bytes:
         key = data.draw(st.sampled_from(["id", "source_id"]))
         at = data.draw(st.integers(0, len(row[key])))
         row[key] = row[key][:at] + data.draw(st.sampled_from("\t\n\r")) + row[key][at:]
-    else:
+    elif kind == "score":
         row["score"] = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf"),
                                                   -1.0]))
+    else:
+        row["lev_to_gold_target"] = data.draw(st.integers(-(10 ** 6), -1))
     return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows).encode()
 
 

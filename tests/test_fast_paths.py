@@ -20,7 +20,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from morphaug import corruption, milab, report, scoring, selection, util
-from morphaug.alignment import align, extract_stem, levenshtein, segmentation_from_boundary
+from morphaug.alignment import align, extract_stem, levenshtein
 from morphaug.cli import main
 from morphaug.corpus import Alphabet, InflectionTriple, parse_unimorph
 from morphaug.corruption import (CorruptionConfig, SyntheticExample, corrupt, generate_pool,
@@ -33,7 +33,7 @@ from conftest import (form_stem_positions, make_dataset, oracle_align, oracle_co
                       oracle_generate_pool,
                       oracle_harmony_bootstrap, oracle_levenshtein, oracle_group_by_msd,
                       oracle_logprobs, oracle_mi_bits, oracle_mi_decay_curve, oracle_nlls,
-                      oracle_pair_samples,
+                      oracle_pair_samples, prefix_segmentation,
                       pair_samples, oracle_select_by_loss, oracle_select_hybrid,
                       oracle_select_random, oracle_select_templatic, oracle_write_pool_jsonl,
                       random_word)
@@ -138,7 +138,7 @@ def test_corrupt_measures_only_the_substituted_window(case, exclude_original):
 
 def test_corrupt_original_outside_alphabet_draws_from_all():
     t = InflectionTriple(id="g1", lemma="xyzxyz", form="xyzxyzs", msd=("N",))
-    seg = segmentation_from_boundary(t.lemma, t.form, 6)
+    seg = prefix_segmentation(6)
     alphabet = Alphabet(chars=tuple("abx"))
     for exclude in (True, False):
         cfg = CorruptionConfig(theta=1.0, exclude_original=exclude)
@@ -176,7 +176,7 @@ def test_substitute_draws_match_randrange_for_every_alphabet_size():
     # draw is among all n; otherwise the original is excluded and it is among
     # n - 1 (so 2 characters draw with randrange(1))
     t = InflectionTriple(id="g1", lemma="abcab", form="abcabs", msd=("N",))
-    seg = segmentation_from_boundary(t.lemma, t.form, 5)
+    seg = prefix_segmentation(5)
     for n in DRAW_SIZES:
         alphabet = Alphabet(chars=tuple(chr(ord("a") + i) for i in range(n)))
         for exclude in (False, True) if n > 1 else (False,):

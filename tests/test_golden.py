@@ -1,6 +1,7 @@
 """Byte pin of the CLI artifacts: sha256 of every file written by a small
 fixed `pipeline` run (with a `full` corpus for the split), a small
-`milab --harmony on` run and an `augment --allow-original-char` run.
+`milab --harmony on` run, an `augment --allow-original-char` run and a
+`report --selection --harmony` run on a pipeline run of its own gold.
 
 A change to any digest is a change of the program's output. Update the
 digests only on purpose, and say why where the change is recorded."""
@@ -37,12 +38,19 @@ def _gold_rows(stems):
 
 GOLD = "".join(_gold_rows(_STEMS[:9]))
 FULL = GOLD + "".join(_gold_rows(_STEMS[9:]))
+# a stem of two runs, kald and rmon: kaldurmons cuts to ("kaldrmon", "us")
+REPORT_GOLD = GOLD + "kaldermon\tkaldurmons\tN;PL\n"
+HARMONY = "a\tback\no\tback\nu\tback\ne\tfront\ni\tfront\n"
 
 PIPELINE_CONFIG = {
     "gold": "gold.tsv", "full": "full.tsv", "n_pool": 400, "theta": 0.5,
     "order": 3, "k_smooth": 0.1,
     "strategies": ["random", "umt", "ume", "highloss", "lowloss", "umt-loss", "ume-loss"],
     "seed": 5, "k": 24,
+}
+REPORT_CONFIG = {
+    "gold": "report-gold.tsv", "n_pool": 400, "theta": 0.5, "order": 3, "k_smooth": 0.1,
+    "strategies": ["random"], "seed": 5, "k": 24,
 }
 
 GOLDEN = {
@@ -88,12 +96,33 @@ GOLDEN = {
         "run/test.tsv.meta.json":
             "1d4853eacca7a5dbd1ee10144ffb296861ebfd45b009164d118b2af9cca44d00",
     },
+    "report": {
+        "report.json":
+            "55a8cd18c5f627dec3e1797cb5850511881f44ef073d816d5402391a40f4ea6b",
+        "run/pool.jsonl":
+            "a9b3b4119403d048119f20ee395aa35fc0df2276b14230d5abaff136629f2e93",
+        "run/pool.jsonl.meta.json":
+            "b8b175292503be80bd72b4b62dff9b0c23aa995a247e68950508c4cccfcd695d",
+        "run/scores.tsv":
+            "c38443bb3f0c28bc4373b0ab83957c47d53cf407f79653d3c6f5c1c4a359c5cb",
+        "run/scores.tsv.meta.json":
+            "10cd75996200d28c09d34b16609f200cbdb13e660638d67f97fc02ee036794af",
+        "run/select-random-24.json":
+            "1d45cf09aa4aa3c0e53e40bb972d7f2afa6bbe028063230c2a2e5ec8a6a57796",
+    },
 }
 
 
 def _run(case):
     if case == "pipeline":
         assert main(["pipeline", "--config", "cfg.json", "--out-dir", "run", "--quiet"]) == 0
+    elif case == "report":
+        assert main(["pipeline", "--config", "report-cfg.json", "--out-dir", "run",
+                     "--quiet"]) == 0
+        assert main(["report", "--pool", "run/pool.jsonl", "--scores", "run/scores.tsv",
+                     "--gold", "report-gold.tsv", "--selection", "run/select-random-24.json",
+                     "--harmony", "harmony.tsv", "--resamples", "500", "--seed", "2",
+                     "--out", "report.json", "--quiet"]) == 0
     elif case == "milab":
         assert main(["milab", "--stems", "12", "--msds", "3", "--gold", "120",
                      "--syn-sizes", "0,100,400", "--harmony", "on", "--resamples", "20",
@@ -105,7 +134,8 @@ def _run(case):
 
 
 def _digests(root):
-    inputs = {"gold.tsv", "full.tsv", "cfg.json"}
+    inputs = {"gold.tsv", "full.tsv", "cfg.json", "report-gold.tsv", "report-cfg.json",
+              "harmony.tsv"}
     return {
         p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(root.rglob("*"))
@@ -120,5 +150,8 @@ def test_artifact_digests(case, tmp_path, monkeypatch):
     (tmp_path / "gold.tsv").write_text(GOLD, encoding="utf-8")
     (tmp_path / "full.tsv").write_text(FULL, encoding="utf-8")
     (tmp_path / "cfg.json").write_text(json.dumps(PIPELINE_CONFIG), encoding="utf-8")
+    (tmp_path / "report-gold.tsv").write_text(REPORT_GOLD, encoding="utf-8")
+    (tmp_path / "report-cfg.json").write_text(json.dumps(REPORT_CONFIG), encoding="utf-8")
+    (tmp_path / "harmony.tsv").write_text(HARMONY, encoding="utf-8")
     _run(case)
     assert _digests(tmp_path) == GOLDEN[case]

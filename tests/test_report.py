@@ -1,11 +1,9 @@
 import random
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from morphaug.alignment import segmentation_from_boundary
 from morphaug.corpus import Alphabet, InflectionTriple
 from morphaug.corruption import CorruptionConfig, SyntheticExample, generate_pool, segment_dataset
 from morphaug.errors import MorphaugError, ZeroVariance
@@ -14,7 +12,7 @@ from morphaug.milab import HarmonyRule
 from morphaug.scoring import train_ngram, score_pool
 from morphaug.selection import SelectionStrategy, select
 
-from conftest import form_stem_positions, make_dataset
+from conftest import form_stem_positions, make_dataset, prefix_segmentation
 
 
 # --------------------------------------------------------------- pearson
@@ -108,7 +106,7 @@ def test_correlations_name_the_constant_column(constant):
             source_id=f"g{i}", substituted_lemma_positions=(), substituted_form_positions=(),
             lev_to_gold_target=1 if constant == "lev_to_gold_target" else i,
             score=1.5 if constant == "nll" else float(i)))
-        segs[f"g{i}"] = SimpleNamespace(y_stem="a" * (3 if constant == "stem_length" else 3 + i))
+        segs[f"g{i}"] = prefix_segmentation(3 if constant == "stem_length" else 3 + i)
     with pytest.raises(ZeroVariance) as err:
         correlations(pool, segs)
     assert err.value.variable == constant
@@ -228,7 +226,7 @@ def test_harmony_stats_handle_one_sided_pool():
     gold = make_dataset(rows)
     pool = generate_pool(gold, 50, Alphabet(chars=tuple("adeilo")),
                          CorruptionConfig(theta=1.0, seed=2))
-    segs = {t.id: segmentation_from_boundary(t.lemma, t.form, 4) for t in gold}
+    segs = {t.id: prefix_segmentation(4) for t in gold}
     scored = [e.with_score(1.0 + i * 0.01) for i, e in enumerate(pool)]
     stats = harmony_violation_stats(scored, VOWELS, segs, resamples=100)
     assert stats.violation_rate == 0.0
