@@ -6,9 +6,7 @@ from .corpus import (
     Alphabet,
     Dataset,
     InflectionTriple,
-    MsdHistogram,
     extract_alphabet,
-    msd_histogram,
     parse_unimorph,
     serialize,
 )

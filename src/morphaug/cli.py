@@ -341,8 +341,7 @@ def cmd_report(args) -> None:
         segs = {tid: s for tid, s in corruption.segment_dataset(gold).items() if s is not None}
         blocks = {"correlations": asdict(report.correlations(pool, segs))}
         if args.selection:
-            hist = corpus.MsdHistogram(counts=counts, total=sum(counts.values()))
-            msd, count = hist.mode()
+            msd, count = report.msd_mode(counts)
             blocks["msd_mode"] = {"msd": msd, "count": count}
         if args.harmony:
             blocks["harmony"] = asdict(report.harmony_violation_stats(

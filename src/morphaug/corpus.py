@@ -1,4 +1,4 @@
-"""Inflection corpus data model: triples, datasets, alphabets, MSD histograms.
+"""Inflection corpus data model: triples, datasets and alphabets.
 
 File convention is UTF-8 TSV with columns lemma<TAB>form<TAB>MSD, where the
 MSD is a ';'-joined list of feature tokens. Everything here is immutable and
@@ -8,7 +8,6 @@ operates on Unicode code points (combining marks count as separate characters).
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -123,26 +122,6 @@ class Alphabet:
         return iter(self.chars)
 
 
-@dataclass(frozen=True)
-class MsdHistogram:
-    """Empirical MSD counts; counts/total is the empirical p(T)."""
-
-    counts: dict
-    total: int
-
-    def __post_init__(self):
-        if self.total != sum(self.counts.values()):
-            raise ValueError("histogram total does not match counts")
-        if any(c <= 0 for c in self.counts.values()):
-            raise ValueError("histogram counts must be positive")
-
-    def mode(self) -> tuple[str, int]:
-        # ties broken lexicographically
-        top = max(self.counts.values())
-        m = min(k for k, c in self.counts.items() if c == top)
-        return m, top
-
-
 def parse_unimorph(text: str, name: str = "dataset") -> Dataset:
     """Parse UniMorph-style TSV, whose lines are util.lines, into a Dataset;
     ids are assigned from 1-based line order."""
@@ -185,7 +164,3 @@ def extract_alphabet(d: Dataset) -> Alphabet:
         chars.update(t.form)
     return Alphabet(chars=tuple(sorted(chars)))
 
-
-def msd_histogram(d: Dataset) -> MsdHistogram:
-    counts = Counter(t.msd_string for t in d)
-    return MsdHistogram(counts=dict(counts), total=len(d))

@@ -10,9 +10,10 @@ stem-corrupted synthetic data at gold fraction lambda, and measures:
   * the total-variation gap between the empirical P(Y|X,T) and the
     factorized product P(Y_affix|X_affix,T) * P(Y_stem|X_stem).
 
-Each example set is counted once (toy_records; corrupt_toy counts its draws
-as they are made and never holds the examples); every MI table, bootstrap
-and factorization gap of the curve is derived from those counts.
+Each example set is counted once, as a Counter of its records (corrupt_toy
+counts its draws as they are made and never holds the examples); every MI
+table, bootstrap and factorization gap of the curve is derived from those
+counts.
 
 An optional vowel-harmony rule makes affixes agree with the last stem vowel's
 class, which breaks the factorization and is the built-in counterexample.
@@ -166,12 +167,6 @@ class ToyExample(NamedTuple):
         return self.stem + self.y_affix
 
 
-def toy_records(examples: list[ToyExample]) -> Counter:
-    """The count of each example, that is of its record, in first-occurrence
-    order."""
-    return Counter(examples)
-
-
 _CONSONANTS = ("d", "l")
 _VOWELS = ("a", "e", "o", "i")
 # distinct CV / CVC suffixes in back-vowel citation shape, one per MSD
@@ -247,11 +242,12 @@ def generate_gold(g: ToyGrammar, n: int, seed: int = 0) -> list[ToyExample]:
 
 def corrupt_toy(gold: list[ToyExample], g: ToyGrammar, n: int, theta: float,
                 seed: int = 0) -> Counter:
-    """The toy_records count of n stem-corrupted examples from uniformly
-    resampled gold sources, using the grammar's known stem boundary. Each
-    record is counted as it is drawn, so no example is ever built. The draws
-    are those of corruption.corrupt (corruption.substitute, inlined); no
-    distance to the gold form is computed."""
+    """The Counter of the records of n stem-corrupted examples, in
+    first-occurrence order, from uniformly resampled gold sources, using the
+    grammar's known stem boundary. Each record is counted as it is drawn, so
+    no example is ever built. The draws are those of corruption.corrupt
+    (corruption.substitute, inlined); no distance to the gold form is
+    computed."""
     CorruptionConfig(theta=theta)  # rejects a theta outside [0, 1], as corrupt's config does
     if n > 0 and not gold:
         raise ValueError("corrupt_toy needs at least one gold example")
@@ -301,10 +297,8 @@ def corrupt_toy(gold: list[ToyExample], g: ToyGrammar, n: int, theta: float,
 
 @dataclass(frozen=True)
 class MIEstimate:
-    pair: tuple[str, str]
     bits: float
     n_samples: int
-    lam: float
     ci_low: float | None = None
     ci_high: float | None = None
 
@@ -340,18 +334,11 @@ def _mi_bits(counts: np.ndarray) -> np.ndarray:
     return np.maximum(terms.sum(axis=(-1, -2)), 0.0)
 
 
-def estimate_mi(
-    samples: list[tuple] | Counter,
-    pair: tuple[str, str] = ("a", "b"),
-    lam: float = 1.0,
-    resamples: int = 0,
-    seed: int = 0,
-) -> MIEstimate:
-    """Plug-in MI of categorical pairs, given as a list or as a Counter of
-    pairs with positive counts, with optional bootstrap percentile CI
-    (multinomial resampling of the empirical joint, drawn and reduced in
-    row blocks of at most BOOTSTRAP_BLOCK_ELEMENTS cells)."""
-    joint = samples if isinstance(samples, Counter) else Counter(samples)
+def estimate_mi(joint: Counter, resamples: int = 0, seed: int = 0) -> MIEstimate:
+    """Plug-in MI of a Counter of categorical pairs with positive counts,
+    with optional bootstrap percentile CI (multinomial resampling of the
+    empirical joint, drawn and reduced in row blocks of at most
+    BOOTSTRAP_BLOCK_ELEMENTS cells)."""
     n = joint.total()
     if not n:
         raise ValueError("estimate_mi requires at least one sample")
@@ -366,8 +353,7 @@ def estimate_mi(
             boot = rng.multinomial(n, flat, size=stop - start)
             dist[start:stop] = _mi_bits(boot.reshape(-1, *counts.shape))
         ci_low, ci_high = (float(q) for q in np.percentile(dist, [2.5, 97.5]))
-    return MIEstimate(pair=pair, bits=bits, n_samples=n, lam=lam,
-                      ci_low=ci_low, ci_high=ci_high)
+    return MIEstimate(bits=bits, n_samples=n, ci_low=ci_low, ci_high=ci_high)
 
 
 def convexity_bound_check(
@@ -452,8 +438,8 @@ def mi_decay_curve(
     curve does not depend on the number of threads. The curve waits for all
     four before its next step."""
     gold = generate_gold(g, gold_n, seed=derive_seed(seed, "gold"))
-    gold_rec = toy_records(gold)
-    gold_est = {pair: estimate_mi(joint, pair, 1.0)
+    gold_rec = Counter(gold)
+    gold_est = {pair: estimate_mi(joint)
                 for pair, joint in _pair_counts(gold_rec).items()}
     points = []
     with ThreadPoolExecutor(max_workers=_bootstrap_workers()) as pool:
@@ -463,11 +449,11 @@ def mi_decay_curve(
             # Counter addition keeps the first-occurrence order of gold + syn
             mixture = gold_rec + syn_rec
             lam = gold_n / (gold_n + s)
-            futures = {pair: pool.submit(estimate_mi, joint, pair, lam, resamples=resamples,
+            futures = {pair: pool.submit(estimate_mi, joint, resamples=resamples,
                                          seed=derive_seed(seed, f"boot-{s}-{pair}"))
                        for pair, joint in _pair_counts(mixture).items()}
             mix_est = {pair: f.result() for pair, f in futures.items()}
-            syn_est = {pair: estimate_mi(joint, pair, 0.0)
+            syn_est = {pair: estimate_mi(joint)
                        for pair, joint in _pair_counts(syn_rec).items()} if s else {}
             convex = {pair: convexity_bound_check(gold_est[pair].bits,
                                                   syn_est[pair].bits if s else 0.0, lam,
@@ -500,18 +486,16 @@ class FactorizationGap:
         return self.cells_skipped / total if total else 0.0
 
 
-def factorization_gap(examples: list[ToyExample] | Counter,
-                      min_cell: int = 5) -> FactorizationGap:
+def factorization_gap(records: Counter, min_cell: int = 5) -> FactorizationGap:
     """Mean TV distance, over observed (X, T) cells with >= min_cell samples,
     between the empirical P(Y|X,T) and the factorized product
-    P(Y_affix|X_affix,T) * P(Y_stem|X_stem). Takes the examples or their
-    toy_records count. A cell is a (stem, x_affix, msd) and a form its
-    y_affix: harmony keeps the lemma affix's length, so (stem, x_affix) is
-    one-to-one with the lemma, and within a cell y_affix with the form.
+    P(Y_affix|X_affix,T) * P(Y_stem|X_stem), from a Counter of toy records.
+    A cell is a (stem, x_affix, msd) and a form its y_affix: harmony keeps
+    the lemma affix's length, so (stem, x_affix) is one-to-one with the
+    lemma, and within a cell y_affix with the form.
     Cells and the forms in a cell are visited in first-occurrence order.
     Lemma and form share the stem (x_stem = y_stem), so P(Y_stem|X_stem)
     is 1."""
-    records = examples if isinstance(examples, Counter) else toy_records(examples)
     cells: dict[tuple, Counter] = defaultdict(Counter)
     aff_cond: dict[tuple, Counter] = defaultdict(Counter)
     for (stem, msd, x_affix, y_affix), c in records.items():

@@ -65,6 +65,13 @@ def correlations(
     return CorrelationReport(*rs, n=len(pool))
 
 
+def msd_mode(counts: dict) -> tuple[str, int]:
+    """The most frequent MSD of an MSD -> count map, and its count; ties go
+    to the lexicographically smallest MSD."""
+    top = max(counts.values())
+    return min(m for m, c in counts.items() if c == top), top
+
+
 def bootstrap_means(rng: np.random.Generator, x: np.ndarray, resamples: int) -> np.ndarray:
     """Mean of each of `resamples` with-replacement resamples of x."""
     n = len(x)

@@ -21,7 +21,6 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Sequence
 
-from .corpus import MsdHistogram
 from .corruption import SyntheticExample
 from .errors import MorphaugError
 from .scoring import require_scored
@@ -54,7 +53,7 @@ class SelectionStrategy:
 class SelectionResult:
     selected_ids: tuple[str, ...]
     strategy: SelectionStrategy
-    per_msd_counts: MsdHistogram
+    per_msd_counts: dict  # MSD string -> how many selected examples carry it
 
     def __len__(self) -> int:
         return len(self.selected_ids)
@@ -68,7 +67,7 @@ class SelectionResult:
                 "seed": self.strategy.seed,
             },
             "selected_ids": list(self.selected_ids),
-            "per_msd_counts": self.per_msd_counts.counts,
+            "per_msd_counts": self.per_msd_counts,
         }
 
 
@@ -199,8 +198,7 @@ class PoolIndex:
         return SelectionResult(
             selected_ids=tuple(map(self.ids.__getitem__, picked)),
             strategy=strategy,
-            per_msd_counts=MsdHistogram(counts=dict(Counter(map(self.msds.__getitem__, picked))),
-                                        total=len(picked)),
+            per_msd_counts=dict(Counter(map(self.msds.__getitem__, picked))),
         )
 
 

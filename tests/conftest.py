@@ -238,7 +238,7 @@ def oracle_mi_bits(counts):
     return np.maximum(np.nansum(terms, axis=(-1, -2)), 0.0)
 
 
-def oracle_estimate_mi(samples, pair, lam, resamples=0, seed=0):
+def oracle_estimate_mi(samples, resamples=0, seed=0):
     """Plug-in MI of a list of samples: the joint table counted sample by
     sample (oracle_joint_counts), n the number of samples."""
     counts = oracle_joint_counts(samples)
@@ -249,7 +249,7 @@ def oracle_estimate_mi(samples, pair, lam, resamples=0, seed=0):
         boot = rng.multinomial(n, counts.ravel() / n, size=resamples)
         dist = oracle_mi_bits(boot.reshape(resamples, *counts.shape))
         ci = tuple(float(q) for q in np.percentile(dist, [2.5, 97.5]))
-    return MIEstimate(pair, float(oracle_mi_bits(counts)), n, lam, *ci)
+    return MIEstimate(float(oracle_mi_bits(counts)), n, *ci)
 
 
 def oracle_mi_decay_curve(g, gold_n, syn_sizes, theta=1.0, seed=0, resamples=200,
@@ -264,11 +264,11 @@ def oracle_mi_decay_curve(g, gold_n, syn_sizes, theta=1.0, seed=0, resamples=200
         lam = gold_n / (gold_n + s)
         mix_est, gold_est, syn_est, convex = {}, {}, {}, {}
         for pair in MI_PAIRS:
-            mix_est[pair] = oracle_estimate_mi(oracle_pair_samples(mixture, pair), pair, lam,
-                                               resamples, derive_seed(seed, f"boot-{s}-{pair}"))
-            gold_est[pair] = oracle_estimate_mi(oracle_pair_samples(gold, pair), pair, 1.0)
+            mix_est[pair] = oracle_estimate_mi(oracle_pair_samples(mixture, pair), resamples,
+                                               derive_seed(seed, f"boot-{s}-{pair}"))
+            gold_est[pair] = oracle_estimate_mi(oracle_pair_samples(gold, pair))
             if syn:
-                syn_est[pair] = oracle_estimate_mi(oracle_pair_samples(syn, pair), pair, 0.0)
+                syn_est[pair] = oracle_estimate_mi(oracle_pair_samples(syn, pair))
             i_a = syn_est[pair].bits if syn else 0.0
             convex[pair] = convexity_bound_check(gold_est[pair].bits, i_a, lam,
                                                  mix_est[pair].bits, epsilon)
@@ -438,14 +438,6 @@ def make_dataset(rows, name="fixture") -> Dataset:
         for i, (l, f, m) in enumerate(rows)
     )
     return Dataset(triples=triples, name=name)
-
-
-@pytest.fixture
-def georgian_style_histogram_rows():
-    # 9 plural-ergative nouns vs 1 singular-ergative
-    rows = [(f"lemma{i}", f"lemma{i}ma", "PL;ERG") for i in range(9)]
-    rows.append(("lemmax", "lemmaxma", "SG;ERG"))
-    return rows
 
 
 @pytest.fixture

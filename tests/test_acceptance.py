@@ -24,8 +24,8 @@ from morphaug.milab import (
     generate_gold,
     make_toy_grammar,
     mi_decay_curve,
-    toy_records,
 )
+from morphaug.report import msd_mode
 from morphaug.scoring import NGramScorer, score_pool, train_ngram
 from morphaug.selection import SelectionStrategy, select
 from morphaug.splitgen import lemma_split
@@ -70,9 +70,9 @@ def test_criterion_2_convexity(decay_curve):
     # half balanced independent joint (0 bits); pooled MI = 1 - H(1/4)
     dependent = [("0", "0")] * 100 + [("1", "1")] * 100
     independent = [(a, b) for a in "01" for b in "01" for _ in range(50)]
-    i_g = estimate_mi(dependent).bits
-    i_a = estimate_mi(independent).bits
-    i_mix = estimate_mi(dependent + independent).bits
+    i_g = estimate_mi(Counter(dependent)).bits
+    i_a = estimate_mi(Counter(independent)).bits
+    i_mix = estimate_mi(Counter(dependent + independent)).bits
     assert i_g == pytest.approx(1.0, abs=1e-12)
     assert i_a == pytest.approx(0.0, abs=1e-12)
     assert i_mix == pytest.approx(0.18872187554086717, abs=1e-12)
@@ -84,13 +84,13 @@ def test_criterion_2_convexity(decay_curve):
 def test_criterion_3_factorization():
     plain = make_toy_grammar(12, 3, seed=6, harmony=False, harmonize_lemma=False)
     gold = generate_gold(plain, 100, seed=3)
-    mix = toy_records(gold) + corrupt_toy(gold, plain, 9900, theta=1.0, seed=8)
+    mix = Counter(gold) + corrupt_toy(gold, plain, 9900, theta=1.0, seed=8)
     gap_off = factorization_gap(mix)
     assert gap_off.tv_distance < 0.02
 
     harm = make_toy_grammar(12, 3, seed=6, harmony=True, harmonize_lemma=False)
     gold = generate_gold(harm, 100, seed=3)
-    mix = toy_records(gold) + corrupt_toy(gold, harm, 9900, theta=1.0, seed=8)
+    mix = Counter(gold) + corrupt_toy(gold, harm, 9900, theta=1.0, seed=8)
     gap_on = factorization_gap(mix)
     assert gap_on.tv_distance > 0.05
     print(f"ACCEPTANCE 3 PASS: factorization gap {gap_off.tv_distance:.4f} "
@@ -181,7 +181,7 @@ def test_criterion_6_selection_exactness():
     for kind, p_minor in (("umt", 0.5), ("ume", 0.1)):
         minority = sum(
             select(small, SelectionStrategy(kind, 1, seed=s))
-            .per_msd_counts.counts.get("SG;ERG", 0)
+            .per_msd_counts.get("SG;ERG", 0)
             for s in range(n)
         )
         sigma = math.sqrt(p_minor * (1 - p_minor) / n)
@@ -200,10 +200,10 @@ def test_criterion_7_hybrid_spreads_tags():
             pool.append(_pool_example(f"m{m}e{i:02d}", f"M{m};X", score=s))
     k = 10
     top = select(pool, SelectionStrategy("highloss", k))
-    _, top_mode = top.per_msd_counts.mode()
+    _, top_mode = msd_mode(top.per_msd_counts)
     assert top_mode == k
     hybrid = select(pool, SelectionStrategy("umt-loss", k, seed=9))
-    _, hybrid_mode = hybrid.per_msd_counts.mode()
+    _, hybrid_mode = msd_mode(hybrid.per_msd_counts)
     assert hybrid_mode < k
     print("ACCEPTANCE 7 PASS: pure loss selection concentrates all "
           f"{k} picks on one tag; the tag-balanced hybrid's mode count is "

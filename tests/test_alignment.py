@@ -75,6 +75,19 @@ def test_suppletion_has_no_stem():
         extract_stem(align("go", "went"))
 
 
+@pytest.mark.xfail(strict=True, raises=NoStem, reason=(
+    "align's tie-break among paths of equal cost and match count scatters a shared stem over "
+    "later matching characters, so extract_stem finds no run of 3 although the lemma is a "
+    "subsequence of the form: kennen/gekennungen matches (0,2) (1,3) (2,5) (3,7) (4,9) "
+    "(5,10), runs ke, n, n, en; preferring the longer current match run among equal keys "
+    "would change which triples augment"))
+def test_a_shared_run_of_three_survives_the_tie_break():
+    for lemma, form in (("kennen", "gekennungen"), ("rennen", "gerennungen"),
+                        ("nennen", "genennungen")):
+        seg = extract_stem(align(lemma, form))
+        assert lemma[:4] in seg.split_form(form)[0]
+
+
 def test_stem_runs_match_brute_force():
     rng = random.Random(17)
     checked = 0

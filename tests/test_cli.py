@@ -432,6 +432,15 @@ def test_report_selection_counts_must_be_integers_of_at_least_one(tmp_path, caps
                        f"got {json.dumps(count)}")
 
 
+def test_report_mode_tie_goes_to_the_smallest_msd(gold_file, scored_pool, tmp_path):
+    pool, scores = scored_pool
+    sel, out = tmp_path / "sel.json", tmp_path / "report.json"
+    sel.write_text(json.dumps({"per_msd_counts": {"V;PST": 3, "N;PL": 3, "N;SG": 1}}))
+    assert main(["report", "--pool", pool, "--scores", scores, "--gold", gold_file,
+                 "--selection", str(sel), "--out", str(out), "--quiet"]) == 0
+    assert json.loads(out.read_text())["msd_mode"] == {"count": 3, "msd": "N;PL"}
+
+
 @pytest.mark.parametrize("blob", [{"selected_ids": []}, [], {"per_msd_counts": 3}])
 def test_report_selection_without_counts_is_a_data_error(gold_file, scored_pool, tmp_path,
                                                          capsys, blob):

@@ -6,13 +6,12 @@ from hypothesis import given, strategies as st
 from morphaug.corpus import (
     Alphabet,
     InflectionTriple,
-    MsdHistogram,
     extract_alphabet,
-    msd_histogram,
     parse_unimorph,
     serialize,
 )
 from morphaug.errors import LineError, MorphaugError
+from morphaug.report import msd_mode
 
 from conftest import make_dataset, random_word
 
@@ -96,39 +95,13 @@ def test_alphabet_rejects_duplicates():
         Alphabet(chars=("a", "a"))
 
 
-def test_histogram_nine_vs_one(georgian_style_histogram_rows):
-    h = msd_histogram(make_dataset(georgian_style_histogram_rows))
-    assert h.counts == {"PL;ERG": 9, "SG;ERG": 1}
-    assert h.total == 10
-
-
-def test_histogram_empty():
-    h = msd_histogram(make_dataset([]))
-    assert h.counts == {} and h.total == 0
-
-
-def test_histogram_matches_tally_oracle():
-    rng = random.Random(11)
-    msds = ["N;SG", "N;PL", "V;PST", "V;PRS"]
-    rows = [(random_word(rng), random_word(rng), rng.choice(msds)) for _ in range(200)]
-    h = msd_histogram(make_dataset(rows))
-    tally = {}
-    for _, _, m in rows:
-        tally[m] = tally.get(m, 0) + 1
-    assert h.counts == tally
-    assert h.total == sum(tally.values())
-    assert all(c > 0 for c in h.counts.values())
-
-
 def test_histogram_mode_tie_breaks_lexicographically():
-    h = MsdHistogram(counts={"V;PST": 3, "N;PL": 3, "N;SG": 1}, total=7)
-    assert h.mode() == ("N;PL", 3)
+    assert msd_mode({"V;PST": 3, "N;PL": 3, "N;SG": 1}) == ("N;PL", 3)
 
 
 def test_msd_order_preserved():
     d = parse_unimorph("a\tb\tPL;N\nc\td\tN;PL\n")
-    h = msd_histogram(d)
-    assert set(h.counts) == {"PL;N", "N;PL"}
+    assert {t.msd_string for t in d} == {"PL;N", "N;PL"}
 
 
 def test_multiword_lemma_accepted():

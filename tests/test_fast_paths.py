@@ -211,7 +211,7 @@ def test_corrupt_toy_draws_match_randrange_for_every_gold_size():
         with _recorded_rngs(milab) as made:
             fast = milab.corrupt_toy(gold[:n], g, 4, 0.5, seed=n)
         slow_rng = random.Random(n)
-        slow = milab.toy_records(oracle_corrupt_toy(gold[:n], g, 4, 0.5, seed=n, rng=slow_rng))
+        slow = Counter(oracle_corrupt_toy(gold[:n], g, 4, 0.5, seed=n, rng=slow_rng))
         assert fast == slow and list(fast) == list(slow)
         assert made[0].getstate() == slow_rng.getstate()
     with pytest.raises(ValueError):
@@ -232,7 +232,7 @@ def test_corrupt_toy_draws_among_all_characters_for_one_outside_the_alphabet():
         with _recorded_rngs(milab) as made:
             fast = milab.corrupt_toy(gold, g, 500, theta, seed=seed)
         slow_rng = random.Random(seed)
-        slow = milab.toy_records(oracle_corrupt_toy(gold, g, 500, theta, seed=seed, rng=slow_rng))
+        slow = Counter(oracle_corrupt_toy(gold, g, 500, theta, seed=seed, rng=slow_rng))
         assert fast == slow and list(fast) == list(slow)
         assert made[0].getstate() == slow_rng.getstate()
 
@@ -630,8 +630,8 @@ def test_one_index_serves_a_sweep_as_fresh_indexes_and_the_oracles(case):
         assert got == selection.select(pool, s)  # a fresh one-shot index
         want = _oracle_selection(pool, s)
         assert list(got.selected_ids) == [e.id for e in want]
-        assert got.per_msd_counts.counts == Counter(e.msd_string for e in want)
-        assert got.per_msd_counts.total == s.k
+        assert got.per_msd_counts == Counter(e.msd_string for e in want)
+        assert sum(got.per_msd_counts.values()) == s.k
     assert _index_state(index) == _index_state(selection.PoolIndex(pool))
 
 
@@ -682,9 +682,9 @@ def test_corrupt_toy_matches_oracle_field_for_field(g, gold_n, n, theta, seed):
     slow = oracle_corrupt_toy(gold, g, n, theta, seed=seed, rng=slow_rng)
     assert fast.total() == n
     # the same counts, in the same first-occurrence order, from the same draws
-    assert fast == milab.toy_records(slow) and list(fast) == list(milab.toy_records(slow))
+    assert fast == Counter(slow) and list(fast) == list(Counter(slow))
     assert made[0].getstate() == slow_rng.getstate()
-    for pair, joint in milab._pair_counts(milab.toy_records(gold) + fast).items():
+    for pair, joint in milab._pair_counts(Counter(gold) + fast).items():
         assert joint == Counter(oracle_pair_samples(gold + slow, pair))
 
 
@@ -693,10 +693,10 @@ def test_corrupt_toy_matches_oracle_field_for_field(g, gold_n, n, theta, seed):
 def test_toy_records_count_in_first_occurrence_order(mixture):
     gold, syn = mixture
     rows = [(e.stem, e.msd, e.x_affix, e.y_affix) for e in gold + syn]
-    records = milab.toy_records(gold + syn)
+    records = Counter(gold + syn)
     assert records == Counter(rows) and list(records) == list(dict.fromkeys(rows))
     # the mixture count of the curve: gold's count plus syn's, in the same order
-    summed = milab.toy_records(gold) + milab.toy_records(syn)
+    summed = Counter(gold) + Counter(syn)
     assert summed == records and list(summed) == list(records)
 
 
@@ -708,22 +708,11 @@ def test_factorization_gap_of_records_matches_oracle(mixture, min_cell):
         slow = oracle_factorization_gap(examples, min_cell)
     except ValueError:
         slow = None
-    for given_as in (examples, milab.toy_records(examples)):
-        try:
-            fast = milab.factorization_gap(given_as, min_cell)
-        except ValueError:
-            fast = None
-        assert fast == slow
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("wxyz")), min_size=1,
-                max_size=60), st.integers(0, 30), st.integers(0, 2**32))
-def test_estimate_mi_of_a_counter_equals_the_list(samples, resamples, seed):
-    from_list = milab.estimate_mi(samples, ("a", "b"), 0.5, resamples=resamples, seed=seed)
-    from_counter = milab.estimate_mi(Counter(samples), ("a", "b"), 0.5, resamples=resamples,
-                                     seed=seed)
-    assert from_counter == from_list and from_list.n_samples == len(samples)
+    try:
+        fast = milab.factorization_gap(Counter(examples), min_cell)
+    except ValueError:
+        fast = None
+    assert fast == slow
 
 
 @settings(max_examples=200, deadline=None)
@@ -734,19 +723,18 @@ def test_estimate_mi_of_a_counter_equals_the_list(samples, resamples, seed):
 def test_estimate_mi_bootstrap_in_row_blocks_matches_one_draw(samples, resamples, block, seed):
     # a small block splits even these tables' bootstraps into many blocks
     with _block(block):
-        fast = milab.estimate_mi(Counter(samples), ("a", "b"), 0.5, resamples=resamples,
-                                 seed=seed)
-    assert fast == oracle_estimate_mi(samples, ("a", "b"), 0.5, resamples, seed)
+        fast = milab.estimate_mi(Counter(samples), resamples=resamples, seed=seed)
+    assert fast == oracle_estimate_mi(samples, resamples, seed)
 
 
 @settings(max_examples=100, deadline=None)
 @given(toy_mixtures())
 def test_estimate_mi_of_projected_records_equals_the_sample_list(mixture):
     examples = mixture[0] + mixture[1]
-    joints = milab._pair_counts(milab.toy_records(examples))
+    joints = milab._pair_counts(Counter(examples))
     for pair in milab.MI_PAIRS:
-        assert (milab.estimate_mi(joints[pair], pair, resamples=5, seed=3)
-                == milab.estimate_mi(pair_samples(examples, pair), pair, resamples=5, seed=3))
+        assert (milab.estimate_mi(joints[pair], resamples=5, seed=3)
+                == milab.estimate_mi(Counter(pair_samples(examples, pair)), resamples=5, seed=3))
 
 
 @settings(max_examples=30, deadline=None)
@@ -836,11 +824,11 @@ def test_a_worker_exception_surfaces_unchanged(tmp_path, capsys, monkeypatch):
     raised_on = []
     estimate_mi = milab.estimate_mi
 
-    def failing(joint, pair, lam=1.0, resamples=0, seed=0):
+    def failing(joint, resamples=0, seed=0):
         if resamples:  # the mixture estimates, on the pool's threads
             raised_on.append(threading.current_thread())
             raise failure
-        return estimate_mi(joint, pair, lam, resamples, seed)
+        return estimate_mi(joint, resamples, seed)
 
     monkeypatch.setattr(milab, "estimate_mi", failing)
     g = milab.make_toy_grammar(10, 3, seed=1)

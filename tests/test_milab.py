@@ -24,7 +24,6 @@ from morphaug.milab import (
     generate_gold,
     make_toy_grammar,
     mi_decay_curve,
-    toy_records,
 )
 
 from conftest import toy_dataset
@@ -35,14 +34,14 @@ from conftest import toy_dataset
 def test_mi_independent_uniform_is_zero():
     # a perfectly balanced independent joint has exactly zero plug-in MI
     samples = [(a, b) for a in "xy" for b in "uv" for _ in range(25)]
-    assert estimate_mi(samples).bits == pytest.approx(0.0, abs=1e-12)
+    assert estimate_mi(Counter(samples)).bits == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mi_bijection_is_log2_of_support():
     samples = [("x", "u")] * 50 + [("y", "v")] * 50
-    assert estimate_mi(samples).bits == pytest.approx(1.0, abs=1e-12)
+    assert estimate_mi(Counter(samples)).bits == pytest.approx(1.0, abs=1e-12)
     samples = sum(([(c, c)] * 10 for c in "abcd"), [])
-    assert estimate_mi(samples).bits == pytest.approx(2.0, abs=1e-12)
+    assert estimate_mi(Counter(samples)).bits == pytest.approx(2.0, abs=1e-12)
 
 
 def test_mi_matches_frozen_hand_value():
@@ -53,21 +52,21 @@ def test_mi_matches_frozen_hand_value():
     for i, row in enumerate(counts):
         for j, c in enumerate(row):
             samples += [(f"a{i}", f"b{j}")] * c
-    assert estimate_mi(samples).bits == pytest.approx(0.6954618442383218, abs=1e-12)
+    assert estimate_mi(Counter(samples)).bits == pytest.approx(0.6954618442383218, abs=1e-12)
 
 
 def test_mi_nonnegative_and_bounded_on_random_joints():
     rng = random.Random(13)
     for _ in range(30):
         samples = [(rng.choice("abc"), rng.choice("wxyz")) for _ in range(200)]
-        est = estimate_mi(samples)
+        est = estimate_mi(Counter(samples))
         assert 0.0 <= est.bits <= math.log2(3) + 1e-12
 
 
 def test_mi_bootstrap_ci_brackets_point():
     samples = [("x", "u")] * 150 + [("x", "v")] * 50 + \
               [("y", "u")] * 50 + [("y", "v")] * 150
-    est = estimate_mi(samples, resamples=500, seed=4)
+    est = estimate_mi(Counter(samples), resamples=500, seed=4)
     assert est.ci_low is not None and est.ci_low <= est.bits <= est.ci_high
     assert est.ci_high - est.ci_low < 0.3
 
@@ -92,7 +91,7 @@ def test_mi_is_nonnegative_and_its_ci_ordered(joint, resamples, seed):
 
 def test_mi_requires_samples():
     with pytest.raises(ValueError):
-        estimate_mi([])
+        estimate_mi(Counter())
 
 
 # ----------------------------------------------------------------- toy grammar
@@ -206,9 +205,9 @@ def test_convexity_exact_on_constructed_mixture():
     # strictly below the 0.5 bound — with zero slack required
     dependent = [("0", "0")] * 100 + [("1", "1")] * 100
     independent = [(a, b) for a in "01" for b in "01" for _ in range(50)]
-    i_g = estimate_mi(dependent).bits
-    i_a = estimate_mi(independent).bits
-    i_mix = estimate_mi(dependent + independent).bits
+    i_g = estimate_mi(Counter(dependent)).bits
+    i_a = estimate_mi(Counter(independent)).bits
+    i_mix = estimate_mi(Counter(dependent + independent)).bits
     assert i_g == pytest.approx(1.0, abs=1e-12)
     assert i_a == pytest.approx(0.0, abs=1e-12)
     assert i_mix == pytest.approx(0.18872187554086717, abs=1e-12)
@@ -299,7 +298,7 @@ def test_partial_corruption_decays_less():
 def test_factorization_gap_near_zero_without_harmony():
     g = make_toy_grammar(12, 3, seed=6, harmony=False, harmonize_lemma=False)
     gold = generate_gold(g, 100, seed=3)
-    mix = toy_records(gold) + corrupt_toy(gold, g, 9900, theta=1.0, seed=8)
+    mix = Counter(gold) + corrupt_toy(gold, g, 9900, theta=1.0, seed=8)
     gap = factorization_gap(mix)
     assert gap.tv_distance < 0.02
     assert gap.cells_used > 0
@@ -308,7 +307,7 @@ def test_factorization_gap_near_zero_without_harmony():
 def test_factorization_gap_large_with_harmony():
     g = make_toy_grammar(12, 3, seed=6, harmony=True, harmonize_lemma=False)
     gold = generate_gold(g, 100, seed=3)
-    mix = toy_records(gold) + corrupt_toy(gold, g, 9900, theta=1.0, seed=8)
+    mix = Counter(gold) + corrupt_toy(gold, g, 9900, theta=1.0, seed=8)
     gap = factorization_gap(mix)
     assert gap.tv_distance > 0.05
     assert 0.0 <= gap.skip_rate < 1.0
@@ -318,7 +317,7 @@ def test_factorization_gap_needs_supported_cells():
     g = make_toy_grammar(12, 3, seed=6)
     gold = generate_gold(g, 3, seed=1)
     with pytest.raises(ValueError):
-        factorization_gap(gold, min_cell=5)
+        factorization_gap(Counter(gold), min_cell=5)
 
 
 def test_toy_dataset_conversion():
