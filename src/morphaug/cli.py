@@ -200,7 +200,7 @@ def _json(text: str):
         raise MorphaugError(f"not valid JSON: {e}") from None
 
 
-def _load_scored_pool(pool_path: str, scores_path: str | None = None):
+def _load_scored_pool(pool_path: str, scores_path: str | None):
     """The pool of a JSONL file, scored by an external id<TAB>nll file if one is given."""
     pool = _load(pool_path, corruption.read_pool_jsonl)
     return pool if scores_path is None else _load(scores_path, scoring.load_external_scores, pool)
@@ -335,10 +335,18 @@ def cmd_report(args) -> None:
                 AT_LEAST_1.check(args.selection, f"per_msd_counts[{msd!r}]", count)
         if args.harmony:
             cfg = _load(args.harmony, milab.read_harmony_tsv)
+        # gold's stems take the pool's min_run: its sidecar's, else augment's default
+        meta_path = args.pool + META_SUFFIX
+        meta = _load(meta_path, _json) if os.path.exists(meta_path) else {"params": {}}
+        params = meta.get("params") if isinstance(meta, dict) else None
+        if not isinstance(params, dict):
+            raise MorphaugError(f"{meta_path}: expected a JSON object with a 'params' object")
+        min_run = params.get("min_run", corruption.CorruptionConfig.min_run)
+        AT_LEAST_1.check(meta_path, "params.min_run", min_run)
         pool = _load_scored_pool(args.pool, args.scores)
         gold = _parse(args.gold)
         corruption.check_sources(pool, gold)
-        segs = {tid: s for tid, s in corruption.segment_dataset(gold).items() if s is not None}
+        segs = {k: s for k, s in corruption.segment_dataset(gold, min_run).items() if s is not None}
         blocks = {"correlations": asdict(report.correlations(pool, segs))}
         if args.selection:
             msd, count = report.msd_mode(counts)

@@ -180,27 +180,25 @@ def make_toy_grammar(
     seed: int = 0,
     harmony: bool = False,
     coupled: bool = False,
-    lemma_affix: str = "in",
     harmonize_lemma: bool = True,
-    stem_len: int = 3,
 ) -> ToyGrammar:
-    """Random grammar over a 6-character alphabet (2 consonants, 4 vowels).
-    A coupled grammar gives every MSD its own stems, so it needs at least
-    as many stems as MSDs."""
+    """Random grammar over a 6-character alphabet (2 consonants, 4 vowels),
+    with stems of length 3 and the lemma affix "in". A coupled grammar gives
+    every MSD its own stems, so it needs at least as many stems as MSDs."""
     chars = _CONSONANTS + _VOWELS
-    # the distinct stems: strings of stem_len with at least one vowel
-    n_possible = len(chars) ** stem_len - len(_CONSONANTS) ** stem_len
+    # the distinct stems: strings of length 3 with at least one vowel
+    n_possible = len(chars) ** 3 - len(_CONSONANTS) ** 3
     if not 1 <= n_msds <= len(_SUFFIXES):
         raise ValueError(f"n_msds must be in 1..{len(_SUFFIXES)}, got {n_msds}")
     if not 1 <= n_stems <= n_possible:
-        raise ValueError(f"n_stems must be in 1..{n_possible} for stems of length {stem_len}, "
+        raise ValueError(f"n_stems must be in 1..{n_possible} for stems of length 3, "
                          f"got {n_stems}")
     if coupled and n_stems < n_msds:
         raise ValueError(f"a coupled grammar needs n_stems >= n_msds, got {n_stems} < {n_msds}")
     rng = random.Random(seed)
     stems: set[str] = set()
     while len(stems) < n_stems:
-        s = "".join(rng.choice(chars) for _ in range(stem_len))
+        s = "".join(rng.choice(chars) for _ in range(3))
         if any(c in _VOWELS for c in s):
             stems.add(s)
     stem_tuple = tuple(sorted(stems))
@@ -218,7 +216,7 @@ def make_toy_grammar(
         affix_map=affix_map,
         alphabet=Alphabet(chars=tuple(sorted(chars))),
         harmony=default_harmony() if harmony else None,
-        lemma_affix=lemma_affix,
+        lemma_affix="in",
         harmonize_lemma=harmonize_lemma,
         stem_groups=stem_groups,
     )
@@ -426,12 +424,12 @@ def mi_decay_curve(
     theta: float = 1.0,
     seed: int = 0,
     resamples: int = 200,
-    epsilon: float = 0.02,
 ) -> list[CurvePoint]:
     """MI of the gold/synthetic mixture for each synthetic size, for all four
     variable pairs, with bootstrap CIs, per-point convexity verdicts and the
-    mixture's factorization gap. Gold is counted and estimated once, each
-    synthetic set counted once, and the mixture count is their sum.
+    mixture's factorization gap. Gold is counted, projected and estimated
+    once, each synthetic set counted and projected once, and each mixture
+    count and pair table is the sum of the two.
 
     A point's four mixture bootstraps run on worker threads, each with its
     own seeded generator (numpy's multinomial draw releases the GIL), so the
@@ -439,28 +437,29 @@ def mi_decay_curve(
     four before its next step."""
     gold = generate_gold(g, gold_n, seed=derive_seed(seed, "gold"))
     gold_rec = Counter(gold)
-    gold_est = {pair: estimate_mi(joint)
-                for pair, joint in _pair_counts(gold_rec).items()}
+    gold_pairs = _pair_counts(gold_rec)
+    gold_est = {pair: estimate_mi(joint) for pair, joint in gold_pairs.items()}
     points = []
     with ThreadPoolExecutor(max_workers=_bootstrap_workers()) as pool:
         for s in syn_sizes:
             syn_rec = corrupt_toy(gold, g, s, theta, seed=derive_seed(seed, f"syn-{s}")) \
                 if s else Counter()
-            # Counter addition keeps the first-occurrence order of gold + syn
-            mixture = gold_rec + syn_rec
+            syn_pairs = _pair_counts(syn_rec)
             lam = gold_n / (gold_n + s)
-            futures = {pair: pool.submit(estimate_mi, joint, resamples=resamples,
+            # the mixture's tables: projection is linear, and _joint_counts sorts levels
+            futures = {pair: pool.submit(estimate_mi, gold_pairs[pair] + syn_pairs[pair],
+                                         resamples=resamples,
                                          seed=derive_seed(seed, f"boot-{s}-{pair}"))
-                       for pair, joint in _pair_counts(mixture).items()}
+                       for pair in MI_PAIRS}
             mix_est = {pair: f.result() for pair, f in futures.items()}
-            syn_est = {pair: estimate_mi(joint)
-                       for pair, joint in _pair_counts(syn_rec).items()} if s else {}
+            syn_est = {pair: estimate_mi(joint) for pair, joint in syn_pairs.items()} if s else {}
             convex = {pair: convexity_bound_check(gold_est[pair].bits,
                                                   syn_est[pair].bits if s else 0.0, lam,
-                                                  mix_est[pair].bits, epsilon)
+                                                  mix_est[pair].bits)
                       for pair in MI_PAIRS}
             try:
-                gap = factorization_gap(mixture)
+                # Counter addition keeps the first-occurrence order of gold + syn
+                gap = factorization_gap(gold_rec + syn_rec)
             except ValueError:
                 gap = None
             points.append(CurvePoint(
@@ -486,8 +485,8 @@ class FactorizationGap:
         return self.cells_skipped / total if total else 0.0
 
 
-def factorization_gap(records: Counter, min_cell: int = 5) -> FactorizationGap:
-    """Mean TV distance, over observed (X, T) cells with >= min_cell samples,
+def factorization_gap(records: Counter) -> FactorizationGap:
+    """Mean TV distance, over observed (X, T) cells with >= 5 samples,
     between the empirical P(Y|X,T) and the factorized product
     P(Y_affix|X_affix,T) * P(Y_stem|X_stem), from a Counter of toy records.
     A cell is a (stem, x_affix, msd) and a form its y_affix: harmony keeps
@@ -506,7 +505,7 @@ def factorization_gap(records: Counter, min_cell: int = 5) -> FactorizationGap:
     skipped = 0
     for (_, x_affix, msd), forms in cells.items():
         n = forms.total()
-        if n < min_cell:
+        if n < 5:
             skipped += 1
             continue
         q_obs = 0.0

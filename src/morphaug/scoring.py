@@ -41,7 +41,7 @@ class NGramScorer:
 
     Unseen contexts fall back to the uniform distribution over the prediction
     vocabulary (the add-k estimate with zero counts). Out-of-vocabulary
-    symbols map to UNK; the mapping rate is logged.
+    symbols map to UNK; nlls returns how many did.
 
     Scoring reads ints, not strings. Each vocabulary token has an int id and
     the BOS padding has the id |vocab|, so a context of order-1 tokens is one
@@ -61,10 +61,7 @@ class NGramScorer:
         self.order = order
         self.k = k
         self.counts: dict[tuple, Counter] = defaultdict(Counter)
-        self.context_totals: dict[tuple, int] = defaultdict(int)
         self.vocab: set[str] = {SEP, EOS, UNK}
-        self.unk_hits = 0
-        self.token_hits = 0
         self._renumber()
 
     def train(self, gold: Dataset) -> None:
@@ -79,7 +76,6 @@ class NGramScorer:
             for i in range(self.order - 1, len(seq)):
                 ctx = tuple(seq[i - self.order + 1 : i])
                 self.counts[ctx][seq[i]] += 1
-                self.context_totals[ctx] += 1
         self._renumber()
 
     def _renumber(self) -> None:
@@ -92,10 +88,8 @@ class NGramScorer:
         self._pre_form: dict[tuple, tuple[int, int]] = {}
 
     def prob(self, ctx: tuple, tok: str) -> float:
-        c = self.counts.get(ctx, None)
-        count = c[tok] if c is not None else 0
-        total = self.context_totals.get(ctx, 0)
-        return (count + self.k) / (total + self.k * len(self.vocab))
+        c = self.counts.get(ctx, Counter())
+        return (c[tok] + self.k) / (c.total() + self.k * len(self.vocab))
 
     def _new_row(self, ctx: int) -> list[float]:
         key = []  # the tuple context, newest token first
@@ -105,9 +99,10 @@ class NGramScorer:
             key.append(self._tokens[i])
         key = tuple(reversed(key))
         # the expression of prob, with count 0 for the unseen tokens
-        denom = self.context_totals.get(key, 0) + self.k * len(self.vocab)
+        counts = self.counts.get(key, Counter())
+        denom = counts.total() + self.k * len(self.vocab)
         row = self._rows[ctx] = [math.log(self.k / denom)] * len(self.vocab)
-        for tok, count in self.counts.get(key, {}).items():
+        for tok, count in counts.items():
             row[self._ids[tok]] = math.log((count + self.k) / denom)
         return row
 
@@ -121,9 +116,9 @@ class NGramScorer:
         value = self._pre_form[key] = (ctx, sum(tok not in ids for tok in msd))
         return value
 
-    def _logprob_lists(self, examples: Iterable[tuple]) -> Iterator[list[float]]:
+    def _logprob_lists(self, examples: Iterable[tuple]) -> Iterator[tuple[list[float], int, int]]:
         """For each (lemma, msd, form), the log-probs of the form tokens and
-        EOS in position order; counts the tokens and the UNKs. At order n
+        EOS in position order, with the example's UNKs and tokens. At order n
         only the last n-1 lemma characters enter a context."""
         vocab, ids, rows, pre_form = self.vocab, self._ids, self._rows, self._pre_form
         new_row, new_pre_form = self._new_row, self._new_pre_form
@@ -142,28 +137,26 @@ class NGramScorer:
                 toks = [ids.get(c, unk) for c in form]
                 n_unk += sum(c not in vocab for c in form)
             toks.append(eos)
-            self.token_hits += len(lemma) + len(msd) + len(toks) + 2
-            self.unk_hits += n_unk
             lps = []
             for tok in toks:
                 lps.append((rows.get(ctx) or new_row(ctx))[tok])
                 ctx = (ctx * base + tok) % mod
-            yield lps
+            yield lps, n_unk, len(lemma) + len(msd) + len(toks) + 2
 
     def logprobs(self, lemma, msd, form):
         """Per-token log-probabilities of the form plus EOS (length |form|+1)."""
-        return next(self._logprob_lists([(lemma, msd, form)]))
+        return next(self._logprob_lists([(lemma, msd, form)]))[0]
 
-    def nlls(self, pool: Iterable[SyntheticExample]) -> list[float]:
-        """The nll of each example, -(its logprobs summed left to right) /
-        (len(form) + 1), in one pass. Python 3.12's sum() of floats rounds
-        otherwise, so reduce(add) keeps the bytes the same on every version."""
-        return [check_nll(-reduce(add, lps, 0.0) / len(lps))
-                for lps in self._logprob_lists(map(_LEMMA_MSD_FORM, pool))]
-
-    @property
-    def unk_rate(self) -> float:
-        return self.unk_hits / self.token_hits if self.token_hits else 0.0
+    def nlls(self, pool: Iterable[SyntheticExample]) -> tuple[list[float], int, int]:
+        """(the nll of each example, the UNKs, the tokens) of the pool, in
+        one pass. An nll is -(its logprobs summed left to right) /
+        (len(form) + 1). Python 3.12's sum() of floats rounds otherwise, so
+        reduce(add) keeps the bytes the same on every version."""
+        out, unk, tokens = [], 0, 0
+        for lps, n_unk, n_tokens in self._logprob_lists(map(_LEMMA_MSD_FORM, pool)):
+            out.append(check_nll(-reduce(add, lps, 0.0) / len(lps)))
+            unk, tokens = unk + n_unk, tokens + n_tokens
+        return out, unk, tokens
 
 
 _LEMMA_MSD_FORM = attrgetter("triple.lemma", "triple.msd", "triple.form")
@@ -177,10 +170,10 @@ def train_ngram(gold: Dataset, order: int = 3, k: float = 0.1) -> NGramScorer:
 
 def score_pool(scorer: NGramScorer, pool: Iterable[SyntheticExample]) -> list[SyntheticExample]:
     pool = list(pool)
-    out = list(map(SyntheticExample.with_score, pool, scorer.nlls(pool)))
-    if scorer.unk_hits:
-        log.info("UNK mapping rate: %.4f", scorer.unk_rate)
-    return out
+    nlls, unk, tokens = scorer.nlls(pool)
+    if unk:
+        log.info("UNK mapping rate: %.4f", unk / tokens)
+    return list(map(SyntheticExample.with_score, pool, nlls))
 
 
 def require_scored(pool: Iterable[SyntheticExample]) -> list[SyntheticExample]:

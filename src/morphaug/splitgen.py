@@ -18,7 +18,6 @@ def _norm(lemma: str) -> str:
 
 @dataclass(frozen=True)
 class LemmaSplit:
-    train: Dataset
     test: Dataset
     train_lemmas: frozenset[str]
 
@@ -35,7 +34,6 @@ def lemma_split(full: Dataset, train: Dataset) -> LemmaSplit:
     if not kept:
         log.warning("lemma split removed every triple of %r", full.name)
     return LemmaSplit(
-        train=train,
         test=Dataset(triples=kept, name=f"{full.name}-lemma-test"),
         train_lemmas=train_lemmas,
     )

@@ -194,7 +194,7 @@ def oracle_joint_counts(samples):
     return counts
 
 
-def oracle_factorization_gap(examples, min_cell=5):
+def oracle_factorization_gap(examples):
     """The factorization gap with every conditional's total summed again for
     each observed form."""
     cells = defaultdict(list)
@@ -206,7 +206,7 @@ def oracle_factorization_gap(examples, min_cell=5):
         stem_cond[e.stem][e.stem] += 1
     tvs, skipped = [], 0
     for (_, msd), members in cells.items():
-        if len(members) < min_cell:
+        if len(members) < 5:
             skipped += 1
             continue
         p = Counter(e.form for e in members)
@@ -252,8 +252,7 @@ def oracle_estimate_mi(samples, resamples=0, seed=0):
     return MIEstimate(float(oracle_mi_bits(counts)), n, *ci)
 
 
-def oracle_mi_decay_curve(g, gold_n, syn_sizes, theta=1.0, seed=0, resamples=200,
-                          epsilon=0.02):
+def oracle_mi_decay_curve(g, gold_n, syn_sizes, theta=1.0, seed=0, resamples=200):
     """The decay curve from the mixture list of each point, with the gold-only
     estimates made again at every point, and every step an oracle."""
     gold = generate_gold(g, gold_n, seed=derive_seed(seed, "gold"))
@@ -271,7 +270,7 @@ def oracle_mi_decay_curve(g, gold_n, syn_sizes, theta=1.0, seed=0, resamples=200
                 syn_est[pair] = oracle_estimate_mi(oracle_pair_samples(syn, pair))
             i_a = syn_est[pair].bits if syn else 0.0
             convex[pair] = convexity_bound_check(gold_est[pair].bits, i_a, lam,
-                                                 mix_est[pair].bits, epsilon)
+                                                 mix_est[pair].bits)
         try:
             gap = oracle_factorization_gap(mixture)
         except ValueError:

@@ -13,8 +13,8 @@ from scipy.stats import binom, chisquare
 
 from morphaug.alignment import align, extract_stem
 from morphaug.cli import main as cli_main
-from morphaug.corpus import Alphabet, InflectionTriple, parse_unimorph, serialize
-from morphaug.corruption import CorruptionConfig, SyntheticExample, corrupt, generate_pool
+from morphaug.corpus import Alphabet, InflectionTriple
+from morphaug.corruption import CorruptionConfig, SyntheticExample, corrupt
 from morphaug.milab import (
     MI_PAIRS,
     convexity_bound_check,

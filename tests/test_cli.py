@@ -239,6 +239,41 @@ def test_report_subcommand(gold_file, tmp_path):
     assert 0.0 <= blob["harmony"]["violation_rate"] <= 1.0
 
 
+def test_report_cuts_stems_with_the_min_run_of_the_pool(tmp_path):
+    # go/gos has a stem only for a min_run of at most 2
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("walked\twalkeds\tV;PST\ngo\tgos\tV;PST\nsinging\tsingings\tV;PST\n")
+    pool, scores = str(tmp_path / "pool.jsonl"), str(tmp_path / "scores.tsv")
+    out = tmp_path / "report.json"
+    assert main(["augment", "--gold", str(gold), "--n", "30", "--min-run", "2",
+                 "--out", pool, "--quiet"]) == 0
+    with open(pool, encoding="utf-8") as f:
+        assert "2" in {json.loads(line)["source_id"] for line in f}
+    assert main(["score", "--pool", pool, "--gold", str(gold), "--out", scores,
+                 "--quiet"]) == 0
+    assert main(["report", "--pool", pool, "--scores", scores, "--gold", str(gold),
+                 "--out", str(out), "--quiet"]) == 0
+    assert json.loads(out.read_text())["correlations"]["n"] == 30
+
+
+@pytest.mark.parametrize("meta, needle", [
+    ([], "a 'params' object"),
+    ({"params": "x"}, "a 'params' object"),
+    ({"params": {"min_run": 0}}, "params.min_run must be an integer >= 1, got 0"),
+    ({"params": {"min_run": True}}, "params.min_run must be an integer >= 1, got true"),
+])
+def test_report_pool_sidecar_it_cannot_use_is_a_data_error(gold_file, scored_pool, tmp_path,
+                                                           capsys, meta, needle):
+    pool, scores = scored_pool
+    out = tmp_path / "report.json"
+    with open(pool + ".meta.json", "w", encoding="utf-8") as f:
+        json.dump(meta, f)
+    capsys.readouterr()
+    assert main(["report", "--pool", pool, "--scores", scores, "--gold", gold_file,
+                 "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, f"{pool}.meta.json: ", needle)
+
+
 def test_pipeline_runs_and_validates_config(gold_file, tmp_path):
     cfg = {
         "gold": gold_file, "n_pool": 80, "theta": 0.5, "order": 3,

@@ -179,7 +179,7 @@ def test_corrupt_toy_replaces_stem_keeps_affix():
 
 def test_crosscheck_segmentation_low_disagreement_on_gold():
     # alignment-based stem extraction mostly finds the grammar's own stem
-    g = make_toy_grammar(20, 3, seed=4, lemma_affix="in")
+    g = make_toy_grammar(20, 3, seed=4)
     gold = generate_gold(g, 300, seed=2)
     disagree = 0
     for e in gold:
@@ -317,7 +317,7 @@ def test_factorization_gap_needs_supported_cells():
     g = make_toy_grammar(12, 3, seed=6)
     gold = generate_gold(g, 3, seed=1)
     with pytest.raises(ValueError):
-        factorization_gap(Counter(gold), min_cell=5)
+        factorization_gap(Counter(gold))
 
 
 def test_toy_dataset_conversion():

@@ -119,7 +119,8 @@ def test_unknown_characters_map_to_unk():
     e = _syn("e1", "wQlk", "wQlked", ("V", "PST"))
     nll = _nll(scorer, e)
     assert math.isfinite(nll) and nll > 0
-    assert scorer.unk_rate > 0
+    _, unk, tokens = scorer.nlls([e])
+    assert 0 < unk <= tokens
 
 
 def test_score_deterministic():
