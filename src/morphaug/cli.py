@@ -81,7 +81,9 @@ AT_LEAST_1 = Rule("an integer >= 1", (int,), lambda v: v >= 1, int)
 AT_LEAST_0 = Rule("an integer >= 0", (int,), lambda v: v >= 0, int)
 UNIT = Rule("a number in [0, 1]", (int, float), lambda v: 0 <= v <= 1, float)
 POSITIVE = Rule("a number > 0 and finite", (int, float), lambda v: 0 < v < math.inf, float)
-PATH = Rule("a path", (str,))
+# no file name holds a NUL, and UTF-8 cannot write a lone surrogate
+PATH = Rule("a path", (str,),
+            lambda v: "\0" not in v and not any("\ud800" <= c <= "\udfff" for c in v))
 BOOL = Rule("true or false", (bool,))
 STRATEGY_NAMES = Rule(f"a list of strategy names ({', '.join(selection.STRATEGIES)})", (list,),
                       lambda v: all(s in selection.STRATEGIES for s in v))
@@ -181,10 +183,11 @@ def _read(path: str) -> str:
 
 
 def _load(path: str, load, *args):
-    """load(the text of an input file, *args); a data error of either names the file."""
+    """load(the text of an input file, *args); a data error of either, or
+    bytes that are not UTF-8, names the file."""
     try:
         return load(_read(path), *args)
-    except (MorphaugError, ValueError) as e:
+    except (MorphaugError, UnicodeDecodeError) as e:
         raise MorphaugError(f"{path}: {e}") from None
 
 
@@ -193,10 +196,11 @@ def _parse(path: str) -> corpus.Dataset:
 
 
 def _json(text: str):
-    """The JSON value of a text, as a decoder for _load."""
+    """The JSON value of a text, as a decoder for _load. json raises a
+    ValueError for bad syntax and for an integer of over 4300 digits."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
         raise MorphaugError(f"not valid JSON: {e}") from None
 
 
@@ -422,47 +426,47 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("parse", parents=[common],
                         help="validate a UniMorph TSV and export JSONL")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--in", type=PATH.flag, dest="infile", required=True)
+    sp.add_argument("--out", type=PATH.flag, required=True)
     sp.set_defaults(func=cmd_parse)
 
     sp = sub.add_parser("augment", parents=[common], help="generate a stem-corrupted synthetic pool")
-    sp.add_argument("--gold", required=True)
+    sp.add_argument("--gold", type=PATH.flag, required=True)
     sp.add_argument("--n", type=AT_LEAST_1.flag, required=True)
     sp.add_argument("--theta", type=UNIT.flag, default=0.5)
     sp.add_argument("--min-run", type=AT_LEAST_1.flag, default=3)
     sp.add_argument("--allow-original-char", action="store_true",
                     help="let a substitution redraw the original character")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--tsv-out", default=None)
+    sp.add_argument("--out", type=PATH.flag, required=True)
+    sp.add_argument("--tsv-out", type=PATH.flag, default=None)
     sp.set_defaults(func=cmd_augment)
 
     sp = sub.add_parser("score", parents=[common], help="attach NLL uncertainty scores to a pool")
-    sp.add_argument("--pool", required=True)
+    sp.add_argument("--pool", type=PATH.flag, required=True)
     source = sp.add_mutually_exclusive_group(required=True)
-    source.add_argument("--gold", default=None)
-    source.add_argument("--external", default=None,
+    source.add_argument("--gold", type=PATH.flag, default=None)
+    source.add_argument("--external", type=PATH.flag, default=None,
                         help="id<TAB>nll TSV from an external model instead of the built-in scorer")
     sp.add_argument("--order", type=AT_LEAST_1.flag, default=3)
     sp.add_argument("--k-smooth", type=POSITIVE.flag, default=0.1)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", type=PATH.flag, required=True)
     sp.set_defaults(func=cmd_score)
 
     sp = sub.add_parser("select", parents=[common], help="pick a subset of the scored pool")
-    sp.add_argument("--pool", required=True)
-    sp.add_argument("--scores", default=None)
+    sp.add_argument("--pool", type=PATH.flag, required=True)
+    sp.add_argument("--scores", type=PATH.flag, default=None)
     sp.add_argument("--strategy", required=True, choices=selection.STRATEGIES)
     sp.add_argument("--k", type=AT_LEAST_0.flag, required=True)
-    sp.add_argument("--gold", default=None)
-    sp.add_argument("--merged-out", default=None,
+    sp.add_argument("--gold", type=PATH.flag, default=None)
+    sp.add_argument("--merged-out", type=PATH.flag, default=None,
                     help="also write gold + selection as one training TSV")
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", type=PATH.flag, required=True)
     sp.set_defaults(func=cmd_select)
 
     sp = sub.add_parser("split", parents=[common], help="lemma-disjoint compositional test split")
-    sp.add_argument("--full", required=True)
-    sp.add_argument("--train", required=True)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--full", type=PATH.flag, required=True)
+    sp.add_argument("--train", type=PATH.flag, required=True)
+    sp.add_argument("--out", type=PATH.flag, required=True)
     sp.set_defaults(func=cmd_split)
 
     sp = sub.add_parser("milab", parents=[common], help="toy-grammar mutual-information lab")
@@ -475,30 +479,30 @@ def build_parser() -> _Parser:
     sp.add_argument("--uncoupled", action="store_true",
                     help="sample stems independently of MSDs")
     sp.add_argument("--resamples", type=AT_LEAST_0.flag, default=200)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", type=PATH.flag, required=True)
     sp.set_defaults(func=cmd_milab)
 
     sp = sub.add_parser("report", parents=[common], help="correlations, MSD mode, harmony stats")
-    sp.add_argument("--pool", required=True)
-    sp.add_argument("--scores", default=None)
-    sp.add_argument("--gold", required=True)
-    sp.add_argument("--selection", default=None)
-    sp.add_argument("--harmony", default=None, help="char<TAB>class vowel TSV")
+    sp.add_argument("--pool", type=PATH.flag, required=True)
+    sp.add_argument("--scores", type=PATH.flag, default=None)
+    sp.add_argument("--gold", type=PATH.flag, required=True)
+    sp.add_argument("--selection", type=PATH.flag, default=None)
+    sp.add_argument("--harmony", type=PATH.flag, default=None, help="char<TAB>class vowel TSV")
     sp.add_argument("--resamples", type=AT_LEAST_1.flag, default=10000)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", type=PATH.flag, required=True)
     sp.set_defaults(func=cmd_report)
 
     sp = sub.add_parser("pipeline", parents=[common], help="run all stages from a JSON config")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out-dir", required=True)
+    sp.add_argument("--config", type=PATH.flag, required=True)
+    sp.add_argument("--out-dir", type=PATH.flag, required=True)
     sp.set_defaults(func=cmd_pipeline)
     return p
 
 
 def main(argv=None) -> int:
-    # the pool and all that is built from it are acyclic (NamedTuples and
-    # frozen, slotted dataclasses of str, tuple and int), so reference counting
-    # frees them; the cyclic collector would only walk them again and again
+    # the pool and all that is built from it are acyclic (NamedTuples of str,
+    # tuple and int), so reference counting frees them; the cyclic collector
+    # would only walk them again and again
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -509,7 +513,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (MorphaugError, OSError, ValueError) as e:
+    except (MorphaugError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:

@@ -9,57 +9,40 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import LineError, MorphaugError
 from .util import lines
 
 
-@dataclass(frozen=True, slots=True)
-class InflectionTriple:
+class InflectionTriple(NamedTuple):
     """One gold example: lemma, inflected form, morphosyntactic description.
-
-    The constructor validates; derived_triple builds one without the check."""
+    A triple read from a file has passed check_triple."""
 
     id: str
     lemma: str
     form: str
     msd: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.lemma or not self.form:
-            raise ValueError(f"triple {self.id!r}: lemma and form must be non-empty")
-        if "\ufeff" in self.lemma or "\ufeff" in self.form:
-            # a byte order mark that starts a file is not read back as data
-            raise ValueError(f"triple {self.id!r}: lemma and form must not hold U+FEFF")
-        if not self.msd:
-            raise ValueError(f"triple {self.id!r}: msd must have at least one feature")
-        for tok in self.msd:
-            # str.split() splits exactly at the characters str.isspace() accepts
-            if not tok or ";" in tok or tok.split() != [tok]:
-                raise ValueError(f"triple {self.id!r}: bad msd token {tok!r}")
-
     @property
     def msd_string(self) -> str:
         return ";".join(self.msd)
 
 
-_new = object.__new__
-# the slots' own setters: like a frozen dataclass's __init__, they go past
-# the frozen __setattr__
-_set_id, _set_lemma, _set_form, _set_msd = (
-    InflectionTriple.__dict__[f].__set__ for f in ("id", "lemma", "form", "msd"))
-
-
-def derived_triple(id: str, lemma: str, form: str, msd: tuple[str, ...]) -> InflectionTriple:
-    """An InflectionTriple built without __post_init__'s check, for a triple
-    derived from a validated one: the same MSD tuple, and a lemma and form
-    of the validated triple's (non-zero) lengths."""
-    t = _new(InflectionTriple)
-    _set_id(t, id)
-    _set_lemma(t, lemma)
-    _set_form(t, form)
-    _set_msd(t, msd)
+def check_triple(t: InflectionTriple) -> InflectionTriple:
+    """t, if its lemma and form are non-empty and hold no U+FEFF, and its MSD
+    has at least one token, each non-empty with no ';' or whitespace."""
+    if not t.lemma or not t.form:
+        raise MorphaugError(f"triple {t.id!r}: lemma and form must be non-empty")
+    if "\ufeff" in t.lemma or "\ufeff" in t.form:
+        # a byte order mark that starts a file is not read back as data
+        raise MorphaugError(f"triple {t.id!r}: lemma and form must not hold U+FEFF")
+    if not t.msd:
+        raise MorphaugError(f"triple {t.id!r}: msd must have at least one feature")
+    for tok in t.msd:
+        # str.split() splits exactly at the characters str.isspace() accepts
+        if not tok or ";" in tok or tok.split() != [tok]:
+            raise MorphaugError(f"triple {t.id!r}: bad msd token {tok!r}")
     return t
 
 
@@ -135,8 +118,9 @@ def parse_unimorph(text: str, name: str = "dataset") -> Dataset:
                 raise LineError(line_no, f"empty {field_name}")
         lemma, form, msd = fields
         try:
-            triples.append(InflectionTriple(str(line_no), lemma, form, tuple(msd.split(";"))))
-        except ValueError as e:
+            triples.append(check_triple(
+                InflectionTriple(str(line_no), lemma, form, tuple(msd.split(";")))))
+        except MorphaugError as e:
             raise LineError(line_no, e) from None
     return Dataset(triples=tuple(triples), name=name)
 

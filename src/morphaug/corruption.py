@@ -19,7 +19,7 @@ from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from .alignment import Segmentation, align, extract_stem, levenshtein
-from .corpus import Alphabet, Dataset, InflectionTriple, derived_triple
+from .corpus import Alphabet, Dataset, InflectionTriple, check_triple
 from .errors import LineError, MorphaugError, NoStem
 from .util import lines
 
@@ -124,9 +124,8 @@ def corrupt(
         distance = levenshtein(form[lo:hi], t.form[lo:hi])
     else:
         distance = 0
-    # t is validated, and the corrupted triple keeps its MSD and its lengths
     return SyntheticExample(
-        derived_triple(new_id if new_id is not None else f"{t.id}~syn", lemma, form, t.msd),
+        InflectionTriple(new_id if new_id is not None else f"{t.id}~syn", lemma, form, t.msd),
         t.id, tuple(sub_lemma), tuple(sub_form), distance,
     )
 
@@ -208,7 +207,7 @@ def read_pool_jsonl(text: str) -> list[SyntheticExample]:
             d = json.loads(line)
         except json.JSONDecodeError as e:
             raise LineError(line_no, f"not valid JSON, column {e.colno}: {e.msg}") from None
-        except RecursionError as e:
+        except (RecursionError, ValueError) as e:  # ValueError: an integer of too many digits
             raise LineError(line_no, f"not valid JSON: {e}") from None
         if not isinstance(d, dict):
             raise LineError(line_no, f"expected a JSON object, got {type(d).__name__}")
@@ -220,9 +219,9 @@ def read_pool_jsonl(text: str) -> list[SyntheticExample]:
             key, expected = bad
             raise LineError(line_no, f"{key!r} must be {expected}, got {reprlib.repr(d.get(key))}")
         try:
-            triple = InflectionTriple(id=d["id"], lemma=d["lemma"], form=d["form"],
-                                      msd=tuple(d["msd"]))
-        except ValueError as e:
+            triple = check_triple(InflectionTriple(d["id"], d["lemma"], d["form"],
+                                                   tuple(d["msd"])))
+        except MorphaugError as e:
             raise LineError(line_no, e) from None
         if triple.id in ids:
             raise LineError(line_no, f"duplicate id {triple.id!r}")

@@ -6,8 +6,8 @@ class MorphaugError(Exception):
 
 
 class LineError(MorphaugError, ValueError):
-    """A line of an input line file that its reader refuses; a ValueError,
-    as the triple's and the nll check's own errors are."""
+    """A line of an input line file that its reader refuses: a data error,
+    and also a ValueError, as any bad value is."""
 
     def __init__(self, line_no, detail):
         self.line_no = line_no

@@ -457,14 +457,11 @@ def mi_decay_curve(
                                                   syn_est[pair].bits if s else 0.0, lam,
                                                   mix_est[pair].bits)
                       for pair in MI_PAIRS}
-            try:
-                # Counter addition keeps the first-occurrence order of gold + syn
-                gap = factorization_gap(gold_rec + syn_rec)
-            except ValueError:
-                gap = None
             points.append(CurvePoint(
                 syn_size=s, lam=lam, mixture=mix_est, gold_only=gold_est,
-                syn_only=syn_est or None, convexity_ok=convex, gap=gap,
+                syn_only=syn_est or None, convexity_ok=convex,
+                # Counter addition keeps the first-occurrence order of gold + syn
+                gap=factorization_gap(gold_rec + syn_rec),
             ))
     return points
 
@@ -485,7 +482,7 @@ class FactorizationGap:
         return self.cells_skipped / total if total else 0.0
 
 
-def factorization_gap(records: Counter) -> FactorizationGap:
+def factorization_gap(records: Counter) -> FactorizationGap | None:
     """Mean TV distance, over observed (X, T) cells with >= 5 samples,
     between the empirical P(Y|X,T) and the factorized product
     P(Y_affix|X_affix,T) * P(Y_stem|X_stem), from a Counter of toy records.
@@ -494,7 +491,7 @@ def factorization_gap(records: Counter) -> FactorizationGap:
     lemma, and within a cell y_affix with the form.
     Cells and the forms in a cell are visited in first-occurrence order.
     Lemma and form share the stem (x_stem = y_stem), so P(Y_stem|X_stem)
-    is 1."""
+    is 1. None if no cell reaches 5 samples."""
     cells: dict[tuple, Counter] = defaultdict(Counter)
     aff_cond: dict[tuple, Counter] = defaultdict(Counter)
     for (stem, msd, x_affix, y_affix), c in records.items():
@@ -517,7 +514,7 @@ def factorization_gap(records: Counter) -> FactorizationGap:
             abs_diff += abs(c / n - q)
         tvs.append(max(0.0, 0.5 * (abs_diff + (1.0 - q_obs))))
     if not tvs:
-        raise ValueError("no (X, T) cell reaches the minimum support")
+        return None
     return FactorizationGap(
         tv_distance=float(np.mean(tvs)), cells_used=len(tvs), cells_skipped=skipped
     )

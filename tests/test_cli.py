@@ -374,6 +374,9 @@ def _ported(change, needle, label, n):
     ({"alpha": 0.5, "K": 16}, "cfg.json: unknown config key 'alpha', 'K'"),
     # a sweep does not use k, but k is still checked
     ({"sweep": True, "k": "x"}, 'cfg.json: k must be an integer >= 0, got "x"'),
+    # a NUL or a lone surrogate names no file; the message escapes either
+    ({"gold": "gold.tsv\u0000x"}, r'cfg.json: gold must be a path, got "gold.tsv\u0000x"'),
+    ({"full": "gold\ud800.tsv"}, r'cfg.json: full must be a path, got "gold\ud800.tsv"'),
 ])
 def test_invalid_pipeline_config_writes_nothing(gold_file, tmp_path, capsys, monkeypatch,
                                                 change, needle):
@@ -637,6 +640,24 @@ def test_truncated_pool_line_is_a_data_error_naming_the_line(gold_file, tmp_path
     _assert_data_error(capsys, out, "line 3:", "not valid JSON")
 
 
+def test_an_integer_json_will_not_read_is_a_data_error(gold_file, tmp_path, capsys):
+    # json.loads raises a plain ValueError for an integer of more than 4300 digits
+    big = "1" * 5000
+    pool, cfg, out = tmp_path / "pool.jsonl", tmp_path / "cfg.json", tmp_path / "out"
+    assert main(["augment", "--gold", gold_file, "--n", "5", "--out", str(pool),
+                 "--quiet"]) == 0
+    lines = pool.read_text().splitlines()
+    lines[1] = re.sub(r'"lev_to_gold_target": \d+', f'"lev_to_gold_target": {big}', lines[1])
+    pool.write_text("\n".join(lines) + "\n")
+    cfg.write_text(f'{{"seed": {big}}}')
+    capsys.readouterr()
+    assert main(["select", "--pool", str(pool), "--strategy", "random", "--k", "2",
+                 "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, f"{pool}: line 2: not valid JSON")
+    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, f"{cfg}: not valid JSON")
+
+
 @pytest.mark.parametrize("sizes", ["0,-5", "-5", "0,5x", "500,", "1.5"])
 def test_milab_bad_syn_sizes_are_usage_errors(tmp_path, capsys, sizes):
     out = tmp_path / "curve.json"
@@ -644,6 +665,13 @@ def test_milab_bad_syn_sizes_are_usage_errors(tmp_path, capsys, sizes):
     err = capsys.readouterr().err
     assert "usage error" in err and "--syn-sizes" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_milab_writes_a_null_gap_where_no_cell_reaches_five_samples(tmp_path):
+    out = tmp_path / "curve.json"
+    assert main(["milab", "--gold", "4", "--syn-sizes", "0", "--out", str(out), "--quiet"]) == 0
+    [point] = json.loads(out.read_text())["curve"]
+    assert point["factorization_gap"] is None
 
 
 def test_milab_corrupts_each_synthetic_size_once(tmp_path, monkeypatch):
@@ -760,6 +788,24 @@ def test_augment_and_score_bad_flag_values_are_usage_errors(tmp_path, capsys, ar
     assert main([*argv, *inputs[argv[0]], "--out", str(out), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and flag in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+# a file name that is not UTF-8 reaches argv as lone surrogates, which no
+# artifact's provenance can record; a NUL names no file
+@pytest.mark.parametrize("argv,flag", [
+    (["parse", "--in", "gold\udcff.tsv", "--out", "out.jsonl"], "--in"),
+    (["parse", "--in", "gold.tsv", "--out", "out\x00.jsonl"], "--out"),
+    (["milab", "--out", "\udcff.json"], "--out"),
+    (["pipeline", "--config", "cfg.json", "--out-dir", "run\ud800"], "--out-dir"),
+])
+def test_a_path_flag_with_a_nul_or_a_lone_surrogate_is_a_usage_error(tmp_path, capsys,
+                                                                    monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {flag}: must be a path")
+    assert "Traceback" not in err
     assert os.listdir(tmp_path) == []
 
 

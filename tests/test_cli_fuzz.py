@@ -257,12 +257,14 @@ PATHS = {
 
 
 def _value_flags(command: str) -> list:
-    """(flag, its Rule, or its choices) of each flag of command that takes a checked value."""
+    """(flag, its Rule, or its choices) of each flag of command that takes a
+    checked value other than a path, which PATHS gives."""
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return [(action.option_strings[0], getattr(action.type, "__self__", None) or action.choices)
             for action in sub.choices[command]._actions
-            if isinstance(getattr(action.type, "__self__", None), cli.Rule) or action.choices]
+            if action.type != cli.PATH.flag
+            and (isinstance(getattr(action.type, "__self__", None), cli.Rule) or action.choices)]
 
 
 def _toy_grammar_holds(values: dict, uncoupled: bool) -> bool:

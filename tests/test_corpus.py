@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from morphaug.corpus import (
     Alphabet,
     InflectionTriple,
+    check_triple,
     extract_alphabet,
     parse_unimorph,
     serialize,
@@ -111,8 +112,8 @@ def test_multiword_lemma_accepted():
 
 @pytest.mark.parametrize("tok", ["N PL", "N\tPL", "N\u00a0", "\u2003N", "\u3000", "N;PL", ""])
 def test_bad_msd_token_rejected(tok):
-    with pytest.raises(ValueError, match="bad msd token"):
-        InflectionTriple(id="1", lemma="a", form="b", msd=("V", tok))
+    with pytest.raises(MorphaugError, match="bad msd token"):
+        check_triple(InflectionTriple(id="1", lemma="a", form="b", msd=("V", tok)))
 
 
 def test_alphabet_membership():
