@@ -72,11 +72,19 @@ def msd_mode(counts: dict) -> tuple[str, int]:
     return min(m for m, c in counts.items() if c == top), top
 
 
+# Indices drawn per block of bootstrap rows: 2**16 int64 values (512 KiB)
+# plus the scores gathered from them, whatever the resample count and group
+# size; a block and its temporaries stay in cache. A smaller block slows the
+# report (1.08 -> 1.13 s in a probe). The draws do not depend on it.
+BOOTSTRAP_BLOCK_CELLS = 2 ** 16
+
+
 def bootstrap_means(rng: np.random.Generator, x: np.ndarray, resamples: int) -> np.ndarray:
-    """Mean of each of `resamples` with-replacement resamples of x."""
+    """Mean of each of `resamples` with-replacement resamples of x, drawn in
+    row blocks of at most BOOTSTRAP_BLOCK_CELLS indices."""
     n = len(x)
     means = np.empty(resamples)
-    for start, stop in row_blocks(n, resamples):
+    for start, stop in row_blocks(n, resamples, BOOTSTRAP_BLOCK_CELLS):
         means[start:stop] = x[rng.integers(0, n, size=(stop - start, n))].mean(axis=1)
     return means
 

@@ -18,19 +18,12 @@ def config_hash(obj) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# Cells drawn per block of bootstrap rows (report's resampled indices,
-# milab's multinomial tables): 2**16 int64 values (512 KiB) plus the floats
-# computed from them, whatever the resample count and row size; a block and
-# its temporaries stay in cache. The draws do not depend on it.
-BOOTSTRAP_BLOCK_ELEMENTS = 2 ** 16
-
-
-def row_blocks(row_size: int, rows: int):
+def row_blocks(row_size: int, rows: int, cells: int):
     """(start, stop) of consecutive blocks of `rows` rows of `row_size`
-    cells, each block at most BOOTSTRAP_BLOCK_ELEMENTS cells (at least one
-    row). Drawing the blocks in turn consumes a generator as one draw of all
-    the rows would."""
-    step = max(1, BOOTSTRAP_BLOCK_ELEMENTS // row_size)
+    cells, each block at most `cells` cells (at least one row); each caller
+    passes its own budget. Drawing the blocks in turn consumes a generator as
+    one draw of all the rows would."""
+    step = max(1, cells // row_size)
     for start in range(0, rows, step):
         yield start, min(start + step, rows)
 

@@ -714,6 +714,15 @@ def test_cli_import_does_not_load_numpy():
     assert _probe("import sys, morphaug.cli; print('numpy' in sys.modules)") == "False"
 
 
+def test_milab_does_not_load_numpy_ma(tmp_path):
+    # its fresh interpreter: scipy and other tests import numpy.ma
+    argv = ["milab", "--stems", "6", "--msds", "2", "--gold", "20", "--syn-sizes", "0,20",
+            "--resamples", "5", "--out", str(tmp_path / "curve.json"), "--quiet"]
+    code = ("import sys; from morphaug.cli import main; "
+            f"print(main({argv!r}), 'numpy.ma' in sys.modules)")
+    assert _probe(code) == "0 False"
+
+
 @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
 def test_cli_import_defaults_to_one_blas_thread_and_keeps_a_set_value(given, expected):
     code = "import os, morphaug.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"

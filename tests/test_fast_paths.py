@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from morphaug import corruption, milab, report, scoring, selection, util
+from morphaug import corruption, milab, report, scoring, selection
 from morphaug.alignment import align, extract_stem, levenshtein
 from morphaug.cli import main
 from morphaug.corpus import Alphabet, InflectionTriple, check_triple, parse_unimorph
@@ -463,10 +463,10 @@ def test_pipeline_cyclic_garbage_does_not_grow_with_the_pool(tmp_path, monkeypat
 
 # ------------------------------------------------------- report bootstrap
 
-def _block(elements):
-    """Bootstrap row blocks of at most `elements` cells (at least one row),
-    for the report bootstrap and the MI bootstrap alike."""
-    return mock.patch.object(util, "BOOTSTRAP_BLOCK_ELEMENTS", elements)
+def _block(module, elements):
+    """Bootstrap row blocks of at most `elements` cells (at least one row)
+    in `module`, report or milab, each of which has its own budget."""
+    return mock.patch.object(module, "BOOTSTRAP_BLOCK_CELLS", elements)
 
 
 @settings(max_examples=200, deadline=None)
@@ -482,7 +482,7 @@ def test_bootstrap_blocks_match_full_draw(n_v, n_a, resamples, block, seed):
     data = np.random.default_rng(seed ^ 0x5EED)
     v, a = data.normal(1.0, 0.5, n_v), data.normal(1.1, 0.5, n_a)
     fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    with _block(block):
+    with _block(report, block):
         mv = report.bootstrap_means(fast_rng, v, resamples)
         ma = report.bootstrap_means(fast_rng, a, resamples)
     sv, sa, p = oracle_harmony_bootstrap(v, a, resamples, slow_rng)
@@ -505,7 +505,7 @@ def test_harmony_violation_stats_p_matches_full_draw(block):
     cfg = milab.HarmonyRule(
         vowel_classes={"a": "back", "o": "back", "e": "front", "i": "front"})
     pool, segs = _harmony_pool(120, seed=9)
-    with _block(block):
+    with _block(report, block):
         stats = report.harmony_violation_stats(pool, cfg, segs, resamples=333, seed=4)
     violating, adhering = [], []
     for e in pool:
@@ -714,9 +714,13 @@ def test_factorization_gap_of_records_matches_oracle(mixture):
                 max_size=80), st.integers(1, 40), st.integers(1, 60), st.integers(0, 2**32))
 @example([("a", "v")], 7, 1, 0)  # one cell: a row per block
 @example([("a", "v"), ("b", "w")] * 3 + [("a", "w")], 25, 5, 1)
+# milab's own budget on a 10 x 216 table, the shape of the y_affix tables of
+# the seed-0 50,000-point mixture: 7 rows per block, so blocks of 7, 7 and 6
+@example([(f"y{a}", f"s{s:03d}") for a in range(10) for s in range(216)
+          for _ in range(1 + (a * s) % 3)], 20, milab.BOOTSTRAP_BLOCK_CELLS, 2)
 def test_estimate_mi_bootstrap_in_row_blocks_matches_one_draw(samples, resamples, block, seed):
     # a small block splits even these tables' bootstraps into many blocks
-    with _block(block):
+    with _block(milab, block):
         fast = milab.estimate_mi(Counter(samples), resamples=resamples, seed=seed)
     assert fast == oracle_estimate_mi(samples, resamples, seed)
 

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morphaug import util
+from morphaug import milab
 from morphaug.alignment import align, extract_stem
 from morphaug.errors import NoStem
 from morphaug.milab import (
@@ -87,6 +88,26 @@ def test_mi_is_nonnegative_and_its_ci_ordered(joint, resamples, seed):
         assert 0 <= est.ci_low <= est.ci_high
     else:
         assert est.ci_low is None and est.ci_high is None
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=300, deadline=None)
+# many magnitudes, and ties: a few shared values drawn again and again; +0.0
+# stands for -0.0, whose result depends on how numpy's partition orders zeros
+@given(st.lists(st.one_of(st.floats(-1e300, 1e300, allow_nan=False),
+                          st.sampled_from([0.0, 1.0, 0.125, 3e-300, -7.5])),
+                min_size=1, max_size=500).map(lambda xs: [x + 0.0 for x in xs]),
+       st.sampled_from([0, 2.5, 50, 97.5, 100]))
+@example([0.25], 2.5)
+@example([1.0, 2.0], 97.5)
+@example([0.0] * 10 + [1e-320] * 3, 50)
+def test_percentile_replica_matches_numpy_bit_for_bit(values, q):
+    # numpy's linear rule; a numpy that changes it fails here, not in a digest
+    assert _bits(milab._percentile(sorted(values), q)) == \
+        _bits(float(np.percentile(np.array(values), q)))
 
 
 def test_mi_requires_samples():
@@ -353,11 +374,11 @@ def _traced_peak(f) -> int:
 
 def test_estimate_mi_bootstrap_peak_is_a_row_block_not_the_whole_draw():
     # 4800 cells, 200 resamples: one draw is 960k multinomial counts plus
-    # _mi_bits's temporaries of the same shape; a row block is 2**16 cells
+    # _mi_bits's temporaries of the same shape; milab's row block is 2**14 cells
     cells = np.random.default_rng(0).integers(1, 20, size=(80, 60))
     joint = Counter({(a, b): int(c) for (a, b), c in np.ndenumerate(cells)})
     blocked = _traced_peak(lambda: estimate_mi(joint, resamples=200))
-    with mock.patch.object(util, "BOOTSTRAP_BLOCK_ELEMENTS", cells.size * 200):
+    with mock.patch.object(milab, "BOOTSTRAP_BLOCK_CELLS", cells.size * 200):
         one_draw = _traced_peak(lambda: estimate_mi(joint, resamples=200))
     assert blocked < one_draw / 4, (blocked, one_draw)
 
