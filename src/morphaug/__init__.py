@@ -12,7 +12,7 @@ from .corpus import (
 )
 from .corruption import CorruptionConfig, SyntheticExample, corrupt, generate_pool
 from .scoring import NGramScorer, load_external_scores, score_pool, train_ngram
-from .selection import PoolIndex, SelectionResult, SelectionStrategy, select
+from .selection import PoolIndex, SelectionStrategy, select
 from .splitgen import LemmaSplit, lemma_split
 
 __version__ = "0.1.0"

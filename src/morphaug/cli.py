@@ -18,7 +18,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 # milab and report load numpy; they are imported by the commands that use
@@ -234,8 +233,8 @@ def _score(pool, gold, order: int, k_smooth: float, out: Outputs, path: str, par
 def _select(index: selection.PoolIndex, strategy: selection.SelectionStrategy, out: Outputs,
             path: str, params: dict):
     result = selection.select(index, strategy)
-    out.document(path, result.to_dict(), "select", params)
-    log.info("selected %d / %d examples (%s)", len(result), len(index), strategy.kind)
+    out.document(path, result, "select", params)
+    log.info("selected %d / %d examples (%s)", strategy.k, len(index), strategy.kind)
     return result
 
 
@@ -290,7 +289,7 @@ def cmd_select(args) -> None:
         result = _select(selection.PoolIndex(pool), strategy, out, args.out, vars(args))
         if args.merged_out:
             by_id = {e.id: e for e in pool}
-            merged = corpus.serialize([*gold, *(by_id[i].triple for i in result.selected_ids)])
+            merged = corpus.serialize([*gold, *(by_id[i].triple for i in result["selected_ids"])])
             out.table(args.merged_out, merged, "select", vars(args))
 
 
@@ -317,9 +316,8 @@ def cmd_milab(args) -> None:
             grammar, args.gold, _int_list(args.syn_sizes), theta=args.theta,
             seed=derive_seed(args.seed, "milab"), resamples=args.resamples,
         )
-        records = [point.to_dict() for point in curve]
-        out.document(args.out, {"curve": records}, "milab", vars(args))
-    log.info("wrote %d curve points to %s", len(records), args.out)
+        out.document(args.out, {"curve": curve}, "milab", vars(args))
+    log.info("wrote %d curve points to %s", len(curve), args.out)
 
 
 def cmd_report(args) -> None:
@@ -351,15 +349,15 @@ def cmd_report(args) -> None:
         gold = _parse(args.gold)
         corruption.check_sources(pool, gold)
         segs = {k: s for k, s in corruption.segment_dataset(gold, min_run).items() if s is not None}
-        blocks = {"correlations": asdict(report.correlations(pool, segs))}
+        blocks = {"correlations": report.correlations(pool, segs)}
         if args.selection:
             msd, count = report.msd_mode(counts)
             blocks["msd_mode"] = {"msd": msd, "count": count}
         if args.harmony:
-            blocks["harmony"] = asdict(report.harmony_violation_stats(
+            blocks["harmony"] = report.harmony_violation_stats(
                 pool, cfg, segs, resamples=args.resamples,
                 seed=derive_seed(args.seed, "report"),
-            ))
+            )
         out.document(args.out, blocks, "report", vars(args))
     log.info("wrote report to %s", args.out)
 

@@ -293,18 +293,6 @@ def corrupt_toy(gold: list[ToyExample], g: ToyGrammar, n: int, theta: float,
     return records
 
 
-@dataclass(frozen=True)
-class MIEstimate:
-    bits: float
-    n_samples: int
-    ci_low: float | None = None
-    ci_high: float | None = None
-
-    def __post_init__(self):
-        if self.bits < 0:
-            raise ValueError("plug-in MI must be nonnegative")
-
-
 def _joint_counts(joint: Counter) -> np.ndarray:
     """The joint count table of a Counter of pairs, with sorted levels."""
     a_levels = {a: i for i, a in enumerate(sorted({a for a, _ in joint}))}
@@ -362,17 +350,17 @@ def _percentile(values, q: float) -> float:
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
-def estimate_mi(joint: Counter, resamples: int = 0, seed: int = 0) -> MIEstimate:
-    """Plug-in MI of a Counter of categorical pairs with positive counts,
-    with optional bootstrap percentile CI (multinomial resampling of the
-    empirical joint, drawn and reduced in row blocks of at most
-    BOOTSTRAP_BLOCK_CELLS cells)."""
+def estimate_mi(joint: Counter, resamples: int = 0, seed: int = 0) -> dict:
+    """Plug-in MI of a Counter of categorical pairs with positive counts, as
+    the record {"bits", "n", "ci": [low, high]}; the CI is the bootstrap
+    percentile interval (multinomial resampling of the empirical joint,
+    drawn and reduced in row blocks of at most BOOTSTRAP_BLOCK_CELLS cells),
+    or [None, None] with no resamples."""
     n = joint.total()
     if not n:
         raise ValueError("estimate_mi requires at least one sample")
     counts = _joint_counts(joint)
-    bits = float(_mi_bits(counts))
-    ci_low = ci_high = None
+    est = {"bits": float(_mi_bits(counts)), "n": n, "ci": [None, None]}
     if resamples > 0:
         flat = counts.ravel() / n
         rng = np.random.default_rng(seed)
@@ -381,8 +369,8 @@ def estimate_mi(joint: Counter, resamples: int = 0, seed: int = 0) -> MIEstimate
             boot = rng.multinomial(n, flat, size=stop - start)
             dist[start:stop] = _mi_bits(boot.reshape(-1, *counts.shape))
         dist.sort()
-        ci_low, ci_high = _percentile(dist, 2.5), _percentile(dist, 97.5)
-    return MIEstimate(bits=bits, n_samples=n, ci_low=ci_low, ci_high=ci_high)
+        est["ci"] = [_percentile(dist, 2.5), _percentile(dist, 97.5)]
+    return est
 
 
 def convexity_bound_check(
@@ -390,36 +378,6 @@ def convexity_bound_check(
 ) -> bool:
     """I_mixture <= lam*I_gold + (1-lam)*I_syn + epsilon."""
     return i_mixture <= lam * i_g + (1 - lam) * i_a + epsilon
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    syn_size: int
-    lam: float
-    mixture: dict
-    gold_only: dict
-    syn_only: dict | None
-    convexity_ok: dict
-    gap: FactorizationGap | None  # None when no (X, T) cell has enough support
-
-    def to_dict(self) -> dict:
-        def d(est):
-            return {"bits": est.bits, "n": est.n_samples,
-                    "ci": [est.ci_low, est.ci_high]}
-        return {
-            "factorization_gap": None if self.gap is None else {
-                "tv_distance": self.gap.tv_distance,
-                "cells_used": self.gap.cells_used,
-                "skip_rate": self.gap.skip_rate,
-            },
-            "syn_size": self.syn_size,
-            "lambda": self.lam,
-            "mixture": {"/".join(p): d(e) for p, e in self.mixture.items()},
-            "gold_only": {"/".join(p): d(e) for p, e in self.gold_only.items()},
-            "syn_only": None if self.syn_only is None
-                        else {"/".join(p): d(e) for p, e in self.syn_only.items()},
-            "convexity_ok": {"/".join(p): ok for p, ok in self.convexity_ok.items()},
-        }
 
 
 def _pair_counts(records: Counter) -> dict:
@@ -455,12 +413,14 @@ def mi_decay_curve(
     theta: float = 1.0,
     seed: int = 0,
     resamples: int = 200,
-) -> list[CurvePoint]:
+) -> list[dict]:
     """MI of the gold/synthetic mixture for each synthetic size, for all four
     variable pairs, with bootstrap CIs, per-point convexity verdicts and the
-    mixture's factorization gap. Gold is counted, projected and estimated
-    once, each synthetic set counted and projected once, and each mixture
-    count and pair table is the sum of the two.
+    mixture's factorization gap: one curve.json point per size, each pair's
+    estimate and verdict keyed by its name ("y_stem/t"); every point's
+    gold_only is the one dict of gold estimates. Gold is counted, projected
+    and estimated once, each synthetic set counted and projected once, and
+    each mixture count and pair table is the sum of the two.
 
     A point's four mixture bootstraps run on worker threads, each with its
     own seeded generator (numpy's multinomial draw releases the GIL), so the
@@ -469,7 +429,7 @@ def mi_decay_curve(
     gold = generate_gold(g, gold_n, seed=derive_seed(seed, "gold"))
     gold_rec = Counter(gold)
     gold_pairs = _pair_counts(gold_rec)
-    gold_est = {pair: estimate_mi(joint) for pair, joint in gold_pairs.items()}
+    gold_est = {"/".join(pair): estimate_mi(joint) for pair, joint in gold_pairs.items()}
     points = []
     with ThreadPoolExecutor(max_workers=_bootstrap_workers()) as pool:
         for s in syn_sizes:
@@ -478,45 +438,33 @@ def mi_decay_curve(
             syn_pairs = _pair_counts(syn_rec)
             lam = gold_n / (gold_n + s)
             # the mixture's tables: projection is linear, and _joint_counts sorts levels
-            futures = {pair: pool.submit(estimate_mi, gold_pairs[pair] + syn_pairs[pair],
-                                         resamples=resamples,
-                                         seed=derive_seed(seed, f"boot-{s}-{pair}"))
-                       for pair in MI_PAIRS}
-            mix_est = {pair: f.result() for pair, f in futures.items()}
-            syn_est = {pair: estimate_mi(joint) for pair, joint in syn_pairs.items()} if s else {}
-            convex = {pair: convexity_bound_check(gold_est[pair].bits,
-                                                  syn_est[pair].bits if s else 0.0, lam,
-                                                  mix_est[pair].bits)
-                      for pair in MI_PAIRS}
-            points.append(CurvePoint(
-                syn_size=s, lam=lam, mixture=mix_est, gold_only=gold_est,
-                syn_only=syn_est or None, convexity_ok=convex,
+            futures = {"/".join(pair): pool.submit(
+                estimate_mi, gold_pairs[pair] + syn_pairs[pair], resamples=resamples,
+                seed=derive_seed(seed, f"boot-{s}-{pair}")) for pair in MI_PAIRS}
+            mix_est = {name: f.result() for name, f in futures.items()}
+            syn_est = {"/".join(pair): estimate_mi(joint)
+                       for pair, joint in syn_pairs.items()} if s else None
+            points.append({
+                "syn_size": s,
+                "lambda": lam,
+                "mixture": mix_est,
+                "gold_only": gold_est,
+                "syn_only": syn_est,
+                "convexity_ok": {name: convexity_bound_check(gold_est[name]["bits"],
+                                                             syn_est[name]["bits"] if s else 0.0,
+                                                             lam, mix_est[name]["bits"])
+                                 for name in mix_est},
                 # Counter addition keeps the first-occurrence order of gold + syn
-                gap=factorization_gap(gold_rec + syn_rec),
-            ))
+                "factorization_gap": factorization_gap(gold_rec + syn_rec),
+            })
     return points
 
 
-@dataclass(frozen=True)
-class FactorizationGap:
-    tv_distance: float
-    cells_used: int
-    cells_skipped: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.tv_distance <= 1.0:
-            raise ValueError("TV distance must lie in [0, 1]")
-
-    @property
-    def skip_rate(self) -> float:
-        total = self.cells_used + self.cells_skipped
-        return self.cells_skipped / total if total else 0.0
-
-
-def factorization_gap(records: Counter) -> FactorizationGap | None:
+def factorization_gap(records: Counter) -> dict | None:
     """Mean TV distance, over observed (X, T) cells with >= 5 samples,
     between the empirical P(Y|X,T) and the factorized product
-    P(Y_affix|X_affix,T) * P(Y_stem|X_stem), from a Counter of toy records.
+    P(Y_affix|X_affix,T) * P(Y_stem|X_stem), from a Counter of toy records,
+    as the record {"tv_distance", "cells_used", "skip_rate"}.
     A cell is a (stem, x_affix, msd) and a form its y_affix: harmony keeps
     the lemma affix's length, so (stem, x_affix) is one-to-one with the
     lemma, and within a cell y_affix with the form.
@@ -546,7 +494,6 @@ def factorization_gap(records: Counter) -> FactorizationGap | None:
         tvs.append(max(0.0, 0.5 * (abs_diff + (1.0 - q_obs))))
     if not tvs:
         return None
-    return FactorizationGap(
-        tv_distance=float(np.mean(tvs)), cells_used=len(tvs), cells_skipped=skipped
-    )
+    return {"tv_distance": float(np.mean(tvs)), "cells_used": len(tvs),
+            "skip_rate": skipped / (len(tvs) + skipped)}
 

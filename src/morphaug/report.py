@@ -4,7 +4,6 @@ bootstrap p-value."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -15,14 +14,6 @@ from .errors import MorphaugError, ZeroVariance
 from .milab import HarmonyRule
 from .scoring import require_scored
 from .util import row_blocks
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    pearson_nll_levenshtein: float
-    pearson_nll_stem_length: float
-    pearson_nll_target_length: float
-    n: int
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -44,9 +35,11 @@ def _segmentation(segmentations: dict[str, Segmentation], source_id: str) -> Seg
 
 def correlations(
     pool: Sequence[SyntheticExample], segmentations: dict[str, Segmentation]
-) -> CorrelationReport:
+) -> dict:
     """Pearson r of nll against corruption distance, stem length, and target
-    length. Segmentations are keyed by gold source id."""
+    length, as the record {"pearson_nll_levenshtein",
+    "pearson_nll_stem_length", "pearson_nll_target_length", "n"}.
+    Segmentations are keyed by gold source id."""
     pool = require_scored(pool)
     if len(pool) < 3:
         raise MorphaugError("need >= 3 scored examples")
@@ -54,15 +47,16 @@ def correlations(
     lev = [e.lev_to_gold_target for e in pool]
     stem_len = [len(_segmentation(segmentations, e.source_id).stem_pairs) for e in pool]
     target_len = [len(e.triple.form) for e in pool]
-    # the CorrelationReport's field order; a constant column is named
-    rs = []
-    for name, xs in (("lev_to_gold_target", lev), ("stem_length", stem_len),
-                     ("target_length", target_len)):
+    # each coefficient's key, and the name of its column should it be constant
+    out = {"n": len(pool)}
+    for key, name, xs in (("pearson_nll_levenshtein", "lev_to_gold_target", lev),
+                          ("pearson_nll_stem_length", "stem_length", stem_len),
+                          ("pearson_nll_target_length", "target_length", target_len)):
         try:
-            rs.append(pearson(nll, xs))
+            out[key] = pearson(nll, xs)
         except ZeroVariance as e:
             raise ZeroVariance("nll" if e.variable == "x" else name) from None
-    return CorrelationReport(*rs, n=len(pool))
+    return out
 
 
 def msd_mode(counts: dict) -> tuple[str, int]:
@@ -89,25 +83,18 @@ def bootstrap_means(rng: np.random.Generator, x: np.ndarray, resamples: int) -> 
     return means
 
 
-@dataclass(frozen=True)
-class HarmonyStats:
-    violation_rate: float
-    mean_nll_violating: float | None
-    mean_nll_adhering: float | None
-    bootstrap_p: float | None
-    n_violating: int
-    n_adhering: int
-
-
 def harmony_violation_stats(
     pool: Sequence[SyntheticExample],
     cfg: HarmonyRule,
     segmentations: dict[str, Segmentation],
     resamples: int = 10000,
     seed: int = 0,
-) -> HarmonyStats:
+) -> dict:
     """Group mean NLL for harmony-violating vs adhering examples, with a
-    one-sided bootstrap percentile p-value for the mean difference.
+    one-sided bootstrap percentile p-value for the mean difference, as the
+    record {"violation_rate", "mean_nll_violating", "mean_nll_adhering",
+    "bootstrap_p", "n_violating", "n_adhering"}; a mean of an empty group,
+    and the p-value unless both groups hold an example, is None.
 
     An example violates iff any affix vowel's class differs from the last
     corrupted-stem vowel's class. Stems and affixes come from the gold
@@ -120,28 +107,19 @@ def harmony_violation_stats(
     for e in pool:
         stem, affix = _segmentation(segmentations, e.source_id).split_form(e.triple.form)
         (violating if cfg.violates(stem, affix) else adhering).append(e.score)
-    rate = len(violating) / len(pool)
-    if not violating or not adhering:
-        return HarmonyStats(
-            violation_rate=rate,
-            mean_nll_violating=float(np.mean(violating)) if violating else None,
-            mean_nll_adhering=float(np.mean(adhering)) if adhering else None,
-            bootstrap_p=None,
-            n_violating=len(violating),
-            n_adhering=len(adhering),
-        )
-    rng = np.random.default_rng(seed)
-    v = np.asarray(violating)
-    a = np.asarray(adhering)
-    # all of v's resamples first, then all of a's: the generator's order
-    diffs = bootstrap_means(rng, v, resamples) - bootstrap_means(rng, a, resamples)
-    # one-sided: P(difference <= 0) under the bootstrap distribution
-    p = float(np.mean(diffs <= 0))
-    return HarmonyStats(
-        violation_rate=rate,
-        mean_nll_violating=float(v.mean()),
-        mean_nll_adhering=float(a.mean()),
-        bootstrap_p=p,
-        n_violating=len(v),
-        n_adhering=len(a),
-    )
+    p = None
+    if violating and adhering:
+        rng = np.random.default_rng(seed)
+        # all of the violating resamples first, then all of the adhering: the generator's order
+        diffs = (bootstrap_means(rng, np.asarray(violating), resamples)
+                 - bootstrap_means(rng, np.asarray(adhering), resamples))
+        # one-sided: P(difference <= 0) under the bootstrap distribution
+        p = float(np.mean(diffs <= 0))
+    return {
+        "violation_rate": len(violating) / len(pool),
+        "mean_nll_violating": float(np.mean(violating)) if violating else None,
+        "mean_nll_adhering": float(np.mean(adhering)) if adhering else None,
+        "bootstrap_p": p,
+        "n_violating": len(violating),
+        "n_adhering": len(adhering),
+    }

@@ -49,28 +49,6 @@ class SelectionStrategy:
         return 1.0 if self.kind in ("ume", "ume-loss") else 0.0
 
 
-@dataclass(frozen=True)
-class SelectionResult:
-    selected_ids: tuple[str, ...]
-    strategy: SelectionStrategy
-    per_msd_counts: dict  # MSD string -> how many selected examples carry it
-
-    def __len__(self) -> int:
-        return len(self.selected_ids)
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": {
-                "kind": self.strategy.kind,
-                "k": self.strategy.k,
-                "alpha": self.strategy.alpha,
-                "seed": self.strategy.seed,
-            },
-            "selected_ids": list(self.selected_ids),
-            "per_msd_counts": self.per_msd_counts,
-        }
-
-
 def check_k(k: int, pool_size: int) -> None:
     if k > pool_size:
         raise MorphaugError(f"requested k={k} exceeds pool size {pool_size}")
@@ -174,36 +152,37 @@ class PoolIndex:
                 cum = list(accumulate(map(weights.__getitem__, live)))
         return picked
 
-    def select(self, strategy: SelectionStrategy) -> SelectionResult:
-        """The selection of `strategy`; the MSD-drawn kinds use q_alpha with
-        the strategy's alpha."""
-        kind, k, alpha = strategy.kind, strategy.k, strategy.alpha
+    def select(self, strategy: SelectionStrategy) -> dict:
+        """The selection of `strategy` as the record {"strategy": {"kind",
+        "k", "alpha", "seed"}, "selected_ids", "per_msd_counts"}, the last
+        counting the selected examples of each MSD string; the MSD-drawn
+        kinds use q_alpha with the strategy's alpha."""
+        kind, k, alpha, seed = strategy.kind, strategy.k, strategy.alpha, strategy.seed
         if kind in LOSS_KINDS:
             self.scores  # an unscored pool is refused before any other check
         check_k(k, len(self.pool))
         if kind == "random":
-            picked = random.Random(strategy.seed).sample(range(len(self.pool)), k)
+            picked = random.Random(seed).sample(range(len(self.pool)), k)
         elif kind == "highloss" or kind == "lowloss":
             ranked = self.highest_loss if kind == "highloss" else self.lowest_loss
             picked = ranked[:k]
-            # a ranking draws nothing, so its result records seed 0
-            strategy = SelectionStrategy(kind=kind, k=k)
+            seed = 0  # a ranking draws nothing, so its result records seed 0
         elif kind == "umt" or kind == "ume":
-            rng = random.Random(strategy.seed)
+            rng = random.Random(seed)
             picked = self._draw_by_msd(self.groups, alpha, k, rng,
                                        lambda cands: cands.pop(rng.randrange(len(cands))))
         else:
             picked = self._draw_by_msd(self.hybrid_groups, alpha, k,
-                                       random.Random(strategy.seed), list.pop)
-        return SelectionResult(
-            selected_ids=tuple(map(self.ids.__getitem__, picked)),
-            strategy=strategy,
-            per_msd_counts=dict(Counter(map(self.msds.__getitem__, picked))),
-        )
+                                       random.Random(seed), list.pop)
+        return {
+            "strategy": {"kind": kind, "k": k, "alpha": alpha, "seed": seed},
+            "selected_ids": list(map(self.ids.__getitem__, picked)),
+            "per_msd_counts": dict(Counter(map(self.msds.__getitem__, picked))),
+        }
 
 
 def select(pool: Sequence[SyntheticExample] | PoolIndex,
-           strategy: SelectionStrategy) -> SelectionResult:
+           strategy: SelectionStrategy) -> dict:
     """The selection of `strategy` from a pool, or from the PoolIndex of one."""
     index = pool if isinstance(pool, PoolIndex) else PoolIndex(pool)
     return index.select(strategy)

@@ -12,8 +12,7 @@ from morphaug.alignment import GAP, CharAlignment, Segmentation
 from morphaug.corpus import Dataset, InflectionTriple, parse_unimorph
 from morphaug.corruption import CorruptionConfig, SyntheticExample, segment_dataset
 from morphaug.errors import MorphaugError
-from morphaug.milab import (MI_PAIRS, CurvePoint, FactorizationGap, MIEstimate, ToyExample,
-                            convexity_bound_check, generate_gold)
+from morphaug.milab import MI_PAIRS, ToyExample, convexity_bound_check, generate_gold
 from morphaug.scoring import BOS, EOS, SEP, UNK
 from morphaug.util import derive_seed
 
@@ -221,8 +220,8 @@ def oracle_factorization_gap(examples):
         tvs.append(max(0.0, 0.5 * (abs_diff + (1.0 - q_obs))))
     if not tvs:
         raise ValueError("no (X, T) cell reaches the minimum support")
-    return FactorizationGap(tv_distance=float(np.mean(tvs)), cells_used=len(tvs),
-                            cells_skipped=skipped)
+    return {"tv_distance": float(np.mean(tvs)), "cells_used": len(tvs),
+            "skip_rate": skipped / (len(tvs) + skipped)}
 
 
 def oracle_mi_bits(counts):
@@ -243,13 +242,13 @@ def oracle_estimate_mi(samples, resamples=0, seed=0):
     sample (oracle_joint_counts), n the number of samples."""
     counts = oracle_joint_counts(samples)
     n = len(samples)
-    ci = (None, None)
+    ci = [None, None]
     if resamples > 0:
         rng = np.random.default_rng(seed)
         boot = rng.multinomial(n, counts.ravel() / n, size=resamples)
         dist = oracle_mi_bits(boot.reshape(resamples, *counts.shape))
-        ci = tuple(float(q) for q in np.percentile(dist, [2.5, 97.5]))
-    return MIEstimate(float(oracle_mi_bits(counts)), n, *ci)
+        ci = [float(q) for q in np.percentile(dist, [2.5, 97.5])]
+    return {"bits": float(oracle_mi_bits(counts)), "n": n, "ci": ci}
 
 
 def oracle_mi_decay_curve(g, gold_n, syn_sizes, theta=1.0, seed=0, resamples=200):
@@ -263,20 +262,22 @@ def oracle_mi_decay_curve(g, gold_n, syn_sizes, theta=1.0, seed=0, resamples=200
         lam = gold_n / (gold_n + s)
         mix_est, gold_est, syn_est, convex = {}, {}, {}, {}
         for pair in MI_PAIRS:
-            mix_est[pair] = oracle_estimate_mi(oracle_pair_samples(mixture, pair), resamples,
+            name = "/".join(pair)
+            mix_est[name] = oracle_estimate_mi(oracle_pair_samples(mixture, pair), resamples,
                                                derive_seed(seed, f"boot-{s}-{pair}"))
-            gold_est[pair] = oracle_estimate_mi(oracle_pair_samples(gold, pair))
+            gold_est[name] = oracle_estimate_mi(oracle_pair_samples(gold, pair))
             if syn:
-                syn_est[pair] = oracle_estimate_mi(oracle_pair_samples(syn, pair))
-            i_a = syn_est[pair].bits if syn else 0.0
-            convex[pair] = convexity_bound_check(gold_est[pair].bits, i_a, lam,
-                                                 mix_est[pair].bits)
+                syn_est[name] = oracle_estimate_mi(oracle_pair_samples(syn, pair))
+            i_a = syn_est[name]["bits"] if syn else 0.0
+            convex[name] = convexity_bound_check(gold_est[name]["bits"], i_a, lam,
+                                                 mix_est[name]["bits"])
         try:
             gap = oracle_factorization_gap(mixture)
         except ValueError:
             gap = None
-        points.append(CurvePoint(syn_size=s, lam=lam, mixture=mix_est, gold_only=gold_est,
-                                 syn_only=syn_est or None, convexity_ok=convex, gap=gap))
+        points.append({"syn_size": s, "lambda": lam, "mixture": mix_est, "gold_only": gold_est,
+                       "syn_only": syn_est or None, "convexity_ok": convex,
+                       "factorization_gap": gap})
     return points
 
 
@@ -420,11 +421,6 @@ def split_lemma(seg, lemma: str) -> tuple[str, str]:
     stem = lemma_stem_positions(seg)
     return ("".join(lemma[i] for i, _ in seg.stem_pairs),
             "".join(c for i, c in enumerate(lemma) if i not in stem))
-
-
-def selection_json(result) -> str:
-    """A SelectionResult as indented JSON."""
-    return json.dumps(result.to_dict(), ensure_ascii=False, indent=2)
 
 
 def random_word(rng: random.Random, alphabet="abcd", lo=1, hi=12) -> str:

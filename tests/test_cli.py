@@ -9,8 +9,9 @@ import sys
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from morphaug import corpus, corruption, milab, report, scoring, selection
 from morphaug.cli import main
-from morphaug.util import atomic_write
+from morphaug.util import atomic_write, derive_seed
 
 GOLD = (
     "walked\twalkeds\tV;PST\n"
@@ -41,6 +42,18 @@ def gold_file(tmp_path):
     path = tmp_path / "gold.tsv"
     path.write_text(GOLD)
     return str(path)
+
+
+def _record(path) -> dict:
+    """A JSON artifact without its provenance."""
+    with open(path, encoding="utf-8") as f:
+        blob = json.load(f)
+    del blob["provenance"]
+    return blob
+
+
+def _json_round_trip(value):
+    return json.loads(json.dumps(value))
 
 
 def test_usage_error_exit_code_1(capsys):
@@ -175,6 +188,11 @@ def test_augment_score_select_split_chain(gold_file, tmp_path):
     assert len(blob["selected_ids"]) == 10
     assert blob["strategy"]["kind"] == "ume-loss"
     assert "provenance" in blob
+    # the artifact is the library's selection record
+    scored = scoring.load_external_scores(open(scores).read(),
+                                          corruption.read_pool_jsonl(open(pool).read()))
+    strategy = selection.SelectionStrategy("ume-loss", 10, seed=derive_seed(7, "select"))
+    assert _record(sel) == _json_round_trip(selection.select(scored, strategy))
     merged_lines = open(merged).read().splitlines()
     assert len(merged_lines) == 30  # 20 gold + 10 selected
     # merged training lemmas cover all of gold, so the split keeps nothing
@@ -213,6 +231,24 @@ def test_milab_writes_curve(tmp_path):
     assert set(point["mixture"]) == {
         "y_stem/t", "y_stem/x_affix", "y_affix/y_stem", "y_affix/x_stem",
     }
+    # the artifact is the library's curve
+    grammar = milab.make_toy_grammar(10, 3, seed=derive_seed(0, "grammar"), coupled=True)
+    curve = milab.mi_decay_curve(grammar, 100, [0, 100], seed=derive_seed(0, "milab"),
+                                 resamples=20)
+    assert _record(out) == {"curve": _json_round_trip(curve)}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "cmd_milab keeps make_toy_grammar's harmonize_lemma=True, so the lemma affix in/on carries "
+    "the stem's vowel class, P(Y_affix | X_affix, T) is exact and every point's gap is 0.0; "
+    "with harmonize_lemma=False these points read 0.44, 0.41 and 0.18, and the fix moves the "
+    "pinned digest of the milab workload's curve.json"))
+def test_milab_harmony_on_shows_the_factorization_gap(tmp_path):
+    out = tmp_path / "curve.json"
+    assert main(["milab", "--harmony", "on", "--syn-sizes", "0,500,5000", "--resamples", "0",
+                 "--out", str(out), "--quiet"]) == 0
+    gaps = [p["factorization_gap"] for p in json.loads(out.read_text())["curve"]]
+    assert any(gap is not None and gap["tv_distance"] > 0.05 for gap in gaps)
 
 
 def test_report_subcommand(gold_file, tmp_path):
@@ -237,6 +273,19 @@ def test_report_subcommand(gold_file, tmp_path):
     assert {"correlations", "msd_mode", "harmony"} <= set(blob)
     assert blob["correlations"]["n"] == 100
     assert 0.0 <= blob["harmony"]["violation_rate"] <= 1.0
+    # each block is the library's record
+    scored = scoring.load_external_scores(open(scores).read(),
+                                          corruption.read_pool_jsonl(open(pool).read()))
+    gold = corpus.parse_unimorph(GOLD)
+    segs = {k: s for k, s in corruption.segment_dataset(gold).items() if s is not None}
+    msd, count = report.msd_mode(_record(sel)["per_msd_counts"])
+    assert _record(out) == _json_round_trip({
+        "correlations": report.correlations(scored, segs),
+        "msd_mode": {"msd": msd, "count": count},
+        "harmony": report.harmony_violation_stats(
+            scored, milab.read_harmony_tsv(vowels.read_text()), segs, resamples=200,
+            seed=derive_seed(0, "report")),
+    })
 
 
 def test_report_cuts_stems_with_the_min_run_of_the_pool(tmp_path):
@@ -675,8 +724,6 @@ def test_milab_writes_a_null_gap_where_no_cell_reaches_five_samples(tmp_path):
 
 
 def test_milab_corrupts_each_synthetic_size_once(tmp_path, monkeypatch):
-    from morphaug import milab
-
     calls = []
     real = milab.corrupt_toy
 
@@ -768,8 +815,6 @@ def _no_work(*args, **kwargs):
 ])
 def test_milab_bad_flag_values_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch,
                                                                 argv, flag):
-    from morphaug import milab
-
     monkeypatch.setattr(milab, "make_toy_grammar", _no_work)
     monkeypatch.setattr(milab, "mi_decay_curve", _no_work)
     out = tmp_path / "curve.json"
@@ -830,8 +875,6 @@ def test_a_failed_write_names_only_the_target_and_leaves_no_temp_file(gold_file,
 
 @pytest.mark.parametrize("where", ["a directory", "in a missing directory"])
 def test_milab_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch, where):
-    from morphaug import milab
-
     monkeypatch.setattr(milab, "make_toy_grammar", _no_work)
     monkeypatch.setattr(milab, "mi_decay_curve", _no_work)
     adir = tmp_path / "adir"
@@ -1351,7 +1394,7 @@ def test_a_flag_and_its_config_key_break_their_rule_in_the_same_words(
 
 
 def test_harmony_lines_end_at_newline_only(tmp_path):
-    from morphaug import cli, milab
+    from morphaug import cli
 
     vowels = tmp_path / "vowels.tsv"
     vowels.write_bytes("a\tback\u2028\ne\tfront\x85\r\n\ni\tneutral\r\n".encode())
@@ -1424,7 +1467,6 @@ ROUND_TRIP_GOLD = "walked\twalkeds\tV;PST\ntalked\ttalkeds\tV;PST\njumping\tjump
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ids=st.lists(st.text(max_size=6), min_size=4, max_size=4, unique=True))
 def test_any_pool_the_reader_accepts_scores_and_selects(tmp_path, ids):
-    from morphaug import corruption
     from morphaug.errors import MorphaugError
 
     lines = [json.loads(_pool_line(f"s{i}", lemma))
@@ -1452,7 +1494,6 @@ def test_any_pool_the_reader_accepts_scores_and_selects(tmp_path, ids):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(words=st.lists(st.text(min_size=1, max_size=6), min_size=4, max_size=4))
 def test_a_merged_tsv_of_any_pool_the_reader_accepts_parses_back(tmp_path, words):
-    from morphaug import corruption
     from morphaug.errors import MorphaugError
 
     text = "".join(json.dumps({**json.loads(_pool_line(f"s{i}", "walk")), "lemma": lemma,

@@ -35,14 +35,14 @@ from conftest import toy_dataset
 def test_mi_independent_uniform_is_zero():
     # a perfectly balanced independent joint has exactly zero plug-in MI
     samples = [(a, b) for a in "xy" for b in "uv" for _ in range(25)]
-    assert estimate_mi(Counter(samples)).bits == pytest.approx(0.0, abs=1e-12)
+    assert estimate_mi(Counter(samples))["bits"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mi_bijection_is_log2_of_support():
     samples = [("x", "u")] * 50 + [("y", "v")] * 50
-    assert estimate_mi(Counter(samples)).bits == pytest.approx(1.0, abs=1e-12)
+    assert estimate_mi(Counter(samples))["bits"] == pytest.approx(1.0, abs=1e-12)
     samples = sum(([(c, c)] * 10 for c in "abcd"), [])
-    assert estimate_mi(Counter(samples)).bits == pytest.approx(2.0, abs=1e-12)
+    assert estimate_mi(Counter(samples))["bits"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_mi_matches_frozen_hand_value():
@@ -53,7 +53,7 @@ def test_mi_matches_frozen_hand_value():
     for i, row in enumerate(counts):
         for j, c in enumerate(row):
             samples += [(f"a{i}", f"b{j}")] * c
-    assert estimate_mi(Counter(samples)).bits == pytest.approx(0.6954618442383218, abs=1e-12)
+    assert estimate_mi(Counter(samples))["bits"] == pytest.approx(0.6954618442383218, abs=1e-12)
 
 
 def test_mi_nonnegative_and_bounded_on_random_joints():
@@ -61,15 +61,16 @@ def test_mi_nonnegative_and_bounded_on_random_joints():
     for _ in range(30):
         samples = [(rng.choice("abc"), rng.choice("wxyz")) for _ in range(200)]
         est = estimate_mi(Counter(samples))
-        assert 0.0 <= est.bits <= math.log2(3) + 1e-12
+        assert 0.0 <= est["bits"] <= math.log2(3) + 1e-12
 
 
 def test_mi_bootstrap_ci_brackets_point():
     samples = [("x", "u")] * 150 + [("x", "v")] * 50 + \
               [("y", "u")] * 50 + [("y", "v")] * 150
     est = estimate_mi(Counter(samples), resamples=500, seed=4)
-    assert est.ci_low is not None and est.ci_low <= est.bits <= est.ci_high
-    assert est.ci_high - est.ci_low < 0.3
+    ci_low, ci_high = est["ci"]
+    assert ci_low is not None and ci_low <= est["bits"] <= ci_high
+    assert ci_high - ci_low < 0.3
 
 
 @settings(max_examples=300, deadline=None)
@@ -83,11 +84,12 @@ def test_mi_bootstrap_ci_brackets_point():
 @example(Counter({("a", "v"): 500, ("b", "w"): 1, ("a", "w"): 1, ("b", "v"): 1}), 30, 3)
 def test_mi_is_nonnegative_and_its_ci_ordered(joint, resamples, seed):
     est = estimate_mi(joint, resamples=resamples, seed=seed)
-    assert est.bits >= 0
+    assert est["bits"] >= 0
+    ci_low, ci_high = est["ci"]
     if resamples:
-        assert 0 <= est.ci_low <= est.ci_high
+        assert 0 <= ci_low <= ci_high
     else:
-        assert est.ci_low is None and est.ci_high is None
+        assert ci_low is None and ci_high is None
 
 
 def _bits(x: float) -> bytes:
@@ -226,9 +228,9 @@ def test_convexity_exact_on_constructed_mixture():
     # strictly below the 0.5 bound — with zero slack required
     dependent = [("0", "0")] * 100 + [("1", "1")] * 100
     independent = [(a, b) for a in "01" for b in "01" for _ in range(50)]
-    i_g = estimate_mi(Counter(dependent)).bits
-    i_a = estimate_mi(Counter(independent)).bits
-    i_mix = estimate_mi(Counter(dependent + independent)).bits
+    i_g = estimate_mi(Counter(dependent))["bits"]
+    i_a = estimate_mi(Counter(independent))["bits"]
+    i_mix = estimate_mi(Counter(dependent + independent))["bits"]
     assert i_g == pytest.approx(1.0, abs=1e-12)
     assert i_a == pytest.approx(0.0, abs=1e-12)
     assert i_mix == pytest.approx(0.18872187554086717, abs=1e-12)
@@ -271,9 +273,9 @@ def test_mixture_mi_obeys_the_exact_convexity_bound(tables):
         for (a, b), count in table.items():
             a_z[a, z] += count
             b_z[b, z] += count
-    bound = (lam * estimate_mi(gold).bits + (1 - lam) * estimate_mi(syn).bits
-             + min(estimate_mi(a_z).bits, estimate_mi(b_z).bits))
-    assert estimate_mi(gold + syn).bits <= bound + 1e-12
+    bound = (lam * estimate_mi(gold)["bits"] + (1 - lam) * estimate_mi(syn)["bits"]
+             + min(estimate_mi(a_z)["bits"], estimate_mi(b_z)["bits"]))
+    assert estimate_mi(gold + syn)["bits"] <= bound + 1e-12
 
 
 # -------------------------------------------------------------- decay curve
@@ -287,15 +289,16 @@ def decay_curve():
 
 def test_curve_gold_endpoint_reproduces_gold_only(decay_curve):
     p0 = decay_curve[0]
-    assert p0.syn_size == 0 and p0.lam == 1.0
+    assert p0["syn_size"] == 0 and p0["lambda"] == 1.0
     for pair in MI_PAIRS:
-        assert p0.mixture[pair].bits == pytest.approx(p0.gold_only[pair].bits,
-                                                      abs=1e-12)
+        name = "/".join(pair)
+        assert p0["mixture"][name]["bits"] == pytest.approx(p0["gold_only"][name]["bits"],
+                                                            abs=1e-12)
 
 
 def test_curve_decays_for_all_pairs(decay_curve):
     for pair in MI_PAIRS:
-        bits = [pt.mixture[pair].bits for pt in decay_curve]
+        bits = [pt["mixture"]["/".join(pair)]["bits"] for pt in decay_curve]
         assert bits[0] > 0.1  # genuine dependence in gold
         assert bits == sorted(bits, reverse=True)
         assert bits[-1] < 0.5 * bits[0]
@@ -303,15 +306,15 @@ def test_curve_decays_for_all_pairs(decay_curve):
 
 def test_curve_convexity_holds(decay_curve):
     for pt in decay_curve:
-        assert all(pt.convexity_ok.values())
+        assert all(pt["convexity_ok"].values())
 
 
 def test_partial_corruption_decays_less():
     g = make_toy_grammar(20, 4, seed=1, harmony=True, coupled=True)
     full = mi_decay_curve(g, 300, [3000], theta=1.0, seed=5, resamples=0)
     half = mi_decay_curve(g, 300, [3000], theta=0.5, seed=5, resamples=0)
-    pair = ("y_stem", "t")
-    assert half[0].mixture[pair].bits > full[0].mixture[pair].bits
+    pair = "y_stem/t"
+    assert half[0]["mixture"][pair]["bits"] > full[0]["mixture"][pair]["bits"]
 
 
 # ---------------------------------------------------------- factorization gap
@@ -321,8 +324,8 @@ def test_factorization_gap_near_zero_without_harmony():
     gold = generate_gold(g, 100, seed=3)
     mix = Counter(gold) + corrupt_toy(gold, g, 9900, theta=1.0, seed=8)
     gap = factorization_gap(mix)
-    assert gap.tv_distance < 0.02
-    assert gap.cells_used > 0
+    assert gap["tv_distance"] < 0.02
+    assert gap["cells_used"] > 0
 
 
 def test_factorization_gap_large_with_harmony():
@@ -330,8 +333,8 @@ def test_factorization_gap_large_with_harmony():
     gold = generate_gold(g, 100, seed=3)
     mix = Counter(gold) + corrupt_toy(gold, g, 9900, theta=1.0, seed=8)
     gap = factorization_gap(mix)
-    assert gap.tv_distance > 0.05
-    assert 0.0 <= gap.skip_rate < 1.0
+    assert gap["tv_distance"] > 0.05
+    assert 0.0 <= gap["skip_rate"] < 1.0
 
 
 def test_factorization_gap_needs_supported_cells():

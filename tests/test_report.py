@@ -72,10 +72,10 @@ def _scored_pool(n=1000, theta=0.5, seed=0):
 def test_correlations_positive_with_corruption_degree():
     gold, pool = _scored_pool()
     rep = correlations(pool, segment_dataset(gold))
-    assert rep.n == 1000
-    assert rep.pearson_nll_levenshtein > 0.2
-    assert -1 <= rep.pearson_nll_stem_length <= 1
-    assert -1 <= rep.pearson_nll_target_length <= 1
+    assert rep["n"] == 1000
+    assert rep["pearson_nll_levenshtein"] > 0.2
+    assert -1 <= rep["pearson_nll_stem_length"] <= 1
+    assert -1 <= rep["pearson_nll_target_length"] <= 1
 
 
 def test_correlations_too_few():
@@ -131,7 +131,7 @@ def test_msd_mode_frequency():
     # the report's msd_mode block is the mode of a selection's MSD counts
     pool = [_ex(f"a{i}", "N;PL") for i in range(5)] + [_ex("b0", "N;SG")]
     sel = select(pool, SelectionStrategy("random", 6, seed=0))
-    assert msd_mode(sel.per_msd_counts) == ("N;PL", 5)
+    assert msd_mode(sel["per_msd_counts"]) == ("N;PL", 5)
 
 
 # -------------------------------------------------------------- harmony
@@ -199,8 +199,8 @@ def test_harmony_violation_rate_matches_inline_reclassification():
             for c in affix
         ):
             violating += 1
-    assert stats.violation_rate == pytest.approx(violating / len(pool), abs=1e-12)
-    assert stats.n_violating + stats.n_adhering == len(pool)
+    assert stats["violation_rate"] == pytest.approx(violating / len(pool), abs=1e-12)
+    assert stats["n_violating"] + stats["n_adhering"] == len(pool)
 
 
 def test_harmony_planted_score_gap_detected():
@@ -217,8 +217,8 @@ def test_harmony_planted_score_gap_detected():
         base = 1.0 + (0.5 if VOWELS.violates(stem, affix) else 0.0)
         planted.append(e.with_score(base + rng.gauss(0, 0.2)))
     stats = harmony_violation_stats(planted, VOWELS, segs, resamples=2000, seed=3)
-    assert stats.mean_nll_violating > stats.mean_nll_adhering
-    assert stats.bootstrap_p is not None and stats.bootstrap_p < 0.05
+    assert stats["mean_nll_violating"] > stats["mean_nll_adhering"]
+    assert stats["bootstrap_p"] is not None and stats["bootstrap_p"] < 0.05
 
 
 def test_harmony_stats_handle_one_sided_pool():
@@ -230,9 +230,9 @@ def test_harmony_stats_handle_one_sided_pool():
     segs = {t.id: prefix_segmentation(4) for t in gold}
     scored = [e.with_score(1.0 + i * 0.01) for i, e in enumerate(pool)]
     stats = harmony_violation_stats(scored, VOWELS, segs, resamples=100)
-    assert stats.violation_rate == 0.0
-    assert stats.bootstrap_p is None
-    assert stats.mean_nll_violating is None
+    assert stats["violation_rate"] == 0.0
+    assert stats["bootstrap_p"] is None
+    assert stats["mean_nll_violating"] is None
 
 
 # -------------------------------------------------------------- bootstrap

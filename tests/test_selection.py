@@ -15,8 +15,6 @@ from morphaug.selection import (
     select,
 )
 
-from conftest import selection_json
-
 
 def _ex(tid, msd="N;PL", score=None):
     return SyntheticExample(
@@ -52,21 +50,21 @@ def test_alpha_is_fixed_by_the_kind():
         strategy = SelectionStrategy(kind=kind, k=5, seed=2)
         assert strategy.alpha == (1.0 if kind in ("ume", "ume-loss") else 0.0)
         res = select(pool, strategy)
-        assert (res.strategy.kind, res.strategy.alpha) == (kind, strategy.alpha)
+        assert (res["strategy"]["kind"], res["strategy"]["alpha"]) == (kind, strategy.alpha)
 
 
 def test_k_equals_pool_size_selects_everything():
     pool = _pool_nine_vs_one(scored=True)
     for kind in STRATEGIES:
         res = select(pool, SelectionStrategy(kind=kind, k=10, seed=1))
-        assert sorted(res.selected_ids) == sorted(e.id for e in pool)
-        assert res.per_msd_counts == {"PL;ERG": 9, "SG;ERG": 1}
+        assert sorted(res["selected_ids"]) == sorted(e.id for e in pool)
+        assert res["per_msd_counts"] == {"PL;ERG": 9, "SG;ERG": 1}
 
 
 def test_k_zero_selects_nothing():
     pool = _pool_nine_vs_one(scored=True)
     for kind in STRATEGIES:
-        assert select(pool, SelectionStrategy(kind=kind, k=0)).selected_ids == ()
+        assert select(pool, SelectionStrategy(kind=kind, k=0))["selected_ids"] == []
 
 
 def test_index_raises_as_the_one_shot_functions():
@@ -77,7 +75,7 @@ def test_index_raises_as_the_one_shot_functions():
             with pytest.raises(MorphaugError, match="^10 pool examples have no score$"):
                 index.select(SelectionStrategy(kind=kind, k=11))
         else:
-            assert len(index.select(SelectionStrategy(kind=kind, k=10))) == 10
+            assert len(index.select(SelectionStrategy(kind=kind, k=10))["selected_ids"]) == 10
             with pytest.raises(MorphaugError, match="^requested k=11 exceeds pool size 10$"):
                 index.select(SelectionStrategy(kind=kind, k=11))
             with pytest.raises(ValueError):
@@ -94,14 +92,14 @@ def test_no_duplicates_and_determinism():
     for kind in STRATEGIES:
         s = SelectionStrategy(kind=kind, k=5, seed=42)
         r1, r2 = select(pool, s), select(pool, s)
-        assert r1.selected_ids == r2.selected_ids
-        assert len(set(r1.selected_ids)) == 5
+        assert r1["selected_ids"] == r2["selected_ids"]
+        assert len(set(r1["selected_ids"])) == 5
 
 
 def test_random_single_draw_frequencies():
     # a uniform first draw from a 4-item pool hits each item with p=0.25
     pool = [_ex(f"x{i}") for i in range(4)]
-    hits = Counter(select(pool, SelectionStrategy("random", 1, seed=s)).selected_ids[0]
+    hits = Counter(select(pool, SelectionStrategy("random", 1, seed=s))["selected_ids"][0]
                    for s in range(10_000))
     sigma = math.sqrt(0.25 * 0.75 / 10_000)
     for tid in ("x0", "x1", "x2", "x3"):
@@ -123,7 +121,7 @@ def test_templatic_first_draw_tag_frequency(alpha, p_minority):
     assert SelectionStrategy(kind, 1).alpha == alpha
     n = 10_000
     minority = sum(
-        select(pool, SelectionStrategy(kind, 1, seed=s)).per_msd_counts.get("SG;ERG", 0)
+        select(pool, SelectionStrategy(kind, 1, seed=s))["per_msd_counts"].get("SG;ERG", 0)
         for s in range(n)
     )
     sigma = math.sqrt(p_minority * (1 - p_minority) / n)
@@ -135,18 +133,18 @@ def test_templatic_weights_fixed_from_full_pool():
     # candidates left, so every further draw must come from it
     pool = _pool_nine_vs_one()
     res = select(pool, SelectionStrategy("ume", 10, seed=0))
-    assert res.per_msd_counts["SG;ERG"] == 1
+    assert res["per_msd_counts"]["SG;ERG"] == 1
 
 
 def test_by_loss_examples():
     pool = [_ex("a", score=1.0), _ex("b", score=3.0), _ex("c", score=2.0)]
-    assert select(pool, SelectionStrategy("highloss", 2)).selected_ids == ("b", "c")
-    assert select(pool, SelectionStrategy("lowloss", 2)).selected_ids == ("a", "c")
+    assert select(pool, SelectionStrategy("highloss", 2))["selected_ids"] == ["b", "c"]
+    assert select(pool, SelectionStrategy("lowloss", 2))["selected_ids"] == ["a", "c"]
 
 
 def test_by_loss_tie_breaks_by_lowest_id():
     pool = [_ex("z", score=5.0), _ex("a", score=5.0), _ex("m", score=5.0)]
-    assert select(pool, SelectionStrategy("highloss", 2)).selected_ids == ("a", "m")
+    assert select(pool, SelectionStrategy("highloss", 2))["selected_ids"] == ["a", "m"]
 
 
 def test_by_loss_matches_full_sort_oracle():
@@ -155,9 +153,9 @@ def test_by_loss_matches_full_sort_oracle():
             for i in range(1000)]
     for k in (1, 10, 100):
         oracle = [e.id for e in sorted(pool, key=lambda e: (-e.score, e.id))][:k]
-        assert list(select(pool, SelectionStrategy("highloss", k)).selected_ids) == oracle
+        assert select(pool, SelectionStrategy("highloss", k))["selected_ids"] == oracle
         oracle = [e.id for e in sorted(pool, key=lambda e: (e.score, e.id))][:k]
-        assert list(select(pool, SelectionStrategy("lowloss", k)).selected_ids) == oracle
+        assert select(pool, SelectionStrategy("lowloss", k))["selected_ids"] == oracle
 
 
 def test_by_loss_requires_scores():
@@ -172,8 +170,8 @@ def test_hybrid_single_msd_equals_highloss():
     rng = random.Random(5)
     pool = [_ex(f"e{i:03d}", score=rng.uniform(0, 10)) for i in range(50)]
     for k in (1, 5, 50):
-        assert select(pool, SelectionStrategy("umt-loss", k, seed=3)).selected_ids == \
-            select(pool, SelectionStrategy("highloss", k)).selected_ids
+        assert select(pool, SelectionStrategy("umt-loss", k, seed=3))["selected_ids"] == \
+            select(pool, SelectionStrategy("highloss", k))["selected_ids"]
 
 
 def test_hybrid_takes_most_uncertain_per_msd():
@@ -184,8 +182,8 @@ def test_hybrid_takes_most_uncertain_per_msd():
     res = select(pool, SelectionStrategy("umt-loss", 2, seed=0))
     # whichever tags were drawn, only the higher-scored member of each tag
     # group (or both members of one tag in score order) can appear first
-    assert set(res.selected_ids) <= {"a2", "b2"} or \
-        res.selected_ids in (("a2", "a1"), ("b2", "b1"))
+    assert set(res["selected_ids"]) <= {"a2", "b2"} or \
+        res["selected_ids"] in (["a2", "a1"], ["b2", "b1"])
 
 
 def test_hybrid_exhausts_msd_and_renormalizes():
@@ -193,7 +191,7 @@ def test_hybrid_exhausts_msd_and_renormalizes():
             _ex("b1", "N;PL", score=2.0),
             _ex("b2", "N;PL", score=3.0)]
     res = select(pool, SelectionStrategy("umt-loss", 3, seed=11))
-    assert sorted(res.selected_ids) == ["a1", "b1", "b2"]
+    assert sorted(res["selected_ids"]) == ["a1", "b1", "b2"]
 
 
 def test_strategies_ignore_scores_when_score_free():
@@ -202,13 +200,14 @@ def test_strategies_ignore_scores_when_score_free():
     shuffled_scores = [e.with_score(-e.score) for e in pool]
     for kind in ("random", "umt", "ume"):
         s = SelectionStrategy(kind=kind, k=6, seed=8)
-        assert select(pool, s).selected_ids == select(shuffled_scores, s).selected_ids
+        assert select(pool, s)["selected_ids"] == select(shuffled_scores, s)["selected_ids"]
 
 
 def test_result_json_round_trip():
     import json
     res = select(_pool_nine_vs_one(), SelectionStrategy("random", 3, seed=2))
-    blob = json.loads(selection_json(res))
+    blob = json.loads(json.dumps(res, ensure_ascii=False, indent=2))
+    assert blob == res
     assert blob["strategy"]["kind"] == "random"
-    assert blob["selected_ids"] == list(res.selected_ids)
+    assert blob["selected_ids"] == res["selected_ids"]
     assert sum(blob["per_msd_counts"].values()) == 3
