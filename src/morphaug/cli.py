@@ -75,9 +75,13 @@ class Rule(NamedTuple):
             raise MorphaugError(f"{where}: {name} must be {self.wording}, got {json.dumps(value)}")
 
 
+# The largest size or count: 2**60 - 1 list slots or float64 values fill the
+# 2**63 - 1 bytes Python and numpy address, so a size within it at worst runs
+# out of memory (a data error) and never overflows an index with a traceback.
+MAX_SIZE = 2 ** 60 - 1
 INTEGER = Rule("an integer", (int,), parse=int)
-AT_LEAST_1 = Rule("an integer >= 1", (int,), lambda v: v >= 1, int)
-AT_LEAST_0 = Rule("an integer >= 0", (int,), lambda v: v >= 0, int)
+AT_LEAST_1 = Rule("an integer in [1, 2**60 - 1]", (int,), lambda v: 1 <= v <= MAX_SIZE, int)
+AT_LEAST_0 = Rule("an integer in [0, 2**60 - 1]", (int,), lambda v: 0 <= v <= MAX_SIZE, int)
 UNIT = Rule("a number in [0, 1]", (int, float), lambda v: 0 <= v <= 1, float)
 POSITIVE = Rule("a number > 0 and finite", (int, float), lambda v: 0 < v < math.inf, float)
 # no file name holds a NUL, and UTF-8 cannot write a lone surrogate

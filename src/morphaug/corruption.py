@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import random
 import re
 import reprlib
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import NamedTuple
@@ -244,8 +244,10 @@ def _bad_value(d: dict, escaped: bool) -> tuple[str, str] | None:
     or "\\r", so an id<TAB>nll line and a triple's TSV line read back, nor
     a lone surrogate, which UTF-8 cannot write; only a JSON escape (in an
     `escaped` line) writes one. An id or source id does not start with
-    U+FEFF. The score, which may be absent, is null or a finite number >= 0,
-    the rule of scoring.check_nll. JSON gives exactly str, int, float, bool,
+    U+FEFF. The score, which may be absent, is null or a finite number >= 0
+    that a float holds, the rule of scoring.check_nll. The distance to the
+    gold target is at most the form's length: it is an edit distance between
+    two strings of that length. JSON gives exactly str, int, float, bool,
     list, dict or None, and a bool is no int here."""
     for key in ("id", "source_id", "lemma", "form"):
         if type(d[key]) is not str:
@@ -265,11 +267,12 @@ def _bad_value(d: dict, escaped: bool) -> tuple[str, str] | None:
         positions = d[key]
         if type(positions) is not list or any(type(i) is not int for i in positions):
             return key, "a list of integers"
-    if type(d["lev_to_gold_target"]) is not int or d["lev_to_gold_target"] < 0:
-        return "lev_to_gold_target", "an integer >= 0"
-    score = d.get("score")
-    if score is not None and not (type(score) in (int, float) and 0 <= score < math.inf):
-        return "score", "null or a finite number >= 0"
+    lev = d["lev_to_gold_target"]  # an empty form is check_triple's error
+    if type(lev) is not int or lev < 0 or lev > len(d["form"]) > 0:
+        return "lev_to_gold_target", "an integer >= 0 and <= the form's length"
+    score, top = d.get("score"), sys.float_info.max
+    if score is not None and not (type(score) in (int, float) and 0 <= score <= top):
+        return "score", f"null or a finite number >= 0 and <= {top!r}"
     return None
 
 

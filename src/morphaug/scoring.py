@@ -5,6 +5,8 @@ n = |Y| + 1 (the end-of-sequence token is counted). A pool gets its scores
 from one of two sources: the built-in add-k smoothed character n-gram over the
 concatenated "X # T # Y" sequence (score_pool), or an external inflection
 model's id<TAB>nll TSV (load_external_scores), for which the n-gram stands in.
+The n-gram holds only its counts and vocabulary; NGramScorer.nlls scores a
+whole pool, with token ids and log-prob rows that last for that one call.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter, defaultdict
-from functools import reduce
-from operator import add, attrgetter
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Iterable
 
 from .corpus import Dataset
 from .corruption import SyntheticExample
@@ -41,16 +42,8 @@ class NGramScorer:
 
     Unseen contexts fall back to the uniform distribution over the prediction
     vocabulary (the add-k estimate with zero counts). Out-of-vocabulary
-    symbols map to UNK; nlls returns how many did.
-
-    Scoring reads ints, not strings. Each vocabulary token has an int id and
-    the BOS padding has the id |vocab|, so a context of order-1 tokens is one
-    int in base |vocab|+1. Each context met while scoring gets a row of
-    log-probabilities indexed by token id, built on first use from the count
-    tables with prob's expression, so row[id(tok)] equals
-    math.log(prob(ctx, tok)) bit for bit. The row reads the counts of the
-    context's strings, in which a data "<s>" is BOS, as it is in training.
-    train renumbers the tokens and drops the rows.
+    symbols map to UNK; nlls returns how many did. The scorer is its order,
+    k, counts and vocabulary: nlls derives all else for its one call.
     """
 
     def __init__(self, order: int = 3, k: float = 0.1):
@@ -62,101 +55,85 @@ class NGramScorer:
         self.k = k
         self.counts: dict[tuple, Counter] = defaultdict(Counter)
         self.vocab: set[str] = {SEP, EOS, UNK}
-        self._renumber()
 
     def train(self, gold: Dataset) -> None:
         if len(gold) == 0:
             raise MorphaugError("cannot train a scorer on an empty dataset")
+        m = self.order - 1
         for t in gold:
-            self.vocab.update(t.lemma)
-            self.vocab.update(t.form)
-            self.vocab.update(t.msd)
-        for t in gold:
-            seq = [BOS] * (self.order - 1) + [*t.lemma, SEP, *t.msd, SEP, *t.form, EOS]
-            for i in range(self.order - 1, len(seq)):
-                ctx = tuple(seq[i - self.order + 1 : i])
-                self.counts[ctx][seq[i]] += 1
-        self._renumber()
-
-    def _renumber(self) -> None:
-        """Token ids for the current vocabulary; no rows or pre-form contexts yet."""
-        self._tokens = [*sorted(self.vocab), BOS]  # id -> token
-        self._ids = {tok: i for i, tok in enumerate(self._tokens[:-1])}
-        self._base = len(self._tokens)
-        self._rows: dict[int, list[float]] = {}
-        # (last order-1 lemma chars, msd) -> (context of the first form token, UNKs in the msd)
-        self._pre_form: dict[tuple, tuple[int, int]] = {}
+            self.vocab.update(t.lemma, t.msd, t.form)
+            seq = [BOS] * m + [*t.lemma, SEP, *t.msd, SEP, *t.form, EOS]
+            for i in range(m, len(seq)):
+                self.counts[tuple(seq[i - m : i])][seq[i]] += 1
 
     def prob(self, ctx: tuple, tok: str) -> float:
         c = self.counts.get(ctx, Counter())
         return (c[tok] + self.k) / (c.total() + self.k * len(self.vocab))
 
-    def _new_row(self, ctx: int) -> list[float]:
-        key = []  # the tuple context, newest token first
-        rest = ctx
-        for _ in range(self.order - 1):
-            rest, i = divmod(rest, self._base)
-            key.append(self._tokens[i])
-        key = tuple(reversed(key))
-        # the expression of prob, with count 0 for the unseen tokens
-        counts = self.counts.get(key, Counter())
-        denom = counts.total() + self.k * len(self.vocab)
-        row = self._rows[ctx] = [math.log(self.k / denom)] * len(self.vocab)
-        for tok, count in counts.items():
-            row[self._ids[tok]] = math.log((count + self.k) / denom)
-        return row
+    def nlls(self, pool: Iterable[SyntheticExample]) -> tuple[list[float], int, int]:
+        """(the nll of each example, the UNKs, the tokens) of the pool, in
+        one pass. An nll is -(the log-probs of the form tokens and EOS,
+        summed left to right from 0.0) / (len(form) + 1). At order n only
+        the last n-1 lemma characters enter a context.
 
-    def _new_pre_form(self, key: tuple) -> tuple[int, int]:
-        tail, msd = key
-        ids, unk, bos = self._ids, self._ids[UNK], len(self.vocab)
-        base, mod = self._base, self._base ** (self.order - 1)
-        ctx = 0
-        for i in [bos] * (self.order - 1) + [ids.get(tok, unk) for tok in (*tail, SEP, *msd, SEP)]:
-            ctx = (ctx * base + i) % mod
-        value = self._pre_form[key] = (ctx, sum(tok not in ids for tok in msd))
-        return value
+        Scoring reads ints, not strings. Each vocabulary token has an int id
+        and the BOS padding has the id |vocab|, so a context of order-1
+        tokens is one int in base |vocab|+1. Each context met gets a row of
+        log-probabilities indexed by token id, built on first use from the
+        counts with prob's expression, so row[id(tok)] equals
+        math.log(prob(ctx, tok)) bit for bit. The row reads the counts of the
+        context's strings, in which a data "<s>" is BOS, as in training.
+        The rows and the pre-form contexts last for this call only."""
+        vocab, k, m = self.vocab, self.k, self.order - 1
+        tokens = [*sorted(vocab), BOS]  # id -> token
+        ids = {tok: i for i, tok in enumerate(tokens[:-1])}
+        get_id, unk, eos, base = ids.__getitem__, ids[UNK], ids[EOS], len(tokens)
+        mod = base ** m
+        rows: dict[int, list[float]] = {}
+        # (last m lemma characters, msd) -> (context of the first form token, UNKs in the msd)
+        pre_form: dict[tuple, tuple[int, int]] = {}
 
-    def _logprob_lists(self, examples: Iterable[tuple]) -> Iterator[tuple[list[float], int, int]]:
-        """For each (lemma, msd, form), the log-probs of the form tokens and
-        EOS in position order, with the example's UNKs and tokens. At order n
-        only the last n-1 lemma characters enter a context."""
-        vocab, ids, rows, pre_form = self.vocab, self._ids, self._rows, self._pre_form
-        new_row, new_pre_form = self._new_row, self._new_pre_form
-        get_id, unk, eos = ids.__getitem__, ids[UNK], ids[EOS]
-        base, mod = self._base, self._base ** (self.order - 1)
-        m = self.order - 1
+        def new_row(ctx: int) -> list[float]:
+            key, rest = [], ctx  # the tuple context, newest token first
+            for _ in range(m):
+                rest, i = divmod(rest, base)
+                key.append(tokens[i])
+            # the expression of prob, with count 0 for the unseen tokens
+            counts = self.counts.get(tuple(reversed(key)), Counter())
+            denom = counts.total() + k * len(vocab)
+            row = rows[ctx] = [math.log(k / denom)] * len(vocab)
+            for tok, count in counts.items():
+                row[ids[tok]] = math.log((count + k) / denom)
+            return row
+
+        def new_pre_form(key: tuple) -> tuple[int, int]:
+            tail, msd = key
+            ctx = 0
+            for i in [len(vocab)] * m + [ids.get(tok, unk) for tok in (*tail, SEP, *msd, SEP)]:
+                ctx = (ctx * base + i) % mod
+            value = pre_form[key] = (ctx, sum(tok not in ids for tok in msd))
+            return value
+
         tail = slice(-m, None) if m else slice(0, 0)
-        for lemma, msd, form in examples:
+        out, n_unk, n_tokens = [], 0, 0
+        for lemma, msd, form in map(_LEMMA_MSD_FORM, pool):
             key = (lemma[tail], msd)
-            ctx, n_unk = pre_form.get(key) or new_pre_form(key)
+            ctx, unks = pre_form.get(key) or new_pre_form(key)
             if not vocab.issuperset(lemma):
-                n_unk += sum(c not in vocab for c in lemma)
+                unks += sum(c not in vocab for c in lemma)
             try:
                 toks = list(map(get_id, form))
             except KeyError:
                 toks = [ids.get(c, unk) for c in form]
-                n_unk += sum(c not in vocab for c in form)
+                unks += sum(c not in vocab for c in form)
             toks.append(eos)
-            lps = []
+            total = 0.0
             for tok in toks:
-                lps.append((rows.get(ctx) or new_row(ctx))[tok])
+                total += (rows.get(ctx) or new_row(ctx))[tok]
                 ctx = (ctx * base + tok) % mod
-            yield lps, n_unk, len(lemma) + len(msd) + len(toks) + 2
-
-    def logprobs(self, lemma, msd, form):
-        """Per-token log-probabilities of the form plus EOS (length |form|+1)."""
-        return next(self._logprob_lists([(lemma, msd, form)]))[0]
-
-    def nlls(self, pool: Iterable[SyntheticExample]) -> tuple[list[float], int, int]:
-        """(the nll of each example, the UNKs, the tokens) of the pool, in
-        one pass. An nll is -(its logprobs summed left to right) /
-        (len(form) + 1). Python 3.12's sum() of floats rounds otherwise, so
-        reduce(add) keeps the bytes the same on every version."""
-        out, unk, tokens = [], 0, 0
-        for lps, n_unk, n_tokens in self._logprob_lists(map(_LEMMA_MSD_FORM, pool)):
-            out.append(check_nll(-reduce(add, lps, 0.0) / len(lps)))
-            unk, tokens = unk + n_unk, tokens + n_tokens
-        return out, unk, tokens
+            out.append(check_nll(-total / len(toks)))
+            n_unk, n_tokens = n_unk + unks, n_tokens + len(lemma) + len(msd) + len(toks) + 2
+        return out, n_unk, n_tokens
 
 
 _LEMMA_MSD_FORM = attrgetter("triple.lemma", "triple.msd", "triple.form")

@@ -59,13 +59,12 @@ def check_k(k: int, pool_size: int) -> None:
 class PoolIndex:
     """What selection derives from one pool, each part computed when a
     selection first needs it: the ids and MSD strings, the id order, the MSD
-    groups in id order, q_alpha's weights, the two loss orders and the
-    hybrids' groups. Selections work on example positions and pop from
-    copies of the groups, so the index serves any number of selections."""
+    groups in id order, the two loss orders and the hybrids' groups.
+    Selections work on example positions and pop from copies of the groups,
+    so the index serves any number of selections."""
 
     def __init__(self, pool: Sequence[SyntheticExample]):
         self.pool = list(pool)
-        self._weights: dict[float, dict[str, float]] = {}
 
     def __len__(self) -> int:
         return len(self.pool)
@@ -100,12 +99,8 @@ class PoolIndex:
         from the full pool's empirical p(T); the candidates shrink during
         selection but the weights stay fixed and are renormalized over the
         MSDs that still have candidates."""
-        weights = self._weights.get(alpha)
-        if weights is None:
-            n = len(self.pool)
-            weights = self._weights[alpha] = {
-                m: (len(g) / n) ** alpha for m, g in self.groups.items()}
-        return weights
+        n = len(self.pool)
+        return {m: (len(g) / n) ** alpha for m, g in self.groups.items()}
 
     @cached_property
     def scores(self) -> list[float]:

@@ -282,7 +282,7 @@ def oracle_mi_decay_curve(g, gold_n, syn_sizes, theta=1.0, seed=0, resamples=200
 
 
 def oracle_logprobs(scorer, lemma, msd, form):
-    """(log-probs, token hits, UNK hits) of one logprobs call, computed as
+    """(log-probs, token hits, UNK hits) of one example, computed as
     math.log(scorer.prob(ctx, tok)) at every form position and EOS."""
     toks = list(lemma) + [SEP] + list(msd) + [SEP] + list(form) + [EOS]
     unk = sum(tok not in scorer.vocab for tok in toks)

@@ -308,8 +308,9 @@ def test_report_cuts_stems_with_the_min_run_of_the_pool(tmp_path):
 @pytest.mark.parametrize("meta, needle", [
     ([], "a 'params' object"),
     ({"params": "x"}, "a 'params' object"),
-    ({"params": {"min_run": 0}}, "params.min_run must be an integer >= 1, got 0"),
-    ({"params": {"min_run": True}}, "params.min_run must be an integer >= 1, got true"),
+    ({"params": {"min_run": 0}}, "params.min_run must be an integer in [1, 2**60 - 1], got 0"),
+    ({"params": {"min_run": True}},
+     "params.min_run must be an integer in [1, 2**60 - 1], got true"),
 ])
 def test_report_pool_sidecar_it_cannot_use_is_a_data_error(gold_file, scored_pool, tmp_path,
                                                            capsys, meta, needle):
@@ -390,7 +391,7 @@ def _ported(change, needle, label, n):
             "'strategies' must be a list", 1),
     ({"k": 81}, "k=81"),
     ({"sweep": True}, "k=128"),
-    _ported({"k": 2.5}, "cfg.json: k must be an integer >= 0, got 2.5",
+    _ported({"k": 2.5}, "cfg.json: k must be an integer in [0, 2**60 - 1], got 2.5",
             "'k' must be an integer", 4),
     ({"order": 0}, "order"),
     _ported({"k_smooth": 0}, "cfg.json: k_smooth must be a number > 0 and finite, got 0",
@@ -403,17 +404,17 @@ def _ported(change, needle, label, n):
     _ported({"k_smooth": float("inf")},
             "cfg.json: k_smooth must be a number > 0 and finite, got Infinity",
             "cfg.json: k must be > 0 and finite, got inf", 10),
-    ({"order": 2.5}, "cfg.json: order must be an integer >= 1"),
-    _ported({"n_pool": 0}, "cfg.json: n_pool must be an integer >= 1, got 0",
+    ({"order": 2.5}, "cfg.json: order must be an integer in [1, 2**60 - 1]"),
+    _ported({"n_pool": 0}, "cfg.json: n_pool must be an integer in [1, 2**60 - 1], got 0",
             "cfg.json: 'n_pool' must be an integer >= 1", 12),
-    _ported({"n_pool": 2.5}, "cfg.json: n_pool must be an integer >= 1, got 2.5",
+    _ported({"n_pool": 2.5}, "cfg.json: n_pool must be an integer in [1, 2**60 - 1], got 2.5",
             "cfg.json: 'n_pool' must be an integer >= 1", 13),
     # a value of the wrong type, a bool included, is refused naming its key
     ({"gold": 0}, "cfg.json: gold must be a path, got 0"),
     ({"full": None}, "cfg.json: full must be a path, got null"),
     ({"seed": "x"}, 'cfg.json: seed must be an integer, got "x"'),
     ({"seed": True}, "cfg.json: seed must be an integer, got true"),
-    ({"order": True}, "cfg.json: order must be an integer >= 1, got true"),
+    ({"order": True}, "cfg.json: order must be an integer in [1, 2**60 - 1], got true"),
     ({"theta": True}, "cfg.json: theta must be a number in [0, 1], got true"),
     ({"theta": "x"}, "cfg.json: theta must be a number in [0, 1]"),
     ({"k_smooth": True}, "cfg.json: k_smooth must be a number > 0 and finite, got true"),
@@ -422,10 +423,15 @@ def _ported(change, needle, label, n):
     ({"swep": True}, "cfg.json: unknown config key 'swep'"),
     ({"alpha": 0.5, "K": 16}, "cfg.json: unknown config key 'alpha', 'K'"),
     # a sweep does not use k, but k is still checked
-    ({"sweep": True, "k": "x"}, 'cfg.json: k must be an integer >= 0, got "x"'),
+    ({"sweep": True, "k": "x"}, 'cfg.json: k must be an integer in [0, 2**60 - 1], got "x"'),
     # a NUL or a lone surrogate names no file; the message escapes either
     ({"gold": "gold.tsv\u0000x"}, r'cfg.json: gold must be a path, got "gold.tsv\u0000x"'),
     ({"full": "gold\ud800.tsv"}, r'cfg.json: full must be a path, got "gold\ud800.tsv"'),
+    # a size no list or array can take
+    ({"order": 10 ** 20},
+     "cfg.json: order must be an integer in [1, 2**60 - 1], got 100000000000000000000"),
+    ({"n_pool": 2 ** 60},
+     "cfg.json: n_pool must be an integer in [1, 2**60 - 1], got 1152921504606846976"),
 ])
 def test_invalid_pipeline_config_writes_nothing(gold_file, tmp_path, capsys, monkeypatch,
                                                 change, needle):
@@ -441,14 +447,16 @@ def test_invalid_pipeline_config_writes_nothing(gold_file, tmp_path, capsys, mon
     _assert_data_error(capsys, out_dir, needle)
 
 
-def test_report_resamples_below_one_is_a_usage_error(tmp_path, capsys):
+# numpy cannot shape an array of 10**20 bootstrap means
+@pytest.mark.parametrize("resamples", ["0", "100000000000000000000"])
+def test_report_resamples_out_of_range_is_a_usage_error(tmp_path, capsys, resamples):
     # the inputs do not exist: the check comes before any of them is read
     missing, out = str(tmp_path / "missing"), tmp_path / "report.json"
     assert main(["report", "--pool", missing, "--gold", missing, "--harmony", missing,
-                 "--resamples", "0", "--out", str(out), "--quiet"]) == 1
+                 "--resamples", resamples, "--out", str(out), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and "--resamples" in err and "Traceback" not in err
-    assert not out.exists()
+    assert "an integer in [1, 2**60 - 1]" in err and not out.exists()
 
 
 @pytest.fixture
@@ -501,7 +509,7 @@ def test_pipeline_config_that_is_not_an_object_is_a_data_error(tmp_path, capsys,
     _assert_data_error(capsys, out_dir, f"{cfg_path}: expected a JSON object")
 
 
-@pytest.mark.parametrize("count", ["x", -3, 0, 1.5, True, None])
+@pytest.mark.parametrize("count", ["x", -3, 0, 1.5, True, None, 2 ** 60])
 def test_report_selection_counts_must_be_integers_of_at_least_one(tmp_path, capsys,
                                                                   monkeypatch, count):
     from morphaug import cli
@@ -515,7 +523,8 @@ def test_report_selection_counts_must_be_integers_of_at_least_one(tmp_path, caps
     assert main(["report", "--pool", str(tmp_path / "pool.jsonl"), "--gold",
                  str(tmp_path / "gold.tsv"), "--selection", str(sel), "--out", str(out),
                  "--quiet"]) == 2
-    _assert_data_error(capsys, out, str(sel), "per_msd_counts['N;SG'] must be an integer >= 1",
+    _assert_data_error(capsys, out, str(sel),
+                       "per_msd_counts['N;SG'] must be an integer in [1, 2**60 - 1]",
                        f"got {json.dumps(count)}")
 
 
@@ -655,6 +664,15 @@ def test_pool_line_missing_a_key_is_a_data_error(gold_file, tmp_path, capsys):
     ("score", "1.5", "finite number >= 0"),
     ("score", True, "finite number >= 0"),
     ("lev_to_gold_target", -1, "an integer >= 0"),
+    # no float holds a score beyond sys.float_info.max, and an edit distance
+    # between two strings of the form's length is at most that length
+    pytest.param("score", 10 ** 400, "finite number >= 0 and <= 1.7976931348623157e+308",
+                 id="score-400 digits"),
+    pytest.param("score", 2 ** 1024, "finite number >= 0 and <= 1.7976931348623157e+308",
+                 id="score-2**1024"),
+    pytest.param("lev_to_gold_target", 10 ** 400, "an integer >= 0 and <= the form's length",
+                 id="lev_to_gold_target-400 digits"),
+    ("lev_to_gold_target", 100, "an integer >= 0 and <= the form's length"),
 ])
 def test_pool_value_of_the_wrong_type_is_a_data_error(gold_file, tmp_path, capsys,
                                                       key, value, expected):
@@ -812,6 +830,7 @@ def _no_work(*args, **kwargs):
     (["--theta", "nan"], "--theta"),
     (["--gold", "0"], "--gold"),
     (["--gold", "-2"], "--gold"),
+    (["--resamples", "100000000000000000000"], "--resamples"),
 ])
 def test_milab_bad_flag_values_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch,
                                                                 argv, flag):
@@ -834,6 +853,7 @@ def test_milab_bad_flag_values_are_usage_errors_before_any_work(tmp_path, capsys
     (["score", "--k-smooth", "-1"], "--k-smooth"),
     (["score", "--k-smooth", "nan"], "--k-smooth"),
     (["score", "--k-smooth", "inf"], "--k-smooth"),
+    (["score", "--order", "100000000000000000000"], "--order"),
 ])
 def test_augment_and_score_bad_flag_values_are_usage_errors(tmp_path, capsys, argv, flag):
     # the inputs do not exist: the flags are checked before any of them is read

@@ -172,12 +172,14 @@ def _bad_scores(data, text: bytes) -> bytes:
 
 def _bad_pool(data, text: bytes) -> bytes:
     """The pool with one line's id taken from another line, an escaped tab,
-    \\n or \\r in an id or source id, a non-finite or negative score, or a
-    negative distance to the gold target."""
+    \\n or \\r in an id or source id, a non-finite or negative score, a
+    negative distance to the gold target, or a score or distance too large:
+    an integer no float holds, or a distance beyond the form's length."""
     rows = [json.loads(line) for line in text.splitlines()]
     i = data.draw(st.integers(0, len(rows) - 1))
     row = rows[i]
-    kind = data.draw(st.sampled_from(["duplicate id", "line break", "score", "distance"]))
+    kind = data.draw(st.sampled_from(["duplicate id", "line break", "score", "distance",
+                                      "too large"]))
     if kind == "duplicate id":
         j = data.draw(st.integers(0, len(rows) - 2))
         row["id"] = rows[j + (j >= i)]["id"]
@@ -188,8 +190,13 @@ def _bad_pool(data, text: bytes) -> bytes:
     elif kind == "score":
         row["score"] = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf"),
                                                   -1.0]))
-    else:
+    elif kind == "distance":
         row["lev_to_gold_target"] = data.draw(st.integers(-(10 ** 6), -1))
+    else:
+        no_float = st.sampled_from([10 ** 400, 2 ** 1024])
+        key = data.draw(st.sampled_from(["score", "lev_to_gold_target"]))
+        row[key] = data.draw(no_float if key == "score"
+                             else no_float | st.integers(len(row["form"]) + 1, 10 ** 6))
     return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows).encode()
 
 
@@ -226,6 +233,8 @@ def test_a_file_no_byte_mutation_reaches_exits_2_and_writes_nothing(seeds, case,
 # the text a rule refuses, or a number outside its range.
 NOT_AN_INTEGER = st.sampled_from(["", "x", "1.5", "1e3", "0x1", "-x"])
 NOT_A_NUMBER = st.sampled_from(["", "x", "nan", "inf", "1,5", "-x"])
+# beyond any list's length and any numpy array's dimension
+TOO_LARGE = st.sampled_from([str(10 ** 20), str(2 ** 63)])
 VALID = {
     cli.INTEGER: st.integers(1, 12).map(str),
     cli.AT_LEAST_1: st.integers(1, 6).map(str),
@@ -237,8 +246,8 @@ VALID = {
 }
 INVALID = {
     cli.INTEGER: NOT_AN_INTEGER,
-    cli.AT_LEAST_1: NOT_AN_INTEGER | st.integers(-3, 0).map(str),
-    cli.AT_LEAST_0: NOT_AN_INTEGER | st.integers(-3, -1).map(str),
+    cli.AT_LEAST_1: NOT_AN_INTEGER | st.integers(-3, 0).map(str) | TOO_LARGE,
+    cli.AT_LEAST_0: NOT_AN_INTEGER | st.integers(-3, -1).map(str) | TOO_LARGE,
     cli.UNIT: NOT_A_NUMBER | st.sampled_from(["-0.5", "1.5", "2"]),
     cli.POSITIVE: NOT_A_NUMBER | st.sampled_from(["0", "-1", "0.0"]),
     cli.SIZES: st.sampled_from(["", "x", "1,,2", "1,-1", "1.5", "-x"]),
