@@ -76,8 +76,9 @@ class Rule(NamedTuple):
 
 
 # The largest size or count: 2**60 - 1 list slots or float64 values fill the
-# 2**63 - 1 bytes Python and numpy address, so a size within it at worst runs
-# out of memory (a data error) and never overflows an index with a traceback.
+# 2**63 - 1 bytes Python and numpy address, so a size within it never
+# overflows an index with a traceback; it may run out of memory (a data
+# error), and a run with a large one is not promised to end.
 MAX_SIZE = 2 ** 60 - 1
 INTEGER = Rule("an integer", (int,), parse=int)
 AT_LEAST_1 = Rule("an integer in [1, 2**60 - 1]", (int,), lambda v: 1 <= v <= MAX_SIZE, int)
@@ -91,7 +92,8 @@ BOOL = Rule("true or false", (bool,))
 STRATEGY_NAMES = Rule(f"a list of strategy names ({', '.join(selection.STRATEGIES)})", (list,),
                       lambda v: all(s in selection.STRATEGIES for s in v))
 # the value stays the text, which the provenance records
-SIZES = Rule("comma-separated integers >= 0", (str,), lambda text: min(_int_list(text)) >= 0)
+SIZES = Rule("comma-separated integers in [0, 2**60 - 1]", (str,),
+             lambda text: all(map(AT_LEAST_0.holds, _int_list(text))))
 
 
 # the provenance sidecar of a TSV/JSONL artifact

@@ -52,24 +52,21 @@ class SyntheticExample(NamedTuple):
     def id(self) -> str:
         return self.triple.id
 
-    @property
-    def msd_string(self) -> str:
-        return self.triple.msd_string
-
     def with_score(self, nll: float) -> "SyntheticExample":
         return SyntheticExample(*self[:5], nll)
 
 
-def substitute(
+def corrupt(
     t: InflectionTriple,
     seg: Segmentation,
     alphabet: Alphabet,
     cfg: CorruptionConfig,
     rng: random.Random,
-) -> tuple[str, str, list[int], list[int]]:
-    """The stem draws of one corruption: (lemma, form, substituted lemma
-    positions, substituted form positions). Each stem pair flips one
-    Bernoulli(theta); on success both sides get the same replacement."""
+    new_id: str | None = None,
+) -> SyntheticExample:
+    """Corrupt one triple using the supplied segmentation and RNG state.
+    Each stem pair flips one Bernoulli(theta); on success both sides get the
+    same replacement."""
     if cfg.exclude_original and len(alphabet) < 2:
         raise MorphaugError("need >= 2 characters to exclude the original")
     chars = alphabet.chars
@@ -104,28 +101,17 @@ def substitute(
             form[fi] = c
             sub_lemma.append(li)
             sub_form.append(fi)
-    return "".join(lemma), "".join(form), sub_lemma, sub_form
-
-
-def corrupt(
-    t: InflectionTriple,
-    seg: Segmentation,
-    alphabet: Alphabet,
-    cfg: CorruptionConfig,
-    rng: random.Random,
-    new_id: str | None = None,
-) -> SyntheticExample:
-    """Corrupt one triple using the supplied segmentation and RNG state."""
-    lemma, form, sub_lemma, sub_form = substitute(t, seg, alphabet, cfg, rng)
+    form_str = "".join(form)
     # the two forms agree outside the substituted window, and an equal prefix
     # and suffix leave the edit distance unchanged
     if sub_form:
         lo, hi = min(sub_form), max(sub_form) + 1
-        distance = levenshtein(form[lo:hi], t.form[lo:hi])
+        distance = levenshtein(form_str[lo:hi], t.form[lo:hi])
     else:
         distance = 0
     return SyntheticExample(
-        InflectionTriple(new_id if new_id is not None else f"{t.id}~syn", lemma, form, t.msd),
+        InflectionTriple(new_id if new_id is not None else f"{t.id}~syn", "".join(lemma),
+                         form_str, t.msd),
         t.id, tuple(sub_lemma), tuple(sub_form), distance,
     )
 
@@ -161,7 +147,7 @@ def generate_pool(
     bits = n_gold.bit_length()
     pool: list[SyntheticExample] = []
     while len(pool) < n:
-        r = getrandbits(bits)  # randrange(n_gold), inlined as in substitute
+        r = getrandbits(bits)  # randrange(n_gold), inlined as in corrupt
         while r >= n_gold:
             r = getrandbits(bits)
         t = triples[r]

@@ -5,9 +5,9 @@ class MorphaugError(Exception):
     """Base class for all toolkit errors."""
 
 
-class LineError(MorphaugError, ValueError):
-    """A line of an input line file that its reader refuses: a data error,
-    and also a ValueError, as any bad value is."""
+class LineError(MorphaugError):
+    """A line of an input line file that its reader refuses: a data error
+    naming the line."""
 
     def __init__(self, line_no, detail):
         self.line_no = line_no

@@ -243,9 +243,8 @@ def corrupt_toy(gold: list[ToyExample], g: ToyGrammar, n: int, theta: float,
     """The Counter of the records of n stem-corrupted examples, in
     first-occurrence order, from uniformly resampled gold sources, using the
     grammar's known stem boundary. Each record is counted as it is drawn, so
-    no example is ever built. The draws are those of corruption.corrupt
-    (corruption.substitute, inlined); no distance to the gold form is
-    computed."""
+    no example is ever built. The draws are those of corruption.corrupt,
+    inlined; no distance to the gold form is computed."""
     CorruptionConfig(theta=theta)  # rejects a theta outside [0, 1], as corrupt's config does
     if n > 0 and not gold:
         raise ValueError("corrupt_toy needs at least one gold example")
@@ -262,12 +261,12 @@ def corrupt_toy(gold: list[ToyExample], g: ToyGrammar, n: int, theta: float,
     # gold index -> its plan, built on the source's first draw: the stem as a
     # list, each stem character's alphabet index (None outside the alphabet,
     # which draws among all n), and the msd and affixes. Lemma and form share
-    # the stem, so one draw per stem position substitutes both, as substitute
+    # the stem, so one draw per stem position substitutes both, as corrupt
     # does for a stem pair.
     plans: dict[int, tuple] = {}
     records = Counter()
     for _ in range(n):
-        k = getrandbits(bits)  # randrange(n_gold), inlined as in corruption.substitute
+        k = getrandbits(bits)  # randrange(n_gold), inlined as in corruption.generate_pool
         while k >= n_gold:
             k = getrandbits(bits)
         plan = plans.get(k)

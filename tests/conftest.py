@@ -319,14 +319,14 @@ def oracle_group_by_msd(pool):
     order)."""
     groups = defaultdict(list)
     for e in sorted(pool, key=attrgetter("triple.id")):
-        groups[e.msd_string].append(e)
+        groups[e.triple.msd_string].append(e)
     return groups
 
 
 def _oracle_msd_groups(pool, alpha):
     counts = defaultdict(int)
     for e in pool:
-        counts[e.msd_string] += 1
+        counts[e.triple.msd_string] += 1
     weights = {m: (c / len(pool)) ** alpha for m, c in counts.items()}
     return weights, oracle_group_by_msd(pool)
 

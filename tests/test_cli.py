@@ -725,7 +725,7 @@ def test_an_integer_json_will_not_read_is_a_data_error(gold_file, tmp_path, caps
     _assert_data_error(capsys, out, f"{cfg}: not valid JSON")
 
 
-@pytest.mark.parametrize("sizes", ["0,-5", "-5", "0,5x", "500,", "1.5"])
+@pytest.mark.parametrize("sizes", ["0,-5", "-5", "0,5x", "500,", "1.5", "0,100000000000000000000"])
 def test_milab_bad_syn_sizes_are_usage_errors(tmp_path, capsys, sizes):
     out = tmp_path / "curve.json"
     assert main(["milab", "--syn-sizes", sizes, "--out", str(out), "--quiet"]) == 1

@@ -250,7 +250,8 @@ INVALID = {
     cli.AT_LEAST_0: NOT_AN_INTEGER | st.integers(-3, -1).map(str) | TOO_LARGE,
     cli.UNIT: NOT_A_NUMBER | st.sampled_from(["-0.5", "1.5", "2"]),
     cli.POSITIVE: NOT_A_NUMBER | st.sampled_from(["0", "-1", "0.0"]),
-    cli.SIZES: st.sampled_from(["", "x", "1,,2", "1,-1", "1.5", "-x"]),
+    cli.SIZES: st.sampled_from(["", "x", "1,,2", "1,-1", "1.5", "-x", "0,100000000000000000000",
+                                str(2 ** 63)]),
 }
 # each command's input and output flags; its value flags are all drawn
 PATHS = {

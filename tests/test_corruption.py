@@ -239,7 +239,7 @@ def test_a_pool_example_is_a_tuple_of_its_six_fields():
     assert SyntheticExample._fields == ("triple", "source_id", "substituted_lemma_positions",
                                         "substituted_form_positions", "lev_to_gold_target",
                                         "score")
-    assert e == (t, "g1", (0,), (0,), 1, None) and (e.id, e.msd_string) == ("s1", "V;PST")
+    assert e == (t, "g1", (0,), (0,), 1, None) and (e.id, e.triple.msd_string) == ("s1", "V;PST")
     scored = e.with_score(2.5)
     assert type(scored) is SyntheticExample and scored == (*e[:5], 2.5) and e.score is None
 

@@ -25,7 +25,7 @@ from morphaug.cli import main
 from morphaug.corpus import Alphabet, InflectionTriple, check_triple, parse_unimorph
 from morphaug.corruption import (CorruptionConfig, SyntheticExample, corrupt, generate_pool,
                                  read_pool_jsonl, segment_dataset, write_pool_jsonl)
-from morphaug.errors import MorphaugError, NoStem
+from morphaug.errors import LineError, MorphaugError, NoStem
 from morphaug.scoring import NGramScorer
 
 from conftest import (form_stem_positions, make_dataset, oracle_align, oracle_corrupt,
@@ -163,7 +163,7 @@ def _recorded_rngs(module):
 
 
 # ------------------------------------------------ randrange(n), inlined
-# substitute, generate_pool and corrupt_toy draw getrandbits(n.bit_length())
+# corrupt, generate_pool and corrupt_toy draw getrandbits(n.bit_length())
 # until the result is below n, which is randrange(n)'s own loop: the same
 # values, and the same generator state after, for every n (n = 1 included,
 # which still spends one getrandbits(1) per draw).
@@ -172,9 +172,10 @@ DRAW_SIZES = range(1, 302)
 
 
 def test_substitute_draws_match_randrange_for_every_alphabet_size():
-    # the lemma's c is outside alphabets of fewer than 3 characters, where the
-    # draw is among all n; otherwise the original is excluded and it is among
-    # n - 1 (so 2 characters draw with randrange(1))
+    # corrupt's per-character substitute draws: the lemma's c is outside
+    # alphabets of fewer than 3 characters, where the draw is among all n;
+    # otherwise the original is excluded and it is among n - 1 (so 2
+    # characters draw with randrange(1))
     t = InflectionTriple(id="g1", lemma="abcab", form="abcabs", msd=("N",))
     seg = prefix_segmentation(5)
     for n in DRAW_SIZES:
@@ -259,12 +260,12 @@ def test_every_boundary_still_validates_msd_tokens(tok):
     with pytest.raises(MorphaugError, match="bad msd token"):
         check_triple(InflectionTriple(id="1", lemma="walk", form="walked", msd=("V", tok)))
     if "\n" not in tok:
-        with pytest.raises(ValueError, match="bad msd token"):
+        with pytest.raises(LineError, match="bad msd token"):
             parse_unimorph(f"walk\twalked\tV;{tok}\n")
     line = json.dumps({"id": "s1", "source_id": "1", "lemma": "walk", "form": "walked",
                        "msd": ["V", tok], "substituted_lemma_positions": [],
                        "substituted_form_positions": [], "lev_to_gold_target": 0})
-    with pytest.raises(ValueError, match="bad msd token"):
+    with pytest.raises(LineError, match="bad msd token"):
         read_pool_jsonl(line + "\n")
 
 
@@ -630,7 +631,7 @@ def test_one_index_serves_a_sweep_as_fresh_indexes_and_the_oracles(case):
         assert got == selection.select(pool, s)  # a fresh one-shot index
         want = _oracle_selection(pool, s)
         assert got["selected_ids"] == [e.id for e in want]
-        assert got["per_msd_counts"] == Counter(e.msd_string for e in want)
+        assert got["per_msd_counts"] == Counter(e.triple.msd_string for e in want)
         assert sum(got["per_msd_counts"].values()) == s.k
     assert _index_state(index) == _index_state(selection.PoolIndex(pool))
 

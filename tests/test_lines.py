@@ -78,7 +78,7 @@ def test_lines_split_at_newline_only_and_drop_one_carriage_return():
 def test_a_line_ending_in_two_carriage_returns_keeps_one():
     assert read_harmony_tsv("a\tback\r\r\n").vowel_classes == {"a": "back\r"}
     # the MSD is the last field of a gold line, and "\r" is whitespace
-    with pytest.raises(ValueError, match=r"bad msd token 'PST\\r'"):
+    with pytest.raises(LineError, match=r"bad msd token 'PST\\r'"):
         parse_unimorph("walk\twalked\tV;PST\r\r\n")
     # json and float() read the kept "\r" as whitespace
     assert [e.id for e in read_pool_jsonl(_pool_line(0, "x") + "\r\r\n")] == ["x"]

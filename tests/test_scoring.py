@@ -181,7 +181,7 @@ def test_load_external_scores_errors():
         load_external_scores("zzz\t1.0\n", pool)
     # every nll passes check_nll, after the id checks
     for bad in ("-0.5", "inf", "nan"):
-        with pytest.raises(ValueError, match="finite and >= 0"):
+        with pytest.raises(LineError, match="finite and >= 0"):
             load_external_scores(f"a\t{bad}\nb\t1.0\n", pool)
     with pytest.raises(LineError, match="^line 2: duplicate id 'a'$"):
         load_external_scores("a\t1.0\na\t-1.0\nb\t1.0\n", pool)
