@@ -102,11 +102,11 @@ def align(lemma: str, form: str) -> CharAlignment:
     # are tried in op order and replaced only by a strictly smaller key.
     w = min(n, m) + 1
     prev = list(range(0, (m + 1) * w, w))
-    ops = [[_INS] * (m + 1)]
+    ops = [bytearray([_INS]) * (m + 1)]  # the backtrace ops, one byte per cell
     for i, a in enumerate(lemma, start=1):
         left = i * w
         row = [left]
-        op_row = [_DEL]
+        op_row = bytearray([_DEL])
         for b, diag, up in zip(form, prev, prev[1:]):
             if a == b:
                 best, o = diag - 1, _MATCH

@@ -85,9 +85,9 @@ AT_LEAST_1 = Rule("an integer in [1, 2**60 - 1]", (int,), lambda v: 1 <= v <= MA
 AT_LEAST_0 = Rule("an integer in [0, 2**60 - 1]", (int,), lambda v: 0 <= v <= MAX_SIZE, int)
 UNIT = Rule("a number in [0, 1]", (int, float), lambda v: 0 <= v <= 1, float)
 POSITIVE = Rule("a number > 0 and finite", (int, float), lambda v: 0 < v < math.inf, float)
-# no file name holds a NUL, and UTF-8 cannot write a lone surrogate
+# "" and a name that holds a NUL name no file, and UTF-8 cannot write a lone surrogate
 PATH = Rule("a path", (str,),
-            lambda v: "\0" not in v and not any("\ud800" <= c <= "\udfff" for c in v))
+            lambda v: v and "\0" not in v and not any("\ud800" <= c <= "\udfff" for c in v))
 BOOL = Rule("true or false", (bool,))
 STRATEGY_NAMES = Rule(f"a list of strategy names ({', '.join(selection.STRATEGIES)})", (list,),
                       lambda v: all(s in selection.STRATEGIES for s in v))
@@ -181,9 +181,9 @@ class Outputs:
 
 
 def _read(path: str) -> str:
-    """The text of an input file; one leading UTF-8 byte order mark is not
-    part of it."""
-    with open(path, encoding="utf-8-sig") as f:
+    """The text of an input file, line ends untranslated so that util.lines
+    alone splits it; one leading UTF-8 byte order mark is not part of it."""
+    with open(path, encoding="utf-8-sig", newline="") as f:
         return f.read()
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import LineError, MorphaugError
-from .util import lines
+from .util import BAD_TEXT, TEXT_RULE, lines
 
 
 class InflectionTriple(NamedTuple):
@@ -30,10 +30,13 @@ class InflectionTriple(NamedTuple):
 
 
 def check_triple(t: InflectionTriple) -> InflectionTriple:
-    """t, if its lemma and form are non-empty and hold no U+FEFF, and its MSD
-    has at least one token, each non-empty with no ';' or whitespace."""
+    """t, if its lemma and form are non-empty and hold no U+FEFF, its MSD has
+    at least one token, each non-empty with no ';' or whitespace, and all of
+    them keep util's text rule."""
     if not t.lemma or not t.form:
         raise MorphaugError(f"triple {t.id!r}: lemma and form must be non-empty")
+    if BAD_TEXT.search(t.lemma) or BAD_TEXT.search(t.form):
+        raise MorphaugError(f"triple {t.id!r}: lemma and form must hold {TEXT_RULE}")
     if "\ufeff" in t.lemma or "\ufeff" in t.form:
         # a byte order mark that starts a file is not read back as data
         raise MorphaugError(f"triple {t.id!r}: lemma and form must not hold U+FEFF")
@@ -41,7 +44,7 @@ def check_triple(t: InflectionTriple) -> InflectionTriple:
         raise MorphaugError(f"triple {t.id!r}: msd must have at least one feature")
     for tok in t.msd:
         # str.split() splits exactly at the characters str.isspace() accepts
-        if not tok or ";" in tok or tok.split() != [tok]:
+        if not tok or ";" in tok or tok.split() != [tok] or BAD_TEXT.search(tok):
             raise MorphaugError(f"triple {t.id!r}: bad msd token {tok!r}")
     return t
 
@@ -113,9 +116,6 @@ def parse_unimorph(text: str, name: str = "dataset") -> Dataset:
         fields = line.split("\t")
         if len(fields) != 3:
             raise LineError(line_no, f"expected 3 tab-separated fields: got {len(fields)}")
-        for value, field_name in zip(fields, ("lemma", "form", "MSD")):
-            if not value:
-                raise LineError(line_no, f"empty {field_name}")
         lemma, form, msd = fields
         try:
             triples.append(check_triple(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import random
-import re
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import NamedTuple
 from .alignment import Segmentation, align, extract_stem, levenshtein
 from .corpus import Alphabet, Dataset, InflectionTriple, check_triple
 from .errors import LineError, MorphaugError, NoStem
-from .util import lines
+from .util import BAD_TEXT, TEXT_RULE, lines
 
 log = logging.getLogger(__name__)
 
@@ -198,7 +197,7 @@ def read_pool_jsonl(text: str) -> list[SyntheticExample]:
         if not isinstance(d, dict):
             raise LineError(line_no, f"expected a JSON object, got {type(d).__name__}")
         try:
-            bad = _bad_value(d, "\\" in line)
+            bad = _bad_value(d)
         except KeyError as e:
             raise LineError(line_no, f"missing key {e.args[0]!r}") from None
         if bad:
@@ -219,18 +218,13 @@ def read_pool_jsonl(text: str) -> list[SyntheticExample]:
     return pool
 
 
-_LINE_BREAK = re.compile("[\t\n\r]")
-_SURROGATE = re.compile("[\ud800-\udfff]")
-_ID_RULE = "a string with no tab, \\n or \\r that does not start with U+FEFF"
-
-
-def _bad_value(d: dict, escaped: bool) -> tuple[str, str] | None:
+def _bad_value(d: dict) -> tuple[str, str] | None:
     """The first key of a pool line whose value has the wrong type, with the
-    type it needs; None if every value is right. No string holds a tab, "\\n"
-    or "\\r", so an id<TAB>nll line and a triple's TSV line read back, nor
-    a lone surrogate, which UTF-8 cannot write; only a JSON escape (in an
-    `escaped` line) writes one. An id or source id does not start with
-    U+FEFF. The score, which may be absent, is null or a finite number >= 0
+    type it needs; None if every value is right. An id or source id keeps
+    util's text rule, so each id<TAB>nll line reads back, and does not
+    start with U+FEFF; the lemma, form and MSD are check_triple's, which
+    holds them to the same text rule, so a triple's TSV line reads back.
+    The score, which may be absent, is null or a finite number >= 0
     that a float holds, the rule of scoring.check_nll. The distance to the
     gold target is at most the form's length: it is an edit distance between
     two strings of that length. JSON gives exactly str, int, float, bool,
@@ -239,16 +233,11 @@ def _bad_value(d: dict, escaped: bool) -> tuple[str, str] | None:
         if type(d[key]) is not str:
             return key, "a string"
     for key in ("id", "source_id"):
-        if d[key].startswith("\ufeff"):
-            return key, _ID_RULE
+        if BAD_TEXT.search(d[key]) or d[key].startswith("\ufeff"):
+            return key, f"a string with {TEXT_RULE} that does not start with U+FEFF"
     msd = d["msd"]
     if type(msd) is not list or any(type(tok) is not str for tok in msd):
         return "msd", "a list of strings"
-    for key in ("id", "source_id", "lemma", "form", "msd") if escaped else ():
-        if key != "msd" and _LINE_BREAK.search(d[key]):
-            return key, _ID_RULE if "id" in key else "a string with no tab, \\n or \\r"
-        if _SURROGATE.search("".join(d[key])):  # an msd's tokens are joined
-            return key, "free of lone surrogates (U+D800 to U+DFFF)"
     for key in ("substituted_lemma_positions", "substituted_form_positions"):
         positions = d[key]
         if type(positions) is not list or any(type(i) is not int for i in positions):

@@ -34,7 +34,7 @@ import numpy as np
 from .corpus import Alphabet
 from .corruption import CorruptionConfig
 from .errors import LineError, MorphaugError
-from .util import derive_seed, lines, row_blocks
+from .util import BAD_TEXT, TEXT_RULE, derive_seed, lines, row_blocks
 
 MI_PAIRS = (
     ("y_stem", "t"),
@@ -91,9 +91,10 @@ def read_harmony_tsv(text: str) -> HarmonyRule:
     classes = {}
     for line_no, line in lines(text):
         fields = line.split("\t")
-        if len(fields) != 2 or len(fields[0]) != 1 or not fields[1]:
+        if (len(fields) != 2 or len(fields[0]) != 1 or not fields[1]
+                or any(map(BAD_TEXT.search, fields))):
             raise LineError(line_no, "expected char<TAB>class, one character and a non-empty "
-                                     f"class, got {line!r}")
+                                     f"class, each with {TEXT_RULE}, got {line!r}")
         char, cls = fields
         if char in classes:
             raise LineError(line_no, f"{char!r} is listed twice")

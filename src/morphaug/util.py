@@ -1,10 +1,11 @@
-"""Seed derivation, config hashing, bootstrap row blocks, input lines, whole-file writes."""
+"""Seed derivation, config hashing, bootstrap row blocks, input lines and text, atomic writes."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import re
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -30,11 +31,18 @@ def row_blocks(row_size: int, rows: int, cells: int):
 
 def lines(text: str):
     """(number, line) of each non-blank line of an input text, numbered
-    from 1 with the blank lines. A line ends at "\\n" only (json writes
-    U+2028, U+2029 and U+0085 unescaped) and without one trailing "\\r"."""
+    from 1 with the blank lines. A line ends at "\\n" only, not at a lone
+    "\\r" or at U+2028, U+2029 or U+0085, which json writes unescaped; one
+    trailing "\\r" is dropped."""
     for line_no, line in enumerate(text.split("\n"), 1):
         if line.strip():
             yield line_no, line.removesuffix("\r")
+
+
+# The text rule of a field of an input line, which BAD_TEXT finds broken: no tab,
+# "\n" or "\r", so a TSV line of it reads back, nor a lone surrogate, which UTF-8 cannot write.
+BAD_TEXT = re.compile("[\t\n\r\ud800-\udfff]")
+TEXT_RULE = "no tab, \\n, \\r or lone surrogate"
 
 
 def atomic_write(path: str, text: str) -> None:

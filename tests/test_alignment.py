@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,3 +173,16 @@ def test_levenshtein_random_vs_oracle():
         b = "".join(rng.choice("abcd\u0301") for _ in range(rng.randint(60, 200)))
         assert levenshtein(a, b) == oracle_levenshtein(a, b)
 
+
+def test_align_keeps_one_byte_of_backtrace_per_cell():
+    # a list of ints would hold 8 bytes per cell, over 2 MiB for 500 x 500
+    rng = random.Random(7)
+    lemma, form = ("".join(rng.choice("abcd") for _ in range(500)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        a = align(lemma, form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.cost == levenshtein(lemma, form)
+    assert peak < 2 ** 20, peak

@@ -116,7 +116,8 @@ def test_malformed_input_exit_code_2(tmp_path):
 @pytest.mark.parametrize("text, line, detail", [
     pytest.param("walk\twalked\tV\n\nonly-one-column\n", 3,
                  "expected 3 tab-separated fields: got 1", id="fields"),
-    pytest.param("walk\t\tV\n", 1, "empty form", id="empty-field"),
+    pytest.param("walk\t\tV\n", 1, "triple '1': lemma and form must be non-empty",
+                 id="empty-field"),
     pytest.param("a\tb\tV;;X\n", 1, "triple '1': bad msd token ''", id="msd-token"),
     pytest.param("walked\twalkeds\tV;PST\n\ufefftalked\ttalkeds\tV;PST\n", 2,
                  "triple '2': lemma and form must not hold U+FEFF", id="byte-order-mark"),
@@ -214,9 +215,9 @@ def test_external_scores_path(gold_file, tmp_path):
     ext.write_text(f"{ids[0]}\t1.0\n")
     assert main(["score", "--pool", pool, "--external", str(ext),
                  "--out", out, "--quiet"]) == 2
-    # and so is an empty path, which names no file
+    # an empty path names no file: a usage error
     assert main(["score", "--pool", pool, "--external", "",
-                 "--out", out, "--quiet"]) == 2
+                 "--out", out, "--quiet"]) == 1
 
 
 def test_milab_writes_curve(tmp_path):
@@ -432,6 +433,8 @@ def _ported(change, needle, label, n):
      "cfg.json: order must be an integer in [1, 2**60 - 1], got 100000000000000000000"),
     ({"n_pool": 2 ** 60},
      "cfg.json: n_pool must be an integer in [1, 2**60 - 1], got 1152921504606846976"),
+    # the empty string names no file either
+    ({"gold": ""}, 'cfg.json: gold must be a path, got ""'),
 ])
 def test_invalid_pipeline_config_writes_nothing(gold_file, tmp_path, capsys, monkeypatch,
                                                 change, needle):
@@ -866,21 +869,25 @@ def test_augment_and_score_bad_flag_values_are_usage_errors(tmp_path, capsys, ar
 
 
 # a file name that is not UTF-8 reaches argv as lone surrogates, which no
-# artifact's provenance can record; a NUL names no file
+# artifact's provenance can record; a NUL names no file, nor does "" (an
+# empty --out-dir would put the pipeline's files in the filesystem root)
 @pytest.mark.parametrize("argv,flag", [
     (["parse", "--in", "gold\udcff.tsv", "--out", "out.jsonl"], "--in"),
     (["parse", "--in", "gold.tsv", "--out", "out\x00.jsonl"], "--out"),
     (["milab", "--out", "\udcff.json"], "--out"),
     (["pipeline", "--config", "cfg.json", "--out-dir", "run\ud800"], "--out-dir"),
+    (["milab", "--out", ""], "--out"),
+    (["pipeline", "--config", "cfg.json", "--out-dir", ""], "--out-dir"),
 ])
 def test_a_path_flag_with_a_nul_or_a_lone_surrogate_is_a_usage_error(tmp_path, capsys,
                                                                     monkeypatch, argv, flag):
     monkeypatch.chdir(tmp_path)
+    beside = sorted(os.listdir(tmp_path.parent))
     assert main([*argv, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: argument {flag}: must be a path")
     assert "Traceback" not in err
-    assert os.listdir(tmp_path) == []
+    assert os.listdir(tmp_path) == [] and sorted(os.listdir(tmp_path.parent)) == beside
 
 
 def test_a_failed_write_names_only_the_target_and_leaves_no_temp_file(gold_file, tmp_path,
@@ -1476,7 +1483,8 @@ def test_a_lemma_or_form_a_merged_tsv_cannot_hold_is_a_data_error(gold_file, tmp
     pool.write_text(_pool_line("x", "walk") + json.dumps(line) + "\n", encoding="utf-8")
     code, merged = _select_merged(gold_file, pool, tmp_path)
     assert code == 2
-    _assert_data_error(capsys, merged, f"{pool}: line 2: '{key}' must be ")
+    _assert_data_error(capsys, merged, f"{pool}: line 2: triple 'y': lemma and form must hold "
+                                       r"no tab, \n, \r or lone surrogate")
     assert not (tmp_path / "sel.json").exists()
 
 

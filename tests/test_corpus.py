@@ -35,7 +35,7 @@ def test_parse_malformed_line():
 
 
 def test_parse_empty_field():
-    with pytest.raises(LineError, match="^line 1: empty form$"):
+    with pytest.raises(LineError, match="^line 1: triple '1': lemma and form must be non-empty$"):
         parse_unimorph("a\t\tN")
 
 

@@ -195,13 +195,17 @@ def test_read_pool_jsonl_rejects_an_id_an_id_tab_nll_line_cannot_hold(key, value
         read_pool_jsonl(_line("s1", "walk") + "\n" + json.dumps(bad) + "\n")
 
 
+# util.TEXT_RULE's wording, as a regex
+TEXT_RULE = r"no tab, \\n, \\r or lone surrogate"
+
+
 @pytest.mark.parametrize("key", ["lemma", "form"])
 @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
 def test_read_pool_jsonl_rejects_a_lemma_or_form_a_tsv_line_cannot_hold(key, char):
     bad = json.loads(_line("s2", "talk"))
     bad[key] = f"ta{char}lk"
-    with pytest.raises(LineError, match=f"line 2: '{key}' must be a string with no tab, "
-                                       r"\\n or \\r, got"):
+    with pytest.raises(LineError, match=f"^line 2: triple 's2': lemma and form must hold "
+                                       f"{TEXT_RULE}$"):
         read_pool_jsonl(_line("s1", "walk") + "\n" + json.dumps(bad) + "\n")
 
 
@@ -210,7 +214,11 @@ def test_read_pool_jsonl_rejects_a_lone_surrogate(key):
     bad = json.loads(_line("s2", "talk"))
     bad[key] = ["V", "P\udc00"] if key == "msd" else "ta\ud800lk"
     # json.dumps escapes the surrogate, as any UTF-8 file must
-    with pytest.raises(LineError, match=f"line 2: '{key}' must be free of lone surrogates"):
+    triple_rule = f"triple 's2': lemma and form must hold {TEXT_RULE}$"
+    detail = {"lemma": triple_rule, "form": triple_rule,
+              "msd": r"triple 's2': bad msd token 'P\\udc00'$"}.get(
+        key, f"'{key}' must be a string with {TEXT_RULE} that does not start with U\\+FEFF, got")
+    with pytest.raises(LineError, match=f"^line 2: {detail}"):
         read_pool_jsonl(_line("s1", "walk") + "\n" + json.dumps(bad) + "\n")
 
 
