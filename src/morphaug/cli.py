@@ -353,15 +353,14 @@ def cmd_report(args) -> None:
         AT_LEAST_1.check(meta_path, "params.min_run", min_run)
         pool = _load_scored_pool(args.pool, args.scores)
         gold = _parse(args.gold)
-        corruption.check_sources(pool, gold)
-        segs = {k: s for k, s in corruption.segment_dataset(gold, min_run).items() if s is not None}
-        blocks = {"correlations": report.correlations(pool, segs)}
+        stems = corruption.check_sources(pool, gold, min_run)
+        blocks = {"correlations": report.correlations(pool, stems)}
         if args.selection:
             msd, count = report.msd_mode(counts)
             blocks["msd_mode"] = {"msd": msd, "count": count}
         if args.harmony:
             blocks["harmony"] = report.harmony_violation_stats(
-                pool, cfg, segs, resamples=args.resamples,
+                pool, cfg, stems, resamples=args.resamples,
                 seed=derive_seed(args.seed, "report"),
             )
         out.document(args.out, blocks, "report", vars(args))

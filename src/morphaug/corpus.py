@@ -104,9 +104,6 @@ class Alphabet:
     def __contains__(self, c: str) -> bool:
         return c in self.index
 
-    def __iter__(self):
-        return iter(self.chars)
-
 
 def parse_unimorph(text: str, name: str = "dataset") -> Dataset:
     """Parse UniMorph-style TSV, whose lines are util.lines, into a Dataset;

@@ -251,28 +251,39 @@ def _bad_value(d: dict) -> tuple[str, str] | None:
     return None
 
 
-def unknown_source(source_id: str) -> MorphaugError:
-    """The data error of a pool example whose source id names no gold triple it can use."""
-    return MorphaugError(f"source id {source_id!r} of the pool names no alignable gold triple")
-
-
-def check_sources(pool: list[SyntheticExample], gold: Dataset) -> None:
-    """Check that every example is a stem corruption of the gold triple its
-    source_id names: the same MSD, and a lemma and form that equal the gold
-    ones once the gold characters are put back at the substituted positions
-    (each in range), since corruption never touches affixes or the MSD."""
+def check_sources(pool: list[SyntheticExample], gold: Dataset,
+                  min_run: int) -> list[Segmentation]:
+    """The segmentation of each example's gold source, cut with min_run, as
+    a list parallel to the pool: stems[i] is that of pool[i]'s source. Every
+    example must be a stem corruption of the alignable gold triple its
+    source_id names: the same MSD; its (lemma, form) position pairs, as many
+    of one as of the other, stem pairs of the source in their order, with
+    the same character on both sides; a lemma and form that equal the gold
+    ones once the gold characters are put back at those positions (each in
+    range), since corruption never touches affixes or the MSD; and a
+    distance to the gold form of at most the number of form positions, the
+    Hamming distance that bounds it."""
+    segs = segment_dataset(gold, min_run)
+    stems = []
     for e in pool:
-        try:
-            src = gold.by_id(e.source_id)
-        except KeyError:
-            raise unknown_source(e.source_id) from None
-        t = e.triple
-        if not (t.msd == src.msd
-                and _restores(t.lemma, src.lemma, e.substituted_lemma_positions)
-                and _restores(t.form, src.form, e.substituted_form_positions)):
+        seg = segs.get(e.source_id)  # not []: bench/tracer.py counts each [] as a gold draw
+        if seg is None:
+            raise MorphaugError(f"source id {e.source_id!r} of the pool names no alignable gold "
+                                "triple")
+        src, t = gold.by_id(e.source_id), e.triple
+        lemma_pos, form_pos = e.substituted_lemma_positions, e.substituted_form_positions
+        rest = iter(seg.stem_pairs)
+        if not (t.msd == src.msd and len(lemma_pos) == len(form_pos)
+                and _restores(t.lemma, src.lemma, lemma_pos)
+                and _restores(t.form, src.form, form_pos)
+                and all(pair in rest and t.lemma[pair[0]] == t.form[pair[1]]
+                        for pair in zip(lemma_pos, form_pos))
+                and e.lev_to_gold_target <= len(form_pos)):
             raise MorphaugError(f"pool example {e.id!r} is not a stem corruption of gold "
                                 f"triple {e.source_id!r}; is --gold the file the pool was made "
                                 "from?")
+        stems.append(seg)
+    return stems
 
 
 def _restores(got: str, want: str, positions: tuple[int, ...]) -> bool:

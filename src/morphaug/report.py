@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import Segmentation
-from .corruption import SyntheticExample, unknown_source
+from .corruption import SyntheticExample
 from .errors import MorphaugError, ZeroVariance
 from .milab import HarmonyRule
 from .scoring import require_scored
@@ -26,26 +26,18 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def _segmentation(segmentations: dict[str, Segmentation], source_id: str) -> Segmentation:
-    try:
-        return segmentations[source_id]
-    except KeyError:
-        raise unknown_source(source_id) from None
-
-
-def correlations(
-    pool: Sequence[SyntheticExample], segmentations: dict[str, Segmentation]
-) -> dict:
+def correlations(pool: Sequence[SyntheticExample], stems: Sequence[Segmentation]) -> dict:
     """Pearson r of nll against corruption distance, stem length, and target
     length, as the record {"pearson_nll_levenshtein",
     "pearson_nll_stem_length", "pearson_nll_target_length", "n"}.
-    Segmentations are keyed by gold source id."""
+    stems[i] is the segmentation of pool[i]'s gold source, as
+    corruption.check_sources returns it."""
     pool = require_scored(pool)
     if len(pool) < 3:
         raise MorphaugError("need >= 3 scored examples")
     nll = [e.score for e in pool]
     lev = [e.lev_to_gold_target for e in pool]
-    stem_len = [len(_segmentation(segmentations, e.source_id).stem_pairs) for e in pool]
+    stem_len = [len(seg.stem_pairs) for _, seg in zip(pool, stems, strict=True)]
     target_len = [len(e.triple.form) for e in pool]
     # each coefficient's key, and the name of its column should it be constant
     out = {"n": len(pool)}
@@ -86,7 +78,7 @@ def bootstrap_means(rng: np.random.Generator, x: np.ndarray, resamples: int) -> 
 def harmony_violation_stats(
     pool: Sequence[SyntheticExample],
     cfg: HarmonyRule,
-    segmentations: dict[str, Segmentation],
+    stems: Sequence[Segmentation],
     resamples: int = 10000,
     seed: int = 0,
 ) -> dict:
@@ -98,14 +90,15 @@ def harmony_violation_stats(
 
     An example violates iff any affix vowel's class differs from the last
     corrupted-stem vowel's class. Stems and affixes come from the gold
-    segmentation applied to the corrupted strings."""
+    segmentation applied to the corrupted strings: stems[i] is that of
+    pool[i]'s source, as corruption.check_sources returns it."""
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
     pool = require_scored(pool)
     violating: list[float] = []
     adhering: list[float] = []
-    for e in pool:
-        stem, affix = _segmentation(segmentations, e.source_id).split_form(e.triple.form)
+    for e, seg in zip(pool, stems, strict=True):
+        stem, affix = seg.split_form(e.triple.form)
         (violating if cfg.violates(stem, affix) else adhering).append(e.score)
     p = None
     if violating and adhering:

@@ -278,13 +278,13 @@ def test_report_subcommand(gold_file, tmp_path):
     scored = scoring.load_external_scores(open(scores).read(),
                                           corruption.read_pool_jsonl(open(pool).read()))
     gold = corpus.parse_unimorph(GOLD)
-    segs = {k: s for k, s in corruption.segment_dataset(gold).items() if s is not None}
+    stems = corruption.check_sources(scored, gold, 3)
     msd, count = report.msd_mode(_record(sel)["per_msd_counts"])
     assert _record(out) == _json_round_trip({
-        "correlations": report.correlations(scored, segs),
+        "correlations": report.correlations(scored, stems),
         "msd_mode": {"msd": msd, "count": count},
         "harmony": report.harmony_violation_stats(
-            scored, milab.read_harmony_tsv(vowels.read_text()), segs, resamples=200,
+            scored, milab.read_harmony_tsv(vowels.read_text()), stems, resamples=200,
             seed=derive_seed(0, "report")),
     })
 

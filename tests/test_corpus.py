@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from morphaug.corpus import (
     Alphabet,
+    Dataset,
     InflectionTriple,
     check_triple,
     extract_alphabet,
@@ -94,6 +95,17 @@ def test_alphabet_order_insensitive():
 def test_alphabet_rejects_duplicates():
     with pytest.raises(ValueError):
         Alphabet(chars=("a", "a"))
+
+
+def test_alphabet_rejects_an_empty_inventory():
+    with pytest.raises(ValueError, match="^alphabet must be non-empty$"):
+        Alphabet(chars=())
+
+
+def test_dataset_rejects_a_duplicate_id():
+    t = InflectionTriple(id="1", lemma="dog", form="dogs", msd=("N", "PL"))
+    with pytest.raises(ValueError, match="^duplicate id '1' in dataset 'pair'$"):
+        Dataset(triples=(t, t._replace(form="doggs")), name="pair")
 
 
 def test_histogram_mode_tie_breaks_lexicographically():

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from morphaug.alignment import align, extract_stem
 from morphaug.corpus import Alphabet, InflectionTriple, serialize
@@ -13,6 +14,7 @@ from morphaug.corruption import (
     corrupt,
     generate_pool,
     read_pool_jsonl,
+    segment_dataset,
     write_pool_jsonl,
 )
 from morphaug.errors import LineError, MorphaugError
@@ -134,6 +136,12 @@ def test_generate_pool_single_uncorrupted_copy():
     assert pool[0].triple.form == "walkeds"
 
 
+def test_generate_pool_needs_at_least_one_example():
+    gold = make_dataset([("walked", "walkeds", "V")])
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        generate_pool(gold, 0, ALPHABET, CorruptionConfig())
+
+
 def test_generate_pool_no_alignable_triples():
     gold = make_dataset([("go", "went", "V"), ("be", "was", "V")])
     with pytest.raises(MorphaugError, match="^no triple in 'fixture' has an alignable stem$"):
@@ -252,16 +260,18 @@ def test_a_pool_example_is_a_tuple_of_its_six_fields():
     assert type(scored) is SyntheticExample and scored == (*e[:5], 2.5) and e.score is None
 
 
-def _from_source(lemma, form, lemma_pos, form_pos, msd=("V", "PST"), source="1"):
+def _from_source(lemma, form, lemma_pos, form_pos, msd=("V", "PST"), source="1", lev=0):
     return SyntheticExample(InflectionTriple(id="s1", lemma=lemma, form=form, msd=msd),
-                            source, lemma_pos, form_pos, 0)
+                            source, lemma_pos, form_pos, lev)
 
 
 def test_check_sources_accepts_the_pool_of_its_gold():
     gold = make_dataset([("walk", "walked", "V;PST"), ("talk", "talked", "V;PST")])
     pool = generate_pool(gold, 30, ALPHABET, CorruptionConfig(theta=0.7, seed=2))
-    check_sources(pool, gold)
-    check_sources([_from_source("wxlk", "wxlked", (1,), (1,))], gold)
+    segs = segment_dataset(gold, 3)
+    assert check_sources(pool, gold, 3) == [segs[e.source_id] for e in pool]
+    assert check_sources([_from_source("wxlk", "wxlked", (1,), (1,), lev=1)], gold, 3) == \
+        [segs["1"]]
 
 
 @pytest.mark.parametrize("example", [
@@ -270,19 +280,51 @@ def test_check_sources_accepts_the_pool_of_its_gold():
     _from_source("wxl", "wxlked", (1,), (1,)),  # another lemma length
     _from_source("wxlk", "wxlkex", (1,), (1,)),  # an affix character changed
     _from_source("wxlx", "wxlked", (1,), (1,)),  # a lemma character outside the positions
-    _from_source("walk", "walked", (4,), ()),  # a position past the end
-    _from_source("walk", "walked", (), (-1,)),  # a negative position
-    _from_source("walk", "walked", (True,), ()),  # a position that is not an int
+    _from_source("walk", "walked", (4,), (4,)),  # a position past the end
+    _from_source("walk", "walked", (-1,), (-1,)),  # a negative position
+    _from_source("walk", "walked", (True,), (1,)),  # a position that is not an int
+    _from_source("walx", "walkex", (3,), (5,)),  # an affix substitution
+    _from_source("wxlk", "walked", (1,), ()),  # only the lemma substituted
+    _from_source("wxlk", "wylked", (1,), (1,)),  # the two sides differ
+    _from_source("wxlk", "wxlked", (1,), (1,), lev=2),  # a distance above the Hamming distance
+    _from_source("wxxk", "wxxked", (2, 1), (2, 1)),  # stem pairs out of order
 ])
 def test_check_sources_rejects_a_mismatch(example):
     gold = make_dataset([("walk", "walked", "V;PST")])
     with pytest.raises(MorphaugError, match=r"^pool example 's1' is not a stem corruption of "
                        r"gold triple '1'; is --gold the file the pool was made from\?$"):
-        check_sources([example], gold)
+        check_sources([example], gold, 3)
 
 
 def test_check_sources_names_a_missing_source():
     gold = make_dataset([("walk", "walked", "V;PST")])
     with pytest.raises(MorphaugError,
                        match="^source id '2' of the pool names no alignable gold triple$"):
-        check_sources([_from_source("walk", "walked", (), (), source="2")], gold)
+        check_sources([_from_source("walk", "walked", (), (), source="2")], gold, 3)
+
+
+def test_check_sources_names_an_unalignable_source():
+    # go/went shares no run of 3 characters, so it has no stem to corrupt
+    gold = make_dataset([("walk", "walked", "V;PST"), ("go", "went", "V;PST")])
+    with pytest.raises(MorphaugError,
+                       match="^source id '2' of the pool names no alignable gold triple$"):
+        check_sources([_from_source("walk", "walked", (), ()),
+                       _from_source("go", "went", (), (), source="2")], gold, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.text("abcd", min_size=1, max_size=5), st.text("xy", max_size=2),
+                               st.text("ab", max_size=3), st.sampled_from(["V;PST", "N;PL"])),
+                     min_size=1, max_size=6),
+       exclude_original=st.booleans(), min_run=st.sampled_from([2, 3]),
+       theta=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**16))
+def test_every_generated_pool_passes_check_sources(rows, exclude_original, min_run, theta,
+                                                   seed):
+    gold = make_dataset([(stem, prefix + stem + suffix, msd)
+                         for stem, prefix, suffix, msd in rows])
+    segs = segment_dataset(gold, min_run)
+    assume(any(seg is not None for seg in segs.values()))
+    cfg = CorruptionConfig(theta=theta, exclude_original=exclude_original, min_run=min_run,
+                           seed=seed)
+    pool = generate_pool(gold, 20, ALPHABET, cfg)
+    assert check_sources(pool, gold, min_run) == [segs[e.source_id] for e in pool]

@@ -23,8 +23,8 @@ from morphaug import corruption, milab, report, scoring, selection
 from morphaug.alignment import align, extract_stem, levenshtein
 from morphaug.cli import main
 from morphaug.corpus import Alphabet, InflectionTriple, check_triple, parse_unimorph
-from morphaug.corruption import (CorruptionConfig, SyntheticExample, corrupt, generate_pool,
-                                 read_pool_jsonl, segment_dataset, write_pool_jsonl)
+from morphaug.corruption import (CorruptionConfig, SyntheticExample, check_sources, corrupt,
+                                 generate_pool, read_pool_jsonl, write_pool_jsonl)
 from morphaug.errors import LineError, MorphaugError, NoStem
 from morphaug.scoring import NGramScorer
 
@@ -500,19 +500,19 @@ def _harmony_pool(n, seed):
     pool = generate_pool(gold, n, Alphabet(chars=tuple("adeilo")),
                          CorruptionConfig(theta=0.7, seed=seed))
     rng = random.Random(seed)
-    return [e.with_score(rng.gauss(1.0, 0.3)) for e in pool], segment_dataset(gold)
+    return [e.with_score(rng.gauss(1.0, 0.3)) for e in pool], check_sources(pool, gold, 3)
 
 
 @pytest.mark.parametrize("block", [1, 5, 64, 2**16, 2**21])
 def test_harmony_violation_stats_p_matches_full_draw(block):
     cfg = milab.HarmonyRule(
         vowel_classes={"a": "back", "o": "back", "e": "front", "i": "front"})
-    pool, segs = _harmony_pool(120, seed=9)
+    pool, stems = _harmony_pool(120, seed=9)
     with _block(report, block):
-        stats = report.harmony_violation_stats(pool, cfg, segs, resamples=333, seed=4)
+        stats = report.harmony_violation_stats(pool, cfg, stems, resamples=333, seed=4)
     violating, adhering = [], []
-    for e in pool:
-        seg, form = segs[e.source_id], e.triple.form
+    for e, seg in zip(pool, stems):
+        form = e.triple.form
         stem = "".join(form[i] for i in sorted(form_stem_positions(seg)))
         affix = "".join(c for i, c in enumerate(form) if i not in form_stem_positions(seg))
         (violating if cfg.violates(stem, affix) else adhering).append(e.score)

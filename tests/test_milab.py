@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from morphaug import milab
 from morphaug.alignment import align, extract_stem
-from morphaug.errors import NoStem
+from morphaug.corpus import Alphabet
+from morphaug.errors import MorphaugError, NoStem
 from morphaug.milab import (
     MI_PAIRS,
     HarmonyRule,
@@ -136,6 +137,7 @@ def test_harmony_agrees_with_last_stem_vowel():
     assert h.stem_class("del") == "front"
     assert h.harmonize("lar", "front") == "ler"
     assert h.harmonize("lar", "back") == "lar"
+    assert h.harmonize("lar", None) == "lar"  # a stem without a vowel class
     assert not h.violates("dal", "lar")
     assert h.violates("del", "lar")
     # consonant-only strings are neutral
@@ -150,6 +152,26 @@ def test_harmony_agrees_with_last_stem_vowel():
     assert n.harmonize("lari", "front") == "leri"
     assert not n.violates("deli", "lir")
     assert n.violates("deli", "lar")
+
+
+@pytest.mark.parametrize("stems, affix_map, message", [
+    (("da",), {"M0": "lar"}, "^all stems must have length >= 3$"),
+    (("dal",), {"M0": "lar", "M1": "lar"}, "^affixes must be distinct per MSD$"),
+])
+def test_toy_grammar_rejects_a_short_stem_and_a_repeated_affix(stems, affix_map, message):
+    with pytest.raises(ValueError, match=message):
+        ToyGrammar(stems=stems, affix_map=affix_map, alphabet=make_toy_grammar(4, 2).alphabet)
+
+
+def test_generate_gold_needs_at_least_one_example():
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        generate_gold(make_toy_grammar(4, 2), 0)
+
+
+def test_corrupt_toy_needs_two_characters_to_exclude_the_original():
+    g = ToyGrammar(stems=("aaa",), affix_map={"M0": "a"}, alphabet=Alphabet(chars=("a",)))
+    with pytest.raises(MorphaugError, match="^need >= 2 characters to exclude the original$"):
+        corrupt_toy(generate_gold(g, 1), g, 1, theta=0.5)
 
 
 def test_grammar_harmony_end_to_end():

@@ -1,11 +1,10 @@
 import random
-import re
 
 import numpy as np
 import pytest
 
 from morphaug.corpus import Alphabet, InflectionTriple
-from morphaug.corruption import CorruptionConfig, SyntheticExample, generate_pool, segment_dataset
+from morphaug.corruption import CorruptionConfig, SyntheticExample, check_sources, generate_pool
 from morphaug.errors import MorphaugError, ZeroVariance
 from morphaug.report import (bootstrap_means, correlations, harmony_violation_stats, msd_mode,
                              pearson)
@@ -71,7 +70,7 @@ def _scored_pool(n=1000, theta=0.5, seed=0):
 
 def test_correlations_positive_with_corruption_degree():
     gold, pool = _scored_pool()
-    rep = correlations(pool, segment_dataset(gold))
+    rep = correlations(pool, check_sources(pool, gold, 3))
     assert rep["n"] == 1000
     assert rep["pearson_nll_levenshtein"] > 0.2
     assert -1 <= rep["pearson_nll_stem_length"] <= 1
@@ -81,25 +80,13 @@ def test_correlations_positive_with_corruption_degree():
 def test_correlations_too_few():
     gold, pool = _scored_pool(n=2)
     with pytest.raises(MorphaugError, match="^need >= 3 scored examples$"):
-        correlations(pool, segment_dataset(gold))
-
-
-def test_pool_source_without_segmentation_is_named():
-    gold, pool = _scored_pool(n=50)
-    segs = segment_dataset(gold)
-    missing = pool[7].source_id
-    del segs[missing]
-    message = f"^source id {re.escape(repr(missing))} of the pool names no alignable gold triple$"
-    with pytest.raises(MorphaugError, match=message):
-        correlations(pool, segs)
-    with pytest.raises(MorphaugError, match=message):
-        harmony_violation_stats(pool, VOWELS, segs, resamples=10)
+        correlations(pool, check_sources(pool, gold, 3))
 
 
 @pytest.mark.parametrize("constant", ["nll", "lev_to_gold_target", "stem_length",
                                       "target_length"])
 def test_correlations_name_the_constant_column(constant):
-    pool, segs = [], {}
+    pool, stems = [], []
     for i in range(5):
         form = "a" * (6 if constant == "target_length" else 6 + i)
         pool.append(SyntheticExample(
@@ -107,9 +94,9 @@ def test_correlations_name_the_constant_column(constant):
             source_id=f"g{i}", substituted_lemma_positions=(), substituted_form_positions=(),
             lev_to_gold_target=1 if constant == "lev_to_gold_target" else i,
             score=1.5 if constant == "nll" else float(i)))
-        segs[f"g{i}"] = prefix_segmentation(3 if constant == "stem_length" else 3 + i)
+        stems.append(prefix_segmentation(3 if constant == "stem_length" else 3 + i))
     with pytest.raises(ZeroVariance) as err:
-        correlations(pool, segs)
+        correlations(pool, stems)
     assert err.value.variable == constant
 
 
@@ -174,17 +161,15 @@ def _toy_pool(theta=1.0, n=400, seed=5):
     gold = make_dataset(rows)
     pool = generate_pool(gold, n, Alphabet(chars=tuple("adeilo")),
                          CorruptionConfig(theta=theta, seed=seed))
-    segs = segment_dataset(gold)
     scored = score_pool(train_ngram(gold, order=3, k=0.1), pool)
-    return scored, segs
+    return scored, check_sources(scored, gold, 3)
 
 
 def test_harmony_violation_rate_matches_inline_reclassification():
-    pool, segs = _toy_pool()
-    stats = harmony_violation_stats(pool, VOWELS, segs, resamples=100, seed=0)
+    pool, stems = _toy_pool()
+    stats = harmony_violation_stats(pool, VOWELS, stems, resamples=100, seed=0)
     violating = 0
-    for e in pool:
-        seg = segs[e.source_id]
+    for e, seg in zip(pool, stems):
         form = e.triple.form
         stem = "".join(form[i] for i in sorted(form_stem_positions(seg)))
         affix = "".join(form[i] for i in range(len(form))
@@ -204,19 +189,18 @@ def test_harmony_violation_rate_matches_inline_reclassification():
 
 
 def test_harmony_planted_score_gap_detected():
-    pool, segs = _toy_pool()
+    pool, stems = _toy_pool()
     # replant scores: violating examples get a clearly higher mean
     rng = random.Random(1)
     planted = []
-    for e in pool:
-        seg = segs[e.source_id]
+    for e, seg in zip(pool, stems):
         form = e.triple.form
         stem = "".join(form[i] for i in sorted(form_stem_positions(seg)))
         affix = "".join(form[i] for i in range(len(form))
                         if i not in form_stem_positions(seg))
         base = 1.0 + (0.5 if VOWELS.violates(stem, affix) else 0.0)
         planted.append(e.with_score(base + rng.gauss(0, 0.2)))
-    stats = harmony_violation_stats(planted, VOWELS, segs, resamples=2000, seed=3)
+    stats = harmony_violation_stats(planted, VOWELS, stems, resamples=2000, seed=3)
     assert stats["mean_nll_violating"] > stats["mean_nll_adhering"]
     assert stats["bootstrap_p"] is not None and stats["bootstrap_p"] < 0.05
 
@@ -227,9 +211,9 @@ def test_harmony_stats_handle_one_sided_pool():
     gold = make_dataset(rows)
     pool = generate_pool(gold, 50, Alphabet(chars=tuple("adeilo")),
                          CorruptionConfig(theta=1.0, seed=2))
-    segs = {t.id: prefix_segmentation(4) for t in gold}
     scored = [e.with_score(1.0 + i * 0.01) for i, e in enumerate(pool)]
-    stats = harmony_violation_stats(scored, VOWELS, segs, resamples=100)
+    stats = harmony_violation_stats(scored, VOWELS, [prefix_segmentation(4)] * len(pool),
+                                    resamples=100)
     assert stats["violation_rate"] == 0.0
     assert stats["bootstrap_p"] is None
     assert stats["mean_nll_violating"] is None
@@ -283,6 +267,6 @@ def test_bootstrap_width_shrinks_like_sqrt_n():
 
 @pytest.mark.parametrize("resamples", [0, -1])
 def test_bootstrap_resamples_below_one_rejected(resamples):
-    pool, segs = _toy_pool(n=50)
+    pool, stems = _toy_pool(n=50)
     with pytest.raises(ValueError, match="resamples"):
-        harmony_violation_stats(pool, VOWELS, segs, resamples=resamples)
+        harmony_violation_stats(pool, VOWELS, stems, resamples=resamples)

@@ -149,6 +149,15 @@ def test_corrupted_examples_score_higher_on_average():
     assert heavy_mean > clean_mean
 
 
+@pytest.mark.parametrize("order, k, message", [
+    (0, 0.1, "^order must be an integer >= 1, got 0$"),
+    (3, 0, "^k must be > 0 and finite, got 0$"),
+])
+def test_scorer_rejects_an_order_below_one_and_a_k_of_zero(order, k, message):
+    with pytest.raises(ValueError, match=message):
+        NGramScorer(order=order, k=k)
+
+
 def test_train_on_empty_dataset():
     with pytest.raises(MorphaugError, match="^cannot train a scorer on an empty dataset$"):
         train_ngram(make_dataset([]))
