@@ -217,7 +217,7 @@ def _load_scored_pool(pool_path: str, scores_path: str | None):
 
 # --------------------------------------------------------------------- stages
 # One function per stage, called by its subcommand and by `pipeline`; the
-# callers differ only in the provenance params and the selection seed label.
+# callers differ only in the provenance params.
 
 def _augment(gold, n: int, cfg: corruption.CorruptionConfig, out: Outputs, path: str,
              params: dict) -> list:
@@ -234,6 +234,11 @@ def _score(pool, gold, order: int, k_smooth: float, out: Outputs, path: str, par
     out.table(path, scoring.write_scores_tsv(scored), "score", params)
     log.info("scored %d examples to %s", len(scored), path)
     return scored
+
+
+def _strategy(kind: str, k: int, seed: int) -> selection.SelectionStrategy:
+    """The strategy select and pipeline both run for kind and k under the top-level seed."""
+    return selection.SelectionStrategy(kind=kind, k=k, seed=derive_seed(seed, f"select-{kind}-{k}"))
 
 
 def _select(index: selection.PoolIndex, strategy: selection.SelectionStrategy, out: Outputs,
@@ -290,9 +295,8 @@ def cmd_select(args) -> None:
     with Outputs(args.out, tables=[args.merged_out] if args.merged_out else []) as out:
         gold = _parse(args.gold) if args.merged_out else None
         pool = _load_scored_pool(args.pool, args.scores)
-        strategy = selection.SelectionStrategy(kind=args.strategy, k=args.k,
-                                               seed=derive_seed(args.seed, "select"))
-        result = _select(selection.PoolIndex(pool), strategy, out, args.out, vars(args))
+        result = _select(selection.PoolIndex(pool), _strategy(args.strategy, args.k, args.seed),
+                         out, args.out, vars(args))
         if args.merged_out:
             by_id = {e.id: e for e in pool}
             merged = corpus.serialize([*gold, *(by_id[i].triple for i in result["selected_ids"])])
@@ -327,7 +331,7 @@ def cmd_milab(args) -> None:
 
 
 def cmd_report(args) -> None:
-    from . import milab, report
+    from . import report
 
     with Outputs(args.out) as out:
         # the small inputs first, so a bad one fails before the pool is read
@@ -342,7 +346,7 @@ def cmd_report(args) -> None:
             for msd, count in counts.items():
                 AT_LEAST_1.check(args.selection, f"per_msd_counts[{msd!r}]", count)
         if args.harmony:
-            cfg = _load(args.harmony, milab.read_harmony_tsv)
+            cfg = _load(args.harmony, corpus.read_harmony_tsv)
         # gold's stems take the pool's min_run: its sidecar's, else augment's default
         meta_path = args.pool + META_SUFFIX
         meta = _load(meta_path, _json) if os.path.exists(meta_path) else {"params": {}}
@@ -395,9 +399,7 @@ def cmd_pipeline(args) -> None:
     for k in sizes:
         selection.check_k(k, n_pool)
     ccfg = corruption.CorruptionConfig(theta=cfg["theta"], seed=derive_seed(seed, "augment"))
-    strategies = [selection.SelectionStrategy(kind=kind, k=k,
-                                              seed=derive_seed(seed, f"select-{kind}-{k}"))
-                  for kind in cfg["strategies"] for k in sizes]
+    strategies = [_strategy(kind, k, seed) for kind in cfg["strategies"] for k in sizes]
 
     out_dir = args.out_dir.rstrip("/")
     pool_out, scores_out, test_out = (f"{out_dir}/{name}"

@@ -1,8 +1,10 @@
-"""Inflection corpus data model: triples, datasets and alphabets.
+"""Inflection corpus data model: triples, datasets, alphabets and the
+vowel-harmony rule, with their TSV readers.
 
 File convention is UTF-8 TSV with columns lemma<TAB>form<TAB>MSD, where the
-MSD is a ';'-joined list of feature tokens. Everything here is immutable and
-operates on Unicode code points (combining marks count as separate characters).
+MSD is a ';'-joined list of feature tokens (a harmony file's are char<TAB>class).
+Everything here is immutable and operates on Unicode code points (combining
+marks count as separate characters).
 """
 
 from __future__ import annotations
@@ -105,6 +107,43 @@ class Alphabet:
         return c in self.index
 
 
+@dataclass(frozen=True)
+class HarmonyRule:
+    """Vowel harmony: affix vowels take the class of the last stem vowel.
+
+    `vowel_classes` maps each vowel to a class label; consonants are
+    unmapped. A vowel labelled "neutral" never sets the stem's class, is
+    never harmonized and never counts as a violation. `pairs` maps each
+    vowel to its counterpart in the other class; only harmonize reads it."""
+
+    vowel_classes: dict
+    pairs: dict | None = None
+
+    def __post_init__(self):
+        if not self.vowel_classes:
+            raise MorphaugError("vowel class map is empty")
+
+    def stem_class(self, stem: str) -> str | None:
+        for c in reversed(stem):
+            cls = self.vowel_classes.get(c)
+            if cls is not None and cls != "neutral":
+                return cls
+        return None
+
+    def _clashes(self, c: str, cls: str) -> bool:
+        own = self.vowel_classes.get(c)
+        return own is not None and own != "neutral" and own != cls
+
+    def harmonize(self, affix: str, cls: str | None) -> str:
+        if cls is None:
+            return affix
+        return "".join(self.pairs[c] if self._clashes(c, cls) else c for c in affix)
+
+    def violates(self, stem: str, affix: str) -> bool:
+        cls = self.stem_class(stem)
+        return cls is not None and any(self._clashes(c, cls) for c in affix)
+
+
 def parse_unimorph(text: str, name: str = "dataset") -> Dataset:
     """Parse UniMorph-style TSV, whose lines are util.lines, into a Dataset;
     ids are assigned from 1-based line order."""
@@ -120,6 +159,22 @@ def parse_unimorph(text: str, name: str = "dataset") -> Dataset:
         except MorphaugError as e:
             raise LineError(line_no, e) from None
     return Dataset(triples=tuple(triples), name=name)
+
+
+def read_harmony_tsv(text: str) -> HarmonyRule:
+    """The HarmonyRule of a char<TAB>class vowel TSV, whose lines are util.lines."""
+    classes = {}
+    for line_no, line in lines(text):
+        fields = line.split("\t")
+        if (len(fields) != 2 or len(fields[0]) != 1 or not fields[1]
+                or any(map(BAD_TEXT.search, fields))):
+            raise LineError(line_no, "expected char<TAB>class, one character and a non-empty "
+                                     f"class, each with {TEXT_RULE}, got {line!r}")
+        char, cls = fields
+        if char in classes:
+            raise LineError(line_no, f"{char!r} is listed twice")
+        classes[char] = cls
+    return HarmonyRule(vowel_classes=classes)
 
 
 def serialize(triples: Iterable[InflectionTriple]) -> str:

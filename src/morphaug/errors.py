@@ -16,9 +16,3 @@ class LineError(MorphaugError):
 
 class NoStem(MorphaugError):
     """No aligned run reaches the minimum stem length; triple cannot be corrupted."""
-
-
-class ZeroVariance(MorphaugError):
-    def __init__(self, variable):
-        self.variable = variable
-        super().__init__(f"zero variance in {variable}; correlation undefined")

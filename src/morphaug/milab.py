@@ -31,10 +31,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Alphabet
+from .corpus import Alphabet, HarmonyRule
 from .corruption import CorruptionConfig
-from .errors import LineError, MorphaugError
-from .util import BAD_TEXT, TEXT_RULE, derive_seed, lines, row_blocks
+from .errors import MorphaugError
+from .util import derive_seed, row_blocks
 
 MI_PAIRS = (
     ("y_stem", "t"),
@@ -47,59 +47,6 @@ MI_PAIRS = (
 # variable (lemma and form share the prefix stem, so x_stem and y_stem are
 # both the stem)
 _VARIABLE_FIELD = {"t": 1, "x_stem": 0, "x_affix": 2, "y_stem": 0, "y_affix": 3}
-
-
-@dataclass(frozen=True)
-class HarmonyRule:
-    """Vowel harmony: affix vowels take the class of the last stem vowel.
-
-    `vowel_classes` maps each vowel to a class label; consonants are
-    unmapped. A vowel labelled "neutral" never sets the stem's class, is
-    never harmonized and never counts as a violation. `pairs` maps each
-    vowel to its counterpart in the other class; only harmonize reads it."""
-
-    vowel_classes: dict
-    pairs: dict | None = None
-
-    def __post_init__(self):
-        if not self.vowel_classes:
-            raise MorphaugError("vowel class map is empty")
-
-    def stem_class(self, stem: str) -> str | None:
-        for c in reversed(stem):
-            cls = self.vowel_classes.get(c)
-            if cls is not None and cls != "neutral":
-                return cls
-        return None
-
-    def _clashes(self, c: str, cls: str) -> bool:
-        own = self.vowel_classes.get(c)
-        return own is not None and own != "neutral" and own != cls
-
-    def harmonize(self, affix: str, cls: str | None) -> str:
-        if cls is None:
-            return affix
-        return "".join(self.pairs[c] if self._clashes(c, cls) else c for c in affix)
-
-    def violates(self, stem: str, affix: str) -> bool:
-        cls = self.stem_class(stem)
-        return cls is not None and any(self._clashes(c, cls) for c in affix)
-
-
-def read_harmony_tsv(text: str) -> HarmonyRule:
-    """The HarmonyRule of a char<TAB>class vowel TSV, whose lines are util.lines."""
-    classes = {}
-    for line_no, line in lines(text):
-        fields = line.split("\t")
-        if (len(fields) != 2 or len(fields[0]) != 1 or not fields[1]
-                or any(map(BAD_TEXT.search, fields))):
-            raise LineError(line_no, "expected char<TAB>class, one character and a non-empty "
-                                     f"class, each with {TEXT_RULE}, got {line!r}")
-        char, cls = fields
-        if char in classes:
-            raise LineError(line_no, f"{char!r} is listed twice")
-        classes[char] = cls
-    return HarmonyRule(vowel_classes=classes)
 
 
 def default_harmony() -> HarmonyRule:

@@ -10,19 +10,19 @@ import numpy as np
 
 from .alignment import Segmentation
 from .corruption import SyntheticExample
-from .errors import MorphaugError, ZeroVariance
-from .milab import HarmonyRule
+from .corpus import HarmonyRule
+from .errors import MorphaugError
 from .scoring import require_scored
 from .util import row_blocks
 
 
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
+def pearson(xs: Sequence[float], ys: Sequence[float], names=("x", "y")) -> float:
+    """Pearson r of xs and ys; a constant column is a data error naming it by names."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
-    if x.std() == 0:
-        raise ZeroVariance("x")
-    if y.std() == 0:
-        raise ZeroVariance("y")
+    for column, name in zip((x, y), names):
+        if column.std() == 0:
+            raise MorphaugError(f"zero variance in {name}; correlation undefined")
     return float(np.corrcoef(x, y)[0, 1])
 
 
@@ -44,10 +44,7 @@ def correlations(pool: Sequence[SyntheticExample], stems: Sequence[Segmentation]
     for key, name, xs in (("pearson_nll_levenshtein", "lev_to_gold_target", lev),
                           ("pearson_nll_stem_length", "stem_length", stem_len),
                           ("pearson_nll_target_length", "target_length", target_len)):
-        try:
-            out[key] = pearson(nll, xs)
-        except ZeroVariance as e:
-            raise ZeroVariance("nll" if e.variable == "x" else name) from None
+        out[key] = pearson(nll, xs, ("nll", name))
     return out
 
 

@@ -192,7 +192,8 @@ def test_augment_score_select_split_chain(gold_file, tmp_path):
     # the artifact is the library's selection record
     scored = scoring.load_external_scores(open(scores).read(),
                                           corruption.read_pool_jsonl(open(pool).read()))
-    strategy = selection.SelectionStrategy("ume-loss", 10, seed=derive_seed(7, "select"))
+    strategy = selection.SelectionStrategy("ume-loss", 10,
+                                           seed=derive_seed(7, "select-ume-loss-10"))
     assert _record(sel) == _json_round_trip(selection.select(scored, strategy))
     merged_lines = open(merged).read().splitlines()
     assert len(merged_lines) == 30  # 20 gold + 10 selected
@@ -284,7 +285,7 @@ def test_report_subcommand(gold_file, tmp_path):
         "correlations": report.correlations(scored, stems),
         "msd_mode": {"msd": msd, "count": count},
         "harmony": report.harmony_violation_stats(
-            scored, milab.read_harmony_tsv(vowels.read_text()), stems, resamples=200,
+            scored, corpus.read_harmony_tsv(vowels.read_text()), stems, resamples=200,
             seed=derive_seed(0, "report")),
     })
 
@@ -368,8 +369,7 @@ def test_pipeline_equals_the_chained_subcommands(tmp_path, monkeypatch):
                  "--out", "test.tsv", *common]) == 0
     for name in ("pool.jsonl", "scores.tsv", "test.tsv"):
         assert (tmp_path / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
-    # the seeded strategies differ only by the select seed label
-    for kind in ("highloss", "lowloss"):
+    for kind in cfg["strategies"]:
         name = f"select-{kind}-{cfg['k']}.json"
         assert main(["select", "--pool", "pool.jsonl", "--scores", "scores.tsv",
                      "--strategy", kind, "--k", str(cfg["k"]), "--out", name, *common]) == 0
@@ -780,6 +780,15 @@ def _probe(code: str, **env_changes) -> str:
 
 def test_cli_import_does_not_load_numpy():
     assert _probe("import sys, morphaug.cli; print('numpy' in sys.modules)") == "False"
+
+
+def test_each_import_loads_only_its_layers():
+    # the package root loads no layer, and report neither the toy lab nor its executor
+    code = "import sys, morphaug; print([m for m in sys.modules if m.startswith('morphaug.')])"
+    assert _probe(code) == "[]"
+    code = ("import sys, morphaug.report; "
+            "print([m for m in ('morphaug.milab', 'concurrent.futures') if m in sys.modules])")
+    assert _probe(code) == "[]"
 
 
 def test_milab_does_not_load_numpy_ma(tmp_path):
@@ -1425,7 +1434,7 @@ def test_harmony_lines_end_at_newline_only(tmp_path):
 
     vowels = tmp_path / "vowels.tsv"
     vowels.write_bytes("a\tback\u2028\ne\tfront\x85\r\n\ni\tneutral\r\n".encode())
-    classes = cli._load(str(vowels), milab.read_harmony_tsv).vowel_classes
+    classes = cli._load(str(vowels), corpus.read_harmony_tsv).vowel_classes
     assert classes == {"a": "back\u2028", "e": "front\x85", "i": "neutral"}
 
 

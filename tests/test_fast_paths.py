@@ -22,7 +22,8 @@ from hypothesis.extra import numpy as hnp
 from morphaug import corruption, milab, report, scoring, selection
 from morphaug.alignment import align, extract_stem, levenshtein
 from morphaug.cli import main
-from morphaug.corpus import Alphabet, InflectionTriple, check_triple, parse_unimorph
+from morphaug.corpus import (Alphabet, HarmonyRule, InflectionTriple, check_triple,
+                             parse_unimorph)
 from morphaug.corruption import (CorruptionConfig, SyntheticExample, check_sources, corrupt,
                                  generate_pool, read_pool_jsonl, write_pool_jsonl)
 from morphaug.errors import LineError, MorphaugError, NoStem
@@ -505,8 +506,7 @@ def _harmony_pool(n, seed):
 
 @pytest.mark.parametrize("block", [1, 5, 64, 2**16, 2**21])
 def test_harmony_violation_stats_p_matches_full_draw(block):
-    cfg = milab.HarmonyRule(
-        vowel_classes={"a": "back", "o": "back", "e": "front", "i": "front"})
+    cfg = HarmonyRule(vowel_classes={"a": "back", "o": "back", "e": "front", "i": "front"})
     pool, stems = _harmony_pool(120, seed=9)
     with _block(report, block):
         stats = report.harmony_violation_stats(pool, cfg, stems, resamples=333, seed=4)

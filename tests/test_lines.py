@@ -8,10 +8,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from morphaug import cli
-from morphaug.corpus import InflectionTriple, check_triple, parse_unimorph, serialize
+from morphaug.corpus import (InflectionTriple, check_triple, parse_unimorph, read_harmony_tsv,
+                             serialize)
 from morphaug.corruption import SyntheticExample, read_pool_jsonl
 from morphaug.errors import LineError, MorphaugError
-from morphaug.milab import read_harmony_tsv
 from morphaug.scoring import load_external_scores
 from morphaug.util import lines
 

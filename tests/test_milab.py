@@ -11,11 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from morphaug import milab
 from morphaug.alignment import align, extract_stem
-from morphaug.corpus import Alphabet
+from morphaug.corpus import Alphabet, HarmonyRule
 from morphaug.errors import MorphaugError, NoStem
 from morphaug.milab import (
     MI_PAIRS,
-    HarmonyRule,
     ToyExample,
     ToyGrammar,
     convexity_bound_check,
