@@ -228,9 +228,8 @@ def _augment(gold, n: int, cfg: corruption.CorruptionConfig, out: Outputs, path:
 
 
 def _score(pool, gold, order: int, k_smooth: float, out: Outputs, path: str, params: dict) -> list:
-    """The pool scored by an n-gram trained on gold, or, with no gold, as it was read."""
-    scored = pool if gold is None else scoring.score_pool(
-        scoring.train_ngram(gold, order=order, k=k_smooth), pool)
+    """The pool scored by an n-gram trained on gold."""
+    scored = scoring.score_pool(scoring.train_ngram(gold, order=order, k=k_smooth), pool)
     out.table(path, scoring.write_scores_tsv(scored), "score", params)
     log.info("scored %d examples to %s", len(scored), path)
     return scored
@@ -282,9 +281,8 @@ def cmd_augment(args) -> None:
 
 def cmd_score(args) -> None:
     with Outputs(tables=[args.out]) as out:
-        pool = _load_scored_pool(args.pool, args.external)
-        gold = None if args.external is not None else _parse(args.gold)
-        _score(pool, gold, args.order, args.k_smooth, out, args.out, vars(args))
+        pool = _load(args.pool, corruption.read_pool_jsonl)
+        _score(pool, _parse(args.gold), args.order, args.k_smooth, out, args.out, vars(args))
 
 
 def cmd_select(args) -> None:
@@ -396,10 +394,10 @@ def cmd_pipeline(args) -> None:
             rule.check(args.config, key, cfg[key])
     seed, n_pool = cfg["seed"], cfg["n_pool"]
     sizes = SWEEP_SIZES if cfg.get("sweep") else [cfg.get("k", 128)]
-    for k in sizes:
-        selection.check_k(k, n_pool)
-    ccfg = corruption.CorruptionConfig(theta=cfg["theta"], seed=derive_seed(seed, "augment"))
     strategies = [_strategy(kind, k, seed) for kind in cfg["strategies"] for k in sizes]
+    for s in strategies:  # as select does: a size is checked for each selection made
+        selection.check_k(s.k, n_pool)
+    ccfg = corruption.CorruptionConfig(theta=cfg["theta"], seed=derive_seed(seed, "augment"))
 
     out_dir = args.out_dir.rstrip("/")
     pool_out, scores_out, test_out = (f"{out_dir}/{name}"
@@ -427,6 +425,7 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=INTEGER.flag, default=0)
     common.add_argument("--quiet", action="store_true")
+    scores_help = "id<TAB>nll scores: score's output or an external model's"
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = sub.add_parser("parse", parents=[common],
@@ -448,10 +447,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("score", parents=[common], help="attach NLL uncertainty scores to a pool")
     sp.add_argument("--pool", type=PATH.flag, required=True)
-    source = sp.add_mutually_exclusive_group(required=True)
-    source.add_argument("--gold", type=PATH.flag, default=None)
-    source.add_argument("--external", type=PATH.flag, default=None,
-                        help="id<TAB>nll TSV from an external model instead of the built-in scorer")
+    sp.add_argument("--gold", type=PATH.flag, required=True)
     sp.add_argument("--order", type=AT_LEAST_1.flag, default=3)
     sp.add_argument("--k-smooth", type=POSITIVE.flag, default=0.1)
     sp.add_argument("--out", type=PATH.flag, required=True)
@@ -459,7 +455,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("select", parents=[common], help="pick a subset of the scored pool")
     sp.add_argument("--pool", type=PATH.flag, required=True)
-    sp.add_argument("--scores", type=PATH.flag, default=None)
+    sp.add_argument("--scores", type=PATH.flag, default=None, help=scores_help)
     sp.add_argument("--strategy", required=True, choices=selection.STRATEGIES)
     sp.add_argument("--k", type=AT_LEAST_0.flag, required=True)
     sp.add_argument("--gold", type=PATH.flag, default=None)
@@ -489,7 +485,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("report", parents=[common], help="correlations, MSD mode, harmony stats")
     sp.add_argument("--pool", type=PATH.flag, required=True)
-    sp.add_argument("--scores", type=PATH.flag, default=None)
+    sp.add_argument("--scores", type=PATH.flag, default=None, help=scores_help)
     sp.add_argument("--gold", type=PATH.flag, required=True)
     sp.add_argument("--selection", type=PATH.flag, default=None)
     sp.add_argument("--harmony", type=PATH.flag, default=None, help="char<TAB>class vowel TSV")

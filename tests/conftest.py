@@ -6,10 +6,9 @@ from functools import lru_cache, reduce
 from operator import add, attrgetter
 
 import numpy as np
-import pytest
 
 from morphaug.alignment import GAP, CharAlignment, Segmentation
-from morphaug.corpus import Dataset, InflectionTriple, parse_unimorph
+from morphaug.corpus import Dataset, InflectionTriple
 from morphaug.corruption import CorruptionConfig, SyntheticExample, segment_dataset
 from morphaug.errors import MorphaugError
 from morphaug.milab import MI_PAIRS, ToyExample, convexity_bound_check, generate_gold
@@ -434,14 +433,3 @@ def make_dataset(rows, name="fixture") -> Dataset:
     )
     return Dataset(triples=triples, name=name)
 
-
-@pytest.fixture
-def small_gold():
-    text = (
-        "walk\twalked\tV;PST\n"
-        "talk\ttalked\tV;PST\n"
-        "jump\tjumping\tV;PRS\n"
-        "climb\tclimbs\tV;3;SG\n"
-        "dream\tdreamed\tV;PST\n"
-    )
-    return parse_unimorph(text, name="gold-train")

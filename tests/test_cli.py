@@ -76,12 +76,13 @@ def test_missing_argument_dependencies_are_usage_errors(gold_file, tmp_path, cap
     assert main(["augment", "--gold", gold_file, "--n", "5", "--out", pool, "--quiet"]) == 0
     capsys.readouterr()
     scores = tmp_path / "scores.tsv"
-    # score takes exactly one score source: neither, or both, is refused
-    for sources in ([], ["--gold", gold_file, "--external", "ext.tsv"]):
+    # score's one score source is --gold, and --external is no flag of it:
+    # each is refused naming its flag
+    for sources, needle in (([], "--gold"), (["--gold", gold_file, "--external", "ext.tsv"],
+                                             "--external")):
         assert main(["score", "--pool", pool, *sources, "--out", str(scores), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert "usage error" in err and "--gold" in err and "Traceback" not in err
-        assert "--external" in err
+        assert "usage error" in err and needle in err and "Traceback" not in err
         assert not scores.exists()
 
     sel, merged = tmp_path / "sel.json", tmp_path / "merged.tsv"
@@ -204,21 +205,60 @@ def test_augment_score_select_split_chain(gold_file, tmp_path):
 def test_external_scores_path(gold_file, tmp_path):
     pool = str(tmp_path / "pool.jsonl")
     ext = tmp_path / "ext.tsv"
-    out = str(tmp_path / "scores.tsv")
+    out = str(tmp_path / "sel.json")
+    argv = ["select", "--pool", pool, "--strategy", "highloss", "--k", "2", "--out", out,
+            "--quiet"]
     assert main(["augment", "--gold", gold_file, "--n", "5",
                  "--out", pool, "--quiet"]) == 0
     ids = [json.loads(l)["id"] for l in open(pool)]
     ext.write_text("".join(f"{i}\t{v}.5\n" for v, i in enumerate(ids)))
-    assert main(["score", "--pool", pool, "--external", str(ext),
-                 "--out", out, "--quiet"]) == 0
-    assert len(open(out).read().splitlines()) == 5
+    # an external model's scores go straight to select
+    assert main([*argv, "--scores", str(ext)]) == 0
+    scored = scoring.load_external_scores(ext.read_text(),
+                                          corruption.read_pool_jsonl(open(pool).read()))
+    strategy = selection.SelectionStrategy("highloss", 2, seed=derive_seed(0, "select-highloss-2"))
+    assert _record(out) == _json_round_trip(selection.select(scored, strategy))
+    os.unlink(out)
     # an incomplete external file is a data error
     ext.write_text(f"{ids[0]}\t1.0\n")
-    assert main(["score", "--pool", pool, "--external", str(ext),
-                 "--out", out, "--quiet"]) == 2
+    assert main([*argv, "--scores", str(ext)]) == 2
+    assert not os.path.exists(out)
     # an empty path names no file: a usage error
-    assert main(["score", "--pool", pool, "--external", "",
-                 "--out", out, "--quiet"]) == 1
+    assert main([*argv, "--scores", ""]) == 1
+
+
+@pytest.mark.parametrize("allow", [False, True])
+def test_a_one_letter_alphabet_has_no_other_character(tmp_path, capsys, allow):
+    gold, pool = tmp_path / "gold.tsv", tmp_path / "pool.jsonl"
+    gold.write_text("aaa\taaa\tN\n")
+    argv = ["augment", "--gold", str(gold), "--n", "5", "--out", str(pool), "--quiet"]
+    if not allow:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: need >= 2 characters to exclude the original\n"
+        assert sorted(os.listdir(tmp_path)) == ["gold.tsv"]
+        return
+    assert main([*argv, "--allow-original-char"]) == 0
+    lines = [json.loads(line) for line in pool.read_text().splitlines()]
+    assert len(lines) == 5
+    for line in lines:
+        assert (line["lemma"], line["form"], line["lev_to_gold_target"]) == ("aaa", "aaa", 0)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["select", "--strategy", kind, "--k", "2"]
+      for kind in ("highloss", "lowloss", "umt-loss", "ume-loss")),
+    ["report"],
+], ids=lambda argv: " ".join(argv[:3:2]))
+def test_a_loss_read_from_an_unscored_pool_is_a_data_error(gold_file, tmp_path, capsys, argv):
+    pool, out = str(tmp_path / "pool.jsonl"), tmp_path / "out.json"
+    assert main(["augment", "--gold", gold_file, "--n", "20", "--out", pool, "--quiet"]) == 0
+    files = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main([*argv, "--pool", pool, "--gold", gold_file,
+                 *(["--merged-out", str(tmp_path / "merged.tsv")] if argv[0] == "select" else []),
+                 "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: 20 pool examples have no score\n"
+    assert sorted(os.listdir(tmp_path)) == files
 
 
 def test_milab_writes_curve(tmp_path):
@@ -347,6 +387,18 @@ def test_pipeline_runs_and_validates_config(gold_file, tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["pipeline", "--config", str(cfg_path),
                  "--out-dir", str(out_dir), "--quiet"]) == 2
+
+
+def test_a_pipeline_with_no_strategy_checks_no_size(gold_file, tmp_path):
+    # select checks k against the pool for the selection it makes; with no
+    # strategy the pipeline makes none, so the default k of 128 is not checked
+    cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps({"gold": gold_file, "n_pool": 10, "theta": 0.5, "order": 3,
+                                    "k_smooth": 0.1, "strategies": [], "seed": 3}))
+    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                 "--quiet"]) == 0
+    assert sorted(os.listdir(out_dir)) == ["pool.jsonl", "pool.jsonl.meta.json",
+                                           "scores.tsv", "scores.tsv.meta.json"]
 
 
 def test_pipeline_equals_the_chained_subcommands(tmp_path, monkeypatch):
@@ -1380,9 +1432,8 @@ def test_a_repeated_pool_id_is_a_data_error_naming_the_line(gold_file, tmp_path,
                  "--quiet"]) == 2
     _assert_data_error(capsys, sel, f"{pool}: line 2: duplicate id 'x'")
     assert not merged.exists()
-    external, scores = tmp_path / "external.tsv", tmp_path / "scores.tsv"
-    external.write_text("x\t0.5\n")
-    assert main(["score", "--pool", str(pool), "--external", str(external),
+    scores = tmp_path / "scores.tsv"
+    assert main(["score", "--pool", str(pool), "--gold", gold_file,
                  "--out", str(scores), "--quiet"]) == 2
     _assert_data_error(capsys, scores, "line 2: duplicate id 'x'")
 
@@ -1438,13 +1489,12 @@ def test_harmony_lines_end_at_newline_only(tmp_path):
     assert classes == {"a": "back\u2028", "e": "front\x85", "i": "neutral"}
 
 
-@pytest.mark.parametrize("command", ["score --external", "select --scores", "report --scores"])
+@pytest.mark.parametrize("command", ["select --scores", "report --scores"])
 def test_score_file_errors_name_the_file(gold_file, scored_pool, tmp_path, capsys, command):
     pool, _ = scored_pool
     bad, out = tmp_path / "bad.tsv", tmp_path / "out"
     bad.write_text("syn000000\tabc\n")
-    argv = {"score --external": ["score", "--pool", pool, "--external", str(bad)],
-            "select --scores": ["select", "--pool", pool, "--scores", str(bad),
+    argv = {"select --scores": ["select", "--pool", pool, "--scores", str(bad),
                                 "--strategy", "umt", "--k", "2"],
             "report --scores": ["report", "--pool", pool, "--scores", str(bad),
                                 "--gold", gold_file]}[command]
