@@ -13,10 +13,9 @@ exact for strings of any length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import MorphaugError, NoStem
+from .errors import MorphaugError
 
 GAP = None
 
@@ -56,19 +55,6 @@ def levenshtein(a: str, b: str) -> int:
     return dist
 
 
-@dataclass(frozen=True)
-class CharAlignment:
-    """Monotone alignment between a lemma and a form.
-
-    pairs holds (lemma_index, form_index) with GAP (None) on the gapped side;
-    cost is the Levenshtein distance."""
-
-    lemma: str
-    form: str
-    pairs: tuple[tuple[int | None, int | None], ...]
-    cost: int
-
-
 class Segmentation(NamedTuple):
     """The stem of a lemma-form pair: the aligned (lemma_index, form_index)
     stem positions, in order. Every other position is affix. Corruption
@@ -91,9 +77,10 @@ class Segmentation(NamedTuple):
 _MATCH, _SUB, _DEL, _INS = 0, 1, 2, 3
 
 
-def align(lemma: str, form: str) -> CharAlignment:
-    """Minimum-edit-cost alignment maximizing matched characters among
-    minimum-cost paths."""
+def align(lemma: str, form: str) -> tuple[tuple[int | None, int | None], ...]:
+    """The monotone (lemma_index, form_index) pairs, with GAP (None) on the
+    gapped side, of a minimum-edit-cost alignment maximizing matched
+    characters among minimum-cost paths."""
     if not lemma or not form:
         raise MorphaugError("align requires non-empty strings")
     n, m = len(lemma), len(form)
@@ -137,26 +124,20 @@ def align(lemma: str, form: str) -> CharAlignment:
             pairs.append((GAP, j - 1))
             j -= 1
     pairs.reverse()
-    return CharAlignment(lemma=lemma, form=form, pairs=tuple(pairs), cost=-(-prev[m] // w))
+    return tuple(pairs)
 
 
-def extract_stem(a: CharAlignment, min_run: int = 3) -> Segmentation:
-    """Segment a pair into stem (maximal matched runs >= min_run) and affix.
-
-    Raises NoStem when no run is long enough; such triples are excluded from
-    augmentation."""
-    runs: list[list[tuple[int, int]]] = []
-    current: list[tuple[int, int]] = []
-    for i, j in a.pairs:
-        if i is not GAP and j is not GAP and a.lemma[i] == a.form[j]:
-            current.append((i, j))
+def extract_stem(lemma: str, form: str, min_run: int = 3) -> Segmentation | None:
+    """The stem of a lemma-form pair: the maximal matched runs of length
+    >= min_run of its alignment. None when no run is that long; such
+    triples are excluded from augmentation."""
+    stem: list[tuple[int, int]] = []
+    run: list[tuple[int, int]] = []
+    for i, j in (*align(lemma, form), (GAP, GAP)):  # a final gap ends the last run
+        if i is not GAP and j is not GAP and lemma[i] == form[j]:
+            run.append((i, j))
         else:
-            if current:
-                runs.append(current)
-            current = []
-    if current:
-        runs.append(current)
-    stem_runs = [r for r in runs if len(r) >= min_run]
-    if not stem_runs:
-        raise NoStem(f"no aligned run of length >= {min_run} for {a.lemma!r}/{a.form!r}")
-    return Segmentation(tuple(p for r in stem_runs for p in r))
+            if len(run) >= min_run:
+                stem += run
+            run = []
+    return Segmentation(tuple(stem)) if stem else None

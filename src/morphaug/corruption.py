@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
-from .alignment import Segmentation, align, extract_stem, levenshtein
+from .alignment import Segmentation, extract_stem, levenshtein
 from .corpus import Alphabet, Dataset, InflectionTriple, check_triple
-from .errors import LineError, MorphaugError, NoStem
+from .errors import LineError, MorphaugError
 from .util import BAD_TEXT, TEXT_RULE, lines
 
 log = logging.getLogger(__name__)
@@ -61,7 +61,7 @@ def corrupt(
     alphabet: Alphabet,
     cfg: CorruptionConfig,
     rng: random.Random,
-    new_id: str | None = None,
+    new_id: str,
 ) -> SyntheticExample:
     """Corrupt one triple using the supplied segmentation and RNG state.
     Each stem pair flips one Bernoulli(theta); on success both sides get the
@@ -109,21 +109,14 @@ def corrupt(
     else:
         distance = 0
     return SyntheticExample(
-        InflectionTriple(new_id if new_id is not None else f"{t.id}~syn", "".join(lemma),
-                         form_str, t.msd),
+        InflectionTriple(new_id, "".join(lemma), form_str, t.msd),
         t.id, tuple(sub_lemma), tuple(sub_form), distance,
     )
 
 
 def segment_dataset(gold: Dataset, min_run: int = 3) -> dict:
     """Align every gold triple; value is None where no stem is found."""
-    segs: dict[str, Segmentation | None] = {}
-    for t in gold:
-        try:
-            segs[t.id] = extract_stem(align(t.lemma, t.form), min_run=min_run)
-        except NoStem:
-            segs[t.id] = None
-    return segs
+    return {t.id: extract_stem(t.lemma, t.form, min_run) for t in gold}
 
 
 def generate_pool(

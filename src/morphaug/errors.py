@@ -12,7 +12,3 @@ class LineError(MorphaugError):
     def __init__(self, line_no, detail):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {detail}")
-
-
-class NoStem(MorphaugError):
-    """No aligned run reaches the minimum stem length; triple cannot be corrupted."""

@@ -6,7 +6,8 @@ from one of two sources: the built-in add-k smoothed character n-gram over the
 concatenated "X # T # Y" sequence (score_pool), or an external inflection
 model's id<TAB>nll TSV (load_external_scores), for which the n-gram stands in.
 The n-gram holds only its counts and vocabulary; NGramScorer.nlls scores a
-whole pool, with token ids and log-prob rows that last for that one call.
+sequence of triples, with token ids and log-prob rows that last for that one
+call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections import Counter, defaultdict
 from operator import attrgetter
 from typing import Iterable
 
-from .corpus import Dataset
+from .corpus import Dataset, InflectionTriple
 from .corruption import SyntheticExample
 from .errors import LineError, MorphaugError
 from .util import lines
@@ -66,12 +67,8 @@ class NGramScorer:
             for i in range(m, len(seq)):
                 self.counts[tuple(seq[i - m : i])][seq[i]] += 1
 
-    def prob(self, ctx: tuple, tok: str) -> float:
-        c = self.counts.get(ctx, Counter())
-        return (c[tok] + self.k) / (c.total() + self.k * len(self.vocab))
-
-    def nlls(self, pool: Iterable[SyntheticExample]) -> tuple[list[float], int, int]:
-        """(the nll of each example, the UNKs, the tokens) of the pool, in
+    def nlls(self, triples: Iterable[InflectionTriple]) -> tuple[list[float], int, int]:
+        """(the nll of each triple, the UNKs, the tokens) of the triples, in
         one pass. An nll is -(the log-probs of the form tokens and EOS,
         summed left to right from 0.0) / (len(form) + 1). At order n only
         the last n-1 lemma characters enter a context.
@@ -80,9 +77,10 @@ class NGramScorer:
         and the BOS padding has the id |vocab|, so a context of order-1
         tokens is one int in base |vocab|+1. Each context met gets a row of
         log-probabilities indexed by token id, built on first use from the
-        counts with prob's expression, so row[id(tok)] equals
-        math.log(prob(ctx, tok)) bit for bit. The row reads the counts of the
-        context's strings, in which a data "<s>" is BOS, as in training.
+        counts by the add-k estimate, so row[id(tok)] equals
+        math.log(oracle_prob(self, ctx, tok)) of tests/conftest.py bit for
+        bit. The row reads the counts of the context's strings, in which a
+        data "<s>" is BOS, as in training.
         The rows and the pre-form contexts last for this call only."""
         vocab, k, m = self.vocab, self.k, self.order - 1
         tokens = [*sorted(vocab), BOS]  # id -> token
@@ -98,7 +96,7 @@ class NGramScorer:
             for _ in range(m):
                 rest, i = divmod(rest, base)
                 key.append(tokens[i])
-            # the expression of prob, with count 0 for the unseen tokens
+            # the add-k expression, with count 0 for the unseen tokens
             counts = self.counts.get(tuple(reversed(key)), Counter())
             denom = counts.total() + k * len(vocab)
             row = rows[ctx] = [math.log(k / denom)] * len(vocab)
@@ -116,7 +114,7 @@ class NGramScorer:
 
         tail = slice(-m, None) if m else slice(0, 0)
         out, n_unk, n_tokens = [], 0, 0
-        for lemma, msd, form in map(_LEMMA_MSD_FORM, pool):
+        for lemma, msd, form in map(_LEMMA_MSD_FORM, triples):
             key = (lemma[tail], msd)
             ctx, unks = pre_form.get(key) or new_pre_form(key)
             if not vocab.issuperset(lemma):
@@ -136,7 +134,7 @@ class NGramScorer:
         return out, n_unk, n_tokens
 
 
-_LEMMA_MSD_FORM = attrgetter("triple.lemma", "triple.msd", "triple.form")
+_LEMMA_MSD_FORM = attrgetter("lemma", "msd", "form")
 
 
 def train_ngram(gold: Dataset, order: int = 3, k: float = 0.1) -> NGramScorer:
@@ -147,7 +145,7 @@ def train_ngram(gold: Dataset, order: int = 3, k: float = 0.1) -> NGramScorer:
 
 def score_pool(scorer: NGramScorer, pool: Iterable[SyntheticExample]) -> list[SyntheticExample]:
     pool = list(pool)
-    nlls, unk, tokens = scorer.nlls(pool)
+    nlls, unk, tokens = scorer.nlls(map(attrgetter("triple"), pool))
     if unk:
         log.info("UNK mapping rate: %.4f", unk / tokens)
     return list(map(SyntheticExample.with_score, pool, nlls))

@@ -7,7 +7,7 @@ from operator import add, attrgetter
 
 import numpy as np
 
-from morphaug.alignment import GAP, CharAlignment, Segmentation
+from morphaug.alignment import GAP, Segmentation
 from morphaug.corpus import Dataset, InflectionTriple
 from morphaug.corruption import CorruptionConfig, SyntheticExample, segment_dataset
 from morphaug.errors import MorphaugError
@@ -34,9 +34,10 @@ def oracle_levenshtein(a: str, b: str) -> int:
     return d(len(a), len(b))
 
 
-def oracle_align(lemma: str, form: str) -> CharAlignment:
-    """Full-table alignment DP: every cell takes the min over its three
-    candidates keyed by (cost, -matches, op), then a backtrace."""
+def oracle_align(lemma: str, form: str) -> tuple[tuple, int]:
+    """(pairs, cost) of a full-table alignment DP: every cell takes the min
+    over its three candidates keyed by (cost, -matches, op), then a
+    backtrace."""
     if not lemma or not form:
         raise MorphaugError("align requires non-empty strings")
     MATCH, SUB, DEL, INS = 0, 1, 2, 3
@@ -73,10 +74,10 @@ def oracle_align(lemma: str, form: str) -> CharAlignment:
             pairs.append((GAP, j - 1))
             j -= 1
     pairs.reverse()
-    return CharAlignment(lemma=lemma, form=form, pairs=tuple(pairs), cost=cost[n][m])
+    return tuple(pairs), cost[n][m]
 
 
-def oracle_corrupt(t, seg, alphabet, cfg, rng, new_id=None) -> SyntheticExample:
+def oracle_corrupt(t, seg, alphabet, cfg, rng, new_id) -> SyntheticExample:
     """Corruption that builds the list of allowed replacement characters at
     every substituted position and indexes it with one randrange draw."""
     if cfg.exclude_original and len(alphabet) < 2:
@@ -96,7 +97,7 @@ def oracle_corrupt(t, seg, alphabet, cfg, rng, new_id=None) -> SyntheticExample:
             sub_lemma.append(li)
             sub_form.append(fi)
     corrupted = InflectionTriple(
-        id=new_id if new_id is not None else f"{t.id}~syn",
+        id=new_id,
         lemma="".join(lemma), form="".join(form), msd=t.msd,
     )
     return SyntheticExample(
@@ -280,16 +281,22 @@ def oracle_mi_decay_curve(g, gold_n, syn_sizes, theta=1.0, seed=0, resamples=200
     return points
 
 
+def oracle_prob(scorer, ctx: tuple, tok: str) -> float:
+    """The add-k estimate of p(tok | ctx) from the scorer's counts."""
+    c = scorer.counts.get(ctx, Counter())
+    return (c[tok] + scorer.k) / (c.total() + scorer.k * len(scorer.vocab))
+
+
 def oracle_logprobs(scorer, lemma, msd, form):
     """(log-probs, token hits, UNK hits) of one example, computed as
-    math.log(scorer.prob(ctx, tok)) at every form position and EOS."""
+    math.log(oracle_prob(scorer, ctx, tok)) at every form position and EOS."""
     toks = list(lemma) + [SEP] + list(msd) + [SEP] + list(form) + [EOS]
     unk = sum(tok not in scorer.vocab for tok in toks)
     seq = [BOS] * (scorer.order - 1) + [tok if tok in scorer.vocab else UNK for tok in toks]
     out = []
     for i in range(len(seq) - (len(form) + 1), len(seq)):
         ctx = tuple(seq[i - scorer.order + 1 : i])
-        out.append(math.log(scorer.prob(ctx, seq[i])))
+        out.append(math.log(oracle_prob(scorer, ctx, seq[i])))
     return out, len(toks), unk
 
 
@@ -375,12 +382,12 @@ def oracle_select_hybrid(pool, k, alpha, rng):
     return selected
 
 
-def oracle_matched_runs(alignment, min_run):
+def oracle_matched_runs(lemma, form, pairs, min_run):
     """Brute-force scan for maximal runs of consecutive matched pairs."""
     runs, cur = [], []
-    for pair in alignment.pairs:
+    for pair in pairs:
         i, j = pair
-        ok = i is not None and j is not None and alignment.lemma[i] == alignment.form[j]
+        ok = i is not None and j is not None and lemma[i] == form[j]
         if ok:
             cur.append(pair)
         else:
@@ -394,10 +401,14 @@ def oracle_matched_runs(alignment, min_run):
 
 # ------------------------------------- views of src objects only tests read
 
-def matched_pairs(a: CharAlignment) -> list[tuple[int, int]]:
+def matched_pairs(lemma, form, pairs) -> list[tuple[int, int]]:
     """The aligned (lemma_index, form_index) pairs of identical characters."""
-    return [(i, j) for i, j in a.pairs
-            if i is not GAP and j is not GAP and a.lemma[i] == a.form[j]]
+    return [(i, j) for i, j in pairs if i is not GAP and j is not GAP and lemma[i] == form[j]]
+
+
+def path_cost(lemma, form, pairs) -> int:
+    """The edit cost of an alignment: its gap and mismatch steps."""
+    return len(pairs) - len(matched_pairs(lemma, form, pairs))
 
 
 def lemma_stem_positions(seg) -> frozenset[int]:

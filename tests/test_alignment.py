@@ -5,28 +5,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphaug.alignment import GAP, align, extract_stem, levenshtein
-from morphaug.errors import MorphaugError, NoStem
+from morphaug.errors import MorphaugError
 
 from conftest import (form_stem_positions, lemma_stem_positions, matched_pairs,
-                      oracle_levenshtein, oracle_matched_runs, split_lemma)
+                      oracle_levenshtein, oracle_matched_runs, path_cost, split_lemma)
 
 
 def test_dog_dogs():
     a = align("dog", "dogs")
-    assert a.cost == 1
-    assert matched_pairs(a) == [(0, 0), (1, 1), (2, 2)]
+    assert path_cost("dog", "dogs", a) == 1
+    assert matched_pairs("dog", "dogs", a) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_identical_strings():
     a = align("abc", "abc")
-    assert a.cost == 0
-    assert len(matched_pairs(a)) == 3
+    assert path_cost("abc", "abc", a) == 0
+    assert len(matched_pairs("abc", "abc", a)) == 3
 
 
 def test_shared_interior_run():
     a = align("abcde", "xbcdey")
-    assert a.cost == oracle_levenshtein("abcde", "xbcdey") == 2
-    matched = "".join(a.lemma[i] for i, _ in matched_pairs(a))
+    assert path_cost("abcde", "xbcdey", a) == oracle_levenshtein("abcde", "xbcdey") == 2
+    matched = "".join("abcde"[i] for i, _ in matched_pairs("abcde", "xbcdey", a))
     assert matched == "bcde"
 
 
@@ -38,21 +38,21 @@ def test_empty_input():
 @given(st.text("abcd", min_size=1, max_size=12), st.text("abcd", min_size=1, max_size=12))
 @settings(max_examples=300)
 def test_cost_equals_oracle(x, y):
-    assert align(x, y).cost == oracle_levenshtein(x, y)
+    assert path_cost(x, y, align(x, y)) == oracle_levenshtein(x, y)
 
 
 @given(st.text("ab", min_size=1, max_size=10), st.text("ab", min_size=1, max_size=10))
 def test_alignment_well_formed(x, y):
     a = align(x, y)
-    li = [i for i, _ in a.pairs if i is not GAP]
-    fj = [j for _, j in a.pairs if j is not GAP]
+    li = [i for i, _ in a if i is not GAP]
+    fj = [j for _, j in a if j is not GAP]
     assert li == list(range(len(x)))
     assert fj == list(range(len(y)))
     non_match = sum(
-        1 for i, j in a.pairs
+        1 for i, j in a
         if i is GAP or j is GAP or x[i] != y[j]
     )
-    assert non_match == a.cost
+    assert non_match == oracle_levenshtein(x, y)
 
 
 def test_matched_multiset_symmetric():
@@ -61,22 +61,21 @@ def test_matched_multiset_symmetric():
         x = "".join(rng.choice("abcde") for _ in range(8))
         y = "".join(rng.choice("abcde") for _ in range(8))
         a = align(x, y)
-        assert sorted(x[i] for i, _ in matched_pairs(a)) == \
-               sorted(y[j] for _, j in matched_pairs(a))
+        assert sorted(x[i] for i, _ in matched_pairs(x, y, a)) == \
+               sorted(y[j] for _, j in matched_pairs(x, y, a))
 
 
 def test_extract_stem_dog_dogs():
-    seg = extract_stem(align("dog", "dogs"))
+    seg = extract_stem("dog", "dogs")
     assert split_lemma(seg, "dog") == ("dog", "")
     assert seg.split_form("dogs") == ("dog", "s")
 
 
 def test_suppletion_has_no_stem():
-    with pytest.raises(NoStem):
-        extract_stem(align("go", "went"))
+    assert extract_stem("go", "went") is None
 
 
-@pytest.mark.xfail(strict=True, raises=NoStem, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "align's tie-break among paths of equal cost and match count scatters a shared stem over "
     "later matching characters, so extract_stem finds no run of 3 although the lemma is a "
     "subsequence of the form: kennen/gekennungen matches (0,2) (1,3) (2,5) (3,7) (4,9) "
@@ -85,7 +84,8 @@ def test_suppletion_has_no_stem():
 def test_a_shared_run_of_three_survives_the_tie_break():
     for lemma, form in (("kennen", "gekennungen"), ("rennen", "gerennungen"),
                         ("nennen", "genennungen")):
-        seg = extract_stem(align(lemma, form))
+        seg = extract_stem(lemma, form)
+        assert seg is not None
         assert lemma[:4] in seg.split_form(form)[0]
 
 
@@ -95,13 +95,11 @@ def test_stem_runs_match_brute_force():
     for _ in range(300):
         x = "".join(rng.choice("abc") for _ in range(8))
         y = "".join(rng.choice("abc") for _ in range(8))
-        a = align(x, y)
-        runs = oracle_matched_runs(a, min_run=3)
+        runs = oracle_matched_runs(x, y, align(x, y), min_run=3)
+        seg = extract_stem(x, y)
         if not runs:
-            with pytest.raises(NoStem):
-                extract_stem(a)
+            assert seg is None
             continue
-        seg = extract_stem(a)
         assert seg.stem_pairs == tuple(p for r in runs for p in r)
         checked += 1
     assert checked > 20
@@ -112,9 +110,8 @@ def test_reconstruction_invariant():
     for _ in range(100):
         x = "".join(rng.choice("ab") for _ in range(rng.randint(3, 9)))
         y = "".join(rng.choice("ab") for _ in range(rng.randint(3, 9)))
-        try:
-            seg = extract_stem(align(x, y))
-        except NoStem:
+        seg = extract_stem(x, y)
+        if seg is None:
             continue
         # interleave stem and affix characters back by position
         stem_pos = lemma_stem_positions(seg)
@@ -140,19 +137,16 @@ def test_min_run_monotonicity():
     for _ in range(100):
         x = "".join(rng.choice("ab") for _ in range(8))
         y = "".join(rng.choice("ab") for _ in range(8))
-        a = align(x, y)
         sizes = []
         for min_run in (1, 2, 3, 4):
-            try:
-                sizes.append(len(extract_stem(a, min_run=min_run).stem_pairs))
-            except NoStem:
-                sizes.append(0)
+            seg = extract_stem(x, y, min_run=min_run)
+            sizes.append(0 if seg is None else len(seg.stem_pairs))
         assert sizes == sorted(sizes, reverse=True)
 
 
 def test_stem_characters_identical_across_sides():
     lemma, form = "schreiben", "geschrieben"
-    seg = extract_stem(align(lemma, form))
+    seg = extract_stem(lemma, form)
     assert all(lemma[i] == form[j] for i, j in seg.stem_pairs)
 
 
@@ -184,5 +178,5 @@ def test_align_keeps_one_byte_of_backtrace_per_cell():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert a.cost == levenshtein(lemma, form)
+    assert path_cost(lemma, form, a) == levenshtein(lemma, form)
     assert peak < 2 ** 20, peak

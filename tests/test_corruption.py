@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from morphaug.alignment import align, extract_stem
+from morphaug.alignment import extract_stem
 from morphaug.corpus import Alphabet, InflectionTriple, serialize
 from morphaug.corruption import (
     CorruptionConfig,
@@ -29,12 +29,12 @@ def _triple(lemma, form, msd="N;PL", tid="t1"):
 
 
 def _seg(t):
-    return extract_stem(align(t.lemma, t.form))
+    return extract_stem(t.lemma, t.form)
 
 
 def test_theta_zero_is_identity():
     t = _triple("dogged", "doggeds")
-    e = corrupt(t, _seg(t), ALPHABET, CorruptionConfig(theta=0.0), random.Random(1))
+    e = corrupt(t, _seg(t), ALPHABET, CorruptionConfig(theta=0.0), random.Random(1), "s1")
     assert e.triple.lemma == t.lemma and e.triple.form == t.form
     assert e.substituted_form_positions == ()
     assert e.lev_to_gold_target == 0
@@ -43,7 +43,7 @@ def test_theta_zero_is_identity():
 def test_theta_one_substitutes_every_stem_position():
     t = _triple("dog", "dogs")
     seg = _seg(t)
-    e = corrupt(t, seg, ALPHABET, CorruptionConfig(theta=1.0), random.Random(1))
+    e = corrupt(t, seg, ALPHABET, CorruptionConfig(theta=1.0), random.Random(1), "s1")
     assert set(e.substituted_form_positions) == set(j for _, j in seg.stem_pairs)
     # exclude_original: every stem character actually changed
     for i, j in seg.stem_pairs:
@@ -57,7 +57,7 @@ def test_paired_substitution_and_preserved_affix():
     seg = _seg(t)
     rng = random.Random(9)
     for _ in range(50):
-        e = corrupt(t, seg, ALPHABET, CorruptionConfig(theta=0.7), rng)
+        e = corrupt(t, seg, ALPHABET, CorruptionConfig(theta=0.7), rng, "s1")
         for i, j in seg.stem_pairs:
             assert e.triple.lemma[i] == e.triple.form[j]
         for j in range(len(t.form)):
@@ -75,7 +75,7 @@ def test_substitutions_stay_inside_stem_spans():
     seg = _seg(t)
     rng = random.Random(2)
     for _ in range(20):
-        e = corrupt(t, seg, ALPHABET, CorruptionConfig(theta=1.0), rng)
+        e = corrupt(t, seg, ALPHABET, CorruptionConfig(theta=1.0), rng, "s1")
         assert set(e.substituted_lemma_positions) == lemma_stem_positions(seg)
         assert set(e.substituted_form_positions) == form_stem_positions(seg)
 
@@ -87,7 +87,7 @@ def test_mean_substituted_fraction_within_3_sigma():
     rng = random.Random(123)
     cfg = CorruptionConfig(theta=0.5)
     n = 10_000
-    total = sum(len(corrupt(t, seg, ALPHABET, cfg, rng).substituted_form_positions)
+    total = sum(len(corrupt(t, seg, ALPHABET, cfg, rng, "s1").substituted_form_positions)
                 for _ in range(n))
     mean_fraction = total / (n * 6)
     sigma = math.sqrt(0.5 * 0.5 / (n * 6))
@@ -98,7 +98,7 @@ def test_alphabet_too_small():
     t = _triple("aaa", "aaas")
     with pytest.raises(MorphaugError, match="^need >= 2 characters to exclude the original$"):
         corrupt(t, _seg(t), Alphabet(chars=("a",)),
-                CorruptionConfig(theta=1.0), random.Random(0))
+                CorruptionConfig(theta=1.0), random.Random(0), "s1")
 
 
 def test_lev_to_gold_target_recorded():
@@ -107,7 +107,7 @@ def test_lev_to_gold_target_recorded():
     rng = random.Random(5)
     from morphaug.alignment import levenshtein
     for _ in range(20):
-        e = corrupt(t, seg, ALPHABET, CorruptionConfig(theta=0.5), rng)
+        e = corrupt(t, seg, ALPHABET, CorruptionConfig(theta=0.5), rng, "s1")
         assert e.lev_to_gold_target == levenshtein(e.triple.form, t.form)
 
 

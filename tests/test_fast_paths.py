@@ -26,7 +26,7 @@ from morphaug.corpus import (Alphabet, HarmonyRule, InflectionTriple, check_trip
                              parse_unimorph)
 from morphaug.corruption import (CorruptionConfig, SyntheticExample, check_sources, corrupt,
                                  generate_pool, read_pool_jsonl, write_pool_jsonl)
-from morphaug.errors import LineError, MorphaugError, NoStem
+from morphaug.errors import LineError, MorphaugError
 from morphaug.scoring import NGramScorer
 
 from conftest import (form_stem_positions, make_dataset, oracle_align, oracle_corrupt,
@@ -34,7 +34,7 @@ from conftest import (form_stem_positions, make_dataset, oracle_align, oracle_co
                       oracle_generate_pool,
                       oracle_harmony_bootstrap, oracle_levenshtein, oracle_group_by_msd,
                       oracle_logprobs, oracle_mi_bits, oracle_mi_decay_curve, oracle_nlls,
-                      oracle_pair_samples, prefix_segmentation,
+                      oracle_pair_samples, path_cost, prefix_segmentation,
                       pair_samples, oracle_select_by_loss, oracle_select_hybrid,
                       oracle_select_random, oracle_select_templatic, oracle_write_pool_jsonl,
                       random_word)
@@ -71,9 +71,10 @@ def test_levenshtein_matches_oracle_any_code_points(a, b):
 @example("ab", "ba")
 @example("walking", "walked")
 def test_align_matches_oracle(lemma, form):
-    fast, slow = align(lemma, form), oracle_align(lemma, form)
-    assert fast.pairs == slow.pairs
-    assert fast.cost == slow.cost
+    fast = align(lemma, form)
+    slow, cost = oracle_align(lemma, form)
+    assert fast == slow
+    assert cost == levenshtein(lemma, form) == path_cost(lemma, form, fast)
 
 
 
@@ -84,9 +85,8 @@ def corruption_cases(draw):
     lemma = stem + draw(st.text(st.sampled_from("abz"), max_size=3))
     form = draw(st.text(st.sampled_from("ab"), max_size=2)) + stem + draw(
         st.text(st.sampled_from("abq"), max_size=4))
-    try:
-        seg = extract_stem(align(lemma, form), min_run=1)
-    except NoStem:
+    seg = extract_stem(lemma, form, min_run=1)
+    if seg is None:
         reject()
     chars = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True))
     cfg = CorruptionConfig(theta=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
@@ -102,7 +102,7 @@ def test_corrupt_matches_oracle_draw_for_draw(case):
     fast_rng, slow_rng = random.Random(seed), random.Random(seed)
     if cfg.exclude_original and len(alphabet) < 2:
         with pytest.raises(MorphaugError, match="^need >= 2 characters to exclude the original$"):
-            corrupt(t, seg, alphabet, cfg, fast_rng)
+            corrupt(t, seg, alphabet, cfg, fast_rng, "s0")
         return
     for n in range(3):
         fast = corrupt(t, seg, alphabet, cfg, fast_rng, new_id=f"s{n}")
@@ -126,8 +126,8 @@ def test_corrupt_measures_only_the_substituted_window(case, exclude_original):
         return levenshtein(a, b)
 
     with mock.patch.object(corruption, "levenshtein", counted):
-        fast = corrupt(t, seg, alphabet, cfg, random.Random(seed))
-    slow = oracle_corrupt(t, seg, alphabet, cfg, random.Random(seed))
+        fast = corrupt(t, seg, alphabet, cfg, random.Random(seed), "s1")
+    slow = oracle_corrupt(t, seg, alphabet, cfg, random.Random(seed), "s1")
     assert fast == slow
     sub = fast.substituted_form_positions
     if not sub:
@@ -145,8 +145,8 @@ def test_corrupt_original_outside_alphabet_draws_from_all():
         cfg = CorruptionConfig(theta=1.0, exclude_original=exclude)
         fast_rng, slow_rng = random.Random(7), random.Random(7)
         for _ in range(20):
-            assert corrupt(t, seg, alphabet, cfg, fast_rng) == oracle_corrupt(
-                t, seg, alphabet, cfg, slow_rng)
+            assert corrupt(t, seg, alphabet, cfg, fast_rng, "s1") == oracle_corrupt(
+                t, seg, alphabet, cfg, slow_rng, "s1")
             assert fast_rng.getstate() == slow_rng.getstate()
 
 
@@ -185,8 +185,8 @@ def test_substitute_draws_match_randrange_for_every_alphabet_size():
             cfg = CorruptionConfig(theta=1.0, exclude_original=exclude)
             fast_rng, slow_rng = random.Random(n), random.Random(n)
             for _ in range(4):
-                assert corrupt(t, seg, alphabet, cfg, fast_rng) == oracle_corrupt(
-                    t, seg, alphabet, cfg, slow_rng)
+                assert corrupt(t, seg, alphabet, cfg, fast_rng, "s1") == oracle_corrupt(
+                    t, seg, alphabet, cfg, slow_rng, "s1")
                 assert fast_rng.getstate() == slow_rng.getstate()
 
 
@@ -348,7 +348,7 @@ def _check_logprobs(rows, queries, order, k):
     for _ in range(2):
         for lemma, form, msd in queries:
             expected, n_tok, n_unk = oracle_logprobs(scorer, lemma, msd, form)
-            [got], got_unk, got_tok = scorer.nlls(_pool([(lemma, form, msd)]))
+            [got], got_unk, got_tok = scorer.nlls(_triples([(lemma, form, msd)]))
             assert got.hex() == (-reduce(add, expected, 0.0) / (len(form) + 1)).hex()
             assert (got_tok, got_unk) == (n_tok, n_unk)
         # retraining changes counts and vocabulary; the next nlls must follow
@@ -369,9 +369,13 @@ BATCH_POOL = st.lists(
     min_size=1, max_size=8)
 
 
-def _pool(queries):
-    return [SyntheticExample(InflectionTriple(f"syn{i}", lemma, form, msd), "1", (), (), 0)
+def _triples(queries):
+    return [InflectionTriple(f"syn{i}", lemma, form, msd)
             for i, (lemma, form, msd) in enumerate(queries)]
+
+
+def _pool(queries):
+    return [SyntheticExample(t, "1", (), (), 0) for t in _triples(queries)]
 
 
 # from order 6 on, after a one-token MSD, the context of the first form
@@ -388,7 +392,7 @@ def test_batch_nlls_equal_score_bit_for_bit(order, rows, queries, k):
         batch.train(make_dataset(gold))
         for _ in range(2):  # the second call builds its rows afresh
             want, n_tok, n_unk = oracle_nlls(batch, pool)
-            got, got_unk, got_tok = batch.nlls(pool)
+            got, got_unk, got_tok = batch.nlls([e.triple for e in pool])
             assert [x.hex() for x in got] == [x.hex() for x in want]
             assert (got_tok, got_unk) == (n_tok, n_unk)
     scored = scoring.score_pool(batch, pool)
@@ -400,14 +404,14 @@ def test_batch_nlls_reject_a_non_finite_nll():
     scorer.train(make_dataset([("ab", "abs", "V;PST")]))
     scorer.k = float("nan")  # past the constructor's check
     with pytest.raises(ValueError, match="nll must be finite"):
-        scorer.nlls(_pool([("ab", "ab", ("V",))]))
+        scorer.nlls(_triples([("ab", "ab", ("V",))]))
 
 
 def test_the_scorer_holds_only_its_model():
     # nlls keeps nothing it derives: retraining invalidates no cache
     scorer = NGramScorer(order=3, k=0.1)
     scorer.train(make_dataset([("ab", "abs", "V;PST")]))
-    scorer.nlls(_pool([("ab", "abz", ("V", "PST"))]))
+    scorer.nlls(_triples([("ab", "abz", ("V", "PST"))]))
     assert sorted(vars(scorer)) == ["counts", "k", "order", "vocab"]
 
 

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from morphaug import milab
-from morphaug.alignment import align, extract_stem
+from morphaug.alignment import extract_stem
 from morphaug.corpus import Alphabet, HarmonyRule
-from morphaug.errors import MorphaugError, NoStem
+from morphaug.errors import MorphaugError
 from morphaug.milab import (
     MI_PAIRS,
     ToyExample,
@@ -227,10 +227,8 @@ def test_crosscheck_segmentation_low_disagreement_on_gold():
     gold = generate_gold(g, 300, seed=2)
     disagree = 0
     for e in gold:
-        try:
-            disagree += extract_stem(align(e.lemma, e.form)).split_form(e.form)[0] != e.stem
-        except NoStem:
-            disagree += 1
+        seg = extract_stem(e.lemma, e.form)
+        disagree += seg is None or seg.split_form(e.form)[0] != e.stem
     assert disagree / len(gold) < 0.2
 
 

@@ -1,6 +1,8 @@
 import math
 import random
 from collections import defaultdict
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -20,7 +22,7 @@ from morphaug.scoring import (
     write_scores_tsv,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, oracle_logprobs, oracle_prob
 
 
 def _syn(tid, lemma, form, msd=("N",), lev=0, score_=None):
@@ -46,9 +48,9 @@ def test_unigram_add_k_matches_hand_computation():
     gold = make_dataset([("ab", "abc", "N")])
     scorer = train_ngram(gold, order=1, k=0.1)
     assert len(scorer.vocab) == 7
-    assert scorer.prob((), "a") == pytest.approx((2 + 0.1) / (9 + 0.1 * 7), abs=1e-12)
-    assert scorer.prob((), "c") == pytest.approx((1 + 0.1) / (9 + 0.1 * 7), abs=1e-12)
-    assert scorer.prob((), EOS) == pytest.approx((1 + 0.1) / (9 + 0.1 * 7), abs=1e-12)
+    assert oracle_prob(scorer, (), "a") == pytest.approx((2 + 0.1) / (9 + 0.1 * 7), abs=1e-12)
+    assert oracle_prob(scorer, (), "c") == pytest.approx((1 + 0.1) / (9 + 0.1 * 7), abs=1e-12)
+    assert oracle_prob(scorer, (), EOS) == pytest.approx((1 + 0.1) / (9 + 0.1 * 7), abs=1e-12)
 
 
 def test_huge_k_approaches_uniform():
@@ -56,7 +58,7 @@ def test_huge_k_approaches_uniform():
     scorer = train_ngram(gold, order=2, k=1e9)
     v = len(scorer.vocab)
     for tok in ("a", "b", "c", EOS):
-        assert scorer.prob(("a",), tok) == pytest.approx(1 / v, rel=1e-6)
+        assert oracle_prob(scorer, ("a",), tok) == pytest.approx(1 / v, rel=1e-6)
 
 
 def test_tiny_k_makes_deterministic_continuation_near_certain():
@@ -65,16 +67,16 @@ def test_tiny_k_makes_deterministic_continuation_near_certain():
     gold = make_dataset([("aa", "aab", "N")] * 3)
     scorer = train_ngram(gold, order=3, k=0.0001)
     # context (BOS, a) is always followed by a
-    assert scorer.prob((BOS, "a"), "a") > 0.99
+    assert oracle_prob(scorer, (BOS, "a"), "a") > 0.99
 
 
 def test_conditionals_sum_to_one():
     gold = make_dataset([("walk", "walked", "V;PST"), ("talk", "talked", "V;PST")])
     scorer = train_ngram(gold, order=3, k=0.1)
     for ctx in list(scorer.counts)[:10] + [("q", "q")]:
-        total = sum(scorer.prob(ctx, tok) for tok in scorer.vocab)
+        total = sum(oracle_prob(scorer, ctx, tok) for tok in scorer.vocab)
         assert total == pytest.approx(1.0, abs=1e-9)
-        assert all(0 < scorer.prob(ctx, tok) <= 1 for tok in scorer.vocab)
+        assert all(0 < oracle_prob(scorer, ctx, tok) <= 1 for tok in scorer.vocab)
 
 
 def _oracle_trigram_nll(gold_rows, lemma, msd, form, k):
@@ -119,8 +121,23 @@ def test_unknown_characters_map_to_unk():
     e = _syn("e1", "wQlk", "wQlked", ("V", "PST"))
     nll = _nll(scorer, e)
     assert math.isfinite(nll) and nll > 0
-    _, unk, tokens = scorer.nlls([e])
+    _, unk, tokens = scorer.nlls([e.triple])
     assert 0 < unk <= tokens
+
+
+def test_nlls_score_the_triples_of_a_gold_dataset():
+    # no pool needed: a Dataset is triples, and Q is not in the vocabulary
+    rows = [("walk", "walked", "V;PST"), ("talk", "talks", "V;PRS"), ("wQlk", "wQlked", "V;PST")]
+    scorer = train_ngram(make_dataset(rows[:2]), order=3, k=0.1)
+    gold = make_dataset(rows)
+    want, want_tokens, want_unk = [], 0, 0
+    for t in gold:
+        lps, n_tok, n_unk = oracle_logprobs(scorer, t.lemma, t.msd, t.form)
+        want.append(-reduce(add, lps, 0.0) / (len(t.form) + 1))
+        want_tokens, want_unk = want_tokens + n_tok, want_unk + n_unk
+    got, unk, tokens = scorer.nlls(gold)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert (tokens, unk) == (want_tokens, want_unk) and unk == 2
 
 
 def test_score_deterministic():
