@@ -423,8 +423,9 @@ def cmd_pipeline(args) -> None:
 def build_parser() -> _Parser:
     p = _Parser(prog="morphaug", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=INTEGER.flag, default=0)
     common.add_argument("--quiet", action="store_true")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])  # the commands that draw
+    seeded.add_argument("--seed", type=INTEGER.flag, default=0)
     scores_help = "id<TAB>nll scores: score's output or an external model's"
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -434,7 +435,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", type=PATH.flag, required=True)
     sp.set_defaults(func=cmd_parse)
 
-    sp = sub.add_parser("augment", parents=[common], help="generate a stem-corrupted synthetic pool")
+    sp = sub.add_parser("augment", parents=[seeded],
+                        help="generate a stem-corrupted synthetic pool")
     sp.add_argument("--gold", type=PATH.flag, required=True)
     sp.add_argument("--n", type=AT_LEAST_1.flag, required=True)
     sp.add_argument("--theta", type=UNIT.flag, default=0.5)
@@ -453,7 +455,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", type=PATH.flag, required=True)
     sp.set_defaults(func=cmd_score)
 
-    sp = sub.add_parser("select", parents=[common], help="pick a subset of the scored pool")
+    sp = sub.add_parser("select", parents=[seeded], help="pick a subset of the scored pool")
     sp.add_argument("--pool", type=PATH.flag, required=True)
     sp.add_argument("--scores", type=PATH.flag, default=None, help=scores_help)
     sp.add_argument("--strategy", required=True, choices=selection.STRATEGIES)
@@ -470,7 +472,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", type=PATH.flag, required=True)
     sp.set_defaults(func=cmd_split)
 
-    sp = sub.add_parser("milab", parents=[common], help="toy-grammar mutual-information lab")
+    sp = sub.add_parser("milab", parents=[seeded], help="toy-grammar mutual-information lab")
     sp.add_argument("--stems", type=INTEGER.flag, default=50)
     sp.add_argument("--msds", type=INTEGER.flag, default=5)
     sp.add_argument("--gold", type=AT_LEAST_1.flag, default=500)
@@ -483,7 +485,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", type=PATH.flag, required=True)
     sp.set_defaults(func=cmd_milab)
 
-    sp = sub.add_parser("report", parents=[common], help="correlations, MSD mode, harmony stats")
+    sp = sub.add_parser("report", parents=[seeded], help="correlations, MSD mode, harmony stats")
     sp.add_argument("--pool", type=PATH.flag, required=True)
     sp.add_argument("--scores", type=PATH.flag, default=None, help=scores_help)
     sp.add_argument("--gold", type=PATH.flag, required=True)

@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import re
 import stat
@@ -68,6 +69,29 @@ def test_usage_error_exit_code_1(capsys):
     assert "--alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "--in", "gold.tsv", "--out", "out.jsonl"],
+    ["score", "--pool", "pool.jsonl", "--gold", "gold.tsv", "--out", "out.tsv"],
+    ["split", "--full", "gold.tsv", "--train", "gold.tsv", "--out", "out.tsv"],
+    ["pipeline", "--config", "cfg.json", "--out-dir", "run"],
+], ids=lambda argv: argv[0])
+def test_a_command_that_draws_nothing_takes_no_seed(gold_file, tmp_path, capsys, monkeypatch,
+                                                    argv):
+    # parse, score and split draw no random number; pipeline's seed is its config's
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "gold": "gold.tsv", "n_pool": 10, "theta": 0.5, "order": 3, "k_smooth": 0.1,
+        "strategies": [], "seed": 1}))
+    assert main(["augment", "--gold", "gold.tsv", "--n", "10", "--out", "pool.jsonl",
+                 "--quiet"]) == 0
+    before = _snapshot(tmp_path)
+    assert main([*argv, "--seed", "1", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--seed" in err and "Traceback" not in err
+    assert _snapshot(tmp_path) == before
+    assert main([*argv, "--quiet"]) == 0
+
+
 def test_missing_argument_dependencies_are_usage_errors(gold_file, tmp_path, capsys,
                                                        monkeypatch):
     from morphaug import cli
@@ -108,10 +132,16 @@ def test_missing_file_exit_code_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_malformed_input_exit_code_2(tmp_path):
-    bad = tmp_path / "bad.tsv"
+def test_malformed_input_exit_code_2(tmp_path, capsys):
+    bad, out = tmp_path / "bad.tsv", tmp_path / "o.jsonl"
     bad.write_text("only-one-column\n")
-    assert main(["parse", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert main(["parse", "--in", str(bad), "--out", str(out)]) == 2
+    # a gold TSV that is not UTF-8 names the file
+    bad.write_bytes(b"w\xffk\twalked\tV\n")
+    capsys.readouterr()
+    assert main(["parse", "--in", str(bad), "--out", str(out), "--quiet"]) == 2
+    _assert_data_error(capsys, out, f"error: {bad}: 'utf-8' codec can't decode byte 0xff in "
+                       "position 1: invalid start byte\n")
 
 
 @pytest.mark.parametrize("text, line, detail", [
@@ -189,7 +219,8 @@ def test_augment_score_select_split_chain(gold_file, tmp_path):
     blob = json.loads(open(sel).read())
     assert len(blob["selected_ids"]) == 10
     assert blob["strategy"]["kind"] == "ume-loss"
-    assert "provenance" in blob
+    # a selection artifact is its record plus provenance
+    assert set(blob) == {"strategy", "selected_ids", "per_msd_counts", "provenance"}
     # the artifact is the library's selection record
     scored = scoring.load_external_scores(open(scores).read(),
                                           corruption.read_pool_jsonl(open(pool).read()))
@@ -273,6 +304,14 @@ def test_milab_writes_curve(tmp_path):
     assert set(point["mixture"]) == {
         "y_stem/t", "y_stem/x_affix", "y_affix/y_stem", "y_affix/x_stem",
     }
+    # every mixture estimate's bootstrap CI is two finite numbers, low <= high;
+    # every factorization gap is null or a TV distance with a skip rate
+    cis = [est["ci"] for p in blob["curve"] for est in p["mixture"].values()]
+    assert len(cis) == 8 and all(len(ci) == 2 and all(map(math.isfinite, ci)) and ci[0] <= ci[1]
+                                 for ci in cis), cis
+    gaps = [p["factorization_gap"] for p in blob["curve"]]
+    assert all(g is None or (0 <= g["tv_distance"] <= 1 and 0 <= g["skip_rate"] < 1)
+               for g in gaps), gaps
     # the artifact is the library's curve
     grammar = milab.make_toy_grammar(10, 3, seed=derive_seed(0, "grammar"), coupled=True)
     curve = milab.mi_decay_curve(grammar, 100, [0, 100], seed=derive_seed(0, "milab"),
@@ -314,6 +353,8 @@ def test_report_subcommand(gold_file, tmp_path):
     blob = json.loads(out.read_text())
     assert {"correlations", "msd_mode", "harmony"} <= set(blob)
     assert blob["correlations"]["n"] == 100
+    assert set(blob["correlations"]) == {"n", "pearson_nll_levenshtein", "pearson_nll_stem_length",
+                                         "pearson_nll_target_length"}
     assert 0.0 <= blob["harmony"]["violation_rate"] <= 1.0
     # each block is the library's record
     scored = scoring.load_external_scores(open(scores).read(),
@@ -411,20 +452,21 @@ def test_pipeline_equals_the_chained_subcommands(tmp_path, monkeypatch):
     (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["pipeline", "--config", "cfg.json", "--out-dir", "run", "--quiet"]) == 0
 
-    common = ["--seed", str(cfg["seed"]), "--quiet"]
+    # score and split draw nothing, so they take no seed
+    seeded = ["--seed", str(cfg["seed"]), "--quiet"]
     assert main(["augment", "--gold", "gold.tsv", "--n", str(cfg["n_pool"]),
-                 "--theta", str(cfg["theta"]), "--out", "pool.jsonl", *common]) == 0
+                 "--theta", str(cfg["theta"]), "--out", "pool.jsonl", *seeded]) == 0
     assert main(["score", "--pool", "pool.jsonl", "--gold", "gold.tsv",
                  "--order", str(cfg["order"]), "--k-smooth", str(cfg["k_smooth"]),
-                 "--out", "scores.tsv", *common]) == 0
+                 "--out", "scores.tsv", "--quiet"]) == 0
     assert main(["split", "--full", "full.tsv", "--train", "gold.tsv",
-                 "--out", "test.tsv", *common]) == 0
+                 "--out", "test.tsv", "--quiet"]) == 0
     for name in ("pool.jsonl", "scores.tsv", "test.tsv"):
         assert (tmp_path / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
     for kind in cfg["strategies"]:
         name = f"select-{kind}-{cfg['k']}.json"
         assert main(["select", "--pool", "pool.jsonl", "--scores", "scores.tsv",
-                     "--strategy", kind, "--k", str(cfg["k"]), "--out", name, *common]) == 0
+                     "--strategy", kind, "--k", str(cfg["k"]), "--out", name, *seeded]) == 0
         chained, piped = (json.loads(p.read_text(encoding="utf-8"))
                           for p in (tmp_path / name, tmp_path / "run" / name))
         del chained["provenance"], piped["provenance"]
