@@ -266,12 +266,7 @@ def cmd_parse(args) -> None:
 
 
 def cmd_augment(args) -> None:
-    cfg = corruption.CorruptionConfig(
-        theta=args.theta,
-        exclude_original=not args.allow_original_char,
-        min_run=args.min_run,
-        seed=derive_seed(args.seed, "augment"),
-    )
+    cfg = corruption.CorruptionConfig(theta=args.theta, seed=derive_seed(args.seed, "augment"))
     with Outputs(tables=[args.out, *([args.tsv_out] if args.tsv_out else [])]) as out:
         pool = _augment(_parse(args.gold), args.n, cfg, out, args.out, vars(args))
         if args.tsv_out:
@@ -345,17 +340,9 @@ def cmd_report(args) -> None:
                 AT_LEAST_1.check(args.selection, f"per_msd_counts[{msd!r}]", count)
         if args.harmony:
             cfg = _load(args.harmony, corpus.read_harmony_tsv)
-        # gold's stems take the pool's min_run: its sidecar's, else augment's default
-        meta_path = args.pool + META_SUFFIX
-        meta = _load(meta_path, _json) if os.path.exists(meta_path) else {"params": {}}
-        params = meta.get("params") if isinstance(meta, dict) else None
-        if not isinstance(params, dict):
-            raise MorphaugError(f"{meta_path}: expected a JSON object with a 'params' object")
-        min_run = params.get("min_run", corruption.CorruptionConfig.min_run)
-        AT_LEAST_1.check(meta_path, "params.min_run", min_run)
         pool = _load_scored_pool(args.pool, args.scores)
         gold = _parse(args.gold)
-        stems = corruption.check_sources(pool, gold, min_run)
+        stems = corruption.check_sources(pool, gold)
         blocks = {"correlations": report.correlations(pool, stems)}
         if args.selection:
             msd, count = report.msd_mode(counts)
@@ -387,7 +374,7 @@ def cmd_pipeline(args) -> None:
     required = ["gold", "n_pool", "theta", "order", "k_smooth", "strategies", "seed"]
     missing = [k for k in required if k not in cfg]
     if missing:
-        raise MorphaugError(f"pipeline config missing keys: {', '.join(missing)}")
+        raise MorphaugError(f"{args.config}: missing config key {', '.join(map(repr, missing))}")
     # every value is checked before the corpora are read or any file is written
     for key, rule in CONFIG_KEYS.items():
         if key in cfg:
@@ -440,9 +427,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--gold", type=PATH.flag, required=True)
     sp.add_argument("--n", type=AT_LEAST_1.flag, required=True)
     sp.add_argument("--theta", type=UNIT.flag, default=0.5)
-    sp.add_argument("--min-run", type=AT_LEAST_1.flag, default=3)
-    sp.add_argument("--allow-original-char", action="store_true",
-                    help="let a substitution redraw the original character")
     sp.add_argument("--out", type=PATH.flag, required=True)
     sp.add_argument("--tsv-out", type=PATH.flag, default=None)
     sp.set_defaults(func=cmd_augment)

@@ -1,9 +1,9 @@
 """Stem corruption: Bernoulli(theta) substitution of aligned stem characters.
 
 Each aligned stem position flips an independent Bernoulli(theta); on success
-the lemma and the form receive the same uniformly drawn replacement character,
-so corrupted stems stay identical on both sides. Affix characters and the MSD
-are never touched.
+the lemma and the form receive the same uniformly drawn replacement, another
+character of the alphabet, so corrupted stems stay identical on both sides.
+Affix characters and the MSD are never touched.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class CorruptionConfig:
     theta: float = 0.5
-    exclude_original: bool = True
-    min_run: int = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -66,17 +64,16 @@ def corrupt(
     """Corrupt one triple using the supplied segmentation and RNG state.
     Each stem pair flips one Bernoulli(theta); on success both sides get the
     same replacement."""
-    if cfg.exclude_original and len(alphabet) < 2:
+    if len(alphabet) < 2:
         raise MorphaugError("need >= 2 characters to exclude the original")
-    chars = alphabet.chars
+    chars, index = alphabet.chars, alphabet.index
     n_all = len(chars)
     n_other = n_all - 1
-    # with the original excluded, draw among the other n-1 characters and
-    # step over the original's index: the same draw as indexing the list of
-    # all characters but the original. Each draw is randrange(n) inlined:
-    # getrandbits(n.bit_length()) until the result is below n.
+    # draw among the other n-1 characters and step over the original's index:
+    # the same draw as indexing the list of all characters but the original.
+    # An original outside the alphabet draws among all n. Each draw is
+    # randrange(n) inlined: getrandbits(n.bit_length()) until it is below n.
     bits_all, bits_other = n_all.bit_length(), n_other.bit_length()
-    index = alphabet.index if cfg.exclude_original else {}
     draw, getrandbits, theta = rng.random, rng.getrandbits, cfg.theta
     source = t.lemma
     lemma = list(source)
@@ -114,9 +111,9 @@ def corrupt(
     )
 
 
-def segment_dataset(gold: Dataset, min_run: int = 3) -> dict:
+def segment_dataset(gold: Dataset) -> dict:
     """Align every gold triple; value is None where no stem is found."""
-    return {t.id: extract_stem(t.lemma, t.form, min_run) for t in gold}
+    return {t.id: extract_stem(t.lemma, t.form) for t in gold}
 
 
 def generate_pool(
@@ -126,7 +123,7 @@ def generate_pool(
     replacement. Unalignable triples are skipped and logged."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    segs = segment_dataset(gold, min_run=cfg.min_run)
+    segs = segment_dataset(gold)
     if all(s is None for s in segs.values()):
         raise MorphaugError(f"no triple in {gold.name!r} has an alignable stem")
     skipped = {tid for tid, s in segs.items() if s is None}
@@ -244,19 +241,18 @@ def _bad_value(d: dict) -> tuple[str, str] | None:
     return None
 
 
-def check_sources(pool: list[SyntheticExample], gold: Dataset,
-                  min_run: int) -> list[Segmentation]:
-    """The segmentation of each example's gold source, cut with min_run, as
-    a list parallel to the pool: stems[i] is that of pool[i]'s source. Every
-    example must be a stem corruption of the alignable gold triple its
-    source_id names: the same MSD; its (lemma, form) position pairs, as many
-    of one as of the other, stem pairs of the source in their order, with
-    the same character on both sides; a lemma and form that equal the gold
-    ones once the gold characters are put back at those positions (each in
-    range), since corruption never touches affixes or the MSD; and a
-    distance to the gold form of at most the number of form positions, the
-    Hamming distance that bounds it."""
-    segs = segment_dataset(gold, min_run)
+def check_sources(pool: list[SyntheticExample], gold: Dataset) -> list[Segmentation]:
+    """The segmentation of each example's gold source, as a list parallel to
+    the pool: stems[i] is that of pool[i]'s source. Every example must be a
+    stem corruption of the alignable gold triple its source_id names: the
+    same MSD; its (lemma, form) position pairs, as many of one as of the
+    other, stem pairs of the source in their order, with the same character
+    on both sides; a lemma and form that equal the gold ones once the gold
+    characters are put back at those positions (each in range), since
+    corruption never touches affixes or the MSD; and a distance to the gold
+    form of at most the number of form positions, the Hamming distance that
+    bounds it."""
+    segs = segment_dataset(gold)
     stems = []
     for e in pool:
         seg = segs.get(e.source_id)  # not []: bench/tracer.py counts each [] as a gold draw

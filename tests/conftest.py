@@ -80,17 +80,14 @@ def oracle_align(lemma: str, form: str) -> tuple[tuple, int]:
 def oracle_corrupt(t, seg, alphabet, cfg, rng, new_id) -> SyntheticExample:
     """Corruption that builds the list of allowed replacement characters at
     every substituted position and indexes it with one randrange draw."""
-    if cfg.exclude_original and len(alphabet) < 2:
+    if len(alphabet) < 2:
         raise MorphaugError("need >= 2 characters to exclude the original")
     lemma = list(t.lemma)
     form = list(t.form)
     sub_lemma, sub_form = [], []
     for li, fi in seg.stem_pairs:
         if rng.random() < cfg.theta:
-            if cfg.exclude_original:
-                choices = [c for c in alphabet.chars if c != t.lemma[li]]
-            else:
-                choices = list(alphabet.chars)
+            choices = [c for c in alphabet.chars if c != t.lemma[li]]
             c = choices[rng.randrange(len(choices))]
             lemma[li] = c
             form[fi] = c
@@ -112,7 +109,7 @@ def oracle_corrupt(t, seg, alphabet, cfg, rng, new_id) -> SyntheticExample:
 def oracle_generate_pool(gold, n, alphabet, cfg, rng=None):
     """Pool generation with a randrange draw of the gold triple and a whole
     oracle_corrupt call per example; rng defaults to Random(cfg.seed)."""
-    segs = segment_dataset(gold, min_run=cfg.min_run)
+    segs = segment_dataset(gold)
     rng = rng or random.Random(cfg.seed)
     pool = []
     while len(pool) < n:

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import math
@@ -258,21 +259,26 @@ def test_external_scores_path(gold_file, tmp_path):
     assert main([*argv, "--scores", ""]) == 1
 
 
-@pytest.mark.parametrize("allow", [False, True])
-def test_a_one_letter_alphabet_has_no_other_character(tmp_path, capsys, allow):
+def test_a_one_letter_alphabet_has_no_other_character(tmp_path, capsys):
     gold, pool = tmp_path / "gold.tsv", tmp_path / "pool.jsonl"
     gold.write_text("aaa\taaa\tN\n")
-    argv = ["augment", "--gold", str(gold), "--n", "5", "--out", str(pool), "--quiet"]
-    if not allow:
-        assert main(argv) == 2
-        assert capsys.readouterr().err == "error: need >= 2 characters to exclude the original\n"
-        assert sorted(os.listdir(tmp_path)) == ["gold.tsv"]
-        return
-    assert main([*argv, "--allow-original-char"]) == 0
-    lines = [json.loads(line) for line in pool.read_text().splitlines()]
-    assert len(lines) == 5
-    for line in lines:
-        assert (line["lemma"], line["form"], line["lev_to_gold_target"]) == ("aaa", "aaa", 0)
+    assert main(["augment", "--gold", str(gold), "--n", "5", "--out", str(pool), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: need >= 2 characters to exclude the original\n"
+    assert sorted(os.listdir(tmp_path)) == ["gold.tsv"]
+
+
+@pytest.mark.parametrize("flag", [["--min-run", "2"], ["--allow-original-char"]])
+def test_augment_takes_no_option_pipeline_cannot_set(tmp_path, capsys, flag):
+    # a stem is the runs of at least 3 characters, and a substitution never
+    # redraws the original: neither is an option
+    gold = tmp_path / "gold.tsv"
+    gold.write_text(GOLD)
+    argv = ["augment", "--gold", str(gold), "--n", "5", "--out", str(tmp_path / "pool.jsonl"),
+            "--quiet"]
+    assert main([*argv, *flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unrecognized arguments: ") and flag[0] in err
+    assert "Traceback" not in err and sorted(os.listdir(tmp_path)) == ["gold.tsv"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -360,7 +366,7 @@ def test_report_subcommand(gold_file, tmp_path):
     scored = scoring.load_external_scores(open(scores).read(),
                                           corruption.read_pool_jsonl(open(pool).read()))
     gold = corpus.parse_unimorph(GOLD)
-    stems = corruption.check_sources(scored, gold, 3)
+    stems = corruption.check_sources(scored, gold)
     msd, count = report.msd_mode(_record(sel)["per_msd_counts"])
     assert _record(out) == _json_round_trip({
         "correlations": report.correlations(scored, stems),
@@ -371,40 +377,36 @@ def test_report_subcommand(gold_file, tmp_path):
     })
 
 
-def test_report_cuts_stems_with_the_min_run_of_the_pool(tmp_path):
-    # go/gos has a stem only for a min_run of at most 2
+def test_report_cuts_stems_at_3_and_refuses_a_source_with_no_such_stem(tmp_path, capsys):
+    # go/gos has a stem only for runs of 2, as a pool made with a shorter
+    # stem once took it; its example is refused, naming the source
     gold = tmp_path / "gold.tsv"
     gold.write_text("walked\twalkeds\tV;PST\ngo\tgos\tV;PST\nsinging\tsingings\tV;PST\n")
-    pool, scores = str(tmp_path / "pool.jsonl"), str(tmp_path / "scores.tsv")
-    out = tmp_path / "report.json"
-    assert main(["augment", "--gold", str(gold), "--n", "30", "--min-run", "2",
-                 "--out", pool, "--quiet"]) == 0
-    with open(pool, encoding="utf-8") as f:
-        assert "2" in {json.loads(line)["source_id"] for line in f}
-    assert main(["score", "--pool", pool, "--gold", str(gold), "--out", scores,
-                 "--quiet"]) == 0
-    assert main(["report", "--pool", pool, "--scores", scores, "--gold", str(gold),
-                 "--out", str(out), "--quiet"]) == 0
-    assert json.loads(out.read_text())["correlations"]["n"] == 30
+    pool, out = tmp_path / "pool.jsonl", tmp_path / "report.json"
+    pool.write_text(corruption.write_pool_jsonl([corruption.SyntheticExample(
+        corpus.InflectionTriple("syn0", "xo", "xos", ("V", "PST")), "2", (0,), (0,), 1)]))
+    assert main(["report", "--pool", str(pool), "--gold", str(gold), "--out", str(out),
+                 "--quiet"]) == 2
+    _assert_data_error(capsys, out,
+                       "error: source id '2' of the pool names no alignable gold triple\n")
 
 
-@pytest.mark.parametrize("meta, needle", [
-    ([], "a 'params' object"),
-    ({"params": "x"}, "a 'params' object"),
-    ({"params": {"min_run": 0}}, "params.min_run must be an integer in [1, 2**60 - 1], got 0"),
-    ({"params": {"min_run": True}},
-     "params.min_run must be an integer in [1, 2**60 - 1], got true"),
-])
-def test_report_pool_sidecar_it_cannot_use_is_a_data_error(gold_file, scored_pool, tmp_path,
-                                                           capsys, meta, needle):
+@pytest.mark.parametrize("meta", [[], {"params": "x"}, {"params": {"min_run": 0}},
+                                  {"params": {"min_run": True}}])
+def test_report_reads_no_pool_sidecar(gold_file, scored_pool, tmp_path, meta):
+    # report reads only the files named on its command line
     pool, scores = scored_pool
     out = tmp_path / "report.json"
+    argv = ["report", "--pool", pool, "--scores", scores, "--gold", gold_file, "--out", str(out),
+            "--quiet"]
+    os.unlink(pool + ".meta.json")
+    assert main(argv) == 0
+    bare = out.read_bytes()
+    out.unlink()
     with open(pool + ".meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f)
-    capsys.readouterr()
-    assert main(["report", "--pool", pool, "--scores", scores, "--gold", gold_file,
-                 "--out", str(out), "--quiet"]) == 2
-    _assert_data_error(capsys, out, f"{pool}.meta.json: ", needle)
+    assert main(argv) == 0
+    assert out.read_bytes() == bare
 
 
 def test_pipeline_runs_and_validates_config(gold_file, tmp_path):
@@ -542,6 +544,34 @@ def test_invalid_pipeline_config_writes_nothing(gold_file, tmp_path, capsys, mon
     assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out_dir),
                  "--quiet"]) == 2
     _assert_data_error(capsys, out_dir, needle)
+
+
+@pytest.mark.parametrize("dropped", [["seed"], ["gold", "theta"]])
+def test_a_pipeline_config_missing_a_key_writes_nothing(gold_file, tmp_path, capsys, dropped):
+    cfg = {"gold": gold_file, "n_pool": 80, "theta": 0.5, "order": 3, "k_smooth": 0.1,
+           "strategies": ["random"], "seed": 3}
+    cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps({k: v for k, v in cfg.items() if k not in dropped}))
+    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                 "--quiet"]) == 2
+    _assert_data_error(capsys, out_dir, f"error: {cfg_path}: missing config key "
+                                        f"{', '.join(map(repr, dropped))}\n")
+
+
+def test_each_stage_option_is_a_pipeline_config_key():
+    # pipeline is exactly its stages: every option that changes a stage's
+    # result, that is every option but a path or --quiet, is a config key
+    from morphaug import cli
+
+    renamed = {"n": "n_pool", "strategy": "strategies"}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {renamed.get(action.dest, action.dest)
+               for command in ("augment", "score", "select", "split")
+               for action in sub.choices[command]._actions
+               if not isinstance(action, argparse._HelpAction)
+               and action.type != cli.PATH.flag and action.dest != "quiet"}
+    assert options and options <= set(cli.CONFIG_KEYS), options - set(cli.CONFIG_KEYS)
 
 
 # numpy cannot shape an array of 10**20 bootstrap means
@@ -953,7 +983,7 @@ def test_milab_bad_flag_values_are_usage_errors_before_any_work(tmp_path, capsys
     (["augment", "--n", "0"], "--n"),
     (["augment", "--n", "5", "--theta", "2"], "--theta"),
     (["augment", "--n", "5", "--theta", "nan"], "--theta"),
-    (["augment", "--n", "5", "--min-run", "0"], "--min-run"),
+    (["augment", "--n", str(2 ** 60)], "--n"),
     (["score", "--order", "0"], "--order"),
     (["score", "--k-smooth", "0"], "--k-smooth"),
     (["score", "--k-smooth", "-1"], "--k-smooth"),

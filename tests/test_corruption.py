@@ -45,7 +45,7 @@ def test_theta_one_substitutes_every_stem_position():
     seg = _seg(t)
     e = corrupt(t, seg, ALPHABET, CorruptionConfig(theta=1.0), random.Random(1), "s1")
     assert set(e.substituted_form_positions) == set(j for _, j in seg.stem_pairs)
-    # exclude_original: every stem character actually changed
+    # a substitution never redraws the original: every stem character changed
     for i, j in seg.stem_pairs:
         assert e.triple.lemma[i] != t.lemma[i]
         assert e.triple.form[j] != t.form[j]
@@ -268,9 +268,9 @@ def _from_source(lemma, form, lemma_pos, form_pos, msd=("V", "PST"), source="1",
 def test_check_sources_accepts_the_pool_of_its_gold():
     gold = make_dataset([("walk", "walked", "V;PST"), ("talk", "talked", "V;PST")])
     pool = generate_pool(gold, 30, ALPHABET, CorruptionConfig(theta=0.7, seed=2))
-    segs = segment_dataset(gold, 3)
-    assert check_sources(pool, gold, 3) == [segs[e.source_id] for e in pool]
-    assert check_sources([_from_source("wxlk", "wxlked", (1,), (1,), lev=1)], gold, 3) == \
+    segs = segment_dataset(gold)
+    assert check_sources(pool, gold) == [segs[e.source_id] for e in pool]
+    assert check_sources([_from_source("wxlk", "wxlked", (1,), (1,), lev=1)], gold) == \
         [segs["1"]]
 
 
@@ -293,14 +293,14 @@ def test_check_sources_rejects_a_mismatch(example):
     gold = make_dataset([("walk", "walked", "V;PST")])
     with pytest.raises(MorphaugError, match=r"^pool example 's1' is not a stem corruption of "
                        r"gold triple '1'; is --gold the file the pool was made from\?$"):
-        check_sources([example], gold, 3)
+        check_sources([example], gold)
 
 
 def test_check_sources_names_a_missing_source():
     gold = make_dataset([("walk", "walked", "V;PST")])
     with pytest.raises(MorphaugError,
                        match="^source id '2' of the pool names no alignable gold triple$"):
-        check_sources([_from_source("walk", "walked", (), (), source="2")], gold, 3)
+        check_sources([_from_source("walk", "walked", (), (), source="2")], gold)
 
 
 def test_check_sources_names_an_unalignable_source():
@@ -309,22 +309,18 @@ def test_check_sources_names_an_unalignable_source():
     with pytest.raises(MorphaugError,
                        match="^source id '2' of the pool names no alignable gold triple$"):
         check_sources([_from_source("walk", "walked", (), ()),
-                       _from_source("go", "went", (), (), source="2")], gold, 3)
+                       _from_source("go", "went", (), (), source="2")], gold)
 
 
 @settings(max_examples=100, deadline=None)
 @given(rows=st.lists(st.tuples(st.text("abcd", min_size=1, max_size=5), st.text("xy", max_size=2),
                                st.text("ab", max_size=3), st.sampled_from(["V;PST", "N;PL"])),
                      min_size=1, max_size=6),
-       exclude_original=st.booleans(), min_run=st.sampled_from([2, 3]),
        theta=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**16))
-def test_every_generated_pool_passes_check_sources(rows, exclude_original, min_run, theta,
-                                                   seed):
+def test_every_generated_pool_passes_check_sources(rows, theta, seed):
     gold = make_dataset([(stem, prefix + stem + suffix, msd)
                          for stem, prefix, suffix, msd in rows])
-    segs = segment_dataset(gold, min_run)
+    segs = segment_dataset(gold)
     assume(any(seg is not None for seg in segs.values()))
-    cfg = CorruptionConfig(theta=theta, exclude_original=exclude_original, min_run=min_run,
-                           seed=seed)
-    pool = generate_pool(gold, 20, ALPHABET, cfg)
-    assert check_sources(pool, gold, min_run) == [segs[e.source_id] for e in pool]
+    pool = generate_pool(gold, 20, ALPHABET, CorruptionConfig(theta=theta, seed=seed))
+    assert check_sources(pool, gold) == [segs[e.source_id] for e in pool]

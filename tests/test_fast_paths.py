@@ -89,8 +89,7 @@ def corruption_cases(draw):
     if seg is None:
         reject()
     chars = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True))
-    cfg = CorruptionConfig(theta=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
-                           exclude_original=draw(st.booleans()))
+    cfg = CorruptionConfig(theta=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])))
     t = InflectionTriple(id="g1", lemma=lemma, form=form, msd=("N", "PL"))
     return t, seg, Alphabet(chars=tuple(sorted(chars))), cfg, draw(st.integers(0, 2**32))
 
@@ -100,7 +99,7 @@ def corruption_cases(draw):
 def test_corrupt_matches_oracle_draw_for_draw(case):
     t, seg, alphabet, cfg, seed = case
     fast_rng, slow_rng = random.Random(seed), random.Random(seed)
-    if cfg.exclude_original and len(alphabet) < 2:
+    if len(alphabet) < 2:
         with pytest.raises(MorphaugError, match="^need >= 2 characters to exclude the original$"):
             corrupt(t, seg, alphabet, cfg, fast_rng, "s0")
         return
@@ -111,13 +110,11 @@ def test_corrupt_matches_oracle_draw_for_draw(case):
         assert fast_rng.getstate() == slow_rng.getstate()
 
 
-@pytest.mark.parametrize("exclude_original", [True, False])
 @settings(max_examples=200, deadline=None)
 @given(case=corruption_cases())
-def test_corrupt_measures_only_the_substituted_window(case, exclude_original):
+def test_corrupt_measures_only_the_substituted_window(case):
     t, seg, alphabet, cfg, seed = case
-    cfg = CorruptionConfig(theta=cfg.theta, exclude_original=exclude_original)
-    if exclude_original and len(alphabet) < 2:
+    if len(alphabet) < 2:
         return
     calls = []
 
@@ -141,13 +138,12 @@ def test_corrupt_original_outside_alphabet_draws_from_all():
     t = InflectionTriple(id="g1", lemma="xyzxyz", form="xyzxyzs", msd=("N",))
     seg = prefix_segmentation(6)
     alphabet = Alphabet(chars=tuple("abx"))
-    for exclude in (True, False):
-        cfg = CorruptionConfig(theta=1.0, exclude_original=exclude)
-        fast_rng, slow_rng = random.Random(7), random.Random(7)
-        for _ in range(20):
-            assert corrupt(t, seg, alphabet, cfg, fast_rng, "s1") == oracle_corrupt(
-                t, seg, alphabet, cfg, slow_rng, "s1")
-            assert fast_rng.getstate() == slow_rng.getstate()
+    cfg = CorruptionConfig(theta=1.0)
+    fast_rng, slow_rng = random.Random(7), random.Random(7)
+    for _ in range(20):
+        assert corrupt(t, seg, alphabet, cfg, fast_rng, "s1") == oracle_corrupt(
+            t, seg, alphabet, cfg, slow_rng, "s1")
+        assert fast_rng.getstate() == slow_rng.getstate()
 
 
 @contextmanager
@@ -174,20 +170,19 @@ DRAW_SIZES = range(1, 302)
 
 def test_substitute_draws_match_randrange_for_every_alphabet_size():
     # corrupt's per-character substitute draws: the lemma's c is outside
-    # alphabets of fewer than 3 characters, where the draw is among all n;
-    # otherwise the original is excluded and it is among n - 1 (so 2
-    # characters draw with randrange(1))
+    # an alphabet of 2 characters, where the draw is among all n; otherwise
+    # the original is excluded and it is among n - 1 (so 2 characters draw
+    # with randrange(1)). One character has no other to draw.
     t = InflectionTriple(id="g1", lemma="abcab", form="abcabs", msd=("N",))
     seg = prefix_segmentation(5)
-    for n in DRAW_SIZES:
+    cfg = CorruptionConfig(theta=1.0)
+    for n in DRAW_SIZES[1:]:
         alphabet = Alphabet(chars=tuple(chr(ord("a") + i) for i in range(n)))
-        for exclude in (False, True) if n > 1 else (False,):
-            cfg = CorruptionConfig(theta=1.0, exclude_original=exclude)
-            fast_rng, slow_rng = random.Random(n), random.Random(n)
-            for _ in range(4):
-                assert corrupt(t, seg, alphabet, cfg, fast_rng, "s1") == oracle_corrupt(
-                    t, seg, alphabet, cfg, slow_rng, "s1")
-                assert fast_rng.getstate() == slow_rng.getstate()
+        fast_rng, slow_rng = random.Random(n), random.Random(n)
+        for _ in range(4):
+            assert corrupt(t, seg, alphabet, cfg, fast_rng, "s1") == oracle_corrupt(
+                t, seg, alphabet, cfg, slow_rng, "s1")
+            assert fast_rng.getstate() == slow_rng.getstate()
 
 
 def test_generate_pool_draws_match_randrange_for_every_gold_size():
@@ -245,7 +240,7 @@ def test_corrupt_toy_draws_among_all_characters_for_one_outside_the_alphabet():
 @given(corruption_cases())
 def test_derived_triples_equal_validated_ones(case):
     t, seg, alphabet, cfg, seed = case
-    if cfg.exclude_original and len(alphabet) < 2:
+    if len(alphabet) < 2:
         return
     derived = corrupt(t, seg, alphabet, cfg, random.Random(seed), new_id="s1").triple
     built = oracle_corrupt(t, seg, alphabet, cfg, random.Random(seed), new_id="s1").triple
@@ -505,7 +500,7 @@ def _harmony_pool(n, seed):
     pool = generate_pool(gold, n, Alphabet(chars=tuple("adeilo")),
                          CorruptionConfig(theta=0.7, seed=seed))
     rng = random.Random(seed)
-    return [e.with_score(rng.gauss(1.0, 0.3)) for e in pool], check_sources(pool, gold, 3)
+    return [e.with_score(rng.gauss(1.0, 0.3)) for e in pool], check_sources(pool, gold)
 
 
 @pytest.mark.parametrize("block", [1, 5, 64, 2**16, 2**21])

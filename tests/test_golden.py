@@ -1,6 +1,6 @@
 """Byte pin of the CLI artifacts: sha256 of every file written by a small
 fixed `pipeline` run (with a `full` corpus for the split), a small
-`milab --harmony on` run, an `augment --allow-original-char` run and a
+`milab --harmony on` run, an `augment` run and a
 `report --selection --harmony` run on a pipeline run of its own gold.
 
 A change to any digest is a change of the program's output. Update the
@@ -54,15 +54,15 @@ REPORT_CONFIG = {
 }
 
 GOLDEN = {
-    "augment-allow-original": {
+    "augment": {
         "pool.jsonl":
-            "b81b2c4db6c846b667d05818587fb7d84af22eff8ea08a59effc3a15e47f3f23",
+            "1dc6840d5437437d03f710324979d74568d3cbb197eaba2053ca8bfc13964900",
         "pool.jsonl.meta.json":
-            "c3012b48f6bfa509c20106f40f794d489c82ca9f1556658006759b5515bad4d3",
+            "8862da52ba43ba4f73742931bf76e8c4d4e106201ee404010f3f929eb54f6da7",
         "pool.tsv":
-            "3bd950fd5b9e7bb72e850bebbeb93b0d7f60d125bb491af3412e4ee96e90310c",
+            "6d91963369f547af4a3e7a023e2d567341366fec75fb56567c83398b9a96d9da",
         "pool.tsv.meta.json":
-            "c3012b48f6bfa509c20106f40f794d489c82ca9f1556658006759b5515bad4d3",
+            "8862da52ba43ba4f73742931bf76e8c4d4e106201ee404010f3f929eb54f6da7",
     },
     "milab": {
         "curve.json":
@@ -129,8 +129,8 @@ def _run(case):
                      "--seed", "3", "--out", "curve.json", "--quiet"]) == 0
     else:
         assert main(["augment", "--gold", "gold.tsv", "--n", "300", "--theta", "0.7",
-                     "--min-run", "2", "--allow-original-char", "--seed", "11",
-                     "--out", "pool.jsonl", "--tsv-out", "pool.tsv", "--quiet"]) == 0
+                     "--seed", "11", "--out", "pool.jsonl", "--tsv-out", "pool.tsv",
+                     "--quiet"]) == 0
 
 
 def _digests(root):

@@ -69,7 +69,7 @@ def _scored_pool(n=1000, theta=0.5, seed=0):
 
 def test_correlations_positive_with_corruption_degree():
     gold, pool = _scored_pool()
-    rep = correlations(pool, check_sources(pool, gold, 3))
+    rep = correlations(pool, check_sources(pool, gold))
     assert rep["n"] == 1000
     assert rep["pearson_nll_levenshtein"] > 0.2
     assert -1 <= rep["pearson_nll_stem_length"] <= 1
@@ -79,7 +79,7 @@ def test_correlations_positive_with_corruption_degree():
 def test_correlations_too_few():
     gold, pool = _scored_pool(n=2)
     with pytest.raises(MorphaugError, match="^need >= 3 scored examples$"):
-        correlations(pool, check_sources(pool, gold, 3))
+        correlations(pool, check_sources(pool, gold))
 
 
 @pytest.mark.parametrize("constant", ["nll", "lev_to_gold_target", "stem_length",
@@ -161,7 +161,7 @@ def _toy_pool(theta=1.0, n=400, seed=5):
     pool = generate_pool(gold, n, Alphabet(chars=tuple("adeilo")),
                          CorruptionConfig(theta=theta, seed=seed))
     scored = score_pool(train_ngram(gold, order=3, k=0.1), pool)
-    return scored, check_sources(scored, gold, 3)
+    return scored, check_sources(scored, gold)
 
 
 def test_harmony_violation_rate_matches_inline_reclassification():
